@@ -16,7 +16,6 @@ from fin_equity import (
     discrepancy,
     equity_scaled,
     full_report,
-    partition_by_attribute,
 )
 
 
@@ -38,7 +37,7 @@ def main():
         + scored_records(rng, 2, 200, quality=0.50)
     )
     groups = AttributeSet.default(3)
-    report = full_report(records, partition_by_attribute(records, groups))
+    report = full_report(records, groups)
 
     overall = report.overall
     print("overall:  acc {:.4f}  auc {:.4f}".format(overall["accuracy"], overall["auc"]))

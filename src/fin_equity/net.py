@@ -170,7 +170,7 @@ def cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
     n = logits.shape[0]
     if logits.ndim != 2 or logits.shape[1] != 2:
         raise ValidationError(f"logits must be (batch, 2), got {logits.shape}")
-    if labels.shape != (n,) or not np.isin(labels, (0, 1)).all():
+    if labels.shape != (n,) or not ((labels == 0) | (labels == 1)).all():
         raise ValidationError("labels must be a 1-D array of 0/1 matching the batch")
     labels = labels.astype(np.intp)
     shifted = logits - logits.max(axis=1, keepdims=True)

@@ -140,8 +140,8 @@ class NormCache:
 def fin_forward(z, attrs, params: FinParams) -> tuple[np.ndarray, NormCache]:
     """Normalize each row by its group's (mu, sigma), then blend with m.
 
-    Every attrs entry must be a valid group id; there is no fallback for
-    unseen groups, by design.
+    Every attrs entry must be a valid group id of an integer dtype; there is
+    no fallback for unseen groups, by design.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != params.dim:
@@ -152,6 +152,10 @@ def fin_forward(z, attrs, params: FinParams) -> tuple[np.ndarray, NormCache]:
     if attrs.shape != (z.shape[0],):
         raise ValidationError(
             f"attrs must be 1-D of length {z.shape[0]}, got shape {attrs.shape}"
+        )
+    if attrs.dtype.kind not in "iu":
+        raise ValidationError(
+            f"attribute ids must be integers, got dtype {attrs.dtype}"
         )
     attrs = attrs.astype(np.intp)
     bad = np.flatnonzero((attrs < 0) | (attrs >= params.group_count))

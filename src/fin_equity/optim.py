@@ -8,6 +8,15 @@ gradient moments:
 
 By default only affine weights decay; biases and normalizer parameters are
 excluded.
+
+The moments of all parameter blocks live in one flat float64 buffer each,
+block after block in parameter order, and the per-name moment arrays are
+views into them. A step gathers the gradients into one vector, checks it for
+non-finite values once, and runs the moment and update arithmetic as a single
+pass over the flat buffers; each block is then shrunk (if it decays) and
+moved by its slice of the update. Every element sees the same operations in
+the same order as a per-block loop would apply, so results are bitwise
+unchanged by the fusion.
 """
 
 from __future__ import annotations
@@ -47,18 +56,46 @@ class AdamWConfig:
             raise ValidationError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
+def _flat_views(params: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """A zeroed float64 buffer and one view into it per block, in order."""
+    flat = np.zeros(sum(p.size for p in params.values()))
+    views: dict[str, np.ndarray] = {}
+    start = 0
+    for name, p in params.items():
+        views[name] = flat[start : start + p.size].reshape(p.shape)
+        start += p.size
+    return flat, views
+
+
 @dataclass
 class AdamWState:
+    """Step count, moments, and the buffer each step's update is written to.
+
+    m[name], v[name] and update[name] are views into m_flat, v_flat and
+    update_flat.
+    """
+
     step: int
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    m_flat: np.ndarray = field(repr=False)
+    v_flat: np.ndarray = field(repr=False)
+    update_flat: np.ndarray = field(repr=False)
+    update: dict[str, np.ndarray] = field(repr=False)
 
     @classmethod
     def create(cls, params: dict[str, np.ndarray]) -> "AdamWState":
+        m_flat, m = _flat_views(params)
+        v_flat, v = _flat_views(params)
+        update_flat, update = _flat_views(params)
         return cls(
             step=0,
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
+            m=m,
+            v=v,
+            m_flat=m_flat,
+            v_flat=v_flat,
+            update_flat=update_flat,
+            update=update,
         )
 
 
@@ -70,34 +107,52 @@ def adamw_step(
 ) -> tuple[dict[str, np.ndarray], AdamWState]:
     """One update over every named parameter; arrays are mutated in place.
 
-    Fails fast on any non-finite gradient, naming the parameter block.
+    Fails fast on any non-finite gradient, naming the first bad parameter
+    block; nothing is updated when a check fails.
     """
-    if set(params) != set(grads):
+    if params.keys() != grads.keys():
         raise ValidationError(
             f"parameter/gradient name mismatch: {sorted(set(params) ^ set(grads))}"
         )
-    state.step += 1
-    t = state.step
-    bc1 = 1.0 - config.beta1 ** t
-    bc2 = 1.0 - config.beta2 ** t
-    mask = config.decay_mask if config.decay_mask is not None else default_decay_mask
-    shrink = 1.0 - config.lr * config.weight_decay
+    if params.keys() != state.m.keys():
+        raise ValidationError(
+            f"parameter/optimizer-state name mismatch: "
+            f"{sorted(set(params) ^ set(state.m))}"
+        )
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ValidationError(
                 f"gradient shape {g.shape} != parameter shape {p.shape} for {name}"
             )
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError(f"non-finite gradient in parameter block {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
-        step_vec = config.lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+        if p.shape != state.m[name].shape:
+            raise ValidationError(
+                f"parameter shape {p.shape} != optimizer-state shape "
+                f"{state.m[name].shape} for {name}"
+            )
+    g = np.concatenate([grads[name].ravel() for name in state.m])
+    if not np.isfinite(g).all():
+        bad = next(n for n in state.m if not np.isfinite(grads[n]).all())
+        raise NonFiniteError(f"non-finite gradient in parameter block {bad!r}")
+
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - config.beta1 ** t
+    bc2 = 1.0 - config.beta2 ** t
+    m = state.m_flat
+    v = state.v_flat
+    m *= config.beta1
+    m += (1.0 - config.beta1) * g
+    v *= config.beta2
+    v += (1.0 - config.beta2) * (g * g)
+    np.divide(
+        config.lr * (m / bc1), np.sqrt(v / bc2) + config.eps, out=state.update_flat
+    )
+
+    mask = config.decay_mask if config.decay_mask is not None else default_decay_mask
+    shrink = 1.0 - config.lr * config.weight_decay
+    for name, p in params.items():
         if config.weight_decay and mask(name):
             p *= shrink
-        p -= step_vec
+        p -= state.update[name]
     return params, state

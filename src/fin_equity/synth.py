@@ -189,5 +189,7 @@ def synth_config_from_dict(data: dict) -> SynthConfig:
             for g in data["groups"]
         )
         return SynthConfig(d=int(data["d"]), groups=groups, seed=int(data.get("seed", 0)))
-    except (KeyError, TypeError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad synth config: {exc!r}") from exc

@@ -372,7 +372,9 @@ def train_config_from_dict(data: dict) -> TrainConfig:
             threshold=float(data.get("threshold", 0.5)),
             shuffle=bool(data.get("shuffle", True)),
         )
-    except (KeyError, TypeError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad train config: {exc!r}") from exc
 
 

@@ -297,3 +297,37 @@ def test_bad_grid_is_exit_2(workdir, tmp_path):
     )
     assert r.returncode == 2
     assert "--grid" in r.stderr
+
+
+def error_lines(stderr):
+    return [line for line in stderr.splitlines() if line.startswith("error:")]
+
+
+def test_uncoercible_train_config_value_is_exit_2(workdir, tmp_path):
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({**TRAIN_CONFIG, "epochs": "abc"}))
+    r = run_cli(
+        "train",
+        "--config", str(config),
+        "--train", str(workdir / "train.csv"),
+        "--eval", str(workdir / "eval.csv"),
+        "--seeds", "1",
+        "--out-prefix", str(tmp_path / "x_"),
+    )
+    assert r.returncode == 2, r.stderr
+    assert error_lines(r.stderr), r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_uncoercible_synth_config_value_is_exit_2(tmp_path):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({**SYNTH_CONFIG, "d": "x"}))
+    r = run_cli(
+        "synth",
+        "--config", str(config),
+        "--out-train", str(tmp_path / "train.csv"),
+        "--out-eval", str(tmp_path / "eval.csv"),
+    )
+    assert r.returncode == 2, r.stderr
+    assert error_lines(r.stderr), r.stderr
+    assert "Traceback" not in r.stderr

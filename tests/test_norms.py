@@ -169,6 +169,11 @@ def test_fin_forward_validation():
         fin_forward(np.ones((2, 2)), np.array([0]), params)  # attrs length
     with pytest.raises(ValidationError, match="batch position 1"):
         fin_forward(np.ones((2, 2)), np.array([0, 1]), params)  # group 1 absent
+    with pytest.raises(ValidationError, match="integers"):
+        fin_forward(np.ones((2, 2)), np.array([0.7, 1.9]), params)  # not truncated
+    for dtype in (np.int8, np.int32, np.uint16, np.int64):
+        out, _ = fin_forward(np.ones((2, 2)), np.zeros(2, dtype=dtype), params)
+        assert out.shape == (2, 2)
     with pytest.raises(ValidationError):
         FinParams(mu=np.ones((1, 2)), tau=np.ones((1, 3)))
     with pytest.raises(ValidationError):

@@ -134,3 +134,99 @@ def test_name_and_shape_mismatches():
         adamw_step(params, {"head.b": np.ones(2)}, state, AdamWConfig())
     with pytest.raises(ValidationError):
         adamw_step(params, {"head.w": np.ones(3)}, state, AdamWConfig())
+
+
+def reference_adamw_step(params, grads, state, config):
+    """The per-block AdamW loop that the fused update must match bit for bit."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - config.beta1 ** t
+    bc2 = 1.0 - config.beta2 ** t
+    mask = config.decay_mask if config.decay_mask is not None else default_decay_mask
+    shrink = 1.0 - config.lr * config.weight_decay
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= config.beta1
+        m += (1.0 - config.beta1) * g
+        v *= config.beta2
+        v += (1.0 - config.beta2) * (g * g)
+        step_vec = config.lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+        if config.weight_decay and mask(name):
+            p *= shrink
+        p -= step_vec
+
+
+BLOCK_SHAPES = {
+    "backbone.0.w": (5, 7),
+    "backbone.0.b": (7,),
+    "backbone.1.w": (7, 4),
+    "backbone.1.b": (4,),
+    "norm.mu": (3, 4),
+    "norm.tau": (3, 4),
+    "head.w": (4, 2),
+    "head.b": (2,),
+}
+
+
+def random_blocks(rng, scale=1.0):
+    return {k: scale * rng.standard_normal(s) for k, s in BLOCK_SHAPES.items()}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        AdamWConfig(lr=1e-2),
+        AdamWConfig(lr=1e-2, beta1=0.5, beta2=0.9, eps=1e-6, weight_decay=0.3),
+        AdamWConfig(
+            lr=3e-3, weight_decay=0.05, decay_mask=lambda name: name.startswith("norm.")
+        ),
+    ],
+    ids=["no-decay", "default-mask", "custom-mask"],
+)
+def test_fused_step_matches_per_block_loop_bitwise(config):
+    rng = np.random.default_rng(11)
+    start = random_blocks(rng)
+    fused = {k: v.copy() for k, v in start.items()}
+    ref = {k: v.copy() for k, v in start.items()}
+    fused_state = AdamWState.create(fused)
+    ref_state = AdamWState.create(ref)
+    for _ in range(25):
+        grads = random_blocks(rng, scale=rng.choice([1e-4, 1.0, 1e3]))
+        adamw_step(fused, {k: g.copy() for k, g in grads.items()}, fused_state, config)
+        reference_adamw_step(ref, grads, ref_state, config)
+    assert fused_state.step == ref_state.step == 25
+    for name in BLOCK_SHAPES:
+        assert np.array_equal(fused[name], ref[name]), name
+        assert np.array_equal(fused_state.m[name], ref_state.m[name]), name
+        assert np.array_equal(fused_state.v[name], ref_state.v[name]), name
+    assert not np.array_equal(fused["head.w"], start["head.w"])
+
+
+def test_nonfinite_middle_block_is_named_and_nothing_moves():
+    rng = np.random.default_rng(3)
+    params = random_blocks(rng)
+    state = AdamWState.create(params)
+    adamw_step(params, random_blocks(rng), state, AdamWConfig(lr=1e-2))
+    before = {k: v.copy() for k, v in params.items()}
+    m_before = state.m_flat.copy()
+    grads = random_blocks(rng)
+    grads["norm.mu"][1, 2] = np.nan
+    grads["head.b"][0] = np.inf  # a later bad block is not the one named
+    with pytest.raises(NonFiniteError, match="'norm.mu'"):
+        adamw_step(params, grads, state, AdamWConfig(lr=1e-2))
+    assert state.step == 1
+    assert np.array_equal(state.m_flat, m_before)
+    assert all(np.array_equal(params[k], before[k]) for k in params)
+
+
+def test_moments_are_views_into_flat_buffers():
+    params = {k: np.zeros(s) for k, s in BLOCK_SHAPES.items()}
+    state = AdamWState.create(params)
+    total = sum(p.size for p in params.values())
+    assert state.m_flat.shape == state.v_flat.shape == (total,)
+    for name, p in params.items():
+        assert state.m[name].shape == state.v[name].shape == p.shape
+        assert np.shares_memory(state.m[name], state.m_flat)
+        assert np.shares_memory(state.v[name], state.v_flat)

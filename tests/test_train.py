@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from fin_equity import (
     checkpoint_from_dict,
     checkpoint_to_dict,
     discrepancy,
+    dumps_canonical,
     equity_scaled,
     evaluate_model,
     generate,
@@ -384,3 +387,32 @@ def test_train_config_round_trip():
     assert again.shuffle is False
     with pytest.raises(ValidationError):
         train_config_from_dict({"layer_dims": [4, 2]})
+
+    with pytest.raises(ValidationError, match="bad train config"):
+        train_config_from_dict({**data, "epochs": "abc"})
+    with pytest.raises(ValidationError, match="epochs must be >= 1"):
+        train_config_from_dict({**data, "epochs": 0})
+
+
+# SHA-256 of the canonical checkpoint JSON for tiny_data() and tiny_config(),
+# one per norm kind plus a FIN run with weight decay (the only guard on the
+# decay path's bytes). Any change to the training step that moves a single
+# checkpoint byte fails here.
+PINNED_CHECKPOINT_SHA256 = {
+    "none": "3a8329fe675cc192634b026d5ee66f07a43cc7f7eb7de192e9c9c44fbb090952",
+    "batch": "dc7a4480bbe3508bc259d431a7a3d00fe08e36d6aa161b8b7957887f12efe81c",
+    "learnable_shared": "1bd4a3b363f9b8b783379edb28f9722dc80bad5609574eef501add3278d74241",
+    "fair_identity": "5f0883831a11044205187e4c85d4b31776e502e1d956744b07c6ca623541405e",
+    "fair_identity+decay": "b86e8ca475954aa5cc46bd31863e1b4b3065d18d3445bff366ff364a1c45e409",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CHECKPOINT_SHA256))
+def test_checkpoint_bytes_are_pinned(case):
+    kind, _, decay = case.partition("+")
+    optimizer = AdamWConfig(lr=1e-3, weight_decay=0.1 if decay else 0.0)
+    config = tiny_config(norm_kind=NormKind(kind), optimizer=optimizer)
+    train_set, eval_set = tiny_data()
+    ck, _ = train(train_set, eval_set, config)
+    digest = hashlib.sha256(dumps_canonical(checkpoint_to_dict(ck)).encode()).hexdigest()
+    assert digest == PINNED_CHECKPOINT_SHA256[case]
