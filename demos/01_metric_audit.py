@@ -10,34 +10,30 @@ overall AUC can audit very differently once group gaps enter the picture.
 import numpy as np
 
 from fin_equity import (
-    Attribute,
     AttributeSet,
-    PredictionRecord,
+    Predictions,
     discrepancy,
     equity_scaled,
     full_report,
 )
 
 
-def scored_records(rng, group, n, quality):
-    # higher quality -> scores separate the classes more cleanly
-    out = []
-    for i in range(n):
-        label = int(rng.random() < 0.5)
-        score = np.clip(0.5 + (label - 0.5) * quality + 0.15 * rng.standard_normal(), 0.0, 1.0)
-        out.append(PredictionRecord(f"g{group}-{i:03d}", float(score), label, Attribute(group)))
-    return out
-
-
 def main():
     rng = np.random.default_rng(7)
-    records = (
-        scored_records(rng, 0, 200, quality=0.55)
-        + scored_records(rng, 1, 200, quality=0.20)   # the under-served group
-        + scored_records(rng, 2, 200, quality=0.50)
-    )
+    ids, scores, labels, attrs = [], [], [], []
+    # higher quality -> scores separate the classes more cleanly;
+    # group 1 is the under-served group
+    for group, quality in enumerate((0.55, 0.20, 0.50)):
+        for i in range(200):
+            label = int(rng.random() < 0.5)
+            score = np.clip(0.5 + (label - 0.5) * quality + 0.15 * rng.standard_normal(), 0.0, 1.0)
+            ids.append(f"g{group}-{i:03d}")
+            scores.append(float(score))
+            labels.append(label)
+            attrs.append(group)
+    predictions = Predictions(ids, scores, labels, attrs)
     groups = AttributeSet.default(3)
-    report = full_report(records, groups)
+    report = full_report(predictions, groups)
 
     overall = report.overall
     print("overall:  acc {:.4f}  auc {:.4f}".format(overall["accuracy"], overall["auc"]))

@@ -26,11 +26,11 @@ def main():
         ),
     )
     train_set, eval_set = generate(config)
-    print(f"train {len(train_set.samples)} / eval {len(eval_set.samples)} samples")
+    print(f"train {len(train_set)} / eval {len(eval_set)} samples")
 
     scores = bayes_scores(eval_set, config)
-    labels = eval_set.label_vector()
-    attrs = eval_set.attr_vector()
+    labels = eval_set.labels
+    attrs = eval_set.attrs
 
     print("\nper-group ideal-score AUC vs Phi(sep / sqrt 2):")
     for gid, spec in enumerate(config.groups):
@@ -48,10 +48,7 @@ def main():
 
     # regenerating with the same seed is bitwise identical
     again, _ = generate(config)
-    same = all(
-        np.array_equal(a.features, b.features) and a.sample_id == b.sample_id
-        for a, b in zip(train_set.samples, again.samples)
-    )
+    same = np.array_equal(train_set.x, again.x) and train_set.ids == again.ids
     print("regeneration with the same seed is bitwise identical:", same)
 
 

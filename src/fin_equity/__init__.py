@@ -7,12 +7,10 @@ an overall metric by its per-group discrepancy.
 """
 
 from .core import (
-    Attribute,
     AttributeSet,
     Dataset,
     GroupPartition,
-    LabeledSample,
-    PredictionRecord,
+    Predictions,
     Violation,
     partition_by_attribute,
     partition_from_ids,

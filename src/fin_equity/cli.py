@@ -113,8 +113,8 @@ def _cmd_synth(args) -> int:
     print(f"wrote {len(train_set)} train rows to {args.out_train}")
     print(f"wrote {len(eval_set)} eval rows to {args.out_eval}")
     for gid, name in enumerate(train_set.attribute_set.names):
-        n_tr = int((train_set.attr_vector() == gid).sum())
-        n_ev = int((eval_set.attr_vector() == gid).sum())
+        n_tr = int((train_set.attrs == gid).sum())
+        n_ev = int((eval_set.attrs == gid).sum())
         print(f"  {name}: {n_tr} train / {n_ev} eval")
     return 0
 
@@ -213,11 +213,11 @@ def _cmd_evaluate(args) -> int:
     ck = load_checkpoint(args.checkpoint)
     names = _groups_arg(args)
     dataset = read_dataset_csv(args.data, group_names=names)
-    records, report = evaluate_model(ck, dataset, threshold=args.threshold)
+    predictions, report = evaluate_model(ck, dataset, threshold=args.threshold)
     write_pretty_json(metric_report_to_dict(report), args.out)
     if args.preds_out:
-        write_predictions_csv(records, args.preds_out)
-        print(f"wrote {len(records)} predictions to {args.preds_out}")
+        write_predictions_csv(predictions, args.preds_out)
+        print(f"wrote {len(predictions)} predictions to {args.preds_out}")
     print(f"wrote report to {args.out}")
     _print_report(report, dataset.attribute_set.names, percent=args.percent)
     return 0
@@ -253,9 +253,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_report(args) -> int:
     names = _groups_arg(args)
-    records, attribute_set = read_predictions_csv(args.predictions, group_names=names)
-    report = full_report(records, attribute_set, threshold=args.threshold)
-    hist = prediction_histogram(records, threshold=args.threshold, bins=args.bins)
+    predictions, attribute_set = read_predictions_csv(
+        args.predictions, group_names=names
+    )
+    report = full_report(predictions, attribute_set, threshold=args.threshold)
+    hist = prediction_histogram(predictions, threshold=args.threshold, bins=args.bins)
     write_pretty_json(metric_report_to_dict(report), args.out)
     print(f"wrote report to {args.out}")
     if args.hist_out:

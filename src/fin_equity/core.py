@@ -1,33 +1,24 @@
 """Data model for identity-attributed samples and scored predictions.
 
 Everything downstream (metrics, training, file formats) speaks in terms of
-these types. Attributes are digitized group memberships: an integer id into
-an ordered set of group names. All containers are immutable after
-construction; feature arrays are copied and marked read-only.
+these types. Both containers are columnar: a Dataset holds a feature
+matrix with label, group-id and sample-id columns, and Predictions hold
+score, label, group-id and id columns. Group ids are digitized group
+memberships: non-negative integers indexing an ordered set of group names.
+All containers are immutable after construction; arrays are copied and
+marked read-only. Validation lives here too: the containers' constructors,
+validate_dataset, and the key check the config readers share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+import difflib
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from .errors import ValidationError
-
-
-@dataclass(frozen=True)
-class Attribute:
-    """Identity group membership as a 0-based index into an AttributeSet."""
-
-    id: int
-
-    def __post_init__(self):
-        if not isinstance(self.id, (int, np.integer)) or isinstance(self.id, bool):
-            raise ValidationError(f"attribute id must be an integer, got {self.id!r}")
-        if self.id < 0:
-            raise ValidationError(f"attribute id must be non-negative, got {self.id}")
-        object.__setattr__(self, "id", int(self.id))
 
 
 @dataclass(frozen=True)
@@ -58,77 +49,93 @@ class AttributeSet:
         return cls(tuple(f"group{i}" for i in range(group_count)))
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledSample:
-    """One training/evaluation example: features, binary label, attribute.
+def _column(values, n: int, what: str, dtype) -> np.ndarray:
+    """A read-only length-n copy; integer columns refuse other dtypes, bool too."""
+    arr = np.asarray(values)
+    if dtype is not np.float64 and arr.size and arr.dtype.kind not in "iu":
+        raise ValidationError(f"{what} must be integers, got dtype {arr.dtype}")
+    if arr.shape != (n,):
+        raise ValidationError(f"{what} must have shape ({n},), got {arr.shape}")
+    arr = arr.astype(dtype)
+    arr.flags.writeable = False
+    return arr
 
-    sample_id is an opaque string; uniqueness is enforced at ingestion
-    (CSV readers), not here.
-    """
 
-    features: np.ndarray
-    label: int
-    attribute: Attribute
-    sample_id: str = ""
-
-    def __post_init__(self):
-        feats = np.array(self.features, dtype=np.float64)  # copy, own it
-        feats.flags.writeable = False
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "label", int(self.label))
+def _attr_column(values, n: int) -> np.ndarray:
+    attrs = _column(values, n, "attribute ids", np.intp)
+    if n and attrs.min() < 0:
+        raise ValidationError(f"attribute ids must be non-negative, got {attrs.min()}")
+    return attrs
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A fixed feature dimension, an attribute set, and the samples."""
+    """One split as columns: features x (n, d), labels, group ids, sample ids.
 
-    d: int
+    Sample ids are opaque strings; uniqueness is enforced at ingestion (CSV
+    readers), not here. Labels and group ranges are checked by
+    validate_dataset.
+    """
+
     attribute_set: AttributeSet
-    samples: tuple[LabeledSample, ...]
+    x: np.ndarray
+    labels: np.ndarray
+    attrs: np.ndarray
+    ids: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
+        x = np.array(self.x, dtype=np.float64)  # copy, own it
+        if x.ndim != 2:
+            raise ValidationError(f"features must be a 2-D (n, d) array, got {x.shape}")
+        x.flags.writeable = False
+        n, ids = len(x), tuple(self.ids)
+        if len(ids) != n:
+            raise ValidationError(f"ids must have length {n}, got {len(ids)}")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "labels", _column(self.labels, n, "labels", np.int64))
+        object.__setattr__(self, "attrs", _attr_column(self.attrs, n))
+        object.__setattr__(self, "ids", ids)
+
+    @property
+    def d(self) -> int:
+        return self.x.shape[1]
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    def feature_matrix(self) -> np.ndarray:
-        if not self.samples:
-            return np.zeros((0, self.d))
-        return np.stack([s.features for s in self.samples])
-
-    def label_vector(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=np.int64)
-
-    def attr_vector(self) -> np.ndarray:
-        return np.array([s.attribute.id for s in self.samples], dtype=np.intp)
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(s.sample_id for s in self.samples)
+        return len(self.x)
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    """A scored prediction for one sample: id, score in [0,1], label, group."""
+@dataclass(frozen=True, eq=False)
+class Predictions:
+    """Scored predictions as columns: ids, scores in [0, 1], 0/1 labels, groups.
 
-    id: str
-    score: float
-    label: int
-    attribute: Attribute
+    Validated once on construction; an error names the first bad record.
+    """
+
+    ids: tuple[str, ...]
+    scores: np.ndarray
+    labels: np.ndarray
+    attrs: np.ndarray
 
     def __post_init__(self):
-        score = float(self.score)
-        if not np.isfinite(score) or not 0.0 <= score <= 1.0:
-            raise ValidationError(
-                f"record {self.id!r}: score must lie in [0, 1], got {self.score!r}"
-            )
-        label = int(self.label)
-        if label not in (0, 1):
-            raise ValidationError(
-                f"record {self.id!r}: label must be 0 or 1, got {self.label!r}"
-            )
-        object.__setattr__(self, "score", score)
-        object.__setattr__(self, "label", label)
+        ids = tuple(self.ids)
+        scores = _column(self.scores, len(ids), "scores", np.float64)
+        labels = _column(self.labels, len(ids), "labels", np.int64)
+        bad_score = ~((scores >= 0.0) & (scores <= 1.0))  # NaN fails both
+        bad = np.flatnonzero(bad_score | ((labels != 0) & (labels != 1)))
+        if bad.size:
+            i = bad[0]
+            if bad_score[i]:
+                problem = f"score must lie in [0, 1], got {float(scores[i])!r}"
+            else:
+                problem = f"label must be 0 or 1, got {int(labels[i])!r}"
+            raise ValidationError(f"record {ids[i]!r}: {problem}")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "attrs", _attr_column(self.attrs, len(ids)))
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,20 +177,36 @@ def partition_from_ids(attr_ids: np.ndarray, group_count: int) -> GroupPartition
 
 
 def partition_by_attribute(
-    records: Sequence[PredictionRecord], attribute_set: AttributeSet
+    predictions: Predictions, attribute_set: AttributeSet
 ) -> GroupPartition:
     """Group record positions by attribute id.
 
     An out-of-range attribute raises a validation error naming the record.
     """
-    ids = np.array([r.attribute.id for r in records], dtype=np.intp)
-    for pos, rec in enumerate(records):
-        if rec.attribute.id >= attribute_set.group_count:
+    g = attribute_set.group_count
+    bad = np.flatnonzero(predictions.attrs >= g)
+    if bad.size:
+        pos = int(bad[0])
+        raise ValidationError(
+            f"record {pos} (id={predictions.ids[pos]!r}): attribute id "
+            f"{int(predictions.attrs[pos])} out of range for {g} groups"
+        )
+    return partition_from_ids(predictions.attrs, g)
+
+
+def check_config_keys(data, allowed: tuple[str, ...], what: str) -> None:
+    """Require a JSON object whose keys are all in allowed.
+
+    An unknown key is an error naming the closest valid key.
+    """
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {type(data).__name__}")
+    for key in data:
+        if key not in allowed:
+            closest = difflib.get_close_matches(key, allowed, n=1, cutoff=0.0)
             raise ValidationError(
-                f"record {pos} (id={rec.id!r}): attribute id {rec.attribute.id} "
-                f"out of range for {attribute_set.group_count} groups"
+                f"unknown key {key!r} in {what}; closest valid key is {closest[0]!r}"
             )
-    return partition_from_ids(ids, attribute_set.group_count)
 
 
 @dataclass(frozen=True)
@@ -195,31 +218,31 @@ class Violation:
 
 
 def validate_dataset(dataset: Dataset) -> list[Violation]:
-    """Check every sample against the dataset's declared structure.
+    """Check every row against the dataset's declared structure.
 
-    Returns an empty list when the dataset is valid. Checks: at least one
-    sample, feature length == d, finite features, binary labels, attribute
-    ids within the attribute set.
+    Returns an empty list when the dataset is valid, else the findings in
+    row order. Checks: d >= 1, at least one row, finite features, binary
+    labels, attribute ids within the attribute set.
     """
     out: list[Violation] = []
     if dataset.d < 1:
         out.append(Violation(None, f"feature dimension must be >= 1, got {dataset.d}"))
-    if not dataset.samples:
+    if not len(dataset):
         out.append(Violation(None, "dataset has no samples"))
         return out
     g = dataset.attribute_set.group_count
-    for i, s in enumerate(dataset.samples):
-        if s.features.shape != (dataset.d,):
-            out.append(
-                Violation(i, f"feature shape {s.features.shape} != ({dataset.d},)")
-            )
-        elif not np.all(np.isfinite(s.features)):
+    labels, attrs = dataset.labels, dataset.attrs
+    nonfinite = ~np.isfinite(dataset.x).all(axis=1)
+    bad_label = (labels != 0) & (labels != 1)
+    bad_attr = attrs >= g
+    for i in np.flatnonzero(nonfinite | bad_label | bad_attr).tolist():
+        if nonfinite[i]:
             out.append(Violation(i, "non-finite feature value"))
-        if s.label not in (0, 1):
-            out.append(Violation(i, f"label {s.label} not in {{0, 1}}"))
-        if s.attribute.id >= g:
+        if bad_label[i]:
+            out.append(Violation(i, f"label {labels[i]} not in {{0, 1}}"))
+        if bad_attr[i]:
             out.append(
-                Violation(i, f"attribute id {s.attribute.id} out of range for {g} groups")
+                Violation(i, f"attribute id {attrs[i]} out of range for {g} groups")
             )
     return out
 

@@ -5,6 +5,10 @@ formats are written in scientific notation with 17 significant digits
 (%.16e), which is always enough to reproduce the same double on parse.
 The canonical JSON writer also fixes key order (insertion order) so that
 save -> load -> save is byte-identical.
+
+The CSV readers parse row by row, so every error names its line, and
+append straight into the columns of a Dataset or Predictions (dataset
+features into one preallocated float64 matrix).
 """
 
 from __future__ import annotations
@@ -16,14 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    Attribute,
-    AttributeSet,
-    Dataset,
-    LabeledSample,
-    PredictionRecord,
-    require_valid,
-)
+from .core import AttributeSet, Dataset, Predictions, require_valid
 from .errors import ValidationError
 from .metrics import MetricReport, PredictionHistogram
 
@@ -111,11 +108,10 @@ def write_dataset_csv(dataset: Dataset, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["id", "attr", "label"] + [f"f{i}" for i in range(dataset.d)])
-        for s in dataset.samples:
-            w.writerow(
-                [s.sample_id, s.attribute.id, s.label]
-                + [format_float(v) for v in s.features]
-            )
+        for sid, attr, label, feats in zip(
+            dataset.ids, dataset.attrs.tolist(), dataset.labels.tolist(), dataset.x
+        ):
+            w.writerow([sid, attr, label] + [format_float(v) for v in feats])
 
 
 def _parse_int(text: str, line: int, what: str) -> int:
@@ -125,6 +121,35 @@ def _parse_int(text: str, line: int, what: str) -> int:
         raise ValidationError(f"line {line}: {what} {text!r} is not an integer") from exc
 
 
+def _read_rows(path: str) -> list[list[str]]:
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    if not rows:
+        raise ValidationError(f"{path!r} is empty")
+    return rows
+
+
+def _attribute_set(
+    path: str, attrs: list[int], group_names: Sequence[str] | None
+) -> AttributeSet:
+    """The given group names, or group0..k defaults for the largest id k.
+
+    Refuses a file with no data rows, and given names too few for the ids.
+    """
+    if not attrs:
+        raise ValidationError(f"{path!r} has a header but no data rows")
+    max_attr = max(attrs)
+    if group_names is None:
+        return AttributeSet.default(max_attr + 1)
+    attribute_set = AttributeSet(tuple(group_names))
+    if max_attr >= attribute_set.group_count:
+        raise ValidationError(
+            f"attribute id {max_attr} out of range for the "
+            f"{attribute_set.group_count} provided group names"
+        )
+    return attribute_set
+
+
 def read_dataset_csv(path: str, group_names: Sequence[str] | None = None) -> Dataset:
     """Load and validate a dataset CSV.
 
@@ -132,10 +157,7 @@ def read_dataset_csv(path: str, group_names: Sequence[str] | None = None) -> Dat
     seen; pass group_names (e.g. from a sidecar file) to override. Sample
     ids must be unique; violations name the offending line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows:
-        raise ValidationError(f"{path!r} is empty")
+    rows = _read_rows(path)
     header = rows[0]
     if len(header) < 4 or header[:3] != ["id", "attr", "label"]:
         raise ValidationError(
@@ -144,9 +166,9 @@ def read_dataset_csv(path: str, group_names: Sequence[str] | None = None) -> Dat
     d = len(header) - 3
     if header[3:] != [f"f{i}" for i in range(d)]:
         raise ValidationError(f"line 1: feature columns must be f0..f{d-1}")
-    samples: list[LabeledSample] = []
+    x = np.empty((len(rows) - 1, d), dtype=np.float64)
+    ids, labels, attrs = [], [], []
     seen: set[str] = set()
-    max_attr = 0
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -164,30 +186,18 @@ def read_dataset_csv(path: str, group_names: Sequence[str] | None = None) -> Dat
         label = _parse_int(row[2], lineno, "label")
         if label not in (0, 1):
             raise ValidationError(f"line {lineno}: label must be 0 or 1, got {label}")
+        feats = x[len(ids)]
         try:
-            feats = np.array([float(v) for v in row[3:]], dtype=np.float64)
+            feats[:] = row[3:]
         except ValueError as exc:
             raise ValidationError(f"line {lineno}: bad feature value ({exc})") from exc
-        if not np.all(np.isfinite(feats)):
+        if not np.isfinite(feats).all():
             raise ValidationError(f"line {lineno}: non-finite feature value")
-        max_attr = max(max_attr, attr)
-        samples.append(
-            LabeledSample(
-                features=feats, label=label, attribute=Attribute(attr), sample_id=sid
-            )
-        )
-    if not samples:
-        raise ValidationError(f"{path!r} has a header but no data rows")
-    if group_names is not None:
-        attribute_set = AttributeSet(tuple(group_names))
-        if max_attr >= attribute_set.group_count:
-            raise ValidationError(
-                f"attribute id {max_attr} out of range for the "
-                f"{attribute_set.group_count} provided group names"
-            )
-    else:
-        attribute_set = AttributeSet.default(max_attr + 1)
-    dataset = Dataset(d=d, attribute_set=attribute_set, samples=tuple(samples))
+        ids.append(sid)
+        labels.append(label)
+        attrs.append(attr)
+    attribute_set = _attribute_set(path, attrs, group_names)
+    dataset = Dataset(attribute_set, x[: len(ids)], labels, attrs, ids)
     require_valid(dataset, what=path)
     return dataset
 
@@ -196,28 +206,30 @@ def read_dataset_csv(path: str, group_names: Sequence[str] | None = None) -> Dat
 # prediction CSV: header  id,score,label,attr
 
 
-def write_predictions_csv(records: Sequence[PredictionRecord], path: str) -> None:
+def write_predictions_csv(predictions: Predictions, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["id", "score", "label", "attr"])
-        for r in records:
-            w.writerow([r.id, format_float(r.score), r.label, r.attribute.id])
+        w.writerows(
+            zip(
+                predictions.ids,
+                map(format_float, predictions.scores.tolist()),
+                predictions.labels.tolist(),
+                predictions.attrs.tolist(),
+            )
+        )
 
 
 def read_predictions_csv(
     path: str, group_names: Sequence[str] | None = None
-) -> tuple[tuple[PredictionRecord, ...], AttributeSet]:
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows:
-        raise ValidationError(f"{path!r} is empty")
+) -> tuple[Predictions, AttributeSet]:
+    rows = _read_rows(path)
     if rows[0] != ["id", "score", "label", "attr"]:
         raise ValidationError(
             f"line 1: header must be id,score,label,attr, got {rows[0]}"
         )
-    records: list[PredictionRecord] = []
+    ids, scores, labels, attrs = [], [], [], []
     seen: set[str] = set()
-    max_attr = 0
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -237,26 +249,20 @@ def read_predictions_csv(
         attr = _parse_int(row[3], lineno, "attr")
         if attr < 0:
             raise ValidationError(f"line {lineno}: attr must be >= 0, got {attr}")
-        try:
-            rec = PredictionRecord(
-                id=sid, score=score, label=label, attribute=Attribute(attr)
-            )
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from exc
-        max_attr = max(max_attr, attr)
-        records.append(rec)
-    if not records:
-        raise ValidationError(f"{path!r} has a header but no data rows")
-    if group_names is not None:
-        attribute_set = AttributeSet(tuple(group_names))
-        if max_attr >= attribute_set.group_count:
+        if not 0.0 <= score <= 1.0:
             raise ValidationError(
-                f"attribute id {max_attr} out of range for the "
-                f"{attribute_set.group_count} provided group names"
+                f"line {lineno}: record {sid!r}: score must lie in [0, 1], got {score!r}"
             )
-    else:
-        attribute_set = AttributeSet.default(max_attr + 1)
-    return tuple(records), attribute_set
+        if label not in (0, 1):
+            raise ValidationError(
+                f"line {lineno}: record {sid!r}: label must be 0 or 1, got {label!r}"
+            )
+        ids.append(sid)
+        scores.append(score)
+        labels.append(label)
+        attrs.append(attr)
+    attribute_set = _attribute_set(path, attrs, group_names)
+    return Predictions(ids, scores, labels, attrs), attribute_set
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,11 @@ rate gaps with fewer than two eligible groups) are flagged, never imputed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .core import AttributeSet, GroupPartition, PredictionRecord, partition_by_attribute
+from .core import AttributeSet, GroupPartition, Predictions, partition_by_attribute
 from .errors import UndefinedMetricError, ValidationError
 
 
@@ -234,7 +234,7 @@ _REPORT_METRICS = ("accuracy", "auc")
 
 
 def full_report(
-    records: Sequence[PredictionRecord],
+    predictions: Predictions,
     attribute_set: AttributeSet,
     threshold: float = 0.5,
 ) -> MetricReport:
@@ -243,13 +243,11 @@ def full_report(
     Partial failures (a single-class group, a degenerate gap) are recorded
     as flags and None values; they never abort the rest of the report.
     """
-    records = tuple(records)
-    if not records:
+    if not len(predictions):
         raise UndefinedMetricError("cannot build a report from zero records")
-    scores = np.array([r.score for r in records], dtype=np.float64)
-    labels = np.array([r.label for r in records], dtype=np.int64)
+    scores, labels = predictions.scores, predictions.labels
     decisions = decide(scores, threshold)
-    partition = partition_by_attribute(records, attribute_set)
+    partition = partition_by_attribute(predictions, attribute_set)
 
     flags: list[str] = []
     overall: dict[str, float | None] = {"accuracy": accuracy(decisions, labels)}
@@ -336,7 +334,7 @@ class PredictionHistogram:
 
 
 def prediction_histogram(
-    records: Sequence[PredictionRecord], threshold: float = 0.5, bins: int = 20
+    predictions: Predictions, threshold: float = 0.5, bins: int = 20
 ) -> PredictionHistogram:
     """Tally TP/FP/TN/FN per uniform score bin.
 
@@ -344,9 +342,7 @@ def prediction_histogram(
     """
     if bins < 1:
         raise ValidationError(f"bins must be >= 1, got {bins}")
-    records = tuple(records)
-    scores = np.array([r.score for r in records], dtype=np.float64)
-    labels = np.array([r.label for r in records], dtype=np.int64)
+    scores, labels = predictions.scores, predictions.labels
     decisions = decide(scores, threshold)
     edges = np.arange(bins + 1) / bins
     idx = np.searchsorted(edges, scores, side="right") - 1

@@ -15,11 +15,11 @@ Class counts are exact rounded counts per split, not Bernoulli draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Attribute, AttributeSet, Dataset, LabeledSample
+from .core import AttributeSet, Dataset, check_config_keys
 from .errors import ValidationError
 
 
@@ -77,43 +77,40 @@ def _positive_count(prevalence: float, n: int) -> int:
 
 def _build_split(
     config: SynthConfig, split: str, rng: np.random.Generator
-) -> tuple[LabeledSample, ...]:
-    samples: list[LabeledSample] = []
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[str, ...]]:
+    """(x, labels, attrs, ids) of one split, shuffled by one permutation."""
+    xs, labels, attrs, ids = [], [], [], []
     for gid, spec in enumerate(config.groups):
         n = spec.n_train if split == "tr" else spec.n_eval
         n_pos = _positive_count(spec.prevalence, n)
-        labels = np.concatenate(
+        y = np.concatenate(
             [np.zeros(n - n_pos, dtype=np.int64), np.ones(n_pos, dtype=np.int64)]
         )
         x = spec.offset + spec.noise_std * rng.standard_normal((n, config.d))
-        x[:, 0] += labels * spec.separation
-        for i in range(n):
-            samples.append(
-                LabeledSample(
-                    features=x[i],
-                    label=int(labels[i]),
-                    attribute=Attribute(gid),
-                    sample_id=f"{split}-g{gid}-{i:04d}",
-                )
-            )
-    perm = rng.permutation(len(samples))
-    return tuple(samples[i] for i in perm)
+        x[:, 0] += y * spec.separation
+        xs.append(x)
+        labels.append(y)
+        attrs.append(np.full(n, gid, dtype=np.intp))
+        ids.extend(f"{split}-g{gid}-{i:04d}" for i in range(n))
+    perm = rng.permutation(len(ids))
+    return (
+        np.concatenate(xs)[perm],
+        np.concatenate(labels)[perm],
+        np.concatenate(attrs)[perm],
+        tuple(ids[i] for i in perm),
+    )
 
 
 def generate(config: SynthConfig) -> tuple[Dataset, Dataset]:
     """Deterministically generate (train, eval) datasets from the config.
 
-    Samples are built in canonical group/class order and then shuffled once
+    Rows are built in canonical group/class order and then shuffled once
     per split with the seeded generator.
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     attribute_set = AttributeSet(tuple(g.name for g in config.groups))
-    train = Dataset(
-        d=config.d, attribute_set=attribute_set, samples=_build_split(config, "tr", rng)
-    )
-    evaluation = Dataset(
-        d=config.d, attribute_set=attribute_set, samples=_build_split(config, "ev", rng)
-    )
+    train = Dataset(attribute_set, *_build_split(config, "tr", rng))
+    evaluation = Dataset(attribute_set, *_build_split(config, "ev", rng))
     return train, evaluation
 
 
@@ -124,8 +121,7 @@ def bayes_scores(dataset: Dataset, config: SynthConfig) -> np.ndarray:
     useful for checking empirical AUC against the closed form.
     """
     offsets = np.array([g.offset for g in config.groups])
-    x0 = dataset.feature_matrix()[:, 0]
-    return x0 - offsets[dataset.attr_vector()]
+    return dataset.x[:, 0] - offsets[dataset.attrs]
 
 
 def default_benchmark(seed: int = 42) -> SynthConfig:
@@ -174,8 +170,14 @@ def synth_config_to_dict(config: SynthConfig) -> dict:
     }
 
 
+_GROUP_KEYS = tuple(f.name for f in fields(GroupSpec))
+
+
 def synth_config_from_dict(data: dict) -> SynthConfig:
+    check_config_keys(data, ("d", "seed", "groups"), "synth config")
     try:
+        for i, g in enumerate(data["groups"]):
+            check_config_keys(g, _GROUP_KEYS, f"synth config group {i}")
         groups = tuple(
             GroupSpec(
                 name=g["name"],

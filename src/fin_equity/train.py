@@ -14,12 +14,13 @@ the saved model's inference outputs exactly.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import Attribute, Dataset, PredictionRecord, require_valid
+from .core import Dataset, Predictions, check_config_keys, require_valid
 from .errors import (
+    CheckpointError,
     CheckpointFormatError,
     CheckpointShapeError,
     CheckpointVersionError,
@@ -90,35 +91,22 @@ class RunHistory:
     reports: list[MetricReport]    # evaluation report per epoch
 
 
-def _score_model(model: MlpModel, dataset: Dataset) -> np.ndarray:
-    logits, _ = forward(
-        model, dataset.feature_matrix(), dataset.attr_vector(), mode="inference"
-    )
-    return softmax(logits)[:, 1]
-
-
 def _evaluate(
     model: MlpModel, dataset: Dataset, threshold: float
-) -> tuple[tuple[PredictionRecord, ...], MetricReport]:
-    scores = _score_model(model, dataset)
-    labels = dataset.label_vector()
-    attrs = dataset.attr_vector()
-    ids = dataset.ids()
-    records = tuple(
-        PredictionRecord(
-            id=ids[i] or f"r{i}",
-            score=float(scores[i]),
-            label=int(labels[i]),
-            attribute=Attribute(int(attrs[i])),
-        )
-        for i in range(len(dataset))
+) -> tuple[Predictions, MetricReport]:
+    logits, _ = forward(model, dataset.x, dataset.attrs, mode="inference")
+    predictions = Predictions(
+        ids=tuple(sid or f"r{i}" for i, sid in enumerate(dataset.ids)),
+        scores=softmax(logits)[:, 1],
+        labels=dataset.labels,
+        attrs=dataset.attrs,
     )
-    return records, full_report(records, dataset.attribute_set, threshold)
+    return predictions, full_report(predictions, dataset.attribute_set, threshold)
 
 
 def evaluate_model(
     checkpoint: Checkpoint, dataset: Dataset, threshold: float | None = None
-) -> tuple[tuple[PredictionRecord, ...], MetricReport]:
+) -> tuple[Predictions, MetricReport]:
     """Score a dataset with a checkpointed model and audit the predictions."""
     require_valid(dataset)
     if dataset.d != checkpoint.model.input_dim:
@@ -158,9 +146,7 @@ def train(
     params = named_parameters(model)
     state = AdamWState.create(params)
 
-    x = train_set.feature_matrix()
-    y = train_set.label_vector()
-    a = train_set.attr_vector()
+    x, y, a = train_set.x, train_set.labels, train_set.attrs
     n = len(train_set)
     losses: list[float] = []
     reports: list[MetricReport] = []
@@ -353,8 +339,10 @@ def train_config_to_dict(config: TrainConfig) -> dict:
 
 
 def train_config_from_dict(data: dict) -> TrainConfig:
+    check_config_keys(data, tuple(f.name for f in fields(TrainConfig)), "train config")
+    opt = data.get("optimizer", {})
+    check_config_keys(opt, ("lr", "beta1", "beta2", "eps", "weight_decay"), "optimizer")
     try:
-        opt = data.get("optimizer", {})
         return TrainConfig(
             layer_dims=tuple(data["layer_dims"]),
             norm_kind=NormKind.from_string(data["norm_kind"]),
@@ -415,10 +403,16 @@ def save_checkpoint(ck: Checkpoint, path: str) -> None:
         f.write("\n")
 
 
-def _as_array(obj, shape: tuple[int, ...], what: str) -> np.ndarray:
+def _as_array(
+    obj, shape: tuple[int, ...], what: str, positive: bool = False
+) -> np.ndarray:
     arr = np.asarray(obj, dtype=np.float64)
     if arr.shape != shape:
         raise CheckpointShapeError(f"{what}: expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise CheckpointFormatError(f"{what}: non-finite value")
+    if positive and not (arr > 0.0).all():
+        raise CheckpointFormatError(f"{what}: must be > 0")
     return arr
 
 
@@ -471,9 +465,10 @@ def checkpoint_from_dict(data: dict) -> Checkpoint:
                     norm_data["running_mean"], (feature_dim,), "norm.running_mean"
                 ),
                 running_var=_as_array(
-                    norm_data["running_var"], (feature_dim,), "norm.running_var"
+                    norm_data["running_var"], (feature_dim,), "norm.running_var",
+                    positive=True,
                 ),
-                eps=float(norm_data["eps"]),
+                eps=float(_as_array(norm_data["eps"], (), "norm.eps", positive=True)),
                 bn_momentum=float(norm_data["bn_momentum"]),
             )
         else:
@@ -487,12 +482,16 @@ def checkpoint_from_dict(data: dict) -> Checkpoint:
                     f"norm.mu: shared normalizer needs 1 group, got {mu.shape[0]}"
                 )
             norm = FinParams(
-                mu=mu,
+                mu=_as_array(mu, mu.shape, "norm.mu"),
                 tau=_as_array(norm_data["tau"], mu.shape, "norm.tau"),
                 momentum=float(norm_data["m"]),
             )
+    except CheckpointError:
+        raise
     except (KeyError, TypeError) as exc:
         raise CheckpointFormatError(f"checkpoint missing key: {exc!r}") from exc
+    except ValueError as exc:
+        raise CheckpointFormatError(f"checkpoint has a bad value: {exc}") from exc
     model = MlpModel(
         backbone=backbone, norm_kind=config.norm_kind, norm=norm, head=head
     )

@@ -14,11 +14,14 @@ The construction places each group's records in disjoint score bands and
 lifts a controlled number of positives above everything, so every win count
 is a product or sum of small integers: within-group wins 8929 + 8166 + 8936
 and cross-group wins 52224 give 78255 of 90000 pairs overall.
+
+same_predictions compares two prediction sets bit for bit: score bytes,
+ids, labels and groups (never a tolerance).
 """
 
 import numpy as np
 
-from fin_equity import Attribute, AttributeSet, PredictionRecord
+from fin_equity import AttributeSet, Predictions
 
 
 def pairs_auc(scores, labels):
@@ -50,21 +53,27 @@ RECON_DEODDS = 0.7
 
 
 def reconciliation_records():
-    records = []
+    ids, scores, labels, attrs = [], [], [], []
     slot = 0
     for count, group, label in RECON_RUNS:
         for _ in range(count):
-            records.append(
-                PredictionRecord(
-                    id=f"x{slot:03d}",
-                    score=(slot + 1) / 601.0,
-                    label=label,
-                    attribute=Attribute(group),
-                )
-            )
+            ids.append(f"x{slot:03d}")
+            scores.append((slot + 1) / 601.0)
+            labels.append(label)
+            attrs.append(group)
             slot += 1
     assert slot == 600
-    return tuple(records), AttributeSet.default(3)
+    return Predictions(ids, scores, labels, attrs), AttributeSet.default(3)
+
+
+def same_predictions(a, b):
+    """Bitwise equality of two Predictions: score bytes, ids, labels, groups."""
+    return (
+        a.ids == b.ids
+        and a.scores.tobytes() == b.scores.tobytes()
+        and np.array_equal(a.labels, b.labels)
+        and np.array_equal(a.attrs, b.attrs)
+    )
 
 
 def numeric_grad(loss_fn, param, h=1e-5):

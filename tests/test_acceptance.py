@@ -42,7 +42,7 @@ from fin_equity import (
     train,
     write_dataset_csv,
 )
-from reference_fixtures import max_rel_err, numeric_grad, pairs_auc
+from reference_fixtures import max_rel_err, numeric_grad, pairs_auc, same_predictions
 
 ALL_KINDS = (
     NormKind.NONE,
@@ -204,9 +204,9 @@ def test_criterion_5_degeneracy_gates():
     pa = named_parameters(ck_none.model)
     pb = named_parameters(ck_m1.model)
     identity_ok = all(np.array_equal(pa[k], pb[k]) for k in pa)
-    records_a, _ = evaluate_model(ck_none, eval_set)
-    records_b, _ = evaluate_model(ck_m1, eval_set)
-    identity_ok = identity_ok and records_a == records_b
+    preds_a, _ = evaluate_model(ck_none, eval_set)
+    preds_b, _ = evaluate_model(ck_m1, eval_set)
+    identity_ok = identity_ok and same_predictions(preds_a, preds_b)
 
     one_group = SynthConfig(d=6, groups=(GroupSpec("only", 60, 20, 0.5, 1.5, 0.0),))
     tr1, ev1 = generate(one_group)
@@ -344,8 +344,8 @@ def test_criterion_8_synthetic_oracle():
     )
     _, evaluation = generate(config)
     scores = bayes_scores(evaluation, config)
-    labels = evaluation.label_vector()
-    attrs = evaluation.attr_vector()
+    labels = evaluation.labels
+    attrs = evaluation.attrs
 
     details = []
     ok = True

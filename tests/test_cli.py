@@ -331,3 +331,59 @@ def test_uncoercible_synth_config_value_is_exit_2(tmp_path):
     assert r.returncode == 2, r.stderr
     assert error_lines(r.stderr), r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ([TRAIN_CONFIG], "train config must be a JSON object"),
+        ({**TRAIN_CONFIG, "optimizer": "adamw"}, "optimizer must be a JSON object"),
+        (
+            {**TRAIN_CONFIG, "fin_momentm": 0.5},
+            "unknown key 'fin_momentm' in train config; closest valid key is 'fin_momentum'",
+        ),
+    ],
+)
+def test_malformed_train_config_is_exit_2(workdir, tmp_path, config, message):
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps(config))
+    r = run_cli(
+        "train",
+        "--config", str(path),
+        "--train", str(workdir / "train.csv"),
+        "--eval", str(workdir / "eval.csv"),
+        "--seeds", "1",
+        "--out-prefix", str(tmp_path / "x_"),
+    )
+    assert r.returncode == 2, r.stderr
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_unknown_synth_group_key_is_exit_2(tmp_path):
+    groups = [{**SYNTH_CONFIG["groups"][0], "ofset": 1.0}]
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({**SYNTH_CONFIG, "groups": groups}))
+    r = run_cli(
+        "synth",
+        "--config", str(config),
+        "--out-train", str(tmp_path / "train.csv"),
+        "--out-eval", str(tmp_path / "eval.csv"),
+    )
+    assert r.returncode == 2, r.stderr
+    assert "unknown key 'ofset' in synth config group 0; closest valid key is 'offset'" in r.stderr
+
+
+def test_non_finite_checkpoint_is_exit_2(workdir, tmp_path):
+    data = json.loads((workdir / "run_checkpoint_seed1.json").read_text())
+    data["head"]["w"][0][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    r = run_cli(
+        "evaluate",
+        "--checkpoint", str(path),
+        "--data", str(workdir / "eval.csv"),
+        "--out", str(tmp_path / "r.json"),
+    )
+    assert r.returncode == 2, r.stderr
+    assert "head.w: non-finite value" in r.stderr

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from fin_equity import (
-    Attribute,
     AttributeSet,
     Dataset,
     GroupPartition,
-    LabeledSample,
-    PredictionRecord,
+    Predictions,
     ValidationError,
     partition_by_attribute,
     partition_from_ids,
@@ -17,14 +15,23 @@ from fin_equity import (
 
 
 def test_attribute_rejects_bad_ids():
-    with pytest.raises(ValidationError):
-        Attribute(-1)
-    with pytest.raises(ValidationError):
-        Attribute("0")
-    with pytest.raises(ValidationError):
-        Attribute(True)  # bools are not group ids
-    assert Attribute(np.int64(3)).id == 3
-    assert isinstance(Attribute(np.int64(3)).id, int)
+    def dataset(attrs):
+        return Dataset(AttributeSet.default(4), np.zeros((1, 2)), [0], attrs, ("s",))
+
+    def predictions(attrs):
+        return Predictions(("p",), [0.5], [0], attrs)
+
+    for build in (dataset, predictions):
+        with pytest.raises(ValidationError, match="non-negative"):
+            build([-1])
+        with pytest.raises(ValidationError, match="integers"):
+            build(["0"])
+        with pytest.raises(ValidationError, match="integers"):
+            build([True])  # bools are not group ids
+        with pytest.raises(ValidationError, match="integers"):
+            build([0.0])
+        attrs = build(np.array([3], dtype=np.int64)).attrs
+        assert attrs.tolist() == [3] and attrs.dtype == np.intp
 
 
 def test_attribute_set_basics():
@@ -42,44 +49,61 @@ def test_attribute_set_basics():
         AttributeSet.default(0)
 
 
-def test_labeled_sample_copies_and_freezes_features():
-    raw = np.array([1.0, 2.0])
-    s = LabeledSample(features=raw, label=1, attribute=Attribute(0), sample_id="s0")
-    raw[0] = 99.0
-    assert s.features[0] == 1.0  # own copy, not a view
+def test_dataset_copies_and_freezes_columns():
+    raw = np.array([[1.0, 2.0]])
+    labels = np.array([1])
+    ds = Dataset(AttributeSet.default(1), raw, labels, [0], ("s0",))
+    raw[0, 0] = 99.0
+    labels[0] = 0
+    assert ds.x[0, 0] == 1.0 and ds.labels[0] == 1  # own copies, not views
+    for column in (ds.x, ds.labels, ds.attrs):
+        assert not column.flags.writeable
     with pytest.raises(ValueError):
-        s.features[0] = 5.0
-    assert s.features.dtype == np.float64
+        ds.x[0, 0] = 5.0
+    assert ds.x.dtype == np.float64 and ds.labels.dtype == np.int64
 
 
 def make_dataset():
-    samples = [
-        LabeledSample(np.array([0.0, 1.0]), 0, Attribute(0), "a"),
-        LabeledSample(np.array([2.0, 3.0]), 1, Attribute(1), "b"),
-        LabeledSample(np.array([4.0, 5.0]), 1, Attribute(0), "c"),
-    ]
-    return Dataset(d=2, attribute_set=AttributeSet.default(2), samples=tuple(samples))
+    return Dataset(
+        AttributeSet.default(2),
+        x=np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]),
+        labels=[0, 1, 1],
+        attrs=[0, 1, 0],
+        ids=("a", "b", "c"),
+    )
 
 
 def test_dataset_helpers():
     ds = make_dataset()
-    assert len(ds) == 3
-    x = ds.feature_matrix()
-    assert x.shape == (3, 2) and x[1, 0] == 2.0
-    assert ds.label_vector().tolist() == [0, 1, 1]
-    assert ds.attr_vector().tolist() == [0, 1, 0]
-    assert ds.ids() == ("a", "b", "c")
+    assert len(ds) == 3 and ds.d == 2
+    assert ds.x.shape == (3, 2) and ds.x[1, 0] == 2.0
+    assert ds.labels.tolist() == [0, 1, 1]
+    assert ds.attrs.tolist() == [0, 1, 0]
+    assert ds.ids == ("a", "b", "c")
+    with pytest.raises(ValidationError, match="2-D"):
+        Dataset(AttributeSet.default(1), np.zeros(3), [0, 0, 0], [0, 0, 0], "abc")
+    with pytest.raises(ValidationError, match="labels"):
+        Dataset(AttributeSet.default(1), np.zeros((3, 2)), [0, 0], [0, 0, 0], "abc")
+    with pytest.raises(ValidationError, match="attribute ids"):
+        Dataset(AttributeSet.default(1), np.zeros((3, 2)), [0, 0, 0], [0], "abc")
+    with pytest.raises(ValidationError, match="ids"):
+        Dataset(AttributeSet.default(1), np.zeros((3, 2)), [0, 0, 0], [0, 0, 0], "ab")
 
 
 def test_prediction_record_validation():
-    r = PredictionRecord(id="p", score=0.5, label=1, attribute=Attribute(0))
-    assert r.score == 0.5 and r.label == 1
-    with pytest.raises(ValidationError):
-        PredictionRecord(id="p", score=1.5, label=1, attribute=Attribute(0))
-    with pytest.raises(ValidationError):
-        PredictionRecord(id="p", score=float("nan"), label=1, attribute=Attribute(0))
-    with pytest.raises(ValidationError):
-        PredictionRecord(id="p", score=0.5, label=2, attribute=Attribute(0))
+    p = Predictions(("p",), [0.5], [1], [0])
+    assert p.scores.tolist() == [0.5] and p.labels.tolist() == [1] and len(p) == 1
+    with pytest.raises(ValidationError, match="'p'.*score"):
+        Predictions(("p",), [1.5], [1], [0])
+    with pytest.raises(ValidationError, match="got nan"):
+        Predictions(("p",), [float("nan")], [1], [0])
+    with pytest.raises(ValidationError, match="'p'.*label must be 0 or 1, got 2"):
+        Predictions(("p",), [0.5], [2], [0])
+    # the first bad record is named, whichever column is wrong
+    with pytest.raises(ValidationError, match="'b'.*label"):
+        Predictions(("a", "b", "c"), [0.5, 0.5, -0.1], [0, 3, 1], [0, 0, 0])
+    with pytest.raises(ValidationError, match="scores"):
+        Predictions(("a", "b"), [0.5], [0, 1], [0, 0])
 
 
 def test_partition_from_ids():
@@ -108,13 +132,12 @@ def test_partition_from_ids_rejects_out_of_range():
 
 
 def test_partition_by_attribute_names_the_record():
-    records = [
-        PredictionRecord(id="ok", score=0.5, label=0, attribute=Attribute(0)),
-        PredictionRecord(id="oops", score=0.5, label=0, attribute=Attribute(5)),
-    ]
+    preds = Predictions(("ok", "oops"), [0.5, 0.5], [0, 0], [0, 5])
     with pytest.raises(ValidationError, match="oops"):
-        partition_by_attribute(records, AttributeSet.default(2))
-    part = partition_by_attribute(records[:1], AttributeSet.default(2))
+        partition_by_attribute(preds, AttributeSet.default(2))
+    part = partition_by_attribute(
+        Predictions(("ok",), [0.5], [0], [0]), AttributeSet.default(2)
+    )
     assert part.sizes() == {0: 1, 1: 0}
     assert part.nonempty_groups() == (0,)
 
@@ -131,27 +154,43 @@ def test_validate_dataset_finds_problems():
     require_valid(good)  # should not raise
 
     bad = Dataset(
-        d=2,
-        attribute_set=AttributeSet.default(1),
-        samples=(
-            LabeledSample(np.array([1.0]), 0, Attribute(0), "short"),
-            LabeledSample(np.array([1.0, np.inf]), 0, Attribute(0), "inf"),
-            LabeledSample(np.array([1.0, 2.0]), 3, Attribute(1), "two_problems"),
-        ),
+        AttributeSet.default(1),
+        x=np.array([[1.0, 2.0], [1.0, np.inf], [1.0, 2.0], [np.nan, 0.0]]),
+        labels=[0, 0, 3, 1],
+        attrs=[0, 0, 1, 2],
+        ids=("ok", "inf", "two_problems", "nan_and_attr"),
     )
     violations = validate_dataset(bad)
     reasons = [v.reason for v in violations]
     indices = [v.index for v in violations]
-    assert indices == [0, 1, 2, 2]
-    assert "feature shape" in reasons[0]
-    assert "non-finite" in reasons[1]
-    assert any("label 3" in r for r in reasons)
-    assert any("attribute id 1" in r for r in reasons)
+    assert indices == [1, 2, 2, 3, 3]  # row order, then check order within a row
+    assert "non-finite" in reasons[0]
+    assert reasons[1] == "label 3 not in {0, 1}"
+    assert reasons[2] == "attribute id 1 out of range for 1 groups"
+    assert "non-finite" in reasons[3] and "attribute id 2" in reasons[4]
     with pytest.raises(ValidationError, match="non-finite"):
         require_valid(bad)
 
+    # the masked checks agree with a per-row loop on a random dirty dataset
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((60, 3))
+    x.flat[rng.choice(x.size, 8, replace=False)] = rng.choice([np.nan, np.inf, -np.inf], 8)
+    labels = rng.choice([0, 1, 1, 0, 2, -1], 60)
+    attrs = rng.choice([0, 1, 2, 3], 60)
+    dirty = Dataset(AttributeSet.default(3), x, labels, attrs, tuple(map(str, range(60))))
+    expected = []
+    for i in range(60):
+        if not np.all(np.isfinite(x[i])):
+            expected.append((i, "non-finite feature value"))
+        if labels[i] not in (0, 1):
+            expected.append((i, f"label {labels[i]} not in {{0, 1}}"))
+        if attrs[i] >= 3:
+            expected.append((i, f"attribute id {attrs[i]} out of range for 3 groups"))
+    assert [(v.index, v.reason) for v in validate_dataset(dirty)] == expected
+    assert len(expected) > 10
+
 
 def test_validate_empty_dataset():
-    ds = Dataset(d=2, attribute_set=AttributeSet.default(1), samples=())
+    ds = Dataset(AttributeSet.default(1), np.zeros((0, 2)), [], [], ())
     violations = validate_dataset(ds)
     assert len(violations) == 1 and violations[0].index is None

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from fin_equity import (
-    Attribute,
     AttributeSet,
     Dataset,
-    LabeledSample,
-    PredictionRecord,
+    Predictions,
     ValidationError,
     full_report,
     prediction_histogram,
@@ -26,6 +24,7 @@ from fin_equity.fileio import (
     write_predictions_csv,
     write_pretty_json,
 )
+from reference_fixtures import same_predictions
 
 
 def test_format_float_round_trips_doubles():
@@ -67,16 +66,13 @@ def test_numpy_scalars_serialize():
 
 def make_dataset():
     rng = np.random.default_rng(1)
-    samples = tuple(
-        LabeledSample(
-            features=rng.standard_normal(3),
-            label=int(i % 2),
-            attribute=Attribute(i % 2),
-            sample_id=f"s{i}",
-        )
-        for i in range(10)
+    return Dataset(
+        AttributeSet.default(2),
+        x=rng.standard_normal((10, 3)),
+        labels=[i % 2 for i in range(10)],
+        attrs=[i % 2 for i in range(10)],
+        ids=tuple(f"s{i}" for i in range(10)),
     )
-    return Dataset(d=3, attribute_set=AttributeSet.default(2), samples=samples)
 
 
 def test_dataset_csv_round_trip_is_exact(tmp_path):
@@ -84,13 +80,16 @@ def test_dataset_csv_round_trip_is_exact(tmp_path):
     path = str(tmp_path / "data.csv")
     write_dataset_csv(ds, path)
     back = read_dataset_csv(path)
-    assert np.array_equal(back.feature_matrix(), ds.feature_matrix())  # bitwise
-    assert back.label_vector().tolist() == ds.label_vector().tolist()
-    assert back.attr_vector().tolist() == ds.attr_vector().tolist()
-    assert back.ids() == ds.ids()
+    assert back.x.tobytes() == ds.x.tobytes()  # bitwise
+    assert back.labels.tolist() == ds.labels.tolist()
+    assert back.attrs.tolist() == ds.attrs.tolist()
+    assert back.ids == ds.ids
     assert back.attribute_set.names == ("group0", "group1")
     with open(path) as f:
         assert f.readline().strip() == "id,attr,label,f0,f1,f2"
+    # write -> read -> write gives the same bytes
+    write_dataset_csv(back, str(tmp_path / "again.csv"))
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "data.csv").read_bytes()
 
 
 def test_dataset_csv_group_names_override(tmp_path):
@@ -133,17 +132,22 @@ def test_dataset_csv_errors_name_the_line(tmp_path):
 
 
 def test_predictions_csv_round_trip(tmp_path):
-    records = tuple(
-        PredictionRecord(id=f"p{i}", score=(i + 1) / 7.0, label=i % 2, attribute=Attribute(i % 3))
-        for i in range(6)
+    preds = Predictions(
+        ids=tuple(f"p{i}" for i in range(6)),
+        scores=[(i + 1) / 7.0 for i in range(6)],
+        labels=[i % 2 for i in range(6)],
+        attrs=[i % 3 for i in range(6)],
     )
     path = str(tmp_path / "preds.csv")
-    write_predictions_csv(records, path)
+    write_predictions_csv(preds, path)
     back, attribute_set = read_predictions_csv(path)
-    assert back == records  # scores bitwise equal via the %.16e round trip
+    assert same_predictions(back, preds)  # scores bitwise equal via %.16e
     assert attribute_set.group_count == 3
     back2, named = read_predictions_csv(path, group_names=("a", "b", "c"))
     assert named.names == ("a", "b", "c")
+    # write -> read -> write gives the same bytes
+    write_predictions_csv(back, str(tmp_path / "again.csv"))
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "preds.csv").read_bytes()
 
 
 def test_predictions_csv_errors(tmp_path):
@@ -163,11 +167,8 @@ def test_predictions_csv_errors(tmp_path):
 
 
 def test_histogram_csv(tmp_path):
-    records = [
-        PredictionRecord(id="a", score=0.1, label=0, attribute=Attribute(0)),
-        PredictionRecord(id="b", score=0.9, label=1, attribute=Attribute(0)),
-    ]
-    hist = prediction_histogram(records, threshold=0.5, bins=2)
+    preds = Predictions(("a", "b"), [0.1, 0.9], [0, 1], [0, 0])
+    hist = prediction_histogram(preds, threshold=0.5, bins=2)
     path = str(tmp_path / "hist.csv")
     write_histogram_csv(hist, path)
     lines = (tmp_path / "hist.csv").read_text().splitlines()
@@ -177,16 +178,8 @@ def test_histogram_csv(tmp_path):
 
 
 def test_metric_report_dict_rounds_to_six_decimals():
-    records, attribute_set = (
-        [
-            PredictionRecord(id="a", score=1 / 3, label=1, attribute=Attribute(0)),
-            PredictionRecord(id="b", score=0.9, label=0, attribute=Attribute(0)),
-            PredictionRecord(id="c", score=0.2, label=0, attribute=Attribute(1)),
-            PredictionRecord(id="d", score=0.8, label=1, attribute=Attribute(1)),
-        ],
-        AttributeSet.default(2),
-    )
-    rep = full_report(records, attribute_set, threshold=0.5)
+    preds = Predictions(("a", "b", "c", "d"), [1 / 3, 0.9, 0.2, 0.8], [1, 0, 0, 1], [0, 0, 1, 1])
+    rep = full_report(preds, AttributeSet.default(2), threshold=0.5)
     d = metric_report_to_dict(rep)
     assert d["overall"]["accuracy"] == 0.5
     assert set(d["per_group"]) == {"0", "1"}  # JSON keys are strings

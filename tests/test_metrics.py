@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from fin_equity import (
-    Attribute,
     AttributeSet,
-    PredictionRecord,
+    Predictions,
     UndefinedMetricError,
     ValidationError,
     accuracy,
@@ -16,6 +15,7 @@ from fin_equity import (
     dpd,
     equity_scaled,
     full_report,
+    metric_report_to_dict,
     partition_from_ids,
     prediction_histogram,
     selection_rate,
@@ -177,12 +177,8 @@ def test_full_report_on_reconciliation_fixture():
 
 
 def test_full_report_flags_undefined_instead_of_imputing():
-    records = [
-        PredictionRecord(id="a", score=0.9, label=1, attribute=Attribute(0)),
-        PredictionRecord(id="b", score=0.1, label=1, attribute=Attribute(0)),
-        PredictionRecord(id="c", score=0.8, label=1, attribute=Attribute(1)),
-    ]
-    rep = full_report(records, AttributeSet.default(3), threshold=0.5)
+    preds = Predictions(("a", "b", "c"), [0.9, 0.1, 0.8], [1, 1, 1], [0, 0, 1])
+    rep = full_report(preds, AttributeSet.default(3), threshold=0.5)
     assert rep.overall["auc"] is None  # single-class overall
     assert rep.per_group[0]["auc"] is None
     assert rep.per_group[2]["accuracy"] is None  # empty group
@@ -198,14 +194,39 @@ def test_full_report_flags_undefined_instead_of_imputing():
 
 def test_full_report_rejects_empty_input():
     with pytest.raises(UndefinedMetricError):
-        full_report([], AttributeSet.default(1))
+        full_report(Predictions((), [], [], []), AttributeSet.default(1))
+
+
+def test_report_and_histogram_are_invariant_under_row_permutation():
+    rng = np.random.default_rng(11)
+    n = 400
+    attrs = rng.integers(0, 4, size=n)
+    labels = rng.integers(0, 2, size=n)
+    labels[attrs == 3] = 1  # a single-class group; group 4 stays empty
+    scores = np.round(rng.random(n), 2)  # plenty of tied scores
+    random_set = Predictions(tuple(f"r{i}" for i in range(n)), scores, labels, attrs)
+    notes = full_report(random_set, AttributeSet.default(5)).undefined
+    assert any("group 3" in f for f in notes) and any("group 4 empty" in f for f in notes)
+    cases = [(random_set, AttributeSet.default(5)), reconciliation_records()]
+    for preds, attribute_set in cases:
+        perm = rng.permutation(len(preds))
+        shuffled = Predictions(
+            tuple(preds.ids[i] for i in perm),
+            preds.scores[perm],
+            preds.labels[perm],
+            preds.attrs[perm],
+        )
+        report = metric_report_to_dict(full_report(preds, attribute_set))
+        assert metric_report_to_dict(full_report(shuffled, attribute_set)) == report
+        hist = prediction_histogram(preds, bins=13)
+        hist_shuffled = prediction_histogram(shuffled, bins=13)
+        for kind in ("tp", "fp", "tn", "fn"):
+            assert np.array_equal(hist_shuffled.counts[kind], hist.counts[kind])
 
 
 def recs(scores, labels):
-    return [
-        PredictionRecord(id=f"r{i}", score=s, label=l, attribute=Attribute(0))
-        for i, (s, l) in enumerate(zip(scores, labels))
-    ]
+    n = len(scores)
+    return Predictions(tuple(f"r{i}" for i in range(n)), scores, labels, np.zeros(n, dtype=int))
 
 
 def test_histogram_hand_case():

@@ -41,13 +41,13 @@ def two_group_config(seed=0):
 def test_exact_class_counts():
     config = two_group_config()
     train, evaluation = generate(config)
-    labels = train.label_vector()
-    attrs = train.attr_vector()
+    labels = train.labels
+    attrs = train.attrs
     # floor(p * n + 0.5): 0.474 * 40 = 18.96 -> 19 ; 0.614 * 40 = 24.56 -> 25
     assert int(labels[attrs == 0].sum()) == 19
     assert int(labels[attrs == 1].sum()) == 25
-    ev_labels = evaluation.label_vector()
-    ev_attrs = evaluation.attr_vector()
+    ev_labels = evaluation.labels
+    ev_attrs = evaluation.attrs
     # 0.474 * 20 = 9.48 -> 9 ; 0.614 * 20 = 12.28 -> 12
     assert int(ev_labels[ev_attrs == 0].sum()) == 9
     assert int(ev_labels[ev_attrs == 1].sum()) == 12
@@ -57,40 +57,40 @@ def test_half_up_rounding_of_prevalence():
     config = SynthConfig(d=2, groups=(spec(n_train=2, n_eval=2, prevalence=0.25),))
     train, _ = generate(config)
     # 0.25 * 2 = 0.5 rounds up, independent of integer parity
-    assert int(train.label_vector().sum()) == 1
+    assert int(train.labels.sum()) == 1
 
 
 def test_sizes_and_ids():
     train, evaluation = generate(two_group_config())
     assert len(train) == 80 and len(evaluation) == 40
-    ids = train.ids()
+    ids = train.ids
     assert len(set(ids)) == len(ids)
     assert all(i.startswith("tr-g") for i in ids)
-    assert all(i.startswith("ev-g") for i in evaluation.ids())
+    assert all(i.startswith("ev-g") for i in evaluation.ids)
     assert train.attribute_set.names == ("g0", "g1")
     # id encodes the group: tr-g{gid}-{index}
-    for s in train.samples:
-        assert s.sample_id.split("-")[1] == f"g{s.attribute.id}"
+    for sid, gid in zip(train.ids, train.attrs):
+        assert sid.split("-")[1] == f"g{gid}"
 
 
 def test_generation_is_deterministic():
     a_train, a_eval = generate(two_group_config(seed=3))
     b_train, b_eval = generate(two_group_config(seed=3))
-    assert np.array_equal(a_train.feature_matrix(), b_train.feature_matrix())
-    assert np.array_equal(a_eval.feature_matrix(), b_eval.feature_matrix())
-    assert a_train.ids() == b_train.ids()
+    assert np.array_equal(a_train.x, b_train.x)
+    assert np.array_equal(a_eval.x, b_eval.x)
+    assert a_train.ids == b_train.ids
     c_train, _ = generate(two_group_config(seed=4))
-    assert not np.array_equal(a_train.feature_matrix(), c_train.feature_matrix())
+    assert not np.array_equal(a_train.x, c_train.x)
 
 
 def test_split_order_is_shuffled_but_canonical_under_the_ids():
     train, _ = generate(two_group_config(seed=1))
-    assert list(train.ids()) != sorted(train.ids())  # a shuffle happened
+    assert list(train.ids) != sorted(train.ids)  # a shuffle happened
     # sorting by id recovers the build order: all label-0 rows of a group
     # come before its label-1 rows
-    by_id = sorted(train.samples, key=lambda s: s.sample_id)
+    by_id = np.argsort(train.ids, kind="stable")
     for gid in (0, 1):
-        labels = [s.label for s in by_id if s.attribute.id == gid]
+        labels = [int(train.labels[i]) for i in by_id if train.attrs[i] == gid]
         assert labels == sorted(labels)
 
 
@@ -101,8 +101,8 @@ def test_group_feature_structure():
         groups=(spec("a", n_train=4000, n_eval=10, offset=2.0, separation=1.5),),
     )
     train, _ = generate(config)
-    x = train.feature_matrix()
-    labels = train.label_vector()
+    x = train.x
+    labels = train.labels
     # off-signal coordinates sit at the group offset
     assert np.mean(x[:, 1]) == pytest.approx(2.0, abs=0.1)
     assert np.mean(x[:, 2]) == pytest.approx(2.0, abs=0.1)
@@ -116,8 +116,8 @@ def test_bayes_scores_remove_the_offset():
     config = two_group_config(seed=2)
     train, _ = generate(config)
     scores = bayes_scores(train, config)
-    x0 = train.feature_matrix()[:, 0]
-    attrs = train.attr_vector()
+    x0 = train.x[:, 0]
+    attrs = train.attrs
     offsets = np.where(attrs == 0, 1.0, -1.0)
     assert np.allclose(scores, x0 - offsets, atol=1e-15)
 
@@ -131,7 +131,7 @@ def test_bayes_auc_approaches_the_closed_form():
     )
     _, evaluation = generate(config)
     scores = bayes_scores(evaluation, config)
-    empirical = auc(scores, evaluation.label_vector())
+    empirical = auc(scores, evaluation.labels)
     closed = 0.5 * (1.0 + math.erf(2.0 / 2.0))
     assert closed == pytest.approx(0.9214, abs=5e-5)
     assert empirical == pytest.approx(closed, abs=0.02)
@@ -154,6 +154,23 @@ def test_config_round_trip():
     assert again == config
     with pytest.raises(ValidationError):
         synth_config_from_dict({"groups": []})
+    # configs are strict: JSON objects only, and no unknown keys
+    data = synth_config_to_dict(config)
+    with pytest.raises(ValidationError, match="synth config must be a JSON object"):
+        synth_config_from_dict("d=20")
+    with pytest.raises(
+        ValidationError, match="unknown key 'sed' in synth config; closest valid key is 'seed'"
+    ):
+        synth_config_from_dict({**data, "sed": 3})
+    data["groups"][1]["seperation"] = 1.0
+    with pytest.raises(
+        ValidationError,
+        match="unknown key 'seperation' in synth config group 1; closest valid key is 'separation'",
+    ):
+        synth_config_from_dict(data)
+    data["groups"][1] = ["group1"]
+    with pytest.raises(ValidationError, match="group 1 must be a JSON object"):
+        synth_config_from_dict(data)
 
 
 def test_group_spec_validation():

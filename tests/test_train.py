@@ -1,3 +1,4 @@
+import copy
 import hashlib
 
 import numpy as np
@@ -31,6 +32,7 @@ from fin_equity import (
     train_config_from_dict,
     train_config_to_dict,
 )
+from reference_fixtures import same_predictions
 
 
 def tiny_data(seed=0, n_train=24, n_eval=16):
@@ -153,9 +155,9 @@ def test_momentum_one_training_matches_no_norm_bitwise():
     pb = named_parameters(ck_fin.model)
     for name in pa:  # backbone and head coincide exactly
         assert np.array_equal(pa[name], pb[name]), name
-    records_a, _ = evaluate_model(ck_none, eval_set)
-    records_b, _ = evaluate_model(ck_fin, eval_set)
-    assert records_a == records_b  # identical scores, bit for bit
+    preds_a, _ = evaluate_model(ck_none, eval_set)
+    preds_b, _ = evaluate_model(ck_fin, eval_set)
+    assert same_predictions(preds_a, preds_b)  # identical scores, bit for bit
 
 
 def test_shared_normalizer_matches_single_group_fin_bitwise():
@@ -298,10 +300,10 @@ def test_checkpoint_round_trip(kind, tmp_path):
 def test_loaded_checkpoint_reproduces_evaluation_exactly(tmp_path):
     train_set, eval_set = tiny_data()
     ck, _ = train(train_set, eval_set, tiny_config(norm_kind=NormKind.FAIR_IDENTITY))
-    records, report = evaluate_model(ck, eval_set)
+    preds, report = evaluate_model(ck, eval_set)
     loaded, _ = roundtrip(ck, tmp_path)
-    records2, report2 = evaluate_model(loaded, eval_set)
-    assert records == records2
+    preds2, report2 = evaluate_model(loaded, eval_set)
+    assert same_predictions(preds, preds2)
     assert report == report2
 
 
@@ -365,6 +367,38 @@ def test_checkpoint_shape_errors():
         checkpoint_from_dict(bad)
 
 
+def test_checkpoint_loader_rejects_bad_values():
+    train_set, eval_set = tiny_data()
+    ck_fin, _ = train(train_set, eval_set, tiny_config(norm_kind=NormKind.FAIR_IDENTITY))
+    ck_bn, _ = train(train_set, eval_set, tiny_config(norm_kind=NormKind.BATCH))
+
+    def load_with(ck, edit):
+        data = copy.deepcopy(checkpoint_to_dict(ck))  # it holds the model's own arrays
+        edit(data)
+        return checkpoint_from_dict(data)
+
+    nan, inf = float("nan"), float("inf")
+    cases = [
+        (ck_fin, lambda d: np.put(d["head"]["w"], 1, nan), "head.w: non-finite"),
+        (ck_fin, lambda d: np.put(d["backbone"][0]["b"], 0, inf), "backbone.0.b: non-finite"),
+        (ck_fin, lambda d: np.put(d["norm"]["mu"], 7, nan), "norm.mu: non-finite"),
+        (ck_fin, lambda d: np.put(d["norm"]["tau"], 0, -inf), "norm.tau: non-finite"),
+        (ck_bn, lambda d: np.put(d["norm"]["running_var"], 3, -1.0), "running_var: must be > 0"),
+        (ck_bn, lambda d: np.put(d["norm"]["running_var"], 0, 0.0), "running_var: must be > 0"),
+        (ck_bn, lambda d: d["norm"].update(eps=0.0), "norm.eps: must be > 0"),
+        (ck_bn, lambda d: d["norm"].update(eps=nan), "norm.eps: non-finite"),
+        (ck_bn, lambda d: d["norm"].update(eps="abc"), "bad value"),
+    ]
+    for ck, edit, message in cases:
+        with pytest.raises(CheckpointFormatError, match=message):
+            load_with(ck, edit)
+    load_with(ck_bn, lambda d: None)  # the untouched dicts still load
+    load_with(ck_fin, lambda d: None)
+    # a malformed config block is a validation error, not an AttributeError
+    with pytest.raises(ValidationError, match="optimizer must be a JSON object"):
+        load_with(ck_fin, lambda d: d["config"].update(optimizer="adamw"))
+
+
 def test_train_config_round_trip():
     config = TrainConfig(
         layer_dims=(8, 4),
@@ -392,6 +426,18 @@ def test_train_config_round_trip():
         train_config_from_dict({**data, "epochs": "abc"})
     with pytest.raises(ValidationError, match="epochs must be >= 1"):
         train_config_from_dict({**data, "epochs": 0})
+    # configs are strict: JSON objects only, and no unknown keys
+    with pytest.raises(ValidationError, match="train config must be a JSON object"):
+        train_config_from_dict([data])
+    with pytest.raises(
+        ValidationError,
+        match="unknown key 'fin_momentm' in train config; closest valid key is 'fin_momentum'",
+    ):
+        train_config_from_dict({**data, "fin_momentm": 0.5})
+    with pytest.raises(
+        ValidationError, match="unknown key 'learning_rate' in optimizer; closest"
+    ):
+        train_config_from_dict({**data, "optimizer": {"learning_rate": 0.1}})
 
 
 # SHA-256 of the canonical checkpoint JSON for tiny_data() and tiny_config(),
