@@ -1,8 +1,9 @@
 """Command-line interface: synth, train, evaluate, sweep-momentum, report.
 
 Exit codes: 0 success, 2 user/input error (bad flags, malformed files,
-invalid data), 1 internal error. FIN_EQUITY_THREADS caps worker threads
-for multi-seed runs (default 1, sequential).
+invalid data), 1 internal error. `train` and `sweep-momentum` train all
+their seeds in lockstep in one process; each seed's outputs are the bytes
+a run of that seed alone would write.
 """
 
 from __future__ import annotations
@@ -35,22 +36,6 @@ from .train import (
     sweep_momentum,
     train_config_from_dict,
 )
-
-THREADS_ENV = "FIN_EQUITY_THREADS"
-
-
-def _max_workers() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValidationError(f"{THREADS_ENV} must be >= 1, got {n}")
-    return n
-
 
 def _parse_seeds(raw: str) -> tuple[int, ...]:
     try:
@@ -169,7 +154,7 @@ def _cmd_train(args) -> int:
     parent = os.path.dirname(prefix)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    agg = run_seeds(train_set, eval_set, config, seeds, max_workers=_max_workers())
+    agg = run_seeds(train_set, eval_set, config, seeds)
     for seed, ck, history in zip(agg.seeds, agg.checkpoints, agg.histories):
         save_checkpoint(ck, f"{prefix}checkpoint_seed{seed}.json")
         write_pretty_json(
@@ -230,9 +215,7 @@ def _cmd_sweep(args) -> int:
     eval_set = read_dataset_csv(args.eval, group_names=names)
     seeds = _parse_seeds(args.seeds)
     grid = _parse_grid(args.grid)
-    results = sweep_momentum(
-        train_set, eval_set, config, grid, seeds, max_workers=_max_workers()
-    )
+    results = sweep_momentum(train_set, eval_set, config, grid, seeds)
     payload: dict = {"m": [m for m, _ in results], "seeds": list(seeds)}
     for key in ("auc", "es_auc", "dpd", "deodds"):
         payload[key] = {

@@ -13,6 +13,7 @@ validate_dataset, and the key check the config readers share.
 from __future__ import annotations
 
 import difflib
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -207,6 +208,41 @@ def check_config_keys(data, allowed: tuple[str, ...], what: str) -> None:
             raise ValidationError(
                 f"unknown key {key!r} in {what}; closest valid key is {closest[0]!r}"
             )
+
+
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number"}
+
+
+def config_value(value, kind: type, key: str, what: str):
+    """A config value as kind (bool, int or float), refusing the wrong JSON type.
+
+    A bool field takes only a boolean, an int field only an integer (not a
+    boolean, not 2.7) and a float field any number but a boolean, so that
+    "false", 2.7 or true can never turn silently into True, 2 or 1.
+    """
+    is_bool = isinstance(value, (bool, np.bool_))
+    if kind is bool:
+        ok = is_bool
+    elif kind is int:
+        ok = isinstance(value, numbers.Integral) and not is_bool
+    else:
+        ok = isinstance(value, numbers.Real) and not is_bool
+    if not ok:
+        raise ValidationError(
+            f"bad {what}: {key!r} must be {_KIND_NAMES[kind]}, got {value!r}"
+        )
+    return kind(value)
+
+
+def type_config_fields(config, kinds: dict[str, type], what: str) -> None:
+    """Check each named field of a config dataclass; store it as its kind.
+
+    Frozen dataclasses call this from __post_init__, so every way of
+    building a config (JSON or Python) gets the same checks.
+    """
+    for key, kind in kinds.items():
+        value = config_value(getattr(config, key), kind, key, what)
+        object.__setattr__(config, key, value)
 
 
 @dataclass(frozen=True)

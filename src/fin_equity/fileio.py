@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ FLOAT_FMT = ".16e"  # 17 significant digits
 
 def format_float(x: float) -> str:
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValidationError(f"cannot serialize non-finite float {x!r}")
     return format(x, FLOAT_FMT)
 

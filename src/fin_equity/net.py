@@ -4,11 +4,19 @@ Architecture: affine backbone layers with a ramp activation between them
 (none after the last), then one of the normalizers from `norms`, then a
 linear head producing 2 logits. Forward and backward are written by hand;
 no autodiff. The ramp's subgradient at 0 is taken to be 0.
+
+A model's arrays may carry a leading model axis: `stack_models` packs S
+models into one whose parameters are (S, ...) views of one flat buffer,
+and forward, cross_entropy and backward then serve all S models in one
+call, with a batch of shape (S, batch, ...). Products use a stacked matmul
+that transposes the last two axes only and reductions run over the batch
+axis, so each model's slice of every result is bit for bit what the op
+gives that model alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -25,6 +33,7 @@ from .norms import (
     lbn_backward,
     lbn_forward,
 )
+from .optim import flat_views
 
 
 @dataclass
@@ -42,11 +51,16 @@ class MlpModel:
 
     @property
     def input_dim(self) -> int:
-        return self.backbone[0].w.shape[0]
+        return self.backbone[0].w.shape[-2]
 
     @property
     def feature_dim(self) -> int:
-        return self.head.w.shape[0]
+        return self.head.w.shape[-2]
+
+    @property
+    def models(self) -> tuple[int, ...]:
+        """(S,) for a stack of S models, () for a single model."""
+        return self.head.w.shape[:-2]
 
 
 def init_mlp(
@@ -108,14 +122,18 @@ def forward(
 ) -> tuple[np.ndarray, ForwardCaches]:
     """Run the model; returns (logits, caches).
 
-    attrs is required only for the group-aware normalizer, which errors on
-    any out-of-range group id instead of falling back. Inference mode never
-    mutates model state (batch-norm running statistics stay frozen).
+    x is (batch, input_dim); a stacked model also takes one batch per
+    model, (S, batch, input_dim), and broadcasts a 2-D x to every model
+    without copying it. attrs is required only for the group-aware
+    normalizer, which errors on any out-of-range group id instead of
+    falling back. Inference mode never mutates model state (batch-norm
+    running statistics stay frozen).
     """
     if mode not in ("training", "inference"):
         raise ValidationError(f"mode must be 'training' or 'inference', got {mode!r}")
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
+    lead = x.shape[:-2]
+    if x.ndim < 2 or lead not in ((), model.models) or x.shape[-1] != model.input_dim:
         raise ValidationError(
             f"input must be (batch, {model.input_dim}), got {x.shape}"
         )
@@ -123,7 +141,7 @@ def forward(
     backbone_caches: list[tuple[np.ndarray, np.ndarray | None]] = []
     last = len(model.backbone) - 1
     for i, layer in enumerate(model.backbone):
-        pre = h @ layer.w + layer.b
+        pre = h @ layer.w + layer.b[..., None, :]
         if i < last:
             backbone_caches.append((h, pre))
             h = np.maximum(pre, 0.0)
@@ -144,7 +162,7 @@ def forward(
             )
         z_out, norm_cache = fin_forward(h, attrs, model.norm)
 
-    logits = z_out @ model.head.w + model.head.b
+    logits = z_out @ model.head.w + model.head.b[..., None, :]
     caches = ForwardCaches(
         mode=mode, backbone=backbone_caches, norm_cache=norm_cache, head_input=z_out
     )
@@ -154,32 +172,38 @@ def forward(
 def softmax(logits) -> np.ndarray:
     """Row-wise softmax, stabilized by subtracting the row max."""
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
+_CLASSES = np.arange(2)
+
+
+def cross_entropy(logits, labels) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean cross-entropy over the batch and its gradient w.r.t. logits.
 
     Uses the log-sum-exp form so large logits cannot overflow. The gradient
-    is (softmax - onehot) / batch.
+    is (softmax - onehot) / batch. Stacked (S, batch, 2) logits with
+    (S, batch) labels give an (S,) array of per-model losses.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
-    n = logits.shape[0]
-    if logits.ndim != 2 or logits.shape[1] != 2:
+    if logits.ndim not in (2, 3) or logits.shape[-1] != 2:
         raise ValidationError(f"logits must be (batch, 2), got {logits.shape}")
-    if labels.shape != (n,) or not ((labels == 0) | (labels == 1)).all():
+    if labels.shape != logits.shape[:-1]:
         raise ValidationError("labels must be a 1-D array of 0/1 matching the batch")
-    labels = labels.astype(np.intp)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = float(-log_probs[np.arange(n), labels].mean())
+    onehot = labels[..., None] == _CLASSES  # no row can match both classes
+    if np.count_nonzero(onehot) != labels.size:
+        raise ValidationError("labels must be a 1-D array of 0/1 matching the batch")
+    n = logits.shape[-2]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    loss = -log_probs[onehot].reshape(labels.shape).mean(axis=-1)
     grad = np.exp(log_probs)
-    grad[np.arange(n), labels] -= 1.0
+    grad -= onehot  # 1.0 off each row's label entry, 0.0 (exact) off the other
     grad /= n
-    return loss, grad
+    return (float(loss) if loss.ndim == 0 else loss), grad
 
 
 @dataclass
@@ -189,44 +213,68 @@ class Gradients:
     head: tuple[np.ndarray, np.ndarray]
 
 
-def backward(model: MlpModel, caches: ForwardCaches, grad_logits) -> Gradients:
-    """Backpropagate grad_logits through head, normalizer, and backbone."""
+def backward(
+    model: MlpModel, caches: ForwardCaches, grad_logits, out=None
+) -> Gradients:
+    """Backpropagate grad_logits through head, normalizer, and backbone.
+
+    out, if given, maps every named_parameters name to a C-contiguous array
+    of that parameter's shape; each gradient is written there instead of a
+    new array.
+    """
     if caches.mode != "training":
         raise CacheError("backward requires caches from a training-mode forward")
     if caches.consumed:
         raise CacheError("forward caches already consumed by a backward pass")
     caches.consumed = True
     g = np.asarray(grad_logits, dtype=np.float64)
-    if g.shape != (caches.head_input.shape[0], 2):
+    if g.shape != caches.head_input.shape[:-1] + (2,):
         raise CacheError(
             f"grad_logits shape {g.shape} does not match batch "
-            f"({caches.head_input.shape[0]}, 2)"
+            f"{caches.head_input.shape[:-1] + (2,)}"
         )
 
-    grad_head_w = caches.head_input.T @ g
-    grad_head_b = g.sum(axis=0)
-    gz = g @ model.head.w.T
+    def dest(name: str) -> np.ndarray | None:
+        return None if out is None else out[name]
+
+    def dest_pair(a: str, b: str) -> tuple[np.ndarray, np.ndarray] | None:
+        return None if out is None else (out[a], out[b])
+
+    grad_head_w = np.matmul(caches.head_input.swapaxes(-1, -2), g, out=dest("head.w"))
+    grad_head_b = g.sum(axis=-2, out=dest("head.b"))
+    gz = g @ model.head.w.swapaxes(-1, -2)
 
     norm_grads: tuple[np.ndarray, np.ndarray] | None
     if model.norm_kind is NormKind.NONE:
         norm_grads = None
     elif model.norm_kind is NormKind.BATCH:
-        gz, dgamma, dbeta = bn_backward(gz, caches.norm_cache)
+        gz, dgamma, dbeta = bn_backward(
+            gz, caches.norm_cache, dest_pair("norm.gamma", "norm.beta")
+        )
         norm_grads = (dgamma, dbeta)
     elif model.norm_kind is NormKind.LEARNABLE_SHARED:
-        gz, dmu, dtau = lbn_backward(gz, caches.norm_cache)
+        gz, dmu, dtau = lbn_backward(
+            gz, caches.norm_cache, dest_pair("norm.mu", "norm.tau")
+        )
         norm_grads = (dmu, dtau)
     else:
-        gz, dmu, dtau = fin_backward(gz, caches.norm_cache)
+        gz, dmu, dtau = fin_backward(
+            gz, caches.norm_cache, dest_pair("norm.mu", "norm.tau")
+        )
         norm_grads = (dmu, dtau)
 
     backbone_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.backbone)
     for i in range(len(model.backbone) - 1, -1, -1):
         inp, pre = caches.backbone[i]
         gpre = gz if pre is None else gz * (pre > 0)  # ramp subgradient at 0 is 0
-        backbone_grads[i] = (inp.T @ gpre, gpre.sum(axis=0))
-        gz = gpre @ model.backbone[i].w.T
-    return Gradients(backbone=backbone_grads, norm=norm_grads, head=(grad_head_w, grad_head_b))
+        backbone_grads[i] = (
+            np.matmul(inp.swapaxes(-1, -2), gpre, out=dest(f"backbone.{i}.w")),
+            gpre.sum(axis=-2, out=dest(f"backbone.{i}.b")),
+        )
+        gz = gpre @ model.backbone[i].w.swapaxes(-1, -2)
+    return Gradients(
+        backbone=backbone_grads, norm=norm_grads, head=(grad_head_w, grad_head_b)
+    )
 
 
 def named_parameters(model: MlpModel) -> dict[str, np.ndarray]:
@@ -262,3 +310,48 @@ def named_gradients(model: MlpModel, grads: Gradients) -> dict[str, np.ndarray]:
         out["norm.gamma"], out["norm.beta"] = grads.norm
     out["head.w"], out["head.b"] = grads.head
     return out
+
+
+def _map_arrays(objs, fn):
+    """objs[0] with each array field replaced by fn(that field of every obj)."""
+    first = objs[0]
+    return replace(
+        first,
+        **{
+            f.name: fn(*(getattr(o, f.name) for o in objs))
+            for f in fields(first)
+            if isinstance(getattr(first, f.name), np.ndarray)
+        },
+    )
+
+
+def _map_model(models, fn) -> MlpModel:
+    first = models[0]
+    return MlpModel(
+        backbone=[_map_arrays(ls, fn) for ls in zip(*(m.backbone for m in models))],
+        norm_kind=first.norm_kind,
+        norm=None if first.norm is None else _map_arrays([m.norm for m in models], fn),
+        head=_map_arrays([m.head for m in models], fn),
+    )
+
+
+def stack_models(models) -> MlpModel:
+    """One model serving all of models, each array stacked on a leading axis.
+
+    The models must share their architecture. The stacked trainable
+    parameters are views of one flat float64 buffer, block after block in
+    named_parameters order; batch-norm running statistics are stacked into
+    arrays of their own.
+    """
+    models = list(models)
+    first = named_parameters(models[0])
+    _, views = flat_views({name: (len(models),) + p.shape for name, p in first.items()})
+    slot = {id(p): views[name] for name, p in first.items()}
+    return _map_model(
+        models, lambda *arrays: np.stack(arrays, out=slot.get(id(arrays[0])))
+    )
+
+
+def model_slice(model: MlpModel, index: int) -> MlpModel:
+    """A copy of model `index` of a stack, owning its arrays."""
+    return _map_model([model], lambda a: a[index].copy())

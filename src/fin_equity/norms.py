@@ -28,11 +28,19 @@ Gradients are computed analytically. For row i in group A:
 
 where g is the incoming gradient. Groups absent from the batch get exact
 zeros.
+
+Every op also takes a leading model axis: parameters of shape (S, groups,
+dim) or (S, dim) serve S independent models whose features come as
+(S, batch, dim). Reductions run over the batch axis (-2), and the
+group-aware ops gather and scatter through the flattened row s * groups + a,
+so each model only ever touches its own rows, in batch order. Each model's
+slice of the result is bit for bit what the op gives that model alone.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,8 +85,9 @@ def softplus_grad(t):
 class FinParams:
     """Per-group normalization parameters: mu and tau, shape (groups, dim).
 
-    sigma is never stored; it is always softplus(tau). momentum is the raw
-    blend weight m in [0, 1].
+    A stack of models has shape (models, groups, dim). sigma is never
+    stored; it is always softplus(tau). momentum is the raw blend weight m
+    in [0, 1], shared by the stack.
     """
 
     mu: np.ndarray
@@ -88,9 +97,9 @@ class FinParams:
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=np.float64)
         self.tau = np.asarray(self.tau, dtype=np.float64)
-        if self.mu.ndim != 2 or self.mu.shape != self.tau.shape:
+        if self.mu.ndim not in (2, 3) or self.mu.shape != self.tau.shape:
             raise ValidationError(
-                f"mu and tau must be 2-D with equal shape, got "
+                f"mu and tau must be 2-D (or 3-D stacked) with equal shape, got "
                 f"{self.mu.shape} vs {self.tau.shape}"
             )
         if not 0.0 <= self.momentum <= 1.0:
@@ -98,11 +107,11 @@ class FinParams:
 
     @property
     def group_count(self) -> int:
-        return self.mu.shape[0]
+        return self.mu.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.mu.shape[1]
+        return self.mu.shape[-1]
 
     def sigma(self) -> np.ndarray:
         return softplus(self.tau)
@@ -129,64 +138,78 @@ class NormCache:
     """Values saved by a group-aware forward pass for its one backward pass."""
 
     momentum: float
-    attrs: np.ndarray
-    sigma: np.ndarray      # (groups, dim), softplus(tau) at forward time
-    sig_grad: np.ndarray   # (groups, dim), sigmoid(tau) at forward time
-    centered: np.ndarray   # (batch, dim), z - mu[attrs]
-    group_count: int
+    rows: np.ndarray       # each row's group, offset into the flattened stack
+    sigma: np.ndarray      # (models * groups, dim), softplus(tau) at forward time
+    sig_grad: np.ndarray   # sigmoid(tau) at forward time, shaped like tau
+    centered: np.ndarray   # z - mu of each row's group
     consumed: bool = False
+
+
+def _feature_error(z: np.ndarray, models: tuple[int, ...], dim: int) -> ValidationError:
+    want = ", ".join([*map(str, models), "batch", str(dim)])
+    return ValidationError(f"features must be ({want}), got {z.shape}")
 
 
 def fin_forward(z, attrs, params: FinParams) -> tuple[np.ndarray, NormCache]:
     """Normalize each row by its group's (mu, sigma), then blend with m.
 
-    Every attrs entry must be a valid group id of an integer dtype; there is
-    no fallback for unseen groups, by design.
+    z is (batch, dim), or (models, batch, dim) for stacked params; attrs
+    holds one group id per row, either (batch,) shared by every model or
+    one row of ids per model. Every id must be a valid group id of an
+    integer dtype; there is no fallback for unseen groups, by design. The
+    ids are checked before they are offset into the flattened stack, so a
+    bad id can never reach another model's parameters.
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != params.dim:
-        raise ValidationError(
-            f"features must be (batch, {params.dim}), got {z.shape}"
-        )
+    models = params.mu.shape[:-2]
+    if z.ndim < 2 or z.shape[:-2] != models or z.shape[-1] != params.dim:
+        raise _feature_error(z, models, params.dim)
     attrs = np.asarray(attrs)
-    if attrs.shape != (z.shape[0],):
+    if attrs.shape not in (z.shape[:-1], z.shape[-2:-1]):
         raise ValidationError(
-            f"attrs must be 1-D of length {z.shape[0]}, got shape {attrs.shape}"
+            f"attrs must be 1-D of length {z.shape[-2]}, got shape {attrs.shape}"
         )
     if attrs.dtype.kind not in "iu":
         raise ValidationError(
             f"attribute ids must be integers, got dtype {attrs.dtype}"
         )
     attrs = attrs.astype(np.intp)
-    bad = np.flatnonzero((attrs < 0) | (attrs >= params.group_count))
+    groups = params.group_count
+    bad = np.flatnonzero((attrs < 0) | (attrs >= groups))
     if bad.size:
+        first = int(bad[0])
         raise ValidationError(
-            f"batch position {int(bad[0])}: attribute id {int(attrs[bad[0]])} "
-            f"out of range for {params.group_count} groups"
+            f"batch position {first % attrs.shape[-1]}: attribute id "
+            f"{int(attrs.flat[first])} out of range for {groups} groups"
         )
+    rows = attrs
+    if math.prod(models) > 1:  # each model's ids index its own block of rows
+        rows = attrs + groups * np.arange(models[0])[:, None]
+    dim = params.dim
     m = float(params.momentum)
-    sigma = softplus(params.tau)
-    centered = z - params.mu[attrs]
-    zhat = centered / sigma[attrs]
+    sigma = softplus(params.tau).reshape(-1, dim)
+    centered = z - params.mu.reshape(-1, dim)[rows]
+    zhat = centered / sigma[rows]
     out = (1.0 - m) * zhat + m * z
     cache = NormCache(
         momentum=m,
-        attrs=attrs,
+        rows=rows,
         sigma=sigma,
         sig_grad=softplus_grad(params.tau),
         centered=centered,
-        group_count=params.group_count,
     )
     return out, cache
 
 
 def fin_backward(
-    grad_out, cache: NormCache
+    grad_out, cache: NormCache, out=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic backward for fin_forward.
 
-    Returns (grad_z, grad_mu, grad_tau). The cache is single-use; reusing
-    it or passing a mismatched gradient shape is an internal error.
+    Returns (grad_z, grad_mu, grad_tau). If out is given, it is a pair of
+    C-contiguous arrays shaped like mu and tau that receive grad_mu and
+    grad_tau. The cache is single-use; reusing it or passing a mismatched
+    gradient shape is an internal error.
     """
     if cache.consumed:
         raise CacheError("normalizer cache already consumed by a backward pass")
@@ -199,15 +222,19 @@ def fin_backward(
     cache.consumed = True
     m = cache.momentum
     one_m = 1.0 - m
-    sig_rows = cache.sigma[cache.attrs]
+    sig_rows = cache.sigma[cache.rows]
     grad_z = grad_out * (one_m / sig_rows + m)
     per_mu = -grad_out * (one_m / sig_rows)
     per_sigma = -grad_out * one_m * cache.centered / (sig_rows * sig_rows)
-    grad_mu = np.zeros((cache.group_count, cache.centered.shape[1]))
-    grad_sigma = np.zeros_like(grad_mu)
-    np.add.at(grad_mu, cache.attrs, per_mu)
-    np.add.at(grad_sigma, cache.attrs, per_sigma)
-    grad_tau = grad_sigma * cache.sig_grad
+    shape = cache.sig_grad.shape
+    dim = shape[-1]
+    grad_mu, grad_tau = (np.empty(shape), None) if out is None else out
+    grad_mu[...] = 0.0
+    grad_sigma = np.zeros(shape)
+    rows = cache.rows.ravel()
+    np.add.at(grad_mu.reshape(-1, dim), rows, per_mu.reshape(-1, dim))
+    np.add.at(grad_sigma.reshape(-1, dim), rows, per_sigma.reshape(-1, dim))
+    grad_tau = np.multiply(grad_sigma, cache.sig_grad, out=grad_tau)
     return grad_z, grad_mu, grad_tau
 
 
@@ -218,14 +245,14 @@ def lbn_forward(z, params: FinParams) -> tuple[np.ndarray, NormCache]:
             f"shared normalizer needs group_count 1, got {params.group_count}"
         )
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2:
-        raise ValidationError(f"features must be 2-D, got shape {z.shape}")
-    return fin_forward(z, np.zeros(z.shape[0], dtype=np.intp), params)
+    if z.ndim < 2:
+        raise ValidationError(f"features must be at least 2-D, got shape {z.shape}")
+    return fin_forward(z, np.zeros(z.shape[-2], dtype=np.intp), params)
 
 
-def lbn_backward(grad_out, cache: NormCache):
+def lbn_backward(grad_out, cache: NormCache, out=None):
     """Backward for lbn_forward; identical to the group-aware backward."""
-    return fin_backward(grad_out, cache)
+    return fin_backward(grad_out, cache, out)
 
 
 @dataclass
@@ -235,7 +262,8 @@ class BatchNormState:
     Training mode normalizes with batch statistics (biased variance) and
     updates the running statistics; inference mode normalizes with the
     running statistics and mutates nothing. The running variance is
-    updated with the unbiased batch estimate, the usual convention.
+    updated with the unbiased batch estimate, the usual convention. A stack
+    of models keeps (models, dim) arrays.
     """
 
     gamma: np.ndarray
@@ -259,7 +287,7 @@ class BatchNormState:
 
     @property
     def dim(self) -> int:
-        return self.gamma.shape[0]
+        return self.gamma.shape[-1]
 
 
 @dataclass
@@ -271,42 +299,55 @@ class BnCache:
     consumed: bool = False
 
 
+def _over_batch(v: np.ndarray) -> np.ndarray:
+    """A per-feature (..., dim) array broadcast over the batch axis."""
+    return v[..., None, :]
+
+
 def bn_forward(
     z, state: BatchNormState, mode: str | None = None
 ) -> tuple[np.ndarray, BnCache]:
-    """Batch normalization forward; mode defaults to state.mode."""
+    """Batch normalization forward; mode defaults to state.mode.
+
+    z is (batch, dim), or (models, batch, dim) for a stacked state.
+    """
     mode = state.mode if mode is None else mode
     if mode not in ("training", "inference"):
         raise ValidationError(f"mode must be 'training' or 'inference', got {mode!r}")
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != state.dim:
-        raise ValidationError(f"features must be (batch, {state.dim}), got {z.shape}")
+    models = state.gamma.shape[:-1]
+    if z.ndim < 2 or z.shape[:-2] != models or z.shape[-1] != state.dim:
+        raise _feature_error(z, models, state.dim)
     if mode == "training":
-        n = z.shape[0]
+        n = z.shape[-2]
         if n < 2:
             raise ValidationError(
                 f"batch normalization needs batch size >= 2 in training mode, got {n}"
             )
-        mean = z.mean(axis=0)
-        var = z.var(axis=0)  # biased, used for normalization
+        mean = z.mean(axis=-2)
+        var = z.var(axis=-2)  # biased, used for normalization
         inv_std = 1.0 / np.sqrt(var + state.eps)
-        xhat = (z - mean) * inv_std
+        xhat = (z - _over_batch(mean)) * _over_batch(inv_std)
         r = state.bn_momentum
         state.running_mean = (1.0 - r) * state.running_mean + r * mean
         state.running_var = (1.0 - r) * state.running_var + r * (var * n / (n - 1))
     else:
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-        xhat = (z - state.running_mean) * inv_std
-    out = state.gamma * xhat + state.beta
+        xhat = (z - _over_batch(state.running_mean)) * _over_batch(inv_std)
+    out = _over_batch(state.gamma) * xhat + _over_batch(state.beta)
     return out, BnCache(
         xhat=xhat, inv_std=inv_std, gamma=state.gamma, training=(mode == "training")
     )
 
 
-def bn_backward(grad_out, cache: BnCache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def bn_backward(
+    grad_out, cache: BnCache, out=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward through a training-mode batch normalization forward.
 
-    Returns (grad_z, grad_gamma, grad_beta).
+    Returns (grad_z, grad_gamma, grad_beta). If out is given, it is a pair
+    of arrays shaped like gamma and beta that receive grad_gamma and
+    grad_beta.
     """
     if cache.consumed:
         raise CacheError("batch-norm cache already consumed by a backward pass")
@@ -319,11 +360,14 @@ def bn_backward(grad_out, cache: BnCache) -> tuple[np.ndarray, np.ndarray, np.nd
             f"{cache.xhat.shape}"
         )
     cache.consumed = True
-    n = grad_out.shape[0]
-    grad_beta = grad_out.sum(axis=0)
-    grad_gamma = (grad_out * cache.xhat).sum(axis=0)
-    gx = grad_out * cache.gamma
-    grad_z = (cache.inv_std / n) * (
-        n * gx - gx.sum(axis=0) - cache.xhat * (gx * cache.xhat).sum(axis=0)
+    gamma_out, beta_out = (None, None) if out is None else out
+    n = grad_out.shape[-2]
+    grad_beta = grad_out.sum(axis=-2, out=beta_out)
+    grad_gamma = (grad_out * cache.xhat).sum(axis=-2, out=gamma_out)
+    gx = grad_out * _over_batch(cache.gamma)
+    grad_z = _over_batch(cache.inv_std / n) * (
+        n * gx
+        - gx.sum(axis=-2, keepdims=True)
+        - cache.xhat * (gx * cache.xhat).sum(axis=-2, keepdims=True)
     )
     return grad_z, grad_gamma, grad_beta

@@ -9,23 +9,29 @@ gradient moments:
 By default only affine weights decay; biases and normalizer parameters are
 excluded.
 
-The moments of all parameter blocks live in one flat float64 buffer each,
-block after block in parameter order, and the per-name moment arrays are
-views into them. A step gathers the gradients into one vector, checks it for
-non-finite values once, and runs the moment and update arithmetic as a single
-pass over the flat buffers; each block is then shrunk (if it decays) and
-moved by its slice of the update. Every element sees the same operations in
-the same order as a per-block loop would apply, so results are bitwise
-unchanged by the fusion.
+The gradients and moments of all parameter blocks live in one flat float64
+buffer each, block after block in parameter order, and the per-name arrays
+are views into them. A caller that writes its gradients straight into the
+state's gradient views (as `net.backward(..., out=state.grad)` does) hands
+them over without a copy; any other gradient block is copied in. A step
+checks the gradient buffer for non-finite values once and runs the moment
+and update arithmetic as a single pass over the flat buffers; each block is
+then shrunk (if it decays) and moved by its slice of the update. Every
+element sees the same operations in the same order as a per-block loop
+would apply, so results are bitwise unchanged by the fusion. A block with a
+leading model axis (a stack of models) is just a bigger block: every model
+is updated in the same pass, each as if alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .core import type_config_fields
 from .errors import NonFiniteError, ValidationError
 
 
@@ -44,6 +50,11 @@ class AdamWConfig:
     decay_mask: Callable[[str], bool] | None = None  # None -> default_decay_mask
 
     def __post_init__(self):
+        type_config_fields(
+            self,
+            {name: float for name in ("lr", "beta1", "beta2", "eps", "weight_decay")},
+            "optimizer config",
+        )
         if self.lr <= 0:
             raise ValidationError(f"lr must be > 0, got {self.lr}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -56,23 +67,26 @@ class AdamWConfig:
             raise ValidationError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
-def _flat_views(params: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """A zeroed float64 buffer and one view into it per block, in order."""
-    flat = np.zeros(sum(p.size for p in params.values()))
+def flat_views(
+    shapes: dict[str, tuple[int, ...]],
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """A zeroed float64 buffer and one C-contiguous view into it per block, in order."""
+    sizes = {name: math.prod(shape) for name, shape in shapes.items()}
+    flat = np.zeros(sum(sizes.values()))
     views: dict[str, np.ndarray] = {}
     start = 0
-    for name, p in params.items():
-        views[name] = flat[start : start + p.size].reshape(p.shape)
-        start += p.size
+    for name, shape in shapes.items():
+        views[name] = flat[start : start + sizes[name]].reshape(shape)
+        start += sizes[name]
     return flat, views
 
 
 @dataclass
 class AdamWState:
-    """Step count, moments, and the buffer each step's update is written to.
+    """Step count, moments, and the buffers each step reads and writes.
 
-    m[name], v[name] and update[name] are views into m_flat, v_flat and
-    update_flat.
+    m[name], v[name], grad[name] and update[name] are views into m_flat,
+    v_flat, grad_flat and update_flat.
     """
 
     step: int
@@ -80,20 +94,26 @@ class AdamWState:
     v: dict[str, np.ndarray]
     m_flat: np.ndarray = field(repr=False)
     v_flat: np.ndarray = field(repr=False)
+    grad_flat: np.ndarray = field(repr=False)
+    grad: dict[str, np.ndarray] = field(repr=False)
     update_flat: np.ndarray = field(repr=False)
     update: dict[str, np.ndarray] = field(repr=False)
 
     @classmethod
     def create(cls, params: dict[str, np.ndarray]) -> "AdamWState":
-        m_flat, m = _flat_views(params)
-        v_flat, v = _flat_views(params)
-        update_flat, update = _flat_views(params)
+        shapes = {name: p.shape for name, p in params.items()}
+        m_flat, m = flat_views(shapes)
+        v_flat, v = flat_views(shapes)
+        grad_flat, grad = flat_views(shapes)
+        update_flat, update = flat_views(shapes)
         return cls(
             step=0,
             m=m,
             v=v,
             m_flat=m_flat,
             v_flat=v_flat,
+            grad_flat=grad_flat,
+            grad=grad,
             update_flat=update_flat,
             update=update,
         )
@@ -130,9 +150,11 @@ def adamw_step(
                 f"parameter shape {p.shape} != optimizer-state shape "
                 f"{state.m[name].shape} for {name}"
             )
-    g = np.concatenate([grads[name].ravel() for name in state.m])
+        if g is not state.grad[name]:
+            state.grad[name][...] = g
+    g = state.grad_flat
     if not np.isfinite(g).all():
-        bad = next(n for n in state.m if not np.isfinite(grads[n]).all())
+        bad = next(n for n in state.m if not np.isfinite(state.grad[n]).all())
         raise NonFiniteError(f"non-finite gradient in parameter block {bad!r}")
 
     state.step += 1

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import AttributeSet, Dataset, check_config_keys
+from .core import AttributeSet, Dataset, check_config_keys, type_config_fields
 from .errors import ValidationError
 
 
@@ -34,6 +34,18 @@ class GroupSpec:
     noise_std: float = 1.0
 
     def __post_init__(self):
+        type_config_fields(
+            self,
+            {
+                "n_train": int,
+                "n_eval": int,
+                "prevalence": float,
+                "separation": float,
+                "offset": float,
+                "noise_std": float,
+            },
+            "synth config",
+        )
         if self.n_train < 1 or self.n_eval < 1:
             raise ValidationError(
                 f"group {self.name!r}: n_train and n_eval must be >= 1"
@@ -60,6 +72,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        type_config_fields(self, {"d": int, "seed": int}, "synth config")
         object.__setattr__(self, "groups", tuple(self.groups))
         if self.d < 2:
             raise ValidationError(f"d must be >= 2, got {self.d}")
@@ -181,16 +194,16 @@ def synth_config_from_dict(data: dict) -> SynthConfig:
         groups = tuple(
             GroupSpec(
                 name=g["name"],
-                n_train=int(g["n_train"]),
-                n_eval=int(g["n_eval"]),
-                prevalence=float(g["prevalence"]),
-                separation=float(g["separation"]),
-                offset=float(g["offset"]),
-                noise_std=float(g.get("noise_std", 1.0)),
+                n_train=g["n_train"],
+                n_eval=g["n_eval"],
+                prevalence=g["prevalence"],
+                separation=g["separation"],
+                offset=g["offset"],
+                noise_std=g.get("noise_std", 1.0),
             )
             for g in data["groups"]
         )
-        return SynthConfig(d=int(data["d"]), groups=groups, seed=int(data.get("seed", 0)))
+        return SynthConfig(d=data["d"], groups=groups, seed=data.get("seed", 0))
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -6,6 +6,14 @@ contiguous slices of the shuffled order, and the optimizer is plain numpy.
 The final short batch is kept, except that a batch of size 1 is dropped
 when the model uses batch normalization (its training mode needs >= 2).
 
+All seeds of a run train in lockstep: one loop over a stack of models
+(`net.stack_models`), where step i runs batch i of every seed through one
+forward, cross-entropy, backward and AdamW step. Each seed keeps its own
+init and shuffle generators, and every stacked op gives each model exactly
+the bits it would get alone, so a seed's checkpoint is byte-identical
+whether it trains alone (`train` is the same loop with one seed) or among
+any other seeds.
+
 Checkpoints serialize to canonical JSON with 17-significant-digit floats,
 so save -> load -> save is byte-identical and a loaded model reproduces
 the saved model's inference outputs exactly.
@@ -13,17 +21,24 @@ the saved model's inference outputs exactly.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import Dataset, Predictions, check_config_keys, require_valid
+from .core import (
+    Dataset,
+    Predictions,
+    check_config_keys,
+    config_value,
+    require_valid,
+    type_config_fields,
+)
 from .errors import (
     CheckpointError,
     CheckpointFormatError,
     CheckpointShapeError,
     CheckpointVersionError,
+    NonFiniteError,
     TrainingDivergedError,
     ValidationError,
 )
@@ -36,9 +51,10 @@ from .net import (
     cross_entropy,
     forward,
     init_mlp,
-    named_gradients,
+    model_slice,
     named_parameters,
     softmax,
+    stack_models,
 )
 from .norms import BatchNormState, FinParams, NormKind
 from .optim import AdamWConfig, AdamWState, adamw_step
@@ -59,8 +75,23 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
+        dims = tuple(
+            config_value(d, int, "layer_dims", "train config") for d in self.layer_dims
+        )
+        object.__setattr__(self, "layer_dims", dims)
         object.__setattr__(self, "norm_kind", NormKind(self.norm_kind))
+        type_config_fields(
+            self,
+            {
+                "fin_momentum": float,
+                "epochs": int,
+                "batch_size": int,
+                "seed": int,
+                "threshold": float,
+                "shuffle": bool,
+            },
+            "train config",
+        )
         if len(self.layer_dims) < 2:
             raise ValidationError("layer_dims needs at least input and feature dims")
         if self.epochs < 1:
@@ -93,15 +124,23 @@ class RunHistory:
 
 def _evaluate(
     model: MlpModel, dataset: Dataset, threshold: float
-) -> tuple[Predictions, MetricReport]:
+) -> list[tuple[Predictions, MetricReport]]:
+    """Score a dataset with a model, or a stack of models; one result per model.
+
+    A stack runs one forward over the dataset, which is broadcast to every
+    model rather than copied.
+    """
     logits, _ = forward(model, dataset.x, dataset.attrs, mode="inference")
-    predictions = Predictions(
-        ids=tuple(sid or f"r{i}" for i, sid in enumerate(dataset.ids)),
-        scores=softmax(logits)[:, 1],
-        labels=dataset.labels,
-        attrs=dataset.attrs,
-    )
-    return predictions, full_report(predictions, dataset.attribute_set, threshold)
+    scores = softmax(logits)[..., 1].reshape(-1, len(dataset))
+    ids = tuple(sid or f"r{i}" for i, sid in enumerate(dataset.ids))
+    out = []
+    for model_scores in scores:
+        predictions = Predictions(
+            ids=ids, scores=model_scores, labels=dataset.labels, attrs=dataset.attrs
+        )
+        report = full_report(predictions, dataset.attribute_set, threshold)
+        out.append((predictions, report))
+    return out
 
 
 def evaluate_model(
@@ -116,13 +155,24 @@ def evaluate_model(
         )
     if threshold is None:
         threshold = checkpoint.config.threshold
-    return _evaluate(checkpoint.model, dataset, threshold)
+    return _evaluate(checkpoint.model, dataset, threshold)[0]
 
 
 def train(
     train_set: Dataset, eval_set: Dataset, config: TrainConfig
 ) -> tuple[Checkpoint, RunHistory]:
     """Train from scratch; returns the final checkpoint and per-epoch history."""
+    return _train_seeds(train_set, eval_set, config, (config.seed,))[0]
+
+
+def _train_seeds(
+    train_set: Dataset, eval_set: Dataset, config: TrainConfig, seeds: tuple[int, ...]
+) -> list[tuple[Checkpoint, RunHistory]]:
+    """Train one model per seed, all in lockstep; one result per seed.
+
+    A non-finite loss or gradient raises for the first seed (in seeds
+    order) that hits it, at the step where it happens.
+    """
     require_valid(train_set, "train set")
     require_valid(eval_set, "eval set")
     if train_set.d != config.layer_dims[0]:
@@ -133,46 +183,76 @@ def train(
     if eval_set.d != train_set.d:
         raise ValidationError("train and eval feature dimensions differ")
 
-    init_ss, shuffle_ss = np.random.SeedSequence(config.seed).spawn(2)
-    init_rng = np.random.default_rng(init_ss)
-    shuffle_rng = np.random.default_rng(shuffle_ss)
-    model = init_mlp(
-        config.layer_dims,
-        config.norm_kind,
-        train_set.attribute_set.group_count,
-        init_rng,
-        fin_momentum=config.fin_momentum,
-    )
+    models, shuffle_rngs = [], []
+    for seed in seeds:
+        init_ss, shuffle_ss = np.random.SeedSequence(seed).spawn(2)
+        models.append(
+            init_mlp(
+                config.layer_dims,
+                config.norm_kind,
+                train_set.attribute_set.group_count,
+                np.random.default_rng(init_ss),
+                fin_momentum=config.fin_momentum,
+            )
+        )
+        shuffle_rngs.append(np.random.default_rng(shuffle_ss))
+    model = stack_models(models)
     params = named_parameters(model)
     state = AdamWState.create(params)
 
     x, y, a = train_set.x, train_set.labels, train_set.attrs
     n = len(train_set)
-    losses: list[float] = []
-    reports: list[MetricReport] = []
+    losses: list[list[float]] = [[] for _ in seeds]
+    reports: list[list[MetricReport]] = [[] for _ in seeds]
     for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(n) if config.shuffle else np.arange(n)
-        batch_losses: list[float] = []
+        if config.shuffle:
+            order = np.stack([rng.permutation(n) for rng in shuffle_rngs])
+        else:
+            order = np.broadcast_to(np.arange(n), (len(seeds), n))
+        batch_losses: list[np.ndarray] = []
         for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            if idx.size == 1 and config.norm_kind is NormKind.BATCH:
+            idx = order[:, start : start + config.batch_size]  # (seeds, batch)
+            if idx.shape[1] == 1 and config.norm_kind is NormKind.BATCH:
                 continue  # training-mode batch norm cannot take a singleton
             logits, caches = forward(model, x[idx], a[idx], mode="training")
             loss, grad_logits = cross_entropy(logits, y[idx])
-            if not np.isfinite(loss):
+            if not np.isfinite(loss).all():
+                bad = int(np.flatnonzero(~np.isfinite(loss))[0])
                 raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, "
+                    f"non-finite loss for seed {seeds[bad]} at epoch {epoch}, "
                     f"batch {start // config.batch_size}"
                 )
-            grads = backward(model, caches, grad_logits)
-            adamw_step(params, named_gradients(model, grads), state, config.optimizer)
+            backward(model, caches, grad_logits, out=state.grad)
+            try:
+                adamw_step(params, state.grad, state, config.optimizer)
+            except NonFiniteError:
+                seed, name = next(
+                    (seed, name)
+                    for i, seed in enumerate(seeds)
+                    for name, g in state.grad.items()
+                    if not np.isfinite(g[i]).all()
+                )
+                raise NonFiniteError(
+                    f"non-finite gradient in parameter block {name!r} for seed {seed}"
+                ) from None
             batch_losses.append(loss)
-        losses.append(float(np.mean(batch_losses)))
-        reports.append(_evaluate(model, eval_set, config.threshold)[1])
-    checkpoint = Checkpoint(
-        version=CHECKPOINT_VERSION, config=config, model=model, epoch=config.epochs
-    )
-    return checkpoint, RunHistory(losses=losses, reports=reports)
+        for i, seed_losses in enumerate(losses):
+            seed_losses.append(float(np.mean([loss[i] for loss in batch_losses])))
+        evaluated = _evaluate(model, eval_set, config.threshold)
+        for seed_reports, (_, report) in zip(reports, evaluated):
+            seed_reports.append(report)
+    return [
+        (
+            Checkpoint(
+                version=CHECKPOINT_VERSION,
+                config=replace(config, seed=seed),
+                model=model_slice(model, i),
+                epoch=config.epochs,
+            ),
+            RunHistory(losses=losses[i], reports=reports[i]),
+        )
+        for i, seed in enumerate(seeds)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -245,31 +325,20 @@ def _es_from_means(
 
 
 def run_seeds(
-    train_set: Dataset,
-    eval_set: Dataset,
-    config: TrainConfig,
-    seeds,
-    max_workers: int = 1,
+    train_set: Dataset, eval_set: Dataset, config: TrainConfig, seeds
 ) -> SeedAggregate:
     """Train once per seed and aggregate the final evaluation reports.
 
-    Equity-scaled metrics are computed per seed and then averaged; the
-    alternative (ES of the seed-averaged metrics) is reported alongside in
-    es_from_means. Runs are independent, so max_workers > 1 parallelizes
-    them without changing any result.
+    The seeds train in lockstep as one stack of models, and each seed's
+    checkpoint, losses and reports are byte-identical to a solo
+    `train(..., replace(config, seed=seed))`. Equity-scaled metrics are
+    computed per seed and then averaged; the alternative (ES of the
+    seed-averaged metrics) is reported alongside in es_from_means.
     """
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ValidationError("need at least one seed")
-
-    def one(seed: int) -> tuple[Checkpoint, RunHistory]:
-        return train(train_set, eval_set, replace(config, seed=seed))
-
-    if max_workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            runs = list(pool.map(one, seeds))
-    else:
-        runs = [one(s) for s in seeds]
+    runs = _train_seeds(train_set, eval_set, config, seeds)
     checkpoints = tuple(r[0] for r in runs)
     histories = tuple(r[1] for r in runs)
     reports = tuple(h.reports[-1] for h in histories)
@@ -293,9 +362,10 @@ def sweep_momentum(
     config: TrainConfig,
     grid,
     seeds,
-    max_workers: int = 1,
 ) -> list[tuple[float, SeedAggregate]]:
     """run_seeds at every blend value in the grid, identical seeds throughout.
+
+    Each grid point is one lockstep run of all the seeds.
 
     The model kind is forced to the group-aware normalizer (the blend has
     no effect on the other kinds). Results come back sorted by m ascending.
@@ -309,7 +379,7 @@ def sweep_momentum(
     out: list[tuple[float, SeedAggregate]] = []
     for m in grid:
         cfg = replace(config, norm_kind=NormKind.FAIR_IDENTITY, fin_momentum=m)
-        out.append((m, run_seeds(train_set, eval_set, cfg, seeds, max_workers)))
+        out.append((m, run_seeds(train_set, eval_set, cfg, seeds)))
     return out
 
 
@@ -344,21 +414,21 @@ def train_config_from_dict(data: dict) -> TrainConfig:
     check_config_keys(opt, ("lr", "beta1", "beta2", "eps", "weight_decay"), "optimizer")
     try:
         return TrainConfig(
-            layer_dims=tuple(data["layer_dims"]),
+            layer_dims=data["layer_dims"],
             norm_kind=NormKind.from_string(data["norm_kind"]),
-            fin_momentum=float(data.get("fin_momentum", 0.3)),
-            epochs=int(data["epochs"]),
-            batch_size=int(data["batch_size"]),
+            fin_momentum=data.get("fin_momentum", 0.3),
+            epochs=data["epochs"],
+            batch_size=data["batch_size"],
             optimizer=AdamWConfig(
-                lr=float(opt.get("lr", 5e-5)),
-                beta1=float(opt.get("beta1", 0.9)),
-                beta2=float(opt.get("beta2", 0.999)),
-                eps=float(opt.get("eps", 1e-8)),
-                weight_decay=float(opt.get("weight_decay", 0.0)),
+                lr=opt.get("lr", 5e-5),
+                beta1=opt.get("beta1", 0.9),
+                beta2=opt.get("beta2", 0.999),
+                eps=opt.get("eps", 1e-8),
+                weight_decay=opt.get("weight_decay", 0.0),
             ),
-            seed=int(data.get("seed", 0)),
-            threshold=float(data.get("threshold", 0.5)),
-            shuffle=bool(data.get("shuffle", True)),
+            seed=data.get("seed", 0),
+            threshold=data.get("threshold", 0.5),
+            shuffle=data.get("shuffle", True),
         )
     except ValidationError:
         raise

@@ -7,7 +7,6 @@ expected values come from frozen reference tables or closed forms.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -290,8 +289,6 @@ def test_criterion_7_determinism(tmp_path):
             }
         )
     )
-    env = dict(os.environ)
-    env.pop("FIN_EQUITY_THREADS", None)
 
     def run_train(prefix):
         return subprocess.run(
@@ -305,7 +302,6 @@ def test_criterion_7_determinism(tmp_path):
             ],
             capture_output=True,
             text=True,
-            env=env,
         )
 
     r1 = run_train("a_")

@@ -32,10 +32,14 @@ def test_format_float_round_trips_doubles():
     for x in rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200):
         assert float(format_float(float(x))) == float(x)
     assert format_float(0.1) == "1.0000000000000001e-01"
-    with pytest.raises(ValidationError):
-        format_float(float("inf"))
-    with pytest.raises(ValidationError):
-        format_float(float("nan"))
+    for bad in (float("inf"), float("nan"), np.float64("-inf"), np.nan, np.inf):
+        with pytest.raises(ValidationError, match="non-finite"):
+            format_float(bad)
+    # numpy floats and ints are formatted as the double they hold
+    assert format_float(np.float32(0.1)) == format_float(float(np.float32(0.1)))
+    assert format_float(np.float32(0.1)) == "1.0000000149011612e-01"
+    assert format_float(3) == "3.0000000000000000e+00"
+    assert format_float(np.int64(-2)) == "-2.0000000000000000e+00"
 
 
 def test_dumps_canonical():

@@ -17,6 +17,7 @@ from fin_equity import (
     named_parameters,
     softmax,
 )
+from fin_equity.net import model_slice, stack_models
 from reference_fixtures import max_rel_err, numeric_grad
 
 ALL_KINDS = (
@@ -236,3 +237,73 @@ def test_backward_cache_rules():
     _, caches = forward(model, x, mode="training")
     with pytest.raises(CacheError):
         backward(model, caches, np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_stacked_models_match_each_model_alone_bitwise(kind):
+    # 13 rows per batch, so batch-axis reductions leave the short-loop regime
+    rng = np.random.default_rng(5)
+    models = [init_mlp((4, 7, 6, 5), kind, 3, rng) for _ in range(3)]
+    stack = stack_models(models)
+    x = rng.standard_normal((3, 13, 4))
+    attrs = rng.integers(0, 3, size=(3, 13))
+    labels = rng.integers(0, 2, size=(3, 13))
+
+    logits, caches = forward(stack, x, attrs, mode="training")
+    losses, grad_logits = cross_entropy(logits, labels)
+    flat = np.full(sum(p.size for p in named_parameters(stack).values()), np.nan)
+    out, start = {}, 0
+    for name, p in named_parameters(stack).items():  # stale values must be overwritten
+        out[name] = flat[start : start + p.size].reshape(p.shape)
+        start += p.size
+    stacked = backward(stack, caches, grad_logits, out=out)
+    stacked_grads = named_gradients(stack, stacked)
+    eval_x = rng.standard_normal((9, 4))
+    eval_attrs = rng.integers(0, 3, size=9)
+    eval_logits, _ = forward(stack, eval_x, eval_attrs, mode="inference")
+    for s, model in enumerate(models):
+        lg, c = forward(model, x[s], attrs[s], mode="training")
+        loss, g = cross_entropy(lg, labels[s])
+        grads = named_gradients(model, backward(model, c, g))
+        assert np.array_equal(logits[s], lg)
+        assert losses[s] == loss
+        assert np.array_equal(grad_logits[s], g)
+        for name in grads:
+            assert np.array_equal(stacked_grads[name][s], grads[name]), name
+            assert stacked_grads[name] is out[name]
+        alone = forward(model, eval_x, eval_attrs, mode="inference")[0]
+        assert np.array_equal(eval_logits[s], alone)
+        one = model_slice(stack, s)
+        if kind is NormKind.BATCH:  # running statistics moved per model
+            assert np.array_equal(one.norm.running_mean, model.norm.running_mean)
+            assert np.array_equal(one.norm.running_var, model.norm.running_var)
+        for name, p in named_parameters(one).items():
+            assert np.array_equal(p, named_parameters(model)[name]), name
+            assert not np.shares_memory(p, named_parameters(stack)[name])
+
+
+def test_stacked_parameters_share_one_buffer():
+    rng = np.random.default_rng(2)
+    stack = stack_models(
+        [init_mlp((3, 4), NormKind.FAIR_IDENTITY, 2, rng) for _ in range(2)]
+    )
+    params = named_parameters(stack)
+    assert stack.models == (2,) and stack.input_dim == 3 and stack.feature_dim == 4
+    assert params["norm.mu"].shape == (2, 2, 4)
+    base = params["head.w"].base
+    assert all(p.base is base and p.flags.c_contiguous for p in params.values())
+    assert base.size == sum(p.size for p in params.values())
+
+
+def test_stacked_group_ids_are_checked_before_the_model_offset():
+    rng = np.random.default_rng(4)
+    stack = stack_models(
+        [init_mlp((3, 4), NormKind.FAIR_IDENTITY, 2, rng) for _ in range(2)]
+    )
+    x = rng.standard_normal((2, 5, 3))
+    attrs = np.zeros((2, 5), dtype=np.int64)
+    attrs[0, 3] = 2  # as a flat row it would be the second model's group 0
+    with pytest.raises(ValidationError, match="position 3: attribute id 2 out of range"):
+        forward(stack, x, attrs, mode="training")
+    with pytest.raises(ValidationError, match="input must be"):
+        forward(stack, rng.standard_normal((3, 5, 3)), attrs[0], mode="training")

@@ -171,9 +171,26 @@ def test_config_round_trip():
     data["groups"][1] = ["group1"]
     with pytest.raises(ValidationError, match="group 1 must be a JSON object"):
         synth_config_from_dict(data)
+    # values are typed: no silent int() or float() coercion
+    data = synth_config_to_dict(config)
+    with pytest.raises(ValidationError, match=r"'d' must be an integer, got 4\.5"):
+        synth_config_from_dict({**data, "d": 4.5})
+    with pytest.raises(ValidationError, match="'seed' must be an integer, got True"):
+        synth_config_from_dict({**data, "seed": True})
+    data["groups"][0]["n_train"] = 10.0
+    with pytest.raises(ValidationError, match=r"'n_train' must be an integer, got 10\.0"):
+        synth_config_from_dict(data)
+    data["groups"][0]["n_train"] = 10
+    data["groups"][0]["offset"] = False
+    with pytest.raises(ValidationError, match="'offset' must be a number, got False"):
+        synth_config_from_dict(data)
 
 
 def test_group_spec_validation():
+    with pytest.raises(ValidationError, match="'n_eval' must be an integer, got 2.5"):
+        spec(n_eval=2.5)
+    with pytest.raises(ValidationError, match="'d' must be an integer, got True"):
+        SynthConfig(d=True, groups=(spec(),))
     with pytest.raises(ValidationError):
         spec(prevalence=0.0)
     with pytest.raises(ValidationError):

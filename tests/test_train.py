@@ -1,5 +1,7 @@
 import copy
 import hashlib
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,6 +66,10 @@ def params_equal(a, b):
     return set(pa) == set(pb) and all(np.array_equal(pa[k], pb[k]) for k in pa)
 
 
+def canonical_bytes(ck):
+    return dumps_canonical(checkpoint_to_dict(ck))
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
         TrainConfig(layer_dims=(4,))
@@ -79,6 +85,16 @@ def test_config_validation():
         TrainConfig(threshold=2.0)
     # string kinds are coerced through the enum
     assert TrainConfig(norm_kind="batch").norm_kind is NormKind.BATCH
+    # values are typed in Python as in JSON, so every checkpoint config reloads
+    with pytest.raises(ValidationError, match="'shuffle' must be a boolean, got 1"):
+        TrainConfig(shuffle=1)
+    with pytest.raises(ValidationError, match="'epochs' must be an integer"):
+        TrainConfig(epochs=2.0)
+    with pytest.raises(ValidationError, match="'weight_decay' must be a number"):
+        AdamWConfig(weight_decay=True)
+    typed = TrainConfig(layer_dims=np.array([4, 2]), seed=np.int64(3), threshold=1)
+    assert typed.layer_dims == (4, 2) and type(typed.seed) is int
+    assert type(typed.threshold) is float
 
 
 def test_training_is_deterministic():
@@ -141,6 +157,9 @@ def test_divergence_raises_a_named_error():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError):
             train(train_set, eval_set, config)
+        # in a multi-seed run the message names the seed that diverged
+        with pytest.raises(NonFiniteError, match=r"for seed [12]\b"):
+            run_seeds(train_set, eval_set, config, seeds=(1, 2))
 
 
 def test_momentum_one_training_matches_no_norm_bitwise():
@@ -231,13 +250,15 @@ def test_run_seeds_order_invariance():
 
 
 def test_run_seeds_parallel_matches_sequential():
+    # the seeds of one run train in lockstep; each must equal its solo run
     train_set, eval_set = tiny_data()
-    seq = run_seeds(train_set, eval_set, tiny_config(), seeds=(4, 5))
-    par = run_seeds(train_set, eval_set, tiny_config(), seeds=(4, 5), max_workers=2)
-    for key, summary in seq.metrics.items():
-        assert summary.per_seed == par.metrics[key].per_seed, key
-    for ck_a, ck_b in zip(seq.checkpoints, par.checkpoints):
-        assert params_equal(ck_a, ck_b)
+    config = tiny_config(norm_kind=NormKind.FAIR_IDENTITY)
+    par = run_seeds(train_set, eval_set, config, seeds=(4, 5))
+    for i, seed in enumerate((4, 5)):
+        ck, history = train(train_set, eval_set, replace(config, seed=seed))
+        assert canonical_bytes(par.checkpoints[i]) == canonical_bytes(ck), seed
+        assert par.histories[i].losses == history.losses
+        assert par.reports[i] == history.reports[-1]
 
 
 def test_run_seeds_single_seed_std_is_zero():
@@ -438,6 +459,27 @@ def test_train_config_round_trip():
         ValidationError, match="unknown key 'learning_rate' in optimizer; closest"
     ):
         train_config_from_dict({**data, "optimizer": {"learning_rate": 0.1}})
+    # values are typed: no silent bool(), int() or float() coercion
+    for key, value, message in [
+        ("shuffle", "false", "'shuffle' must be a boolean, got 'false'"),
+        ("epochs", 2.7, "'epochs' must be an integer, got 2.7"),
+        ("seed", 1.9, "'seed' must be an integer, got 1.9"),
+        ("batch_size", True, "'batch_size' must be an integer, got True"),
+        ("fin_momentum", True, "'fin_momentum' must be a number, got True"),
+        ("threshold", "0.5", "'threshold' must be a number, got '0.5'"),
+        ("layer_dims", [8, 4.0], "'layer_dims' must be an integer, got 4.0"),
+    ]:
+        with pytest.raises(ValidationError, match=re.escape(f"bad train config: {message}")):
+            train_config_from_dict({**data, key: value})
+    with pytest.raises(ValidationError, match="'lr' must be a number, got False"):
+        train_config_from_dict({**data, "optimizer": {"lr": False}})
+    with pytest.raises(ValidationError, match="'layer_dims' must be an integer, got '8'"):
+        train_config_from_dict({**data, "layer_dims": "84"})
+    # JSON integers are valid numbers, and booleans valid booleans
+    loose = train_config_from_dict({**data, "fin_momentum": 1, "optimizer": {"lr": 1}})
+    assert loose.fin_momentum == 1.0 and type(loose.fin_momentum) is float
+    assert loose.optimizer.lr == 1.0
+    assert train_config_from_dict({**data, "shuffle": True}).shuffle is True
 
 
 # SHA-256 of the canonical checkpoint JSON for tiny_data() and tiny_config(),
@@ -462,3 +504,83 @@ def test_checkpoint_bytes_are_pinned(case):
     ck, _ = train(train_set, eval_set, config)
     digest = hashlib.sha256(dumps_canonical(checkpoint_to_dict(ck)).encode()).hexdigest()
     assert digest == PINNED_CHECKPOINT_SHA256[case]
+
+
+# SHA-256 of the canonical checkpoint JSON of every seed of one run_seeds
+# call: a 3-layer backbone, batch 13 on 48 rows (the last batch of each
+# epoch is short) and weight decay 0.1, per norm kind. The digests were
+# computed with the one-seed-at-a-time training loop, so they pin the
+# lockstep multi-seed loop to it byte for byte.
+PINNED_MULTI_SEED_SHA256 = {
+    ("none", 3): "5531eca987833712a0fc75eefb730826e9cbe57a3927d898fc33289c38fa3a01",
+    ("none", 4): "1d50b4eca7791519339522a385f4192d91053d57fc392502a5c031dd33c51a93",
+    ("none", 5): "981b8a658604a16d822550c3e8adbf86b0a989c813906ce1ea1033cc046e2410",
+    ("batch", 3): "0799cb053e2d95adec3591173912f5a5b8875942833513a2f6b230b6840b3114",
+    ("batch", 4): "8689ea60271ae4d20eb9441c5594c792d4846255771899b7d5b6a909dacd970d",
+    ("batch", 5): "dcde41e505fde21298ea12afd330d3fe1c1ef3d95102f49e369cd601bba979b4",
+    ("learnable_shared", 3): "bd9cfa6b91c08cab75d35552e94a187c7c2d01d78a5cffe94c95e7e07963d1c0",
+    ("learnable_shared", 4): "5e3a62ebf0ed93df3c7117546c9d3d17843cc881fe812d55fe964c6d50c3b118",
+    ("learnable_shared", 5): "65134a7f2000c05c3fab1424eda8d5bd1b20adf11b3b0b88e2d7cc6b527e0de6",
+    ("fair_identity", 3): "2242127dc1b7fb9b0da368c04a38829277eab173cf023e04933a10284d2b1ce3",
+    ("fair_identity", 4): "e63a9eb1e30b2b78f7cd79a17f4e07183399dde0c9144eb3965b288715d517a2",
+    ("fair_identity", 5): "ca03b78e9c9333e012ae1525e5b23bfb63f06f3a64843a03d08543124797ef6d",
+}
+
+
+@pytest.mark.parametrize("kind", [k.value for k in NormKind])
+def test_multi_seed_checkpoint_bytes_are_pinned(kind):
+    config = tiny_config(
+        layer_dims=(4, 7, 6, 5),
+        batch_size=13,
+        norm_kind=NormKind(kind),
+        optimizer=AdamWConfig(lr=1e-3, weight_decay=0.1),
+    )
+    train_set, eval_set = tiny_data()
+    assert len(train_set) % config.batch_size  # a short final batch
+    agg = run_seeds(train_set, eval_set, config, seeds=(3, 4, 5))
+    for seed, ck in zip(agg.seeds, agg.checkpoints):
+        digest = hashlib.sha256(canonical_bytes(ck).encode()).hexdigest()
+        assert digest == PINNED_MULTI_SEED_SHA256[kind, seed], seed
+
+
+@pytest.mark.parametrize(
+    "kind", [NormKind.BATCH, NormKind.FAIR_IDENTITY], ids=lambda k: k.value
+)
+def test_a_seed_trains_the_same_alone_or_among_others(kind):
+    # 50 rows in batches of 7: batch norm skips the singleton last batch
+    train_set, eval_set = tiny_data(n_train=25)
+    config = tiny_config(norm_kind=kind, batch_size=7)
+    many = run_seeds(train_set, eval_set, config, seeds=(1, 2, 3))
+    one = run_seeds(train_set, eval_set, config, seeds=(2,))
+    solo_ck, solo_history = train(train_set, eval_set, replace(config, seed=2))
+    runs = [
+        (many.checkpoints[1], many.histories[1]),
+        (one.checkpoints[0], one.histories[0]),
+        (solo_ck, solo_history),
+    ]
+    for ck, history in runs:
+        assert ck.config.seed == 2
+        assert canonical_bytes(ck) == canonical_bytes(solo_ck)
+        assert history.losses == solo_history.losses
+        assert history.reports == solo_history.reports
+
+
+def test_eval_group_id_beyond_the_train_groups_is_refused():
+    # the eval set knows a third group the model has no parameters for; with
+    # two seeds in one run that id must not reach the second seed's rows
+    train_set, _ = tiny_data()
+    _, eval_set = generate(
+        SynthConfig(
+            d=4,
+            groups=(
+                GroupSpec("g0", 8, 6, 0.5, 2.0, 1.0),
+                GroupSpec("g1", 8, 6, 0.5, 1.2, -1.0),
+                GroupSpec("g2", 8, 6, 0.5, 1.0, 0.0),
+            ),
+        )
+    )
+    config = tiny_config(norm_kind=NormKind.FAIR_IDENTITY)
+    with pytest.raises(ValidationError, match="attribute id 2 out of range for 2 groups"):
+        run_seeds(train_set, eval_set, config, seeds=(1, 2))
+    with pytest.raises(ValidationError, match="out of range"):
+        train(train_set, eval_set, config)
