@@ -224,13 +224,16 @@ def _cmd_sweep(args) -> int:
         }
     write_pretty_json(payload, args.out)
     print(f"wrote sweep over {len(results)} blend values to {args.out}")
-    print(f"{'m':>4}  {'AUC':>16}  {'ES-AUC':>16}  {'DPD':>16}  {'DEOdds':>16}")
-    for m, agg in results:
+    # each blend value in its shortest exact form, so grid points stay distinct
+    labels = [repr(m) for m, _ in results]
+    width = max(len(label) for label in labels)
+    print(f"{'m':>{width}}  {'AUC':>16}  {'ES-AUC':>16}  {'DPD':>16}  {'DEOdds':>16}")
+    for label, (_, agg) in zip(labels, results):
         cells = [
             _fmt_pct(agg.metrics[k].mean, agg.metrics[k].std)
             for k in ("auc", "es_auc", "dpd", "deodds")
         ]
-        print(f"{m:>4.1f}  " + "  ".join(c.rjust(16) for c in cells))
+        print(f"{label:>{width}}  " + "  ".join(c.rjust(16) for c in cells))
     return 0
 
 

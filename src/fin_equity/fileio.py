@@ -6,15 +6,17 @@ formats are written in scientific notation with 17 significant digits
 The canonical JSON writer also fixes key order (insertion order) so that
 save -> load -> save is byte-identical.
 
-The CSV readers parse row by row, so every error names its line, and
-append straight into the columns of a Dataset or Predictions (dataset
-features into one preallocated float64 matrix).
+The CSV readers stream a file once into one flat list of cells, then check
+and convert it column by column. The checks run in the order a row loop
+meets them within a row, each over the rows before the earliest failure so
+far. So every error is the one a row-by-row reader raises, with the same
+line and text: the earliest record wins, and within a record the earlier
+check.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from typing import Sequence
@@ -99,15 +101,31 @@ def load_json(path: str, what: str = "file"):
             f"{what} {path!r} is not valid JSON: {exc.msg} at line {exc.lineno} "
             f"column {exc.colno}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{what} {path!r} is not valid UTF-8 ({exc.reason})"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
 # dataset CSV: header  id,attr,label,f0..f{d-1}
 
 
+def _csv_writer(f, ids: Sequence[str]):
+    """A csv writer with "\\n" line ends.
+
+    Minimal quoting quotes only the line terminator's characters, so an id
+    holding a lone "\\r" would be written bare and end its record when read
+    back; a file with such an id quotes every field.
+    """
+    quote_all = any("\r" in sid for sid in ids)
+    quoting = csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL
+    return csv.writer(f, lineterminator="\n", quoting=quoting)
+
+
 def write_dataset_csv(dataset: Dataset, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
+        w = _csv_writer(f, dataset.ids)
         w.writerow(["id", "attr", "label"] + [f"f{i}" for i in range(dataset.d)])
         for sid, attr, label, feats in zip(
             dataset.ids, dataset.attrs.tolist(), dataset.labels.tolist(), dataset.x
@@ -115,23 +133,143 @@ def write_dataset_csv(dataset: Dataset, path: str) -> None:
             w.writerow([sid, attr, label] + [format_float(v) for v in feats])
 
 
-def _parse_int(text: str, line: int, what: str) -> int:
+class _FirstError:
+    """The earliest failing data row of a CSV found so far, and its message.
+
+    Each check looks only at the rows before that failure (see the module
+    docstring). Messages name a row by its record number, the header being
+    line 1 and blank rows counted.
+    """
+
+    def __init__(self, rows: int, blanks: list[int]):
+        self.limit = rows  # rows [0, limit) are still checked
+        self.blanks = blanks  # record numbers of the skipped blank rows
+        self.message: str | None = None
+
+    def fail(self, i: int, message: str) -> None:
+        line = i + 2
+        for blank in self.blanks:
+            if blank > line:
+                break
+            line += 1
+        self.limit = i
+        self.message = f"line {line}: {message}"
+
+    def raise_first(self) -> None:
+        if self.message is not None:
+            raise ValidationError(self.message)
+
+    def first_of(self, texts: list[str], bad: set[str]) -> int | None:
+        """The first row still checked whose text is in bad."""
+        if bad:
+            for i, text in enumerate(texts[: self.limit]):
+                if text in bad:
+                    return i
+        return None
+
+    def duplicates(self, ids: list[str], what: str) -> None:
+        if len(set(ids)) == len(ids):
+            return
+        seen: set[str] = set()
+        for i, sid in enumerate(ids[: self.limit]):
+            if sid in seen:
+                self.fail(i, f"{what} {sid!r}")
+                return
+            seen.add(sid)
+
+    def ints(self, texts: list[str], what: str) -> dict[str, int]:
+        """int() of each distinct text of the rows still checked."""
+        values, bad = {}, set()
+        for text in set(texts[: self.limit]):
+            try:
+                values[text] = int(text)
+            except ValueError:
+                bad.add(text)
+        i = self.first_of(texts, bad)
+        if i is not None:
+            self.fail(i, f"{what} {texts[i]!r} is not an integer")
+        return values
+
+    def refuse(
+        self, texts: list[str], values: dict[str, int], refused, message
+    ) -> None:
+        """Fail at the first row still checked whose value is refused."""
+        i = self.first_of(texts, {t for t, v in values.items() if refused(v)})
+        if i is not None:
+            self.fail(i, message(i, values[texts[i]]))
+
+    def mask(self, bad: np.ndarray, message) -> None:
+        """Fail at the first row still checked where bad is true."""
+        hits = np.flatnonzero(bad[: self.limit])
+        if hits.size:
+            self.fail(int(hits[0]), message(int(hits[0])))
+
+    def floats(self, cells: np.ndarray, message) -> np.ndarray:
+        """float() of each cell of an (n, k) object array, in the rows still
+        checked. A refused cell fails its row; the leftmost one is named."""
+        cells = cells[: self.limit]
+        try:
+            return cells.astype(np.float64)
+        except ValueError:
+            pass
+        first, error = len(cells), None
+        for column in cells.T:
+            try:
+                column[:first].astype(np.float64)
+                continue
+            except ValueError:
+                pass
+            for i, text in enumerate(column[:first]):
+                try:
+                    float(text)
+                except ValueError as exc:
+                    first, error = i, exc
+                    break
+        self.fail(first, message(first, error))
+        return cells[:first].astype(np.float64)
+
+
+def _read_cells(path: str, header_width) -> tuple[list[str], int, _FirstError]:
+    """Stream a CSV once into one flat list of its data cells.
+
+    header_width checks the header row and returns the width of a data row.
+    Blank rows are skipped; reading stops at the first row of another width,
+    which becomes the first error. Returns the cells, the width and the
+    error tracker over the rows read.
+    """
+    record = 0  # records read so far; the header is record 1
     try:
-        return int(text)
-    except ValueError as exc:
-        raise ValidationError(f"line {line}: {what} {text!r} is not an integer") from exc
-
-
-def _read_rows(path: str) -> list[list[str]]:
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows:
-        raise ValidationError(f"{path!r} is empty")
-    return rows
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            reader = csv.reader(f)
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{path!r} is empty")
+            record = 1
+            width = header_width(header)
+            cells: list[str] = []
+            blanks: list[int] = []
+            wrong = None
+            for row in reader:
+                record += 1
+                if len(row) == width:
+                    cells.extend(row)
+                elif row:
+                    wrong = len(row)
+                    break
+                else:
+                    blanks.append(record)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path!r} is not valid UTF-8 ({exc.reason})") from exc
+    except csv.Error as exc:
+        raise ValidationError(f"{path!r} line {record + 1}: {exc}") from exc
+    first = _FirstError(len(cells) // width, blanks)
+    if wrong is not None:
+        first.fail(first.limit, f"expected {width} fields, got {wrong}")
+    return cells, width, first
 
 
 def _attribute_set(
-    path: str, attrs: list[int], group_names: Sequence[str] | None
+    path: str, attrs: dict[str, int], group_names: Sequence[str] | None
 ) -> AttributeSet:
     """The given group names, or group0..k defaults for the largest id k.
 
@@ -139,7 +277,7 @@ def _attribute_set(
     """
     if not attrs:
         raise ValidationError(f"{path!r} has a header but no data rows")
-    max_attr = max(attrs)
+    max_attr = max(attrs.values())
     if group_names is None:
         return AttributeSet.default(max_attr + 1)
     attribute_set = AttributeSet(tuple(group_names))
@@ -151,15 +289,19 @@ def _attribute_set(
     return attribute_set
 
 
-def read_dataset_csv(path: str, group_names: Sequence[str] | None = None) -> Dataset:
-    """Load and validate a dataset CSV.
+def _int_column(texts: list[str], values: dict[str, int], dtype) -> np.ndarray:
+    return np.fromiter(map(values.__getitem__, texts), dtype, len(texts))
 
-    Group names default to group0..k where k is the largest attribute id
-    seen; pass group_names (e.g. from a sidecar file) to override. Sample
-    ids must be unique; violations name the offending line.
-    """
-    rows = _read_rows(path)
-    header = rows[0]
+
+def _negative(attr: int) -> bool:
+    return attr < 0
+
+
+def _not_binary(label: int) -> bool:
+    return label not in (0, 1)
+
+
+def _dataset_width(header: list[str]) -> int:
     if len(header) < 4 or header[:3] != ["id", "attr", "label"]:
         raise ValidationError(
             f"line 1: header must start with id,attr,label,f0..., got {header[:4]}"
@@ -167,38 +309,42 @@ def read_dataset_csv(path: str, group_names: Sequence[str] | None = None) -> Dat
     d = len(header) - 3
     if header[3:] != [f"f{i}" for i in range(d)]:
         raise ValidationError(f"line 1: feature columns must be f0..f{d-1}")
-    x = np.empty((len(rows) - 1, d), dtype=np.float64)
-    ids, labels, attrs = [], [], []
-    seen: set[str] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != d + 3:
-            raise ValidationError(
-                f"line {lineno}: expected {d + 3} fields, got {len(row)}"
-            )
-        sid = row[0]
-        if sid in seen:
-            raise ValidationError(f"line {lineno}: duplicate sample id {sid!r}")
-        seen.add(sid)
-        attr = _parse_int(row[1], lineno, "attr")
-        if attr < 0:
-            raise ValidationError(f"line {lineno}: attr must be >= 0, got {attr}")
-        label = _parse_int(row[2], lineno, "label")
-        if label not in (0, 1):
-            raise ValidationError(f"line {lineno}: label must be 0 or 1, got {label}")
-        feats = x[len(ids)]
-        try:
-            feats[:] = row[3:]
-        except ValueError as exc:
-            raise ValidationError(f"line {lineno}: bad feature value ({exc})") from exc
-        if not np.isfinite(feats).all():
-            raise ValidationError(f"line {lineno}: non-finite feature value")
-        ids.append(sid)
-        labels.append(label)
-        attrs.append(attr)
+    return d + 3
+
+
+def read_dataset_csv(path: str, group_names: Sequence[str] | None = None) -> Dataset:
+    """Load and validate a dataset CSV.
+
+    Group names default to group0..k where k is the largest attribute id
+    seen; pass group_names (e.g. from a sidecar file) to override. Sample
+    ids must be unique; violations name the offending line.
+    """
+    cells, width, first = _read_cells(path, _dataset_width)
+    ids, attr_text, label_text = (cells[c::width] for c in range(3))
+    first.duplicates(ids, "duplicate sample id")
+    attrs = first.ints(attr_text, "attr")
+    first.refuse(
+        attr_text, attrs, _negative, lambda i, v: f"attr must be >= 0, got {v}"
+    )
+    labels = first.ints(label_text, "label")
+    first.refuse(
+        label_text, labels, _not_binary, lambda i, v: f"label must be 0 or 1, got {v}"
+    )
+    # the feature strings are most of the file's memory: free them once parsed
+    table = np.array(cells, dtype=object).reshape(-1, width)
+    del cells
+    x = first.floats(table[:, 3:], lambda i, exc: f"bad feature value ({exc})")
+    del table
+    first.mask(~np.isfinite(x).all(axis=1), lambda i: "non-finite feature value")
+    first.raise_first()
     attribute_set = _attribute_set(path, attrs, group_names)
-    dataset = Dataset(attribute_set, x[: len(ids)], labels, attrs, ids)
+    dataset = Dataset(
+        attribute_set,
+        x,
+        _int_column(label_text, labels, np.int64),
+        _int_column(attr_text, attrs, np.intp),
+        ids,
+    )
     require_valid(dataset, what=path)
     return dataset
 
@@ -209,7 +355,7 @@ def read_dataset_csv(path: str, group_names: Sequence[str] | None = None) -> Dat
 
 def write_predictions_csv(predictions: Predictions, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
+        w = _csv_writer(f, predictions.ids)
         w.writerow(["id", "score", "label", "attr"])
         w.writerows(
             zip(
@@ -221,49 +367,50 @@ def write_predictions_csv(predictions: Predictions, path: str) -> None:
         )
 
 
+def _predictions_width(header: list[str]) -> int:
+    if header != ["id", "score", "label", "attr"]:
+        raise ValidationError(
+            f"line 1: header must be id,score,label,attr, got {header}"
+        )
+    return 4
+
+
 def read_predictions_csv(
     path: str, group_names: Sequence[str] | None = None
 ) -> tuple[Predictions, AttributeSet]:
-    rows = _read_rows(path)
-    if rows[0] != ["id", "score", "label", "attr"]:
-        raise ValidationError(
-            f"line 1: header must be id,score,label,attr, got {rows[0]}"
-        )
-    ids, scores, labels, attrs = [], [], [], []
-    seen: set[str] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ValidationError(f"line {lineno}: expected 4 fields, got {len(row)}")
-        sid = row[0]
-        if sid in seen:
-            raise ValidationError(f"line {lineno}: duplicate id {sid!r}")
-        seen.add(sid)
-        try:
-            score = float(row[1])
-        except ValueError as exc:
-            raise ValidationError(
-                f"line {lineno}: score {row[1]!r} is not a number"
-            ) from exc
-        label = _parse_int(row[2], lineno, "label")
-        attr = _parse_int(row[3], lineno, "attr")
-        if attr < 0:
-            raise ValidationError(f"line {lineno}: attr must be >= 0, got {attr}")
-        if not 0.0 <= score <= 1.0:
-            raise ValidationError(
-                f"line {lineno}: record {sid!r}: score must lie in [0, 1], got {score!r}"
-            )
-        if label not in (0, 1):
-            raise ValidationError(
-                f"line {lineno}: record {sid!r}: label must be 0 or 1, got {label!r}"
-            )
-        ids.append(sid)
-        scores.append(score)
-        labels.append(label)
-        attrs.append(attr)
+    cells, _, first = _read_cells(path, _predictions_width)
+    ids, score_text, label_text, attr_text = (cells[c::4] for c in range(4))
+    del cells
+    first.duplicates(ids, "duplicate id")
+    scores = first.floats(
+        np.array(score_text, dtype=object)[:, None],
+        lambda i, exc: f"score {score_text[i]!r} is not a number",
+    )[:, 0]
+    labels = first.ints(label_text, "label")
+    attrs = first.ints(attr_text, "attr")
+    first.refuse(
+        attr_text, attrs, _negative, lambda i, v: f"attr must be >= 0, got {v}"
+    )
+    first.mask(
+        ~((scores >= 0.0) & (scores <= 1.0)),  # NaN fails both
+        lambda i: f"record {ids[i]!r}: score must lie in [0, 1], "
+        f"got {float(scores[i])!r}",
+    )
+    first.refuse(
+        label_text,
+        labels,
+        _not_binary,
+        lambda i, v: f"record {ids[i]!r}: label must be 0 or 1, got {v!r}",
+    )
+    first.raise_first()
     attribute_set = _attribute_set(path, attrs, group_names)
-    return Predictions(ids, scores, labels, attrs), attribute_set
+    predictions = Predictions(
+        ids,
+        scores,
+        _int_column(label_text, labels, np.int64),
+        _int_column(attr_text, attrs, np.intp),
+    )
+    return predictions, attribute_set
 
 
 # ---------------------------------------------------------------------------

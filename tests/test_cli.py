@@ -374,3 +374,92 @@ def test_non_finite_checkpoint_is_exit_2(workdir, tmp_path):
     )
     assert r.returncode == 2, r.stderr
     assert "head.w: non-finite value" in r.stderr
+
+
+def test_sweep_momentum_table_labels_each_blend_value(workdir, tmp_path):
+    r = run_cli(
+        "sweep-momentum",
+        "--config", str(workdir / "train.json"),
+        "--train", str(workdir / "train.csv"),
+        "--eval", str(workdir / "eval.csv"),
+        "--grid", "0:1:0.25",
+        "--seeds", "1",
+        "--out", str(tmp_path / "sweep.json"),
+    )
+    assert r.returncode == 0, r.stderr
+    table = r.stdout.splitlines()[1:]
+    assert table[0].split()[:2] == ["m", "AUC"]
+    labels = [line.split()[0] for line in table[1:]]
+    assert labels == ["0.0", "0.25", "0.5", "0.75", "1.0"]
+    ends = {line.index(line.split()[0]) + len(line.split()[0]) for line in table}
+    assert len(ends) == 1  # the m column is right-aligned under its header
+
+
+UNDECODABLE = b"\xff\xfe not utf-8"
+
+
+@pytest.mark.parametrize("target", ["train.csv", "train.json", "groups.json"])
+def test_undecodable_train_input_is_exit_2(workdir, tmp_path, target):
+    for name in ("train.csv", "train.json"):
+        (tmp_path / name).write_bytes((workdir / name).read_bytes())
+    (tmp_path / "groups.json").write_text('{"groups": ["g0", "g1"]}')
+    good = (tmp_path / target).read_bytes()
+    (tmp_path / target).write_bytes(good[:10] + UNDECODABLE + good[10:])
+    r = run_cli(
+        "train",
+        "--config", str(tmp_path / "train.json"),
+        "--train", str(tmp_path / "train.csv"),
+        "--eval", str(workdir / "eval.csv"),
+        "--seeds", "1",
+        "--out-prefix", str(tmp_path / "x_"),
+        "--groups", str(tmp_path / "groups.json"),
+    )
+    assert r.returncode == 2, r.stderr
+    assert f"{target}' is not valid UTF-8" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_undecodable_synth_config_is_exit_2(tmp_path):
+    config = tmp_path / "synth.json"
+    config.write_bytes(json.dumps(SYNTH_CONFIG).encode()[:20] + UNDECODABLE)
+    r = run_cli(
+        "synth",
+        "--config", str(config),
+        "--out-train", str(tmp_path / "train.csv"),
+        "--out-eval", str(tmp_path / "eval.csv"),
+    )
+    assert r.returncode == 2, r.stderr
+    assert "synth config" in r.stderr and "not valid UTF-8" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_undecodable_checkpoint_is_exit_2(workdir, tmp_path):
+    path = tmp_path / "ck.json"
+    path.write_bytes((workdir / "run_checkpoint_seed1.json").read_bytes() + UNDECODABLE)
+    r = run_cli(
+        "evaluate",
+        "--checkpoint", str(path),
+        "--data", str(workdir / "eval.csv"),
+        "--out", str(tmp_path / "r.json"),
+    )
+    assert r.returncode == 2, r.stderr
+    assert "checkpoint" in r.stderr and "not valid UTF-8" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_undecodable_predictions_csv_is_exit_2(tmp_path):
+    bad = tmp_path / "preds.csv"
+    bad.write_bytes(b"id,score,label,attr\nrow,0.5,1,0\nr\xff,0.5,1,0\n")
+    r = run_cli("report", "--predictions", str(bad), "--out", str(tmp_path / "r.json"))
+    assert r.returncode == 2, r.stderr
+    assert "preds.csv' is not valid UTF-8" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_oversized_csv_field_is_exit_2(tmp_path):
+    bad = tmp_path / "preds.csv"
+    bad.write_text("id,score,label,attr\nrow,0.5,1,0\n" + "x" * 200_000 + ",0.5,1,0\n")
+    r = run_cli("report", "--predictions", str(bad), "--out", str(tmp_path / "r.json"))
+    assert r.returncode == 2, r.stderr
+    assert "preds.csv' line 3: field larger than field limit" in r.stderr
+    assert "Traceback" not in r.stderr

@@ -122,6 +122,7 @@ def test_dataset_csv_errors_name_the_line(tmp_path):
         ([header, "a,-1,1,0.5"], "attr must be >= 0"),
         ([header, "a,0,1,zzz"], "bad feature value"),
         ([header, "a,0,1,inf"], "non-finite"),
+        (["id,attr,label,f0,f1", "a,0,1,0.5,nan"], "line 2: non-finite"),
         ([header, "a,0,1"], "expected 4 fields"),
         ([header], "no data rows"),
     ]
@@ -152,6 +153,17 @@ def test_predictions_csv_round_trip(tmp_path):
     # write -> read -> write gives the same bytes
     write_predictions_csv(back, str(tmp_path / "again.csv"))
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "preds.csv").read_bytes()
+
+
+def test_ids_with_a_carriage_return_round_trip(tmp_path):
+    # minimal quoting would leave the lone \r bare and split the record
+    preds = Predictions(("a\rb", "c"), [0.25, 0.5], [0, 1], [0, 1])
+    write_predictions_csv(preds, str(tmp_path / "preds.csv"))
+    back, _ = read_predictions_csv(str(tmp_path / "preds.csv"))
+    assert same_predictions(back, preds)
+    ds = Dataset(AttributeSet.default(1), [[1.5], [2.5]], [0, 1], [0, 0], ("x\r", "y"))
+    write_dataset_csv(ds, str(tmp_path / "data.csv"))
+    assert read_dataset_csv(str(tmp_path / "data.csv")).ids == ("x\r", "y")
 
 
 def test_predictions_csv_errors(tmp_path):
