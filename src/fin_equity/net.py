@@ -12,6 +12,14 @@ call, with a batch of shape (S, batch, ...). Products use a stacked matmul
 that transposes the last two axes only and reductions run over the batch
 axis, so each model's slice of every result is bit for bit what the op
 gives that model alone.
+
+forward, cross_entropy and backward check their inputs, then call a private
+kernel (_forward, _cross_entropy, _backward) that holds the only copy of
+the op's arithmetic and trusts its inputs: checked shapes, group rows from
+`norms.fin_rows`, a one_hot label mask. The training loop checks its data
+once per run and calls the kernels directly. The backward pass stops at
+the weight and bias gradients of the first backbone layer; the gradient
+with respect to the model input is never formed.
 """
 
 from __future__ import annotations
@@ -25,13 +33,14 @@ from .norms import (
     BatchNormState,
     FinParams,
     NormKind,
-    bn_backward,
-    bn_forward,
-    fin_backward,
-    fin_forward,
+    _bn_backward,
+    _bn_forward,
+    _fin_backward,
+    _fin_forward,
+    bn_check_batch,
+    fin_rows,
     init_fin,
-    lbn_backward,
-    lbn_forward,
+    shared_attrs,
 )
 from .optim import flat_views
 
@@ -111,9 +120,7 @@ def init_mlp(
 @dataclass
 class ForwardCaches:
     mode: str
-    backbone: list[tuple[np.ndarray, np.ndarray | None]]  # (input, pre) per layer
-    norm_cache: object | None
-    head_input: np.ndarray
+    saved: tuple  # what _forward saved for _backward
     consumed: bool = False
 
 
@@ -137,36 +144,48 @@ def forward(
         raise ValidationError(
             f"input must be (batch, {model.input_dim}), got {x.shape}"
         )
-    h = x
-    backbone_caches: list[tuple[np.ndarray, np.ndarray | None]] = []
-    last = len(model.backbone) - 1
-    for i, layer in enumerate(model.backbone):
-        pre = h @ layer.w + layer.b[..., None, :]
-        if i < last:
-            backbone_caches.append((h, pre))
-            h = np.maximum(pre, 0.0)
-        else:
-            backbone_caches.append((h, None))  # no activation after the last layer
-            h = pre
-
-    if model.norm_kind is NormKind.NONE:
-        z_out, norm_cache = h, None
-    elif model.norm_kind is NormKind.BATCH:
-        z_out, norm_cache = bn_forward(h, model.norm, mode)
+    batch = x.shape[-2]
+    rows = None
+    if model.norm_kind is NormKind.BATCH and mode == "training":
+        bn_check_batch(batch)
     elif model.norm_kind is NormKind.LEARNABLE_SHARED:
-        z_out, norm_cache = lbn_forward(h, model.norm)
-    else:
+        rows = fin_rows(shared_attrs(model.norm, batch), model.norm, batch)
+    elif model.norm_kind is NormKind.FAIR_IDENTITY:
         if attrs is None:
             raise ValidationError(
                 "group-aware normalizer needs an attribute id per row"
             )
-        z_out, norm_cache = fin_forward(h, attrs, model.norm)
+        rows = fin_rows(attrs, model.norm, batch)
+    logits, saved = _forward(model, x, rows, mode == "training")
+    return logits, ForwardCaches(mode=mode, saved=saved)
 
-    logits = z_out @ model.head.w + model.head.b[..., None, :]
-    caches = ForwardCaches(
-        mode=mode, backbone=backbone_caches, norm_cache=norm_cache, head_input=z_out
-    )
-    return logits, caches
+
+def _forward(model: MlpModel, x: np.ndarray, rows, training: bool):
+    """Kernel of forward: x is checked float64, rows the normalizer's group rows.
+
+    Returns the logits and what `_backward` needs: each backbone layer's
+    (input, pre-activation), the normalizer's saved values and the head input.
+    """
+    h = x
+    layers: list[tuple[np.ndarray, np.ndarray | None]] = []
+    last = len(model.backbone) - 1
+    for i, layer in enumerate(model.backbone):
+        pre = h @ layer.w + layer.b[..., None, :]
+        if i < last:
+            layers.append((h, pre))
+            h = np.maximum(pre, 0.0)
+        else:
+            layers.append((h, None))  # no activation after the last layer
+            h = pre
+
+    if model.norm_kind is NormKind.NONE:
+        z, norm_saved = h, None
+    elif model.norm_kind is NormKind.BATCH:
+        z, norm_saved = _bn_forward(h, model.norm, training)
+    else:
+        z, norm_saved = _fin_forward(h, rows, model.norm)
+    logits = z @ model.head.w + model.head.b[..., None, :]
+    return logits, (layers, norm_saved, z)
 
 
 def softmax(logits) -> np.ndarray:
@@ -178,6 +197,11 @@ def softmax(logits) -> np.ndarray:
 
 
 _CLASSES = np.arange(2)
+
+
+def one_hot(labels: np.ndarray) -> np.ndarray:
+    """Boolean (..., 2) mask of each label's class; a row not 0/1 is all False."""
+    return labels[..., None] == _CLASSES
 
 
 def cross_entropy(logits, labels) -> tuple[float | np.ndarray, np.ndarray]:
@@ -193,17 +217,22 @@ def cross_entropy(logits, labels) -> tuple[float | np.ndarray, np.ndarray]:
         raise ValidationError(f"logits must be (batch, 2), got {logits.shape}")
     if labels.shape != logits.shape[:-1]:
         raise ValidationError("labels must be a 1-D array of 0/1 matching the batch")
-    onehot = labels[..., None] == _CLASSES  # no row can match both classes
+    onehot = one_hot(labels)  # no row can match both classes
     if np.count_nonzero(onehot) != labels.size:
         raise ValidationError("labels must be a 1-D array of 0/1 matching the batch")
-    n = logits.shape[-2]
+    loss, grad = _cross_entropy(logits, onehot)
+    return (float(loss) if loss.ndim == 0 else loss), grad
+
+
+def _cross_entropy(logits: np.ndarray, onehot: np.ndarray):
+    """Kernel of cross_entropy: onehot is a valid one_hot mask of the labels."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    loss = -log_probs[onehot].reshape(labels.shape).mean(axis=-1)
+    loss = -log_probs[onehot].reshape(onehot.shape[:-1]).mean(axis=-1)
     grad = np.exp(log_probs)
     grad -= onehot  # 1.0 off each row's label entry, 0.0 (exact) off the other
-    grad /= n
-    return (float(loss) if loss.ndim == 0 else loss), grad
+    grad /= logits.shape[-2]
+    return loss, grad
 
 
 @dataclass
@@ -228,53 +257,49 @@ def backward(
         raise CacheError("forward caches already consumed by a backward pass")
     caches.consumed = True
     g = np.asarray(grad_logits, dtype=np.float64)
-    if g.shape != caches.head_input.shape[:-1] + (2,):
+    head_input = caches.saved[2]
+    if g.shape != head_input.shape[:-1] + (2,):
         raise CacheError(
             f"grad_logits shape {g.shape} does not match batch "
-            f"{caches.head_input.shape[:-1] + (2,)}"
+            f"{head_input.shape[:-1] + (2,)}"
         )
+    params = named_parameters(model)
+    if out is None:
+        out = {name: np.empty(p.shape) for name, p in params.items()}
+    _backward(model, caches.saved, g, out)
+    return Gradients(
+        backbone=[
+            (out[f"backbone.{i}.w"], out[f"backbone.{i}.b"])
+            for i in range(len(model.backbone))
+        ],
+        norm=tuple(out[name] for name in params if name.startswith("norm.")) or None,
+        head=(out["head.w"], out["head.b"]),
+    )
 
-    def dest(name: str) -> np.ndarray | None:
-        return None if out is None else out[name]
 
-    def dest_pair(a: str, b: str) -> tuple[np.ndarray, np.ndarray] | None:
-        return None if out is None else (out[a], out[b])
+def _backward(model: MlpModel, saved, g: np.ndarray, out) -> None:
+    """Kernel of backward: writes every parameter gradient into out[name].
 
-    grad_head_w = np.matmul(caches.head_input.swapaxes(-1, -2), g, out=dest("head.w"))
-    grad_head_b = g.sum(axis=-2, out=dest("head.b"))
+    The gradient w.r.t. the model input is never formed: backbone layer 0
+    stops at its own weight and bias gradients.
+    """
+    layers, norm_saved, head_input = saved
+    np.matmul(head_input.swapaxes(-1, -2), g, out=out["head.w"])
+    g.sum(axis=-2, out=out["head.b"])
     gz = g @ model.head.w.swapaxes(-1, -2)
 
-    norm_grads: tuple[np.ndarray, np.ndarray] | None
-    if model.norm_kind is NormKind.NONE:
-        norm_grads = None
-    elif model.norm_kind is NormKind.BATCH:
-        gz, dgamma, dbeta = bn_backward(
-            gz, caches.norm_cache, dest_pair("norm.gamma", "norm.beta")
-        )
-        norm_grads = (dgamma, dbeta)
-    elif model.norm_kind is NormKind.LEARNABLE_SHARED:
-        gz, dmu, dtau = lbn_backward(
-            gz, caches.norm_cache, dest_pair("norm.mu", "norm.tau")
-        )
-        norm_grads = (dmu, dtau)
-    else:
-        gz, dmu, dtau = fin_backward(
-            gz, caches.norm_cache, dest_pair("norm.mu", "norm.tau")
-        )
-        norm_grads = (dmu, dtau)
+    if model.norm_kind is NormKind.BATCH:
+        gz = _bn_backward(gz, norm_saved, out["norm.gamma"], out["norm.beta"])
+    elif model.norm_kind is not NormKind.NONE:
+        gz = _fin_backward(gz, norm_saved, out["norm.mu"], out["norm.tau"])
 
-    backbone_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.backbone)
-    for i in range(len(model.backbone) - 1, -1, -1):
-        inp, pre = caches.backbone[i]
+    for i in range(len(layers) - 1, -1, -1):
+        inp, pre = layers[i]
         gpre = gz if pre is None else gz * (pre > 0)  # ramp subgradient at 0 is 0
-        backbone_grads[i] = (
-            np.matmul(inp.swapaxes(-1, -2), gpre, out=dest(f"backbone.{i}.w")),
-            gpre.sum(axis=-2, out=dest(f"backbone.{i}.b")),
-        )
-        gz = gpre @ model.backbone[i].w.swapaxes(-1, -2)
-    return Gradients(
-        backbone=backbone_grads, norm=norm_grads, head=(grad_head_w, grad_head_b)
-    )
+        np.matmul(inp.swapaxes(-1, -2), gpre, out=out[f"backbone.{i}.w"])
+        gpre.sum(axis=-2, out=out[f"backbone.{i}.b"])
+        if i:
+            gz = gpre @ model.backbone[i].w.swapaxes(-1, -2)
 
 
 def named_parameters(model: MlpModel) -> dict[str, np.ndarray]:
@@ -338,18 +363,44 @@ def _map_model(models, fn) -> MlpModel:
 def stack_models(models) -> MlpModel:
     """One model serving all of models, each array stacked on a leading axis.
 
-    The models must share their architecture. The stacked trainable
-    parameters are views of one flat float64 buffer, block after block in
-    named_parameters order; batch-norm running statistics are stacked into
-    arrays of their own.
+    The models must share their architecture, normalizer kind and the
+    normalizer's non-array fields (a ValidationError names the field that
+    differs). The stacked trainable parameters are views of one flat
+    float64 buffer, block after block in named_parameters order; batch-norm
+    running statistics are stacked into arrays of their own.
     """
     models = list(models)
+    _check_same_settings(models)
     first = named_parameters(models[0])
     _, views = flat_views({name: (len(models),) + p.shape for name, p in first.items()})
     slot = {id(p): views[name] for name, p in first.items()}
     return _map_model(
         models, lambda *arrays: np.stack(arrays, out=slot.get(id(arrays[0])))
     )
+
+
+def _check_same_settings(models) -> None:
+    """Refuse models whose normalizer kind or non-array norm fields differ.
+
+    A stack keeps one value of each, such as FinParams.momentum or
+    BatchNormState.eps, so stacking models that differ there would
+    silently run them all with the first model's value.
+    """
+    first = models[0]
+    for model in models[1:]:
+        if model.norm_kind is not first.norm_kind:
+            raise ValidationError(
+                f"cannot stack models with different norm kinds: "
+                f"{first.norm_kind.value} and {model.norm_kind.value}"
+            )
+        if first.norm is None:
+            continue
+        for f in fields(first.norm):
+            a, b = getattr(first.norm, f.name), getattr(model.norm, f.name)
+            if not isinstance(a, np.ndarray) and a != b:
+                raise ValidationError(
+                    f"cannot stack models whose norm.{f.name} differs: {a!r} and {b!r}"
+                )
 
 
 def model_slice(model: MlpModel, index: int) -> MlpModel:

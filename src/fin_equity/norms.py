@@ -35,6 +35,13 @@ dim) or (S, dim) serve S independent models whose features come as
 group-aware ops gather and scatter through the flattened row s * groups + a,
 so each model only ever touches its own rows, in batch order. Each model's
 slice of the result is bit for bit what the op gives that model alone.
+
+Each op is split in two. The public entry point (fin_forward, fin_backward,
+bn_forward, bn_backward) checks its inputs and raises the errors callers
+see; a private kernel (_fin_forward, _fin_backward, _bn_forward,
+_bn_backward) holds the only copy of the op's arithmetic and trusts its
+inputs. The public entry point always ends in its kernel, and the training
+loop, which checks its data once per run, calls the kernels directly.
 """
 
 from __future__ import annotations
@@ -145,29 +152,28 @@ class NormCache:
     consumed: bool = False
 
 
-def _feature_error(z: np.ndarray, models: tuple[int, ...], dim: int) -> ValidationError:
-    want = ", ".join([*map(str, models), "batch", str(dim)])
-    return ValidationError(f"features must be ({want}), got {z.shape}")
-
-
-def fin_forward(z, attrs, params: FinParams) -> tuple[np.ndarray, NormCache]:
-    """Normalize each row by its group's (mu, sigma), then blend with m.
-
-    z is (batch, dim), or (models, batch, dim) for stacked params; attrs
-    holds one group id per row, either (batch,) shared by every model or
-    one row of ids per model. Every id must be a valid group id of an
-    integer dtype; there is no fallback for unseen groups, by design. The
-    ids are checked before they are offset into the flattened stack, so a
-    bad id can never reach another model's parameters.
-    """
+def _features(z, models: tuple[int, ...], dim: int) -> np.ndarray:
+    """z as float64, checked to be (*models, batch, dim)."""
     z = np.asarray(z, dtype=np.float64)
-    models = params.mu.shape[:-2]
-    if z.ndim < 2 or z.shape[:-2] != models or z.shape[-1] != params.dim:
-        raise _feature_error(z, models, params.dim)
+    if z.ndim < 2 or z.shape[:-2] != models or z.shape[-1] != dim:
+        want = ", ".join([*map(str, models), "batch", str(dim)])
+        raise ValidationError(f"features must be ({want}), got {z.shape}")
+    return z
+
+
+def fin_rows(attrs, params: FinParams, batch: int) -> np.ndarray:
+    """Check one batch's group ids and offset them into the flattened stack.
+
+    attrs is (batch,), shared by every model, or one row of ids per model.
+    Every id must be a valid group id of an integer dtype; there is no
+    fallback for unseen groups, by design. The ids are checked before they
+    are offset, so a bad id can never reach another model's parameters.
+    """
     attrs = np.asarray(attrs)
-    if attrs.shape not in (z.shape[:-1], z.shape[-2:-1]):
+    models = params.mu.shape[:-2]
+    if attrs.shape not in (models + (batch,), (batch,)):
         raise ValidationError(
-            f"attrs must be 1-D of length {z.shape[-2]}, got shape {attrs.shape}"
+            f"attrs must be 1-D of length {batch}, got shape {attrs.shape}"
         )
     if attrs.dtype.kind not in "iu":
         raise ValidationError(
@@ -179,26 +185,52 @@ def fin_forward(z, attrs, params: FinParams) -> tuple[np.ndarray, NormCache]:
     if bad.size:
         first = int(bad[0])
         raise ValidationError(
-            f"batch position {first % attrs.shape[-1]}: attribute id "
+            f"batch position {first % batch}: attribute id "
             f"{int(attrs.flat[first])} out of range for {groups} groups"
         )
-    rows = attrs
+    return _offset_rows(attrs, groups, models)
+
+
+def _offset_rows(attrs: np.ndarray, groups: int, models: tuple[int, ...]) -> np.ndarray:
+    """Valid intp group ids as rows of the flattened (models * groups) stack."""
     if math.prod(models) > 1:  # each model's ids index its own block of rows
-        rows = attrs + groups * np.arange(models[0])[:, None]
+        return attrs + groups * np.arange(models[0])[:, None]
+    return attrs
+
+
+def shared_attrs(params: FinParams, batch: int) -> np.ndarray:
+    """The group ids of the shared normalizer: all zero, for its one group."""
+    if params.group_count != 1:
+        raise ValidationError(
+            f"shared normalizer needs group_count 1, got {params.group_count}"
+        )
+    return np.zeros(batch, dtype=np.intp)
+
+
+def fin_forward(z, attrs, params: FinParams) -> tuple[np.ndarray, NormCache]:
+    """Normalize each row by its group's (mu, sigma), then blend with m.
+
+    z is (batch, dim), or (models, batch, dim) for stacked params; attrs
+    holds one group id per row, checked by `fin_rows`.
+    """
+    z = _features(z, params.mu.shape[:-2], params.dim)
+    out, saved = _fin_forward(z, fin_rows(attrs, params, z.shape[-2]), params)
+    return out, NormCache(*saved)
+
+
+def _fin_forward(z: np.ndarray, rows: np.ndarray, params: FinParams):
+    """Kernel of fin_forward; rows are each row's group as `fin_rows` gives them.
+
+    Returns the output and the values saved for `_fin_backward`, in
+    NormCache field order.
+    """
     dim = params.dim
     m = float(params.momentum)
     sigma = softplus(params.tau).reshape(-1, dim)
     centered = z - params.mu.reshape(-1, dim)[rows]
     zhat = centered / sigma[rows]
     out = (1.0 - m) * zhat + m * z
-    cache = NormCache(
-        momentum=m,
-        rows=rows,
-        sigma=sigma,
-        sig_grad=softplus_grad(params.tau),
-        centered=centered,
-    )
-    return out, cache
+    return out, (m, rows, sigma, softplus_grad(params.tau), centered)
 
 
 def fin_backward(
@@ -220,34 +252,37 @@ def fin_backward(
             f"{cache.centered.shape}"
         )
     cache.consumed = True
-    m = cache.momentum
+    shape = cache.sig_grad.shape
+    grad_mu, grad_tau = (np.empty(shape), np.empty(shape)) if out is None else out
+    saved = (cache.momentum, cache.rows, cache.sigma, cache.sig_grad, cache.centered)
+    return _fin_backward(grad_out, saved, grad_mu, grad_tau), grad_mu, grad_tau
+
+
+def _fin_backward(grad_out: np.ndarray, saved, grad_mu, grad_tau) -> np.ndarray:
+    """Kernel of fin_backward: writes grad_mu and grad_tau, returns grad_z."""
+    m, rows, sigma, sig_grad, centered = saved
     one_m = 1.0 - m
-    sig_rows = cache.sigma[cache.rows]
+    sig_rows = sigma[rows]
     grad_z = grad_out * (one_m / sig_rows + m)
     per_mu = -grad_out * (one_m / sig_rows)
-    per_sigma = -grad_out * one_m * cache.centered / (sig_rows * sig_rows)
-    shape = cache.sig_grad.shape
-    dim = shape[-1]
-    grad_mu, grad_tau = (np.empty(shape), None) if out is None else out
+    per_sigma = -grad_out * one_m * centered / (sig_rows * sig_rows)
+    dim = sig_grad.shape[-1]
     grad_mu[...] = 0.0
-    grad_sigma = np.zeros(shape)
-    rows = cache.rows.ravel()
+    grad_sigma = np.zeros(sig_grad.shape)
+    rows = rows.ravel()
     np.add.at(grad_mu.reshape(-1, dim), rows, per_mu.reshape(-1, dim))
     np.add.at(grad_sigma.reshape(-1, dim), rows, per_sigma.reshape(-1, dim))
-    grad_tau = np.multiply(grad_sigma, cache.sig_grad, out=grad_tau)
-    return grad_z, grad_mu, grad_tau
+    np.multiply(grad_sigma, sig_grad, out=grad_tau)
+    return grad_z
 
 
 def lbn_forward(z, params: FinParams) -> tuple[np.ndarray, NormCache]:
     """Shared learnable normalizer: the group-aware op with one group."""
-    if params.group_count != 1:
-        raise ValidationError(
-            f"shared normalizer needs group_count 1, got {params.group_count}"
-        )
     z = np.asarray(z, dtype=np.float64)
+    attrs = shared_attrs(params, z.shape[-2] if z.ndim >= 2 else 0)
     if z.ndim < 2:
         raise ValidationError(f"features must be at least 2-D, got shape {z.shape}")
-    return fin_forward(z, np.zeros(z.shape[-2], dtype=np.intp), params)
+    return fin_forward(z, attrs, params)
 
 
 def lbn_backward(grad_out, cache: NormCache, out=None):
@@ -314,16 +349,26 @@ def bn_forward(
     mode = state.mode if mode is None else mode
     if mode not in ("training", "inference"):
         raise ValidationError(f"mode must be 'training' or 'inference', got {mode!r}")
-    z = np.asarray(z, dtype=np.float64)
-    models = state.gamma.shape[:-1]
-    if z.ndim < 2 or z.shape[:-2] != models or z.shape[-1] != state.dim:
-        raise _feature_error(z, models, state.dim)
-    if mode == "training":
+    z = _features(z, state.gamma.shape[:-1], state.dim)
+    training = mode == "training"
+    if training:
+        bn_check_batch(z.shape[-2])
+    out, saved = _bn_forward(z, state, training)
+    return out, BnCache(*saved, training=training)
+
+
+def bn_check_batch(n: int) -> None:
+    """Training-mode batch normalization needs two rows or more."""
+    if n < 2:
+        raise ValidationError(
+            f"batch normalization needs batch size >= 2 in training mode, got {n}"
+        )
+
+
+def _bn_forward(z: np.ndarray, state: BatchNormState, training: bool):
+    """Kernel of bn_forward: returns the output and (xhat, inv_std, gamma)."""
+    if training:
         n = z.shape[-2]
-        if n < 2:
-            raise ValidationError(
-                f"batch normalization needs batch size >= 2 in training mode, got {n}"
-            )
         mean = z.mean(axis=-2)
         var = z.var(axis=-2)  # biased, used for normalization
         inv_std = 1.0 / np.sqrt(var + state.eps)
@@ -335,9 +380,7 @@ def bn_forward(
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
         xhat = (z - _over_batch(state.running_mean)) * _over_batch(inv_std)
     out = _over_batch(state.gamma) * xhat + _over_batch(state.beta)
-    return out, BnCache(
-        xhat=xhat, inv_std=inv_std, gamma=state.gamma, training=(mode == "training")
-    )
+    return out, (xhat, inv_std, state.gamma)
 
 
 def bn_backward(
@@ -360,14 +403,21 @@ def bn_backward(
             f"{cache.xhat.shape}"
         )
     cache.consumed = True
-    gamma_out, beta_out = (None, None) if out is None else out
+    shape = cache.gamma.shape
+    grad_gamma, grad_beta = (np.empty(shape), np.empty(shape)) if out is None else out
+    saved = (cache.xhat, cache.inv_std, cache.gamma)
+    return _bn_backward(grad_out, saved, grad_gamma, grad_beta), grad_gamma, grad_beta
+
+
+def _bn_backward(grad_out: np.ndarray, saved, grad_gamma, grad_beta) -> np.ndarray:
+    """Kernel of bn_backward: writes grad_gamma and grad_beta, returns grad_z."""
+    xhat, inv_std, gamma = saved
     n = grad_out.shape[-2]
-    grad_beta = grad_out.sum(axis=-2, out=beta_out)
-    grad_gamma = (grad_out * cache.xhat).sum(axis=-2, out=gamma_out)
-    gx = grad_out * _over_batch(cache.gamma)
-    grad_z = _over_batch(cache.inv_std / n) * (
+    grad_out.sum(axis=-2, out=grad_beta)
+    (grad_out * xhat).sum(axis=-2, out=grad_gamma)
+    gx = grad_out * _over_batch(gamma)
+    return _over_batch(inv_std / n) * (
         n * gx
         - gx.sum(axis=-2, keepdims=True)
-        - cache.xhat * (gx * cache.xhat).sum(axis=-2, keepdims=True)
+        - xhat * (gx * xhat).sum(axis=-2, keepdims=True)
     )
-    return grad_z, grad_gamma, grad_beta

@@ -13,14 +13,21 @@ The gradients and moments of all parameter blocks live in one flat float64
 buffer each, block after block in parameter order, and the per-name arrays
 are views into them. A caller that writes its gradients straight into the
 state's gradient views (as `net.backward(..., out=state.grad)` does) hands
-them over without a copy; any other gradient block is copied in. A step
-checks the gradient buffer for non-finite values once and runs the moment
-and update arithmetic as a single pass over the flat buffers; each block is
-then shrunk (if it decays) and moved by its slice of the update. Every
-element sees the same operations in the same order as a per-block loop
-would apply, so results are bitwise unchanged by the fusion. A block with a
-leading model axis (a stack of models) is just a bigger block: every model
-is updated in the same pass, each as if alone.
+them over without a copy; any other gradient block is copied in.
+
+`adamw_step` checks names, shapes and the finiteness of the gradients, then
+calls the kernel `_adamw_update`, which trusts its inputs and makes one
+flat pass over the moments, the update and the parameters: the decay is one
+multiply by a per-element shrink vector (`decay_shrink`: 1.0 outside the
+decay mask, and no multiply at all when weight_decay is 0), then the update
+is subtracted. Parameters that are views of one flat buffer laid out like
+the state's (as `net.stack_models` builds them; see `param_buffer`) are
+updated in place; any others are copied into such a buffer and back out.
+Every element sees the same operations in the same order as a per-block
+loop would apply (a multiply by 1.0 is exact), so results are bitwise
+unchanged by the fusion. A block with a leading model axis (a stack of
+models) is just a bigger block: every model is updated in the same pass,
+each as if alone.
 """
 
 from __future__ import annotations
@@ -128,7 +135,9 @@ def adamw_step(
     """One update over every named parameter; arrays are mutated in place.
 
     Fails fast on any non-finite gradient, naming the first bad parameter
-    block; nothing is updated when a check fails.
+    block; nothing is updated when a check fails. Parameters that are not
+    consecutive views of one flat buffer (see `param_buffer`) are copied
+    into one for the update and back out of it.
     """
     if params.keys() != grads.keys():
         raise ValidationError(
@@ -152,11 +161,79 @@ def adamw_step(
             )
         if g is not state.grad[name]:
             state.grad[name][...] = g
-    g = state.grad_flat
-    if not np.isfinite(g).all():
+    if not np.isfinite(state.grad_flat).all():
         bad = next(n for n in state.m if not np.isfinite(state.grad[n]).all())
         raise NonFiniteError(f"non-finite gradient in parameter block {bad!r}")
 
+    flat, staged = param_buffer(params), None
+    if flat is None:
+        flat, staged = flat_views({name: p.shape for name, p in params.items()})
+        for name, p in params.items():
+            staged[name][...] = p
+    _adamw_update(flat, state, config, decay_shrink(state, config))
+    if staged is not None:
+        for name, p in params.items():
+            p[...] = staged[name]
+    return params, state
+
+
+def param_buffer(params: dict[str, np.ndarray]) -> np.ndarray | None:
+    """The flat float64 buffer the parameters are views of, block after block.
+
+    None unless every parameter is a C-contiguous view of one 1-D buffer and
+    the views tile it exactly in params order, as `flat_views` lays them out.
+    """
+    arrays = list(params.values())
+    base = arrays[0].base
+    if not (
+        isinstance(base, np.ndarray)
+        and base.ndim == 1
+        and base.dtype == np.float64
+        and base.flags.c_contiguous
+    ):
+        return None
+    start = base.__array_interface__["data"][0]
+    at = start
+    for p in arrays:
+        if (
+            p.base is not base
+            or p.dtype != np.float64
+            or not p.flags.c_contiguous
+            or p.__array_interface__["data"][0] != at
+        ):
+            return None
+        at += p.nbytes
+    return base if at == start + base.nbytes else None
+
+
+def decay_shrink(state: AdamWState, config: AdamWConfig) -> np.ndarray | None:
+    """The per-element weight-decay factor over the flat buffers.
+
+    1 - lr * weight_decay on each element of a block that decays and 1.0
+    elsewhere; None when weight_decay is 0, so no multiply is made.
+    """
+    if not config.weight_decay:
+        return None
+    mask = config.decay_mask if config.decay_mask is not None else default_decay_mask
+    factor = 1.0 - config.lr * config.weight_decay
+    shrink, blocks = flat_views({name: m.shape for name, m in state.m.items()})
+    for name, block in blocks.items():
+        block[...] = factor if mask(name) else 1.0
+    return shrink
+
+
+def _adamw_update(
+    flat: np.ndarray,
+    state: AdamWState,
+    config: AdamWConfig,
+    shrink: np.ndarray | None,
+) -> None:
+    """Kernel of adamw_step: one pass over the flat buffers.
+
+    flat holds the parameters in state order; the gradients are in
+    state.grad_flat, all finite; shrink is decay_shrink(state, config).
+    """
+    g = state.grad_flat
     state.step += 1
     t = state.step
     bc1 = 1.0 - config.beta1 ** t
@@ -170,11 +247,6 @@ def adamw_step(
     np.divide(
         config.lr * (m / bc1), np.sqrt(v / bc2) + config.eps, out=state.update_flat
     )
-
-    mask = config.decay_mask if config.decay_mask is not None else default_decay_mask
-    shrink = 1.0 - config.lr * config.weight_decay
-    for name, p in params.items():
-        if config.weight_decay and mask(name):
-            p *= shrink
-        p -= state.update[name]
-    return params, state
+    if shrink is not None:
+        flat *= shrink
+    flat -= state.update_flat

@@ -14,6 +14,15 @@ the bits it would get alone, so a seed's checkpoint is byte-identical
 whether it trains alone (`train` is the same loop with one seed) or among
 any other seeds.
 
+The loop checks once per run, not once per step. `_train_seeds` validates
+both splits and the feature width at entry, then calls the ops' kernels
+(`net._forward`, `net._cross_entropy`, `net._backward`,
+`optim._adamw_update`), which trust their inputs; the public entry points
+check and then call the same kernels. Once per epoch the loop gathers the
+shuffled features, the one-hot label mask and the normalizer's group rows,
+so each step takes slices of them. Every step still checks each seed's
+loss and gradients for non-finite values.
+
 Checkpoints serialize to canonical JSON with 17-significant-digit floats,
 so save -> load -> save is byte-identical and a loaded model reproduces
 the saved model's inference outputs exactly.
@@ -47,17 +56,19 @@ from .metrics import MetricReport, discrepancy, equity_scaled, full_report
 from .net import (
     AffineLayer,
     MlpModel,
-    backward,
-    cross_entropy,
+    _backward,
+    _cross_entropy,
+    _forward,
     forward,
     init_mlp,
     model_slice,
     named_parameters,
+    one_hot,
     softmax,
     stack_models,
 )
-from .norms import BatchNormState, FinParams, NormKind
-from .optim import AdamWConfig, AdamWState, adamw_step
+from .norms import BatchNormState, FinParams, NormKind, _offset_rows
+from .optim import AdamWConfig, AdamWState, _adamw_update, decay_shrink, param_buffer
 
 CHECKPOINT_VERSION = 1
 
@@ -199,9 +210,12 @@ def _train_seeds(
     model = stack_models(models)
     params = named_parameters(model)
     state = AdamWState.create(params)
+    flat = param_buffer(params)  # stack_models lays the parameters out in one buffer
+    shrink = decay_shrink(state, config.optimizer)
 
     x, y, a = train_set.x, train_set.labels, train_set.attrs
     n = len(train_set)
+    kind = config.norm_kind
     losses: list[list[float]] = [[] for _ in seeds]
     reports: list[list[MetricReport]] = [[] for _ in seeds]
     for epoch in range(config.epochs):
@@ -209,23 +223,30 @@ def _train_seeds(
             order = np.stack([rng.permutation(n) for rng in shuffle_rngs])
         else:
             order = np.broadcast_to(np.arange(n), (len(seeds), n))
+        # gathered once per epoch, so each step takes (seeds, batch) slices
+        xs = x[order]
+        onehot = one_hot(y[order])
+        rows = None
+        if kind is NormKind.FAIR_IDENTITY:
+            rows = _offset_rows(a[order], model.norm.group_count, model.models)
+        elif kind is NormKind.LEARNABLE_SHARED:
+            rows = _offset_rows(np.zeros_like(order), 1, model.models)
         batch_losses: list[np.ndarray] = []
         for start in range(0, n, config.batch_size):
-            idx = order[:, start : start + config.batch_size]  # (seeds, batch)
-            if idx.shape[1] == 1 and config.norm_kind is NormKind.BATCH:
+            if n - start == 1 and kind is NormKind.BATCH:
                 continue  # training-mode batch norm cannot take a singleton
-            logits, caches = forward(model, x[idx], a[idx], mode="training")
-            loss, grad_logits = cross_entropy(logits, y[idx])
+            batch = slice(start, start + config.batch_size)
+            batch_rows = None if rows is None else rows[:, batch]
+            logits, saved = _forward(model, xs[:, batch], batch_rows, True)
+            loss, grad_logits = _cross_entropy(logits, onehot[:, batch])
             if not np.isfinite(loss).all():
                 bad = int(np.flatnonzero(~np.isfinite(loss))[0])
                 raise TrainingDivergedError(
                     f"non-finite loss for seed {seeds[bad]} at epoch {epoch}, "
                     f"batch {start // config.batch_size}"
                 )
-            backward(model, caches, grad_logits, out=state.grad)
-            try:
-                adamw_step(params, state.grad, state, config.optimizer)
-            except NonFiniteError:
+            _backward(model, saved, grad_logits, state.grad)
+            if not np.isfinite(state.grad_flat).all():
                 seed, name = next(
                     (seed, name)
                     for i, seed in enumerate(seeds)
@@ -234,7 +255,8 @@ def _train_seeds(
                 )
                 raise NonFiniteError(
                     f"non-finite gradient in parameter block {name!r} for seed {seed}"
-                ) from None
+                )
+            _adamw_update(flat, state, config.optimizer, shrink)
             batch_losses.append(loss)
         for i, seed_losses in enumerate(losses):
             seed_losses.append(float(np.mean([loss[i] for loss in batch_losses])))

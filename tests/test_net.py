@@ -17,7 +17,15 @@ from fin_equity import (
     named_parameters,
     softmax,
 )
-from fin_equity.net import model_slice, stack_models
+from fin_equity.net import (
+    _backward,
+    _cross_entropy,
+    _forward,
+    model_slice,
+    one_hot,
+    stack_models,
+)
+from fin_equity.norms import fin_rows
 from reference_fixtures import max_rel_err, numeric_grad
 
 ALL_KINDS = (
@@ -307,3 +315,70 @@ def test_stacked_group_ids_are_checked_before_the_model_offset():
         forward(stack, x, attrs, mode="training")
     with pytest.raises(ValidationError, match="input must be"):
         forward(stack, rng.standard_normal((3, 5, 3)), attrs[0], mode="training")
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        (NormKind.FAIR_IDENTITY, "momentum", 1.0),
+        (NormKind.LEARNABLE_SHARED, "momentum", 0.0),
+        (NormKind.BATCH, "eps", 1e-3),
+        (NormKind.BATCH, "bn_momentum", 0.5),
+        (NormKind.BATCH, "mode", "inference"),
+    ],
+)
+def test_stack_models_refuses_differing_norm_settings(kind, field, value):
+    rng = np.random.default_rng(6)
+    models = [init_mlp((3, 4), kind, 2, rng, fin_momentum=0.3) for _ in range(3)]
+    stack_models(models)  # equal settings stack
+    setattr(models[2].norm, field, value)
+    with pytest.raises(ValidationError, match=rf"norm\.{field} differs"):
+        stack_models(models)
+    other = init_mlp((3, 4), NormKind.NONE, 2, rng)
+    with pytest.raises(ValidationError, match="different norm kinds"):
+        stack_models([models[0], other])
+
+
+def kernel_rows(model, attrs, batch):
+    if model.norm_kind is NormKind.FAIR_IDENTITY:
+        return fin_rows(attrs, model.norm, batch)
+    if model.norm_kind is NormKind.LEARNABLE_SHARED:
+        return fin_rows(np.zeros(batch, dtype=np.intp), model.norm, batch)
+    return None
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["2-D", "stacked"])
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_public_ops_and_their_kernels_give_the_same_bits(kind, stacked):
+    def build():
+        rng = np.random.default_rng(12)
+        models = [init_mlp((4, 7, 6, 5), kind, 3, rng) for _ in range(3)]
+        return stack_models(models) if stacked else models[0]
+
+    public, kernel = build(), build()
+    rng = np.random.default_rng(13)
+    lead = (3,) if stacked else ()
+    x = rng.standard_normal(lead + (9, 4))
+    attrs = rng.integers(0, 3, size=lead + (9,))
+    labels = rng.integers(0, 2, size=lead + (9,))
+
+    for mode in ("training", "inference"):
+        logits, caches = forward(public, x, attrs, mode=mode)
+        k_logits, saved = _forward(kernel, x, kernel_rows(kernel, attrs, 9), mode == "training")
+        assert np.array_equal(logits, k_logits)
+    if kind is NormKind.BATCH:  # training moved the running statistics alike
+        assert np.array_equal(public.norm.running_mean, kernel.norm.running_mean)
+        assert np.array_equal(public.norm.running_var, kernel.norm.running_var)
+
+    logits, caches = forward(public, x, attrs, mode="training")
+    k_logits, saved = _forward(kernel, x, kernel_rows(kernel, attrs, 9), True)
+    loss, grad_logits = cross_entropy(logits, labels)
+    k_loss, k_grad_logits = _cross_entropy(k_logits, one_hot(labels))
+    assert np.array_equal(loss, k_loss) and np.array_equal(grad_logits, k_grad_logits)
+
+    grads = named_gradients(public, backward(public, caches, grad_logits))
+    out = {name: np.full(p.shape, np.nan) for name, p in named_parameters(kernel).items()}
+    _backward(kernel, saved, k_grad_logits, out)
+    assert grads.keys() == out.keys()
+    for name in grads:
+        assert np.array_equal(grads[name], out[name]), name

@@ -31,6 +31,13 @@ from fin_equity import (
     softplus,
     softplus_grad,
 )
+from fin_equity.norms import (
+    _bn_backward,
+    _bn_forward,
+    _fin_backward,
+    _fin_forward,
+    fin_rows,
+)
 from reference_fixtures import max_rel_err, numeric_grad
 
 
@@ -306,3 +313,41 @@ def test_norm_kind_from_string():
     assert NormKind.from_string("none") is NormKind.NONE
     with pytest.raises(ValidationError):
         NormKind.from_string("layernorm")
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["2-D", "stacked"])
+def test_public_norm_ops_and_their_kernels_give_the_same_bits(lead):
+    rng = np.random.default_rng(21)
+    params = FinParams(
+        mu=rng.standard_normal(lead + (3, 4)),
+        tau=rng.standard_normal(lead + (3, 4)),
+        momentum=0.3,
+    )
+    z = rng.standard_normal(lead + (7, 4))
+    g = rng.standard_normal(lead + (7, 4))
+    for attrs in (rng.integers(0, 3, size=lead + (7,)), rng.integers(0, 3, size=7)):
+        out, cache = fin_forward(z, attrs, params)
+        k_out, saved = _fin_forward(z, fin_rows(attrs, params, 7), params)
+        assert np.array_equal(out, k_out)
+        grad_z, grad_mu, grad_tau = fin_backward(g, cache)
+        k_mu, k_tau = np.full(params.mu.shape, np.nan), np.full(params.mu.shape, np.nan)
+        k_grad_z = _fin_backward(g, saved, k_mu, k_tau)
+        for a, b in ((grad_z, k_grad_z), (grad_mu, k_mu), (grad_tau, k_tau)):
+            assert np.array_equal(a, b)
+
+    arrays = [rng.standard_normal(lead + (4,)) for _ in range(3)]
+    arrays.append(rng.uniform(0.5, 2.0, lead + (4,)))  # running_var > 0
+    public = BatchNormState(*arrays)
+    kernel = BatchNormState(*(a.copy() for a in arrays))
+    for mode in ("training", "inference"):
+        out, cache = bn_forward(z, public, mode)
+        k_out, saved = _bn_forward(z, kernel, mode == "training")
+        assert np.array_equal(out, k_out)
+        assert np.array_equal(public.running_mean, kernel.running_mean)
+        assert np.array_equal(public.running_var, kernel.running_var)
+        if mode == "training":
+            grad_z, grad_gamma, grad_beta = bn_backward(g, cache)
+            k_gamma, k_beta = np.empty(kernel.gamma.shape), np.empty(kernel.gamma.shape)
+            k_grad_z = _bn_backward(g, saved, k_gamma, k_beta)
+            for a, b in ((grad_z, k_grad_z), (grad_gamma, k_gamma), (grad_beta, k_beta)):
+                assert np.array_equal(a, b)

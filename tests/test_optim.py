@@ -9,6 +9,7 @@ from fin_equity import (
     adamw_step,
     default_decay_mask,
 )
+from fin_equity.optim import _adamw_update, decay_shrink, flat_views, param_buffer
 
 
 def test_default_decay_mask():
@@ -230,3 +231,52 @@ def test_moments_are_views_into_flat_buffers():
         assert state.m[name].shape == state.v[name].shape == p.shape
         assert np.shares_memory(state.m[name], state.m_flat)
         assert np.shares_memory(state.v[name], state.v_flat)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.2], ids=["no-decay", "decay"])
+@pytest.mark.parametrize("layout", ["one-buffer", "separate"])
+def test_public_step_and_its_kernel_give_the_same_bits(layout, weight_decay):
+    config = AdamWConfig(lr=1e-2, weight_decay=weight_decay)
+    rng = np.random.default_rng(17)
+    start = random_blocks(rng)
+
+    def params():
+        if layout == "separate":
+            return {k: v.copy() for k, v in start.items()}
+        flat, views = flat_views({k: v.shape for k, v in start.items()})
+        for k, v in start.items():
+            views[k][...] = v
+        return views
+
+    public, kernel = params(), params()
+    flat = param_buffer(kernel)
+    assert (flat is None) == (layout == "separate")
+    if flat is None:  # the kernel takes one buffer; the public step stages one
+        flat, staged = flat_views({k: v.shape for k, v in start.items()})
+        for k, v in kernel.items():
+            staged[k][...] = v
+        kernel = staged
+    public_state, kernel_state = AdamWState.create(public), AdamWState.create(kernel)
+    shrink = decay_shrink(kernel_state, config)
+    assert (shrink is None) == (weight_decay == 0.0)
+    for _ in range(10):
+        grads = random_blocks(rng)
+        adamw_step(public, grads, public_state, config)
+        for k, g in grads.items():
+            kernel_state.grad[k][...] = g
+        _adamw_update(flat, kernel_state, config, shrink)
+    assert public_state.step == kernel_state.step == 10
+    for k in start:
+        assert np.array_equal(public[k], kernel[k]), k
+    assert np.array_equal(public_state.m_flat, kernel_state.m_flat)
+    assert np.array_equal(public_state.v_flat, kernel_state.v_flat)
+
+
+def test_param_buffer_needs_views_that_tile_one_buffer_in_order():
+    shapes = {"a": (2, 3), "b": (4,)}
+    flat, views = flat_views(shapes)
+    assert param_buffer(views) is flat
+    assert param_buffer({"b": views["b"], "a": views["a"]}) is None  # out of order
+    assert param_buffer({"a": views["a"]}) is None  # leaves part of the buffer out
+    assert param_buffer({"a": np.zeros((2, 3)), "b": views["b"]}) is None
+    assert param_buffer({"a": views["a"].T, "b": views["b"]}) is None  # not C order

@@ -13,11 +13,19 @@ from fin_equity import (
     CheckpointShapeError,
     CheckpointVersionError,
     GroupSpec,
+    AdamWState,
+    Dataset,
     NonFiniteError,
     NormKind,
     SynthConfig,
     TrainConfig,
+    TrainingDivergedError,
     ValidationError,
+    adamw_step,
+    backward,
+    cross_entropy,
+    forward,
+    init_mlp,
     checkpoint_from_dict,
     checkpoint_to_dict,
     discrepancy,
@@ -34,6 +42,8 @@ from fin_equity import (
     train_config_from_dict,
     train_config_to_dict,
 )
+from fin_equity.net import model_slice, stack_models
+from fin_equity.train import CHECKPOINT_VERSION
 from reference_fixtures import same_predictions
 
 
@@ -160,6 +170,62 @@ def test_divergence_raises_a_named_error():
         # in a multi-seed run the message names the seed that diverged
         with pytest.raises(NonFiniteError, match=r"for seed [12]\b"):
             run_seeds(train_set, eval_set, config, seeds=(1, 2))
+
+
+def overflow_data():
+    # 12 training rows in batches of 1; row 3 sits at the edge of float64,
+    # so some seeds overflow on it (in the loss or in a gradient) and others
+    # train through it
+    train_set, eval_set = generate(
+        SynthConfig(
+            d=4,
+            seed=0,
+            groups=(
+                GroupSpec("g0", 6, 8, 0.5, 2.0, 1.0),
+                GroupSpec("g1", 6, 8, 0.5, 1.2, -1.0),
+            ),
+        )
+    )
+    x = train_set.x.copy()
+    x[3] = 1.7e308
+    big = Dataset(train_set.attribute_set, x, train_set.labels, train_set.attrs, train_set.ids)
+    return big, eval_set
+
+
+@pytest.mark.parametrize(
+    "shuffle, seeds, error, message",
+    [
+        # shuffled, seed 5 reaches the row at batch 2 and seed 4 at batch 7:
+        # the earliest step is named, wherever its seed sits in the list
+        (True, (1, 4, 5), TrainingDivergedError, "non-finite loss for seed 5 at epoch 0, batch 2"),
+        (True, (5, 4), TrainingDivergedError, "non-finite loss for seed 5 at epoch 0, batch 2"),
+        # unshuffled, seeds 4 and 5 both fail at batch 3: the first of them in
+        # seeds order is named, and a seed that trains through is never named
+        (False, (4, 5), TrainingDivergedError, "non-finite loss for seed 4 at epoch 0, batch 3"),
+        (False, (1, 5, 4), TrainingDivergedError, "non-finite loss for seed 5 at epoch 0, batch 3"),
+        # seed 2 keeps a finite loss but overflows a gradient block
+        (False, (1, 2), NonFiniteError,
+         "non-finite gradient in parameter block 'backbone.1.w' for seed 2"),
+        (True, (3, 2, 6), NonFiniteError,
+         "non-finite gradient in parameter block 'backbone.1.w' for seed 2"),
+        # in one step, every seed's loss is checked before any gradient
+        (False, (2, 4), TrainingDivergedError, "non-finite loss for seed 4 at epoch 0, batch 3"),
+    ],
+)
+def test_divergence_errors_name_the_first_failing_seed(shuffle, seeds, error, message):
+    train_set, eval_set = overflow_data()
+    config = tiny_config(
+        layer_dims=(4, 6, 5),
+        batch_size=1,
+        norm_kind=NormKind.LEARNABLE_SHARED,
+        shuffle=shuffle,
+        epochs=1,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+            run_seeds(train_set, eval_set, config, seeds)
+    if error is NonFiniteError:
+        assert not isinstance(info.value, TrainingDivergedError)
 
 
 def test_momentum_one_training_matches_no_norm_bitwise():
@@ -584,3 +650,86 @@ def test_eval_group_id_beyond_the_train_groups_is_refused():
         run_seeds(train_set, eval_set, config, seeds=(1, 2))
     with pytest.raises(ValidationError, match="out of range"):
         train(train_set, eval_set, config)
+
+
+def reference_train_seeds(train_set, config, seeds):
+    """The lockstep training loop, step by step through the public ops.
+
+    Each step gathers its rows with x[idx], then runs the public forward,
+    cross_entropy, backward (into the optimizer's gradient views) and
+    adamw_step, every one of which checks its inputs. Returns each seed's
+    canonical checkpoint JSON and per-epoch mean losses.
+    """
+    models, shuffle_rngs = [], []
+    for seed in seeds:
+        init_ss, shuffle_ss = np.random.SeedSequence(seed).spawn(2)
+        models.append(
+            init_mlp(
+                config.layer_dims,
+                config.norm_kind,
+                train_set.attribute_set.group_count,
+                np.random.default_rng(init_ss),
+                fin_momentum=config.fin_momentum,
+            )
+        )
+        shuffle_rngs.append(np.random.default_rng(shuffle_ss))
+    model = stack_models(models)
+    params = named_parameters(model)
+    state = AdamWState.create(params)
+    x, y, a = train_set.x, train_set.labels, train_set.attrs
+    n = len(train_set)
+    losses = [[] for _ in seeds]
+    for _ in range(config.epochs):
+        if config.shuffle:
+            order = np.stack([rng.permutation(n) for rng in shuffle_rngs])
+        else:
+            order = np.broadcast_to(np.arange(n), (len(seeds), n))
+        batch_losses = []
+        for start in range(0, n, config.batch_size):
+            idx = order[:, start : start + config.batch_size]
+            if idx.shape[1] == 1 and config.norm_kind is NormKind.BATCH:
+                continue
+            logits, caches = forward(model, x[idx], a[idx], mode="training")
+            loss, grad_logits = cross_entropy(logits, y[idx])
+            backward(model, caches, grad_logits, out=state.grad)
+            adamw_step(params, state.grad, state, config.optimizer)
+            batch_losses.append(loss)
+        for i, seed_losses in enumerate(losses):
+            seed_losses.append(float(np.mean([loss[i] for loss in batch_losses])))
+    return [
+        (
+            canonical_bytes(
+                Checkpoint(
+                    version=CHECKPOINT_VERSION,
+                    config=replace(config, seed=seed),
+                    model=model_slice(model, i),
+                    epoch=config.epochs,
+                )
+            ),
+            losses[i],
+        )
+        for i, seed in enumerate(seeds)
+    ]
+
+
+@pytest.mark.parametrize("shuffle", [True, False], ids=["shuffled", "in-order"])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1], ids=["no-decay", "decay"])
+@pytest.mark.parametrize("seeds", [(2,), (3, 1, 2)], ids=["1-seed", "3-seeds"])
+@pytest.mark.parametrize("kind", [k.value for k in NormKind])
+def test_training_matches_the_step_by_step_reference_loop(kind, seeds, weight_decay, shuffle):
+    # 50 rows in batches of 7: the last batch is a singleton, kept as a short
+    # batch by every kind but batch norm, which skips it
+    train_set, eval_set = tiny_data(n_train=25, n_eval=6)
+    config = tiny_config(
+        layer_dims=(4, 7, 6, 5),
+        batch_size=7,
+        norm_kind=NormKind(kind),
+        optimizer=AdamWConfig(lr=1e-2, weight_decay=weight_decay),
+        shuffle=shuffle,
+        epochs=3,
+    )
+    agg = run_seeds(train_set, eval_set, config, seeds)
+    expected = reference_train_seeds(train_set, config, seeds)
+    for ck, history, (ck_bytes, losses) in zip(agg.checkpoints, agg.histories, expected):
+        assert canonical_bytes(ck) == ck_bytes
+        assert history.losses == losses
