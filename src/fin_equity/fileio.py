@@ -6,12 +6,17 @@ formats are written in scientific notation with 17 significant digits
 The canonical JSON writer also fixes key order (insertion order) so that
 save -> load -> save is byte-identical.
 
-The CSV readers stream a file once into one flat list of cells, then check
-and convert it column by column. The checks run in the order a row loop
-meets them within a row, each over the rows before the earliest failure so
-far. So every error is the one a row-by-row reader raises, with the same
-line and text: the earliest record wins, and within a record the earlier
-check.
+The CSV readers stream a file once, in chunks of about CHUNK_CELLS cells,
+and check and convert each chunk column by column, in record order. Within
+a chunk the checks run in the order a row loop meets them within a row,
+each over the rows before the earliest failure so far; one set of the ids
+seen so far spans the chunks. So every error is the one a row-by-row reader
+of the whole file raises, with the same line and text: the earliest record
+wins, and within a record the earlier check. After a failing chunk the file
+is still tokenized to its end (or to a row of the wrong width), so a decode
+error or an oversized field anywhere in that range still wins. The int
+columns are built only once the group ids have been range-checked, and at
+most one chunk's cells are alive at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from itertools import chain, islice
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +34,7 @@ from .errors import ValidationError
 from .metrics import MetricReport, PredictionHistogram
 
 FLOAT_FMT = ".16e"  # 17 significant digits
+CHUNK_CELLS = 1 << 16  # CSV cells tokenized and checked at a time
 
 
 def format_float(x: float) -> str:
@@ -134,20 +141,21 @@ def write_dataset_csv(dataset: Dataset, path: str) -> None:
 
 
 class _FirstError:
-    """The earliest failing data row of a CSV found so far, and its message.
+    """The earliest failing row of a chunk found so far, and its message.
 
-    Each check looks only at the rows before that failure (see the module
-    docstring). Messages name a row by its record number, the header being
-    line 1 and blank rows counted.
+    Each check looks only at the chunk's rows before that failure (see the
+    module docstring). Messages name a row by its record number, the header
+    being line 1 and blank rows counted.
     """
 
-    def __init__(self, rows: int, blanks: list[int]):
+    def __init__(self, rows: int, line: int, blanks: list[int]):
         self.limit = rows  # rows [0, limit) are still checked
-        self.blanks = blanks  # record numbers of the skipped blank rows
+        self.line = line  # record number of row 0, were no record blank
+        self.blanks = blanks  # record numbers of the blank rows among them
         self.message: str | None = None
 
     def fail(self, i: int, message: str) -> None:
-        line = i + 2
+        line = self.line + i
         for blank in self.blanks:
             if blank > line:
                 break
@@ -167,20 +175,30 @@ class _FirstError:
                     return i
         return None
 
-    def duplicates(self, ids: list[str], what: str) -> None:
-        if len(set(ids)) == len(ids):
+    def duplicates(
+        self, ids: list[str], seen: set[str], earlier: list[list[str]], what: str
+    ) -> None:
+        """Fail at the first row still checked whose id an earlier row has.
+
+        seen holds the ids of the earlier chunks, whose id lists are
+        earlier, and gains the chunk's ids.
+        """
+        size = len(seen)
+        seen.update(ids)
+        if len(seen) - size == len(ids):
             return
-        seen: set[str] = set()
+        seen = set(chain.from_iterable(earlier))
         for i, sid in enumerate(ids[: self.limit]):
             if sid in seen:
                 self.fail(i, f"{what} {sid!r}")
                 return
             seen.add(sid)
 
-    def ints(self, texts: list[str], what: str) -> dict[str, int]:
-        """int() of each distinct text of the rows still checked."""
-        values, bad = {}, set()
-        for text in set(texts[: self.limit]):
+    def ints(self, texts: list[str], values: dict[str, int], what: str) -> None:
+        """Add int() of each new distinct text of the rows still checked to
+        values, which holds those of the earlier chunks."""
+        bad = set()
+        for text in set(texts[: self.limit]).difference(values):
             try:
                 values[text] = int(text)
             except ValueError:
@@ -188,7 +206,6 @@ class _FirstError:
         i = self.first_of(texts, bad)
         if i is not None:
             self.fail(i, f"{what} {texts[i]!r} is not an integer")
-        return values
 
     def refuse(
         self, texts: list[str], values: dict[str, int], refused, message
@@ -229,43 +246,63 @@ class _FirstError:
         return cells[:first].astype(np.float64)
 
 
-def _read_cells(path: str, header_width) -> tuple[list[str], int, _FirstError]:
-    """Stream a CSV once into one flat list of its data cells.
+def _read_chunks(path: str, header_width):
+    """Stream a CSV once, yielding its data rows a chunk at a time.
 
     header_width checks the header row and returns the width of a data row.
+    Each chunk is (cells, width, first): the flat cells of the rows among
+    the next CHUNK_CELLS / width records, and an error tracker over them.
     Blank rows are skipped; reading stops at the first row of another width,
-    which becomes the first error. Returns the cells, the width and the
-    error tracker over the rows read.
+    which becomes the first error of the last chunk. Once the caller's checks
+    have failed a chunk, the rest of the file up to that row is still
+    tokenized, so that a decode error or an oversized field anywhere in it
+    wins; then the chunk's error is raised.
     """
-    record = 0  # records read so far; the header is record 1
+    # no per-row counter: a record's number is line plus the rows and blank
+    # rows of the chunk read before it
+    line, width = 1, 1  # record number of the chunk's first record
+    cells: list[str] = []
+    blanks: list[int] = []  # record numbers of the chunk's blank rows
     try:
         with open(path, "r", encoding="utf-8", newline="") as f:
             reader = csv.reader(f)
             header = next(reader, None)
             if header is None:
                 raise ValidationError(f"{path!r} is empty")
-            record = 1
-            width = header_width(header)
-            cells: list[str] = []
-            blanks: list[int] = []
-            wrong = None
-            for row in reader:
-                record += 1
-                if len(row) == width:
-                    cells.extend(row)
-                elif row:
-                    wrong = len(row)
-                    break
-                else:
-                    blanks.append(record)
+            line, width = 2, header_width(header)
+            records = -(-CHUNK_CELLS // width)  # per chunk, blank ones too
+            while True:
+                read, wrong = len(cells) // width + len(blanks), None
+                for row in islice(reader, records):
+                    if len(row) == width:
+                        cells.extend(row)
+                    elif row:
+                        wrong = len(row)
+                        break
+                    else:
+                        blanks.append(line + len(cells) // width + len(blanks))
+                end = len(cells) // width + len(blanks) - read < records
+                if cells or wrong is not None:
+                    first = _FirstError(len(cells) // width, line, blanks)
+                    if wrong is not None:
+                        first.fail(first.limit, f"expected {width} fields, got {wrong}")
+                    yield cells, width, first
+                    line += len(cells) // width + len(blanks)
+                    cells, blanks = [], []
+                    if first.message is not None:
+                        if wrong is None:
+                            for row in reader:
+                                if row and len(row) != width:
+                                    break
+                                line += 1
+                        first.raise_first()
+                if end:
+                    return
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path!r} is not valid UTF-8 ({exc.reason})") from exc
     except csv.Error as exc:
-        raise ValidationError(f"{path!r} line {record + 1}: {exc}") from exc
-    first = _FirstError(len(cells) // width, blanks)
-    if wrong is not None:
-        first.fail(first.limit, f"expected {width} fields, got {wrong}")
-    return cells, width, first
+        line += len(cells) // width + len(blanks)  # the record being read
+        raise ValidationError(f"{path!r} line {line}: {exc}") from exc
 
 
 def _attribute_set(
@@ -289,8 +326,11 @@ def _attribute_set(
     return attribute_set
 
 
-def _int_column(texts: list[str], values: dict[str, int], dtype) -> np.ndarray:
-    return np.fromiter(map(values.__getitem__, texts), dtype, len(texts))
+def _int_column(
+    chunks: list[list[str]], values: dict[str, int], n: int, dtype
+) -> np.ndarray:
+    """The value of each text of the chunks, in order, as an n-long array."""
+    return np.fromiter(map(values.__getitem__, chain.from_iterable(chunks)), dtype, n)
 
 
 def _negative(attr: int) -> bool:
@@ -319,31 +359,41 @@ def read_dataset_csv(path: str, group_names: Sequence[str] | None = None) -> Dat
     seen; pass group_names (e.g. from a sidecar file) to override. Sample
     ids must be unique; violations name the offending line.
     """
-    cells, width, first = _read_cells(path, _dataset_width)
-    ids, attr_text, label_text = (cells[c::width] for c in range(3))
-    first.duplicates(ids, "duplicate sample id")
-    attrs = first.ints(attr_text, "attr")
-    first.refuse(
-        attr_text, attrs, _negative, lambda i, v: f"attr must be >= 0, got {v}"
-    )
-    labels = first.ints(label_text, "label")
-    first.refuse(
-        label_text, labels, _not_binary, lambda i, v: f"label must be 0 or 1, got {v}"
-    )
-    # the feature strings are most of the file's memory: free them once parsed
-    table = np.array(cells, dtype=object).reshape(-1, width)
-    del cells
-    x = first.floats(table[:, 3:], lambda i, exc: f"bad feature value ({exc})")
-    del table
-    first.mask(~np.isfinite(x).all(axis=1), lambda i: "non-finite feature value")
-    first.raise_first()
+    seen: set[str] = set()
+    attrs: dict[str, int] = {}
+    labels: dict[str, int] = {}
+    id_chunks, attr_chunks, label_chunks, x_chunks = [], [], [], []
+    for cells, width, first in _read_chunks(path, _dataset_width):
+        ids, attr_text, label_text = (cells[c::width] for c in range(3))
+        first.duplicates(ids, seen, id_chunks, "duplicate sample id")
+        first.ints(attr_text, attrs, "attr")
+        first.refuse(
+            attr_text, attrs, _negative, lambda i, v: f"attr must be >= 0, got {v}"
+        )
+        first.ints(label_text, labels, "label")
+        first.refuse(
+            label_text,
+            labels,
+            _not_binary,
+            lambda i, v: f"label must be 0 or 1, got {v}",
+        )
+        table = np.array(cells, dtype=object).reshape(-1, width)
+        x = first.floats(table[:, 3:], lambda i, exc: f"bad feature value ({exc})")
+        first.mask(~np.isfinite(x).all(axis=1), lambda i: "non-finite feature value")
+        id_chunks.append(ids)
+        attr_chunks.append(attr_text)
+        label_chunks.append(label_text)
+        x_chunks.append(x)
+        del cells, table  # free the chunk's cells before the next is read
     attribute_set = _attribute_set(path, attrs, group_names)
+    x = np.concatenate(x_chunks)
+    del x_chunks
     dataset = Dataset(
         attribute_set,
         x,
-        _int_column(label_text, labels, np.int64),
-        _int_column(attr_text, attrs, np.intp),
-        ids,
+        _int_column(label_chunks, labels, len(x), np.int64),
+        _int_column(attr_chunks, attrs, len(x), np.intp),
+        tuple(chain.from_iterable(id_chunks)),
     )
     require_valid(dataset, what=path)
     return dataset
@@ -378,37 +428,45 @@ def _predictions_width(header: list[str]) -> int:
 def read_predictions_csv(
     path: str, group_names: Sequence[str] | None = None
 ) -> tuple[Predictions, AttributeSet]:
-    cells, _, first = _read_cells(path, _predictions_width)
-    ids, score_text, label_text, attr_text = (cells[c::4] for c in range(4))
-    del cells
-    first.duplicates(ids, "duplicate id")
-    scores = first.floats(
-        np.array(score_text, dtype=object)[:, None],
-        lambda i, exc: f"score {score_text[i]!r} is not a number",
-    )[:, 0]
-    labels = first.ints(label_text, "label")
-    attrs = first.ints(attr_text, "attr")
-    first.refuse(
-        attr_text, attrs, _negative, lambda i, v: f"attr must be >= 0, got {v}"
-    )
-    first.mask(
-        ~((scores >= 0.0) & (scores <= 1.0)),  # NaN fails both
-        lambda i: f"record {ids[i]!r}: score must lie in [0, 1], "
-        f"got {float(scores[i])!r}",
-    )
-    first.refuse(
-        label_text,
-        labels,
-        _not_binary,
-        lambda i, v: f"record {ids[i]!r}: label must be 0 or 1, got {v!r}",
-    )
-    first.raise_first()
+    seen: set[str] = set()
+    labels: dict[str, int] = {}
+    attrs: dict[str, int] = {}
+    id_chunks, score_chunks, label_chunks, attr_chunks = [], [], [], []
+    for cells, _, first in _read_chunks(path, _predictions_width):
+        ids, score_text, label_text, attr_text = (cells[c::4] for c in range(4))
+        first.duplicates(ids, seen, id_chunks, "duplicate id")
+        scores = first.floats(
+            np.array(score_text, dtype=object)[:, None],
+            lambda i, exc: f"score {score_text[i]!r} is not a number",
+        )[:, 0]
+        first.ints(label_text, labels, "label")
+        first.ints(attr_text, attrs, "attr")
+        first.refuse(
+            attr_text, attrs, _negative, lambda i, v: f"attr must be >= 0, got {v}"
+        )
+        first.mask(
+            ~((scores >= 0.0) & (scores <= 1.0)),  # NaN fails both
+            lambda i: f"record {ids[i]!r}: score must lie in [0, 1], "
+            f"got {float(scores[i])!r}",
+        )
+        first.refuse(
+            label_text,
+            labels,
+            _not_binary,
+            lambda i, v: f"record {ids[i]!r}: label must be 0 or 1, got {v!r}",
+        )
+        id_chunks.append(ids)
+        score_chunks.append(scores)
+        label_chunks.append(label_text)
+        attr_chunks.append(attr_text)
+        del cells, score_text  # free the chunk's cells before the next is read
     attribute_set = _attribute_set(path, attrs, group_names)
+    scores = np.concatenate(score_chunks)
     predictions = Predictions(
-        ids,
+        tuple(chain.from_iterable(id_chunks)),
         scores,
-        _int_column(label_text, labels, np.int64),
-        _int_column(attr_text, attrs, np.intp),
+        _int_column(label_chunks, labels, len(scores), np.int64),
+        _int_column(attr_chunks, attrs, len(scores), np.intp),
     )
     return predictions, attribute_set
 

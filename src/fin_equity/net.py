@@ -120,7 +120,7 @@ def init_mlp(
 @dataclass
 class ForwardCaches:
     mode: str
-    saved: tuple  # what _forward saved for _backward
+    saved: tuple  # what _forward saved for _backward; () from inference
     consumed: bool = False
 
 
@@ -134,7 +134,8 @@ def forward(
     without copying it. attrs is required only for the group-aware
     normalizer, which errors on any out-of-range group id instead of
     falling back. Inference mode never mutates model state (batch-norm
-    running statistics stay frozen).
+    running statistics stay frozen) and saves nothing for backward, so its
+    caches hold no arrays.
     """
     if mode not in ("training", "inference"):
         raise ValidationError(f"mode must be 'training' or 'inference', got {mode!r}")
@@ -163,20 +164,24 @@ def forward(
 def _forward(model: MlpModel, x: np.ndarray, rows, training: bool):
     """Kernel of forward: x is checked float64, rows the normalizer's group rows.
 
-    Returns the logits and what `_backward` needs: each backbone layer's
-    (input, pre-activation), the normalizer's saved values and the head input.
+    Returns the logits and, in training, what `_backward` needs: each
+    backbone layer's (input, activation), the normalizer's saved values and
+    the head input. Inference saves nothing, so no intermediate outlives
+    the call. The ramp runs in place, so a hidden layer's saved activation
+    is the next layer's input; it is positive exactly where the
+    pre-activation is.
     """
     h = x
     layers: list[tuple[np.ndarray, np.ndarray | None]] = []
     last = len(model.backbone) - 1
     for i, layer in enumerate(model.backbone):
-        pre = h @ layer.w + layer.b[..., None, :]
+        pre = h @ layer.w
+        pre += layer.b[..., None, :]
         if i < last:
-            layers.append((h, pre))
-            h = np.maximum(pre, 0.0)
-        else:
-            layers.append((h, None))  # no activation after the last layer
-            h = pre
+            np.maximum(pre, 0.0, out=pre)
+        if training:
+            layers.append((h, pre if i < last else None))
+        h = pre
 
     if model.norm_kind is NormKind.NONE:
         z, norm_saved = h, None
@@ -184,8 +189,9 @@ def _forward(model: MlpModel, x: np.ndarray, rows, training: bool):
         z, norm_saved = _bn_forward(h, model.norm, training)
     else:
         z, norm_saved = _fin_forward(h, rows, model.norm)
-    logits = z @ model.head.w + model.head.b[..., None, :]
-    return logits, (layers, norm_saved, z)
+    logits = z @ model.head.w
+    logits += model.head.b[..., None, :]
+    return logits, ((layers, norm_saved, z) if training else ())
 
 
 def softmax(logits) -> np.ndarray:
@@ -294,8 +300,8 @@ def _backward(model: MlpModel, saved, g: np.ndarray, out) -> None:
         gz = _fin_backward(gz, norm_saved, out["norm.mu"], out["norm.tau"])
 
     for i in range(len(layers) - 1, -1, -1):
-        inp, pre = layers[i]
-        gpre = gz if pre is None else gz * (pre > 0)  # ramp subgradient at 0 is 0
+        inp, act = layers[i]
+        gpre = gz if act is None else gz * (act > 0)  # ramp subgradient at 0 is 0
         np.matmul(inp.swapaxes(-1, -2), gpre, out=out[f"backbone.{i}.w"])
         gpre.sum(axis=-2, out=out[f"backbone.{i}.b"])
         if i:

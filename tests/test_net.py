@@ -382,3 +382,22 @@ def test_public_ops_and_their_kernels_give_the_same_bits(kind, stacked):
     assert grads.keys() == out.keys()
     for name in grads:
         assert np.array_equal(grads[name], out[name]), name
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+def test_inference_saves_nothing(kind, stacked):
+    rng = np.random.default_rng(5)
+    models = [init_mlp((4, 7, 6, 5), kind, 3, rng) for _ in range(2)]
+    model = stack_models(models) if stacked else models[0]
+    x = rng.standard_normal((9, 4))
+    attrs = rng.integers(0, 3, size=9)
+    logits, caches = forward(model, x, attrs, mode="inference")
+    assert caches.saved == ()
+    with pytest.raises(CacheError) as exc:
+        backward(model, caches, np.zeros_like(logits))
+    assert str(exc.value) == "backward requires caches from a training-mode forward"
+    if kind is not NormKind.BATCH:  # the other normalizers ignore the mode
+        train_logits, _ = forward(model, x, attrs, mode="training")
+        assert np.array_equal(logits, train_logits)
+
