@@ -385,6 +385,7 @@ def read_dataset_csv(path: str, group_names: Sequence[str] | None = None) -> Dat
         label_chunks.append(label_text)
         x_chunks.append(x)
         del cells, table  # free the chunk's cells before the next is read
+    del seen  # free the duplicate-id set before the columns are built
     attribute_set = _attribute_set(path, attrs, group_names)
     x = np.concatenate(x_chunks)
     del x_chunks
@@ -460,6 +461,7 @@ def read_predictions_csv(
         label_chunks.append(label_text)
         attr_chunks.append(attr_text)
         del cells, score_text  # free the chunk's cells before the next is read
+    del seen  # free the duplicate-id set before the columns are built
     attribute_set = _attribute_set(path, attrs, group_names)
     scores = np.concatenate(score_chunks)
     predictions = Predictions(

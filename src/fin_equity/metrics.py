@@ -57,15 +57,21 @@ def accuracy(decisions, labels) -> float:
     return float(np.mean(decisions == labels))
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with tied values assigned the mean of their ranks."""
-    order = np.argsort(x, kind="stable")
-    sx = x[order]
-    edges = np.flatnonzero(np.r_[True, sx[1:] != sx[:-1], True])
-    mid = 0.5 * (edges[:-1] + edges[1:] + 1)  # mean of 1-based ranks in each run
-    ranks = np.empty(x.size, dtype=np.float64)
-    ranks[order] = np.repeat(mid, np.diff(edges))
-    return ranks
+def _positive_rank_sum(scores: np.ndarray, pos: np.ndarray) -> float:
+    """Sum of the positives' 1-based midranks, with no per-record rank array.
+
+    With below and upto counting the scores < v and <= v, a score v takes
+    the ranks below + 1 .. upto, so its midrank is (below + upto + 1) / 2:
+    two binary searches in the sorted scores, for each positive. Twice the
+    sum is an exact integer, so the result is the same double as any exact
+    sum of the midranks.
+    """
+    ordered = np.sort(scores)
+    wanted = scores[pos]
+    wanted.sort()  # sorted needles keep the searches cache-friendly
+    twice = np.searchsorted(ordered, wanted, side="left")
+    twice += np.searchsorted(ordered, wanted, side="right")
+    return 0.5 * float(twice.sum() + wanted.size)
 
 
 def auc(scores, labels) -> float:
@@ -75,10 +81,11 @@ def auc(scores, labels) -> float:
     uniformly drawn negative, ties counted 1/2. Midranks make the rank form
     identical to counting all positive/negative pairs: both reduce to
     (wins + ties/2) / (P * N) with the same floating-point value, because
-    rank sums are exact sums of half-integers.
+    rank sums are exact sums of half-integers (Hanley & McNeil 1982). Scores
+    are expected to be free of NaN; float64 input is used without a copy.
     """
     scores, labels = _check_paired(scores, labels, "scores", "labels")
-    scores = scores.astype(np.float64)
+    scores = scores.astype(np.float64, copy=False)
     pos = labels == 1
     n_pos = int(np.count_nonzero(pos))
     n_neg = scores.size - n_pos
@@ -86,7 +93,7 @@ def auc(scores, labels) -> float:
         raise UndefinedMetricError(
             f"auc undefined: needs both classes, got {n_pos} positive / {n_neg} negative"
         )
-    rank_sum = float(np.sum(_midranks(scores)[pos]))
+    rank_sum = _positive_rank_sum(scores, pos)
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -338,6 +345,7 @@ def prediction_histogram(
 ) -> PredictionHistogram:
     """Tally TP/FP/TN/FN per uniform score bin.
 
+    One bincount over the key kind * bins + bin fills all four tallies.
     With bins = 1 the four totals equal the plain confusion counts.
     """
     if bins < 1:
@@ -345,17 +353,10 @@ def prediction_histogram(
     scores, labels = predictions.scores, predictions.labels
     decisions = decide(scores, threshold)
     edges = np.arange(bins + 1) / bins
-    idx = np.searchsorted(edges, scores, side="right") - 1
-    idx = np.minimum(idx, bins - 1)  # score exactly 1.0 stays in the last bin
-    counts = {k: np.zeros(bins, dtype=np.int64) for k in ("tp", "fp", "tn", "fn")}
-    kinds = np.where(
-        decisions == 1,
-        np.where(labels == 1, 0, 1),  # tp / fp
-        np.where(labels == 1, 3, 2),  # fn / tn
-    )
-    names = ("tp", "fp", "tn", "fn")
-    for k in range(4):
-        sel = idx[kinds == k]
-        if sel.size:
-            np.add.at(counts[names[k]], sel, 1)
+    key = np.searchsorted(edges, scores, side="right") - 1
+    np.minimum(key, bins - 1, out=key)  # score exactly 1.0 stays in the last bin
+    # kind in tp, fp, tn, fn order: 2 for a negative decision, plus 1 if wrong
+    key += bins * (2 * (decisions == 0) + ((decisions == 1) != (labels == 1)))
+    tally = np.bincount(key, minlength=4 * bins).reshape(4, bins)
+    counts = dict(zip(("tp", "fp", "tn", "fn"), tally))
     return PredictionHistogram(bins=bins, edges=edges, counts=counts)

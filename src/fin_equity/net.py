@@ -169,7 +169,8 @@ def _forward(model: MlpModel, x: np.ndarray, rows, training: bool):
     the head input. Inference saves nothing, so no intermediate outlives
     the call. The ramp runs in place, so a hidden layer's saved activation
     is the next layer's input; it is positive exactly where the
-    pre-activation is.
+    pre-activation is. In inference the group-aware normalizer also works
+    in place, on the last layer's output, which no one else holds.
     """
     h = x
     layers: list[tuple[np.ndarray, np.ndarray | None]] = []
@@ -188,7 +189,7 @@ def _forward(model: MlpModel, x: np.ndarray, rows, training: bool):
     elif model.norm_kind is NormKind.BATCH:
         z, norm_saved = _bn_forward(h, model.norm, training)
     else:
-        z, norm_saved = _fin_forward(h, rows, model.norm)
+        z, norm_saved = _fin_forward(h, rows, model.norm, training)
     logits = z @ model.head.w
     logits += model.head.b[..., None, :]
     return logits, ((layers, norm_saved, z) if training else ())

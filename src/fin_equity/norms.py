@@ -211,26 +211,35 @@ def fin_forward(z, attrs, params: FinParams) -> tuple[np.ndarray, NormCache]:
     """Normalize each row by its group's (mu, sigma), then blend with m.
 
     z is (batch, dim), or (models, batch, dim) for stacked params; attrs
-    holds one group id per row, checked by `fin_rows`.
+    holds one group id per row, checked by `fin_rows`. z is never written.
     """
     z = _features(z, params.mu.shape[:-2], params.dim)
-    out, saved = _fin_forward(z, fin_rows(attrs, params, z.shape[-2]), params)
+    out, saved = _fin_forward(z, fin_rows(attrs, params, z.shape[-2]), params, True)
     return out, NormCache(*saved)
 
 
-def _fin_forward(z: np.ndarray, rows: np.ndarray, params: FinParams):
+def _fin_forward(z: np.ndarray, rows: np.ndarray, params: FinParams, training: bool):
     """Kernel of fin_forward; rows are each row's group as `fin_rows` gives them.
 
-    Returns the output and the values saved for `_fin_backward`, in
-    NormCache field order.
+    In training, returns the output and the values saved for
+    `_fin_backward`, in NormCache field order, and leaves z as it was. In
+    inference, z must be the caller's own scratch array: the output is
+    built in place, z is overwritten, and nothing is saved. Both give the
+    same output bits.
     """
     dim = params.dim
     m = float(params.momentum)
     sigma = softplus(params.tau).reshape(-1, dim)
     centered = z - params.mu.reshape(-1, dim)[rows]
-    zhat = centered / sigma[rows]
-    out = (1.0 - m) * zhat + m * z
-    return out, (m, rows, sigma, softplus_grad(params.tau), centered)
+    if training:
+        zhat = centered / sigma[rows]
+        out = (1.0 - m) * zhat + m * z
+        return out, (m, rows, sigma, softplus_grad(params.tau), centered)
+    centered /= sigma[rows]
+    centered *= 1.0 - m
+    z *= m
+    centered += z
+    return centered, None
 
 
 def fin_backward(

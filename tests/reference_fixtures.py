@@ -2,6 +2,10 @@
 
 pairs_auc is an independent AUC implementation (all positive/negative pairs
 counted directly, ties worth 1/2) used to cross-check the rank-based one.
+midranks_auc is the earlier rank form, which built a per-record array of
+midranks from a stable sort, and add_at_histogram the earlier histogram
+tally, one np.add.at per confusion kind; both are kept as references for
+the kernels that replaced them.
 
 reconciliation_records builds a 600-record prediction set whose overall and
 per-group AUCs are exact four-decimal values, so the equity-scaled pipeline
@@ -35,6 +39,41 @@ def pairs_auc(scores, labels):
     diff = sp[:, None] - sn[None, :]
     wins = np.count_nonzero(diff > 0) + 0.5 * np.count_nonzero(diff == 0)
     return wins / (sp.size * sn.size)
+
+
+def midranks_auc(scores, labels):
+    """AUC from the positives' sum of 1-based midranks over a stable sort."""
+    x = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(labels) == 1
+    order = np.argsort(x, kind="stable")
+    sx = x[order]
+    edges = np.flatnonzero(np.r_[True, sx[1:] != sx[:-1], True])
+    mid = 0.5 * (edges[:-1] + edges[1:] + 1)  # mean of 1-based ranks in each run
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat(mid, np.diff(edges))
+    n_pos = int(np.count_nonzero(pos))
+    n_neg = x.size - n_pos
+    rank_sum = float(np.sum(ranks[pos]))
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def add_at_histogram(scores, labels, threshold, bins):
+    """Per-bin tp/fp/tn/fn counts, one masked np.add.at per kind."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    decisions = (scores >= threshold).astype(np.int64)
+    edges = np.arange(bins + 1) / bins
+    idx = np.minimum(np.searchsorted(edges, scores, side="right") - 1, bins - 1)
+    kinds = np.where(
+        decisions == 1,
+        np.where(labels == 1, 0, 1),  # tp / fp
+        np.where(labels == 1, 3, 2),  # fn / tn
+    )
+    counts = {}
+    for k, name in enumerate(("tp", "fp", "tn", "fn")):
+        counts[name] = np.zeros(bins, dtype=np.int64)
+        np.add.at(counts[name], idx[kinds == k], 1)
+    return counts
 
 
 # (count, group, label) runs in ascending score order; slot i scores (i+1)/601

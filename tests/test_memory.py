@@ -1,0 +1,87 @@
+"""Memory pins for the audit and scoring paths, on generated inputs.
+
+Each pin bounds a call's tracemalloc peak, over what was traced before the
+call, by a multiple of a size the call cannot do without: the columns a
+read keeps, the score column an audit reads, the first hidden layer a
+forward pass computes. The bounds sit between the peaks of the earlier
+code and of the current one (noted at each bound), so a working set that
+grows back to the earlier size fails the pin.
+"""
+
+import csv
+import gc
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fin_equity import full_report, read_predictions_csv
+from fin_equity.net import forward, init_mlp
+from fin_equity.norms import NormKind
+
+RECORDS = 100_000
+SHARES = (0.3, 0.2, 0.15, 0.12, 0.1, 0.07, 0.04, 0.02)  # eight unequal groups
+
+
+def traced(call):
+    """(result, kept bytes, peak bytes) of call, over what was traced before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        kept, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
+
+
+@pytest.fixture(scope="module")
+def predictions_csv(tmp_path_factory):
+    """An audit cohort: 5% of scores rounded to 2 decimals, one group all positive."""
+    rng = np.random.default_rng(5)
+    sizes = [round(s * RECORDS) for s in SHARES]
+    attrs = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    labels = (rng.random(RECORDS) < 0.4).astype(int)
+    labels[attrs == len(sizes) - 1] = 1
+    scores = 1.0 / (1.0 + np.exp(-(2 * labels - 1) - rng.normal(size=RECORDS)))
+    rounded = rng.random(RECORDS) < 0.05
+    scores[rounded] = np.round(scores[rounded], 2)
+    path = tmp_path_factory.mktemp("memory") / "preds.csv"
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(["id", "score", "label", "attr"])
+        w.writerows(
+            (f"p{i:06d}", format(s, ".16e"), y, a)
+            for i, (s, y, a) in enumerate(zip(scores, labels, attrs))
+        )
+    return str(path)
+
+
+def test_predictions_read_peak_is_under_twice_what_it_keeps(predictions_csv):
+    (predictions, _), kept, peak = traced(lambda: read_predictions_csv(predictions_csv))
+    assert len(predictions) == RECORDS
+    # 2.1x while the duplicate-id set outlived the read, 1.7x since
+    assert peak <= 1.9 * kept, (peak, kept)
+
+
+def test_report_peak_is_a_few_score_columns(predictions_csv):
+    predictions, attribute_set = read_predictions_csv(predictions_csv)
+    report, _, peak = traced(lambda: full_report(predictions, attribute_set))
+    assert report.per_group[len(SHARES) - 1]["auc"] is None  # single-class group
+    # 10 score columns with a per-record rank array per AUC, 4.4 without
+    assert peak <= 7 * predictions.scores.nbytes, (peak, predictions.scores.nbytes)
+
+
+def test_fin_inference_forward_peak_is_under_two_hidden_layers():
+    rng = np.random.default_rng(0)
+    model = init_mlp((20, 32, 16), NormKind.FAIR_IDENTITY, 3, rng)
+    rows = 20_000
+    x = rng.standard_normal((rows, 20))
+    attrs = np.arange(rows) % 3
+    (logits, _), _, peak = traced(lambda: forward(model, x, attrs, mode="inference"))
+    assert logits.shape == (rows, 2)
+    hidden = rows * 32 * 8  # the first layer's float64 output
+    # 2.5 hidden layers with the normalizer's temporaries, 1.5 in place
+    assert peak <= 2 * hidden, (peak, hidden)

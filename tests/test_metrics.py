@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fin_equity import (
     AttributeSet,
@@ -26,6 +28,8 @@ from reference_fixtures import (
     RECON_ES_AUC_4DP,
     RECON_GROUP_AUC,
     RECON_OVERALL_AUC,
+    add_at_histogram,
+    midranks_auc,
     pairs_auc,
     reconciliation_records,
 )
@@ -81,7 +85,37 @@ def test_auc_matches_pair_counting_oracle():
         labels = rng.integers(0, 2, size=n)
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
-        assert abs(auc(scores, labels) - pairs_auc(scores, labels)) <= 1e-12
+        assert auc(scores, labels) == pairs_auc(scores, labels)
+
+
+# a few values drawn again and again give long tie runs, -0.0 beside 0.0
+TIE_POOL = (0.0, -0.0, 1.0, 0.5, 0.25, 1 / 3, 0.7, 5e-324, np.nextafter(1.0, 0.0))
+
+
+@st.composite
+def scored_labels(draw):
+    n = draw(st.integers(2, 80))
+    value = st.one_of(st.sampled_from(TIE_POOL), st.floats(0.0, 1.0))
+    scores = draw(st.lists(value, min_size=n, max_size=n))
+    if draw(st.booleans()):  # one class nearly absent
+        base = draw(st.integers(0, 1))
+        labels = [base] * n
+        few = st.sets(st.integers(0, n - 1), min_size=1, max_size=min(3, n - 1))
+        for i in draw(few):
+            labels[i] = 1 - base
+    else:
+        labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        assume(0 < sum(labels) < n)
+    return np.array(scores), np.array(labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=scored_labels())
+def test_rank_auc_is_pair_counting_and_the_midrank_form_bit_for_bit(case):
+    scores, labels = case
+    value = auc(scores, labels)
+    assert value == pairs_auc(scores, labels)
+    assert value == midranks_auc(scores, labels)
 
 
 def test_confusion_and_selection_rate():
@@ -261,3 +295,19 @@ def test_histogram_single_bin_is_plain_confusion():
     assert (t.tp, t.fp, t.tn, t.fn) == (1, 1, 1, 0)
     with pytest.raises(ValidationError):
         prediction_histogram(records, bins=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), bins=st.integers(1, 50))
+def test_histogram_tally_equals_one_add_at_per_kind(data, bins):
+    on_edge = st.integers(0, bins).map(lambda k: k / bins)
+    value = st.one_of(on_edge, st.sampled_from((0.0, -0.0, 1.0)), st.floats(0.0, 1.0))
+    scores = data.draw(st.lists(value, max_size=60))
+    n = len(scores)
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    threshold = data.draw(st.one_of(st.sampled_from((0.0, 1.0)), on_edge))
+    hist = prediction_histogram(recs(scores, labels), threshold=threshold, bins=bins)
+    expected = add_at_histogram(scores, labels, threshold, bins)
+    for kind in ("tp", "fp", "tn", "fn"):
+        assert hist.counts[kind].dtype == np.int64
+        assert hist.counts[kind].tolist() == expected[kind].tolist()

@@ -316,6 +316,25 @@ def test_norm_kind_from_string():
 
 
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["2-D", "stacked"])
+def test_fin_inference_kernel_works_in_place_and_fin_forward_never_does(lead):
+    rng = np.random.default_rng(22)
+    params = FinParams(
+        mu=rng.standard_normal(lead + (3, 4)),
+        tau=rng.standard_normal(lead + (3, 4)),
+        momentum=0.3,
+    )
+    z = rng.standard_normal(lead + (7, 4))
+    before = z.tobytes()
+    attrs = rng.integers(0, 3, size=7)
+    out, _ = fin_forward(z, attrs, params)
+    assert z.tobytes() == before  # the caller's array is left as it was
+    scratch = z.copy()
+    k_out, saved = _fin_forward(scratch, fin_rows(attrs, params, 7), params, False)
+    assert saved is None
+    assert k_out.tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["2-D", "stacked"])
 def test_public_norm_ops_and_their_kernels_give_the_same_bits(lead):
     rng = np.random.default_rng(21)
     params = FinParams(
@@ -327,7 +346,7 @@ def test_public_norm_ops_and_their_kernels_give_the_same_bits(lead):
     g = rng.standard_normal(lead + (7, 4))
     for attrs in (rng.integers(0, 3, size=lead + (7,)), rng.integers(0, 3, size=7)):
         out, cache = fin_forward(z, attrs, params)
-        k_out, saved = _fin_forward(z, fin_rows(attrs, params, 7), params)
+        k_out, saved = _fin_forward(z, fin_rows(attrs, params, 7), params, True)
         assert np.array_equal(out, k_out)
         grad_z, grad_mu, grad_tau = fin_backward(g, cache)
         k_mu, k_tau = np.full(params.mu.shape, np.nan), np.full(params.mu.shape, np.nan)
