@@ -3,15 +3,24 @@
 Runs the layer forward on a two-sample batch, backpropagates a unit
 gradient, and compares every analytic derivative against central finite
 differences. Finishes with the two degeneracies worth knowing: blend 1.0
-passes features through untouched, and a single shared group reproduces the
-group-free learnable layer bit for bit.
+passes features through untouched, and a model with the shared learnable
+normalizer gives the bits of a one-group identity-aware model drawn from
+the same generator.
 """
 
 import math
 
 import numpy as np
 
-from fin_equity import FinParams, fin_backward, fin_forward, lbn_forward, softplus
+from fin_equity import (
+    FinParams,
+    NormKind,
+    fin_backward,
+    fin_forward,
+    forward,
+    init_mlp,
+    softplus,
+)
 
 
 def finite_diff(f, arr, h=1e-6):
@@ -63,10 +72,11 @@ def main():
     out1, _ = fin_forward(z, attrs, passthrough)
     print("blend 1.0 returns the input bitwise:", bool((out1 == z).all()))
 
-    # one group == shared learnable layer
-    one = FinParams(mu=mu[:1].copy(), tau=tau[:1].copy(), momentum=0.3)
-    via_groups, _ = fin_forward(z, np.zeros(2, dtype=int), one)
-    via_shared, _ = lbn_forward(z, one)
+    # one group == shared learnable layer, as whole models from one seed
+    shared = init_mlp((2, 4, 3), NormKind.LEARNABLE_SHARED, 1, np.random.default_rng(7))
+    grouped = init_mlp((2, 4, 3), NormKind.FAIR_IDENTITY, 1, np.random.default_rng(7))
+    via_shared, _ = forward(shared, z, mode="inference")
+    via_groups, _ = forward(grouped, z, np.zeros(2, dtype=int), mode="inference")
     print("single group matches the shared layer bitwise:", bool((via_groups == via_shared).all()))
 
 

@@ -66,8 +66,6 @@ from .norms import (
     fin_backward,
     fin_forward,
     init_fin,
-    lbn_backward,
-    lbn_forward,
     softplus,
     softplus_grad,
 )

@@ -82,13 +82,19 @@ def auc(scores, labels) -> float:
     identical to counting all positive/negative pairs: both reduce to
     (wins + ties/2) / (P * N) with the same floating-point value, because
     rank sums are exact sums of half-integers (Hanley & McNeil 1982). Scores
-    are expected to be free of NaN; float64 input is used without a copy.
+    may be any finite reals, since only their order counts (a discriminant
+    need not be a probability), and labels must be 0 or 1; float64 input is
+    used without a copy.
     """
     scores, labels = _check_paired(scores, labels, "scores", "labels")
     scores = scores.astype(np.float64, copy=False)
+    if scores.size and not np.isfinite([scores.min(), scores.max()]).all():
+        raise ValidationError("scores must be finite")  # min and max carry a NaN
     pos = labels == 1
     n_pos = int(np.count_nonzero(pos))
-    n_neg = scores.size - n_pos
+    n_neg = int(np.count_nonzero(labels == 0))
+    if n_pos + n_neg != labels.size:
+        raise ValidationError("labels must be 0 or 1")
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             f"auc undefined: needs both classes, got {n_pos} positive / {n_neg} negative"

@@ -15,11 +15,12 @@ gives that model alone.
 
 forward, cross_entropy and backward check their inputs, then call a private
 kernel (_forward, _cross_entropy, _backward) that holds the only copy of
-the op's arithmetic and trusts its inputs: checked shapes, group rows from
-`norms.fin_rows`, a one_hot label mask. The training loop checks its data
-once per run and calls the kernels directly. The backward pass stops at
-the weight and bias gradients of the first backbone layer; the gradient
-with respect to the model input is never formed.
+the op's arithmetic and trusts its inputs: checked shapes, the rows that
+the normalizer object's `rows` gives, a one_hot label mask. The training
+loop checks its data once per run and calls the kernels directly. No op
+branches on the normalizer kind: each calls the object (None for the
+identity). The backward pass stops at the weight and bias gradients of the
+first backbone layer; the input gradient is never formed.
 """
 
 from __future__ import annotations
@@ -29,19 +30,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import CacheError, ValidationError
-from .norms import (
-    BatchNormState,
-    FinParams,
-    NormKind,
-    _bn_backward,
-    _bn_forward,
-    _fin_backward,
-    _fin_forward,
-    bn_check_batch,
-    fin_rows,
-    init_fin,
-    shared_attrs,
-)
+from .norms import BatchNormState, FinParams, NormKind, norm_class
 from .optim import flat_views
 
 
@@ -91,8 +80,6 @@ def init_mlp(
         raise ValidationError(
             f"layer_dims needs >= 2 positive entries (input..feature), got {dims}"
         )
-    if norm_kind is NormKind.FAIR_IDENTITY and group_count < 1:
-        raise ValidationError(f"group_count must be >= 1, got {group_count}")
 
     def draw(fan_in: int, fan_out: int) -> AffineLayer:
         limit = 1.0 / np.sqrt(fan_in)
@@ -102,18 +89,8 @@ def init_mlp(
     backbone = [draw(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
     head = draw(dims[-1], 2)
 
-    feature_dim = dims[-1]
-    norm: FinParams | BatchNormState | None
-    if norm_kind is NormKind.NONE:
-        norm = None
-    elif norm_kind is NormKind.BATCH:
-        norm = BatchNormState.create(feature_dim)
-    elif norm_kind is NormKind.LEARNABLE_SHARED:
-        norm = init_fin(1, feature_dim, rng, momentum=fin_momentum)
-    elif norm_kind is NormKind.FAIR_IDENTITY:
-        norm = init_fin(group_count, feature_dim, rng, momentum=fin_momentum)
-    else:  # pragma: no cover
-        raise ValidationError(f"unknown norm kind {norm_kind!r}")
+    cls = norm_class(norm_kind)
+    norm = None if cls is None else cls.init(group_count, dims[-1], rng, fin_momentum)
     return MlpModel(backbone=backbone, norm_kind=norm_kind, norm=norm, head=head)
 
 
@@ -145,19 +122,9 @@ def forward(
         raise ValidationError(
             f"input must be (batch, {model.input_dim}), got {x.shape}"
         )
-    batch = x.shape[-2]
-    rows = None
-    if model.norm_kind is NormKind.BATCH and mode == "training":
-        bn_check_batch(batch)
-    elif model.norm_kind is NormKind.LEARNABLE_SHARED:
-        rows = fin_rows(shared_attrs(model.norm, batch), model.norm, batch)
-    elif model.norm_kind is NormKind.FAIR_IDENTITY:
-        if attrs is None:
-            raise ValidationError(
-                "group-aware normalizer needs an attribute id per row"
-            )
-        rows = fin_rows(attrs, model.norm, batch)
-    logits, saved = _forward(model, x, rows, mode == "training")
+    training = mode == "training"
+    rows = None if model.norm is None else model.norm.rows(attrs, x.shape[-2], training)
+    logits, saved = _forward(model, x, rows, training)
     return logits, ForwardCaches(mode=mode, saved=saved)
 
 
@@ -184,12 +151,9 @@ def _forward(model: MlpModel, x: np.ndarray, rows, training: bool):
             layers.append((h, pre if i < last else None))
         h = pre
 
-    if model.norm_kind is NormKind.NONE:
-        z, norm_saved = h, None
-    elif model.norm_kind is NormKind.BATCH:
-        z, norm_saved = _bn_forward(h, model.norm, training)
-    else:
-        z, norm_saved = _fin_forward(h, rows, model.norm, training)
+    z, norm_saved = h, None
+    if model.norm is not None:
+        z, norm_saved = model.norm.forward(h, rows, training)
     logits = z @ model.head.w
     logits += model.head.b[..., None, :]
     return logits, ((layers, norm_saved, z) if training else ())
@@ -295,10 +259,8 @@ def _backward(model: MlpModel, saved, g: np.ndarray, out) -> None:
     g.sum(axis=-2, out=out["head.b"])
     gz = g @ model.head.w.swapaxes(-1, -2)
 
-    if model.norm_kind is NormKind.BATCH:
-        gz = _bn_backward(gz, norm_saved, out["norm.gamma"], out["norm.beta"])
-    elif model.norm_kind is not NormKind.NONE:
-        gz = _fin_backward(gz, norm_saved, out["norm.mu"], out["norm.tau"])
+    if model.norm is not None:
+        gz = model.norm.backward(gz, norm_saved, out)
 
     for i in range(len(layers) - 1, -1, -1):
         inp, act = layers[i]
@@ -319,12 +281,8 @@ def named_parameters(model: MlpModel) -> dict[str, np.ndarray]:
     for i, layer in enumerate(model.backbone):
         out[f"backbone.{i}.w"] = layer.w
         out[f"backbone.{i}.b"] = layer.b
-    if model.norm_kind in (NormKind.FAIR_IDENTITY, NormKind.LEARNABLE_SHARED):
-        out["norm.mu"] = model.norm.mu
-        out["norm.tau"] = model.norm.tau
-    elif model.norm_kind is NormKind.BATCH:
-        out["norm.gamma"] = model.norm.gamma
-        out["norm.beta"] = model.norm.beta
+    for name in () if model.norm is None else model.norm.names:
+        out[f"norm.{name}"] = getattr(model.norm, name)
     out["head.w"] = model.head.w
     out["head.b"] = model.head.b
     return out
@@ -332,16 +290,8 @@ def named_parameters(model: MlpModel) -> dict[str, np.ndarray]:
 
 def named_gradients(model: MlpModel, grads: Gradients) -> dict[str, np.ndarray]:
     """Gradient arrays keyed to match named_parameters."""
-    out: dict[str, np.ndarray] = {}
-    for i, (dw, db) in enumerate(grads.backbone):
-        out[f"backbone.{i}.w"] = dw
-        out[f"backbone.{i}.b"] = db
-    if model.norm_kind in (NormKind.FAIR_IDENTITY, NormKind.LEARNABLE_SHARED):
-        out["norm.mu"], out["norm.tau"] = grads.norm
-    elif model.norm_kind is NormKind.BATCH:
-        out["norm.gamma"], out["norm.beta"] = grads.norm
-    out["head.w"], out["head.b"] = grads.head
-    return out
+    pairs = [*grads.backbone, grads.norm or (), grads.head]
+    return dict(zip(named_parameters(model), (g for pair in pairs for g in pair)))
 
 
 def _map_arrays(objs, fn):

@@ -1,13 +1,17 @@
 """Normalizers that sit between the backbone features and the linear head.
 
-Four kinds:
+Four kinds, each one object of the class `norm_class` picks:
 
-* NONE: identity.
-* BATCH: standard batch normalization with running statistics.
-* LEARNABLE_SHARED: one learnable (mu, sigma) pair shared by everyone;
-  implemented by delegating to the group-aware ops with a single group, so
-  the two take the same arithmetic path bit for bit.
-* FAIR_IDENTITY: one learnable (mu, sigma) pair per identity group.
+* NONE: identity, the object None.
+* BATCH: `BatchNormState`, batch normalization with running statistics.
+* FAIR_IDENTITY: `FinParams`, one learnable (mu, sigma) pair per group.
+* LEARNABLE_SHARED: `SharedParams`, FIN with one group that holds every
+  row whatever its attribute id, so both take the same path bit for bit.
+
+An object owns its decisions: its trainable fields in parameter order
+(`names`), its draw (`init`), one batch's checks and rows (`rows`), its
+forward and backward kernels, and its checked checkpoint form (`to_dict`,
+`from_dict`).
 
 The group-aware normalization of a feature row z with group a is
 
@@ -40,19 +44,23 @@ Each op is split in two. The public entry point (fin_forward, fin_backward,
 bn_forward, bn_backward) checks its inputs and raises the errors callers
 see; a private kernel (_fin_forward, _fin_backward, _bn_forward,
 _bn_backward) holds the only copy of the op's arithmetic and trusts its
-inputs. The public entry point always ends in its kernel, and the training
-loop, which checks its data once per run, calls the kernels directly.
+inputs. The public entry point always ends in its kernel; the model and
+the training loop call the kernels, through the objects.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import CacheError, ValidationError
+from .core import config_value
+from .errors import (
+    CacheError, CheckpointFormatError, CheckpointShapeError, ValidationError
+)
 
 
 class NormKind(enum.Enum):
@@ -88,6 +96,28 @@ def softplus_grad(t):
     return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _as_array(
+    obj, shape: tuple[int, ...], what: str, positive: bool = False
+) -> np.ndarray:
+    """A loaded checkpoint array: float64 of the given shape, finite."""
+    arr = np.asarray(obj, dtype=np.float64)
+    if arr.shape != shape:
+        raise CheckpointShapeError(f"{what}: expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise CheckpointFormatError(f"{what}: non-finite value")
+    if positive and not (arr > 0.0).all():
+        raise CheckpointFormatError(f"{what}: must be > 0")
+    return arr
+
+
+def _as_scalar(value, kind: type, what: str):
+    """A loaded checkpoint scalar, typed as `core.config_value` types configs."""
+    try:
+        return config_value(value, kind, what, "value in checkpoint")
+    except ValidationError as exc:
+        raise CheckpointFormatError(str(exc)) from None
+
+
 @dataclass
 class FinParams:
     """Per-group normalization parameters: mu and tau, shape (groups, dim).
@@ -100,6 +130,9 @@ class FinParams:
     mu: np.ndarray
     tau: np.ndarray
     momentum: float = 0.3
+
+    names: ClassVar[tuple[str, ...]] = ("mu", "tau")  # trainable, in order
+    fixed_groups: ClassVar[int | None] = None  # None: one group per identity
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=np.float64)
@@ -123,21 +156,60 @@ class FinParams:
     def sigma(self) -> np.ndarray:
         return softplus(self.tau)
 
+    @classmethod
+    def init(cls, group_count: int, dim: int, rng, momentum: float = 0.3):
+        """Draw mu, then tau, entries independently from the standard normal."""
+        group_count = cls.fixed_groups or group_count
+        if group_count < 1 or dim < 1:
+            raise ValidationError(
+                f"group_count and dim must be >= 1, got {group_count}, {dim}"
+            )
+        shape = (group_count, dim)
+        return cls(rng.standard_normal(shape), rng.standard_normal(shape), momentum)
 
-def init_fin(
-    group_count: int,
-    dim: int,
-    rng: np.random.Generator,
-    momentum: float = 0.3,
-) -> FinParams:
-    """Draw mu and tau entries independently from the standard normal."""
-    if group_count < 1 or dim < 1:
-        raise ValidationError(
-            f"group_count and dim must be >= 1, got {group_count}, {dim}"
+    def rows(self, attrs, batch: int, training: bool) -> np.ndarray:
+        """One batch's group rows for `forward`, checked by `fin_rows`."""
+        if attrs is None:
+            raise ValidationError(
+                "group-aware normalizer needs an attribute id per row"
+            )
+        return fin_rows(attrs, self, batch)
+
+    def forward(self, z: np.ndarray, rows: np.ndarray, training: bool):
+        return _fin_forward(z, rows, self, training)
+
+    def backward(self, grad: np.ndarray, saved, grads) -> np.ndarray:
+        """Writes grads["norm.mu"] and grads["norm.tau"]; returns grad_z."""
+        return _fin_backward(grad, saved, grads["norm.mu"], grads["norm.tau"])
+
+    def to_dict(self) -> dict:
+        return {"mu": self.mu, "tau": self.tau, "m": self.momentum}
+
+    @classmethod
+    def from_dict(cls, data: dict, dim: int) -> "FinParams":
+        mu = np.asarray(data["mu"], dtype=np.float64)
+        groups = f"{cls.fixed_groups} group" if cls.fixed_groups else "groups"
+        if mu.shape[1:] != (dim,) or cls.fixed_groups not in (None, mu.shape[0]):
+            raise CheckpointShapeError(
+                f"norm.mu: expected ({groups}, {dim}), got {mu.shape}"
+            )
+        return cls(
+            mu=_as_array(mu, mu.shape, "norm.mu"),
+            tau=_as_array(data["tau"], mu.shape, "norm.tau"),
+            momentum=_as_scalar(data["m"], float, "norm.m"),
         )
-    mu = rng.standard_normal((group_count, dim))
-    tau = rng.standard_normal((group_count, dim))
-    return FinParams(mu=mu, tau=tau, momentum=momentum)
+
+
+class SharedParams(FinParams):
+    """The shared learnable normalizer: FIN with one group, holding every row."""
+
+    fixed_groups = 1
+
+    def rows(self, attrs, batch: int, training: bool) -> np.ndarray:
+        return fin_rows(np.zeros(batch, dtype=np.intp), self, batch)
+
+
+init_fin = FinParams.init
 
 
 @dataclass
@@ -188,23 +260,9 @@ def fin_rows(attrs, params: FinParams, batch: int) -> np.ndarray:
             f"batch position {first % batch}: attribute id "
             f"{int(attrs.flat[first])} out of range for {groups} groups"
         )
-    return _offset_rows(attrs, groups, models)
-
-
-def _offset_rows(attrs: np.ndarray, groups: int, models: tuple[int, ...]) -> np.ndarray:
-    """Valid intp group ids as rows of the flattened (models * groups) stack."""
     if math.prod(models) > 1:  # each model's ids index its own block of rows
-        return attrs + groups * np.arange(models[0])[:, None]
+        attrs = attrs + groups * np.arange(models[0])[:, None]
     return attrs
-
-
-def shared_attrs(params: FinParams, batch: int) -> np.ndarray:
-    """The group ids of the shared normalizer: all zero, for its one group."""
-    if params.group_count != 1:
-        raise ValidationError(
-            f"shared normalizer needs group_count 1, got {params.group_count}"
-        )
-    return np.zeros(batch, dtype=np.intp)
 
 
 def fin_forward(z, attrs, params: FinParams) -> tuple[np.ndarray, NormCache]:
@@ -285,20 +343,6 @@ def _fin_backward(grad_out: np.ndarray, saved, grad_mu, grad_tau) -> np.ndarray:
     return grad_z
 
 
-def lbn_forward(z, params: FinParams) -> tuple[np.ndarray, NormCache]:
-    """Shared learnable normalizer: the group-aware op with one group."""
-    z = np.asarray(z, dtype=np.float64)
-    attrs = shared_attrs(params, z.shape[-2] if z.ndim >= 2 else 0)
-    if z.ndim < 2:
-        raise ValidationError(f"features must be at least 2-D, got shape {z.shape}")
-    return fin_forward(z, attrs, params)
-
-
-def lbn_backward(grad_out, cache: NormCache, out=None):
-    """Backward for lbn_forward; identical to the group-aware backward."""
-    return fin_backward(grad_out, cache, out)
-
-
 @dataclass
 class BatchNormState:
     """Standard batch normalization state for one feature width.
@@ -316,22 +360,67 @@ class BatchNormState:
     running_var: np.ndarray
     eps: float = 1e-5
     bn_momentum: float = 0.1
-    mode: str = "training"
+
+    names: ClassVar[tuple[str, ...]] = ("gamma", "beta")  # trainable, in order
+
+    def __post_init__(self):
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ValidationError(
+                f"bn_momentum must lie in [0, 1], got {self.bn_momentum}"
+            )
 
     @classmethod
     def create(cls, dim: int) -> "BatchNormState":
         if dim < 1:
             raise ValidationError(f"dim must be >= 1, got {dim}")
-        return cls(
-            gamma=np.ones(dim),
-            beta=np.zeros(dim),
-            running_mean=np.zeros(dim),
-            running_var=np.ones(dim),
-        )
+        return cls(np.ones(dim), np.zeros(dim), np.zeros(dim), np.ones(dim))
+
+    @classmethod
+    def init(cls, group_count: int, dim: int, rng, momentum: float) -> "BatchNormState":
+        """The fresh state of `create`; it draws nothing and has no groups."""
+        return cls.create(dim)
 
     @property
     def dim(self) -> int:
         return self.gamma.shape[-1]
+
+    def rows(self, attrs, batch: int, training: bool) -> None:
+        """Batch norm takes no group rows; a training batch needs two rows."""
+        if training and batch < 2:
+            raise ValidationError(
+                f"batch normalization needs batch size >= 2 in training mode, "
+                f"got {batch}"
+            )
+
+    def forward(self, z: np.ndarray, rows: None, training: bool):
+        return _bn_forward(z, self, training)
+
+    def backward(self, grad: np.ndarray, saved, grads) -> np.ndarray:
+        """Writes grads["norm.gamma"] and grads["norm.beta"]; returns grad_z."""
+        return _bn_backward(grad, saved, grads["norm.gamma"], grads["norm.beta"])
+
+    def to_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, data: dict, dim: int) -> "BatchNormState":
+        arrays = [
+            _as_array(data[key], (dim,), f"norm.{key}", positive=key == "running_var")
+            for key in ("gamma", "beta", "running_mean", "running_var")
+        ]
+        eps = _as_scalar(data["eps"], float, "norm.eps")
+        eps = _as_array(eps, (), "norm.eps", positive=True)
+        momentum = _as_scalar(data["bn_momentum"], float, "norm.bn_momentum")
+        return cls(*arrays, float(eps), momentum)
+
+
+def norm_class(kind: NormKind):
+    """The normalizer class of a kind; None for the identity."""
+    return {
+        NormKind.BATCH: BatchNormState,
+        NormKind.LEARNABLE_SHARED: SharedParams,
+        NormKind.FAIR_IDENTITY: FinParams,
+    }.get(kind)
 
 
 @dataclass
@@ -348,30 +437,18 @@ def _over_batch(v: np.ndarray) -> np.ndarray:
     return v[..., None, :]
 
 
-def bn_forward(
-    z, state: BatchNormState, mode: str | None = None
-) -> tuple[np.ndarray, BnCache]:
-    """Batch normalization forward; mode defaults to state.mode.
+def bn_forward(z, state: BatchNormState, mode: str) -> tuple[np.ndarray, BnCache]:
+    """Batch normalization forward in "training" or "inference" mode.
 
     z is (batch, dim), or (models, batch, dim) for a stacked state.
     """
-    mode = state.mode if mode is None else mode
     if mode not in ("training", "inference"):
         raise ValidationError(f"mode must be 'training' or 'inference', got {mode!r}")
     z = _features(z, state.gamma.shape[:-1], state.dim)
     training = mode == "training"
-    if training:
-        bn_check_batch(z.shape[-2])
+    state.rows(None, z.shape[-2], training)
     out, saved = _bn_forward(z, state, training)
     return out, BnCache(*saved, training=training)
-
-
-def bn_check_batch(n: int) -> None:
-    """Training-mode batch normalization needs two rows or more."""
-    if n < 2:
-        raise ValidationError(
-            f"batch normalization needs batch size >= 2 in training mode, got {n}"
-        )
 
 
 def _bn_forward(z: np.ndarray, state: BatchNormState, training: bool):

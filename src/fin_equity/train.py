@@ -19,13 +19,15 @@ both splits and the feature width at entry, then calls the ops' kernels
 (`net._forward`, `net._cross_entropy`, `net._backward`,
 `optim._adamw_update`), which trust their inputs; the public entry points
 check and then call the same kernels. Once per epoch the loop gathers the
-shuffled features, the one-hot label mask and the normalizer's group rows,
-so each step takes slices of them. Every step still checks each seed's
-loss and gradients for non-finite values.
+shuffled features, the one-hot label mask and the normalizer's rows (from
+its `rows` method), so each step takes slices of them. Every step still
+checks each seed's loss and gradients for non-finite values.
 
 Checkpoints serialize to canonical JSON with 17-significant-digit floats,
 so save -> load -> save is byte-identical and a loaded model reproduces
-the saved model's inference outputs exactly.
+the saved model's inference outputs exactly. The loader checks every
+value's type and range, as configs are checked; the normalizer object
+reads its own block, whose kind must be the config's `norm_kind`.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .net import (
     softmax,
     stack_models,
 )
-from .norms import BatchNormState, FinParams, NormKind, _offset_rows
+from .norms import NormKind, _as_array, _as_scalar, norm_class
 from .optim import AdamWConfig, AdamWState, _adamw_update, decay_shrink, param_buffer
 
 CHECKPOINT_VERSION = 1
@@ -226,17 +228,13 @@ def _train_seeds(
         # gathered once per epoch, so each step takes (seeds, batch) slices
         xs = x[order]
         onehot = one_hot(y[order])
-        rows = None
-        if kind is NormKind.FAIR_IDENTITY:
-            rows = _offset_rows(a[order], model.norm.group_count, model.models)
-        elif kind is NormKind.LEARNABLE_SHARED:
-            rows = _offset_rows(np.zeros_like(order), 1, model.models)
+        rows = None if model.norm is None else model.norm.rows(a[order], n, True)
         batch_losses: list[np.ndarray] = []
         for start in range(0, n, config.batch_size):
             if n - start == 1 and kind is NormKind.BATCH:
                 continue  # training-mode batch norm cannot take a singleton
             batch = slice(start, start + config.batch_size)
-            batch_rows = None if rows is None else rows[:, batch]
+            batch_rows = None if rows is None else rows[..., batch]
             logits, saved = _forward(model, xs[:, batch], batch_rows, True)
             loss, grad_logits = _cross_entropy(logits, onehot[:, batch])
             if not np.isfinite(loss).all():
@@ -460,25 +458,9 @@ def train_config_from_dict(data: dict) -> TrainConfig:
 
 def checkpoint_to_dict(ck: Checkpoint) -> dict:
     model = ck.model
-    if model.norm_kind is NormKind.NONE:
-        norm = None
-    elif model.norm_kind is NormKind.BATCH:
-        norm = {
-            "kind": model.norm_kind.value,
-            "gamma": model.norm.gamma,
-            "beta": model.norm.beta,
-            "running_mean": model.norm.running_mean,
-            "running_var": model.norm.running_var,
-            "eps": model.norm.eps,
-            "bn_momentum": model.norm.bn_momentum,
-        }
-    else:
-        norm = {
-            "kind": model.norm_kind.value,
-            "mu": model.norm.mu,
-            "tau": model.norm.tau,
-            "m": model.norm.momentum,
-        }
+    norm = None
+    if model.norm is not None:
+        norm = {"kind": model.norm_kind.value, **model.norm.to_dict()}
     return {
         "version": ck.version,
         "config": train_config_to_dict(ck.config),
@@ -495,31 +477,20 @@ def save_checkpoint(ck: Checkpoint, path: str) -> None:
         f.write("\n")
 
 
-def _as_array(
-    obj, shape: tuple[int, ...], what: str, positive: bool = False
-) -> np.ndarray:
-    arr = np.asarray(obj, dtype=np.float64)
-    if arr.shape != shape:
-        raise CheckpointShapeError(f"{what}: expected shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise CheckpointFormatError(f"{what}: non-finite value")
-    if positive and not (arr > 0.0).all():
-        raise CheckpointFormatError(f"{what}: must be > 0")
-    return arr
-
-
 def checkpoint_from_dict(data: dict) -> Checkpoint:
     if not isinstance(data, dict):
         raise CheckpointFormatError("checkpoint must be a JSON object")
     try:
-        version = data["version"]
+        version = _as_scalar(data["version"], int, "version")
         config_data = data["config"]
         backbone_data = data["backbone"]
         norm_data = data["norm"]
         head_data = data["head"]
-        epoch = int(data["epoch"])
+        epoch = _as_scalar(data["epoch"], int, "epoch")
     except (KeyError, TypeError) as exc:
         raise CheckpointFormatError(f"checkpoint missing key: {exc!r}") from exc
+    if epoch < 0:
+        raise CheckpointFormatError(f"epoch must be >= 0, got {epoch}")
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
             f"unsupported checkpoint version {version!r}; this build reads "
@@ -545,39 +516,19 @@ def checkpoint_from_dict(data: dict) -> Checkpoint:
             w=_as_array(head_data["w"], (feature_dim, 2), "head.w"),
             b=_as_array(head_data["b"], (2,), "head.b"),
         )
-        if config.norm_kind is NormKind.NONE:
+        cls = norm_class(config.norm_kind)
+        if cls is None:
             if norm_data is not None:
                 raise CheckpointShapeError("norm must be null for the identity kind")
             norm = None
-        elif config.norm_kind is NormKind.BATCH:
-            norm = BatchNormState(
-                gamma=_as_array(norm_data["gamma"], (feature_dim,), "norm.gamma"),
-                beta=_as_array(norm_data["beta"], (feature_dim,), "norm.beta"),
-                running_mean=_as_array(
-                    norm_data["running_mean"], (feature_dim,), "norm.running_mean"
-                ),
-                running_var=_as_array(
-                    norm_data["running_var"], (feature_dim,), "norm.running_var",
-                    positive=True,
-                ),
-                eps=float(_as_array(norm_data["eps"], (), "norm.eps", positive=True)),
-                bn_momentum=float(norm_data["bn_momentum"]),
-            )
         else:
-            mu = np.asarray(norm_data["mu"], dtype=np.float64)
-            if mu.ndim != 2 or mu.shape[1] != feature_dim:
-                raise CheckpointShapeError(
-                    f"norm.mu: expected (groups, {feature_dim}), got {mu.shape}"
+            kind = norm_data.get("kind") if isinstance(norm_data, dict) else None
+            if kind != config.norm_kind.value:
+                raise CheckpointFormatError(
+                    f"norm.kind {kind!r} does not match config.norm_kind "
+                    f"{config.norm_kind.value!r}"
                 )
-            if config.norm_kind is NormKind.LEARNABLE_SHARED and mu.shape[0] != 1:
-                raise CheckpointShapeError(
-                    f"norm.mu: shared normalizer needs 1 group, got {mu.shape[0]}"
-                )
-            norm = FinParams(
-                mu=_as_array(mu, mu.shape, "norm.mu"),
-                tau=_as_array(norm_data["tau"], mu.shape, "norm.tau"),
-                momentum=float(norm_data["m"]),
-            )
+            norm = cls.from_dict(norm_data, feature_dim)
     except CheckpointError:
         raise
     except (KeyError, TypeError) as exc:

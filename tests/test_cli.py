@@ -376,6 +376,28 @@ def test_non_finite_checkpoint_is_exit_2(workdir, tmp_path):
     assert "head.w: non-finite value" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("epoch", "abc", "'epoch' must be an integer, got 'abc'"),
+        ("kind", "bogus", "norm.kind 'bogus' does not match config.norm_kind"),
+    ],
+)
+def test_bad_checkpoint_scalar_or_kind_is_exit_2(workdir, tmp_path, key, value, message):
+    data = json.loads((workdir / "run_checkpoint_seed1.json").read_text())
+    (data if key == "epoch" else data["norm"])[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    r = run_cli(
+        "evaluate",
+        "--checkpoint", str(path),
+        "--data", str(workdir / "eval.csv"),
+        "--out", str(tmp_path / "r.json"),
+    )
+    assert r.returncode == 2, r.stderr
+    assert message in r.stderr
+
+
 def test_sweep_momentum_table_labels_each_blend_value(workdir, tmp_path):
     r = run_cli(
         "sweep-momentum",

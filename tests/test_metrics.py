@@ -76,6 +76,19 @@ def test_auc_needs_both_classes():
         auc([0.1, 0.9], [0, 0])
 
 
+def test_auc_refuses_non_finite_scores_and_non_binary_labels():
+    nan, inf = float("nan"), float("inf")
+    for scores in ([nan, 0.5, nan, 0.2], [0.5, inf, 0.2, 0.1], [-inf, 0.5, 0.2, 0.1]):
+        with pytest.raises(ValidationError, match="scores must be finite"):
+            auc(scores, [1, 0, 0, 1])
+    for labels in ([2, 0, 1], [1, 0, -1], [0.5, 0, 1]):
+        with pytest.raises(ValidationError, match="labels must be 0 or 1"):
+            auc([0.1, 0.5, 0.3], labels)
+    # only the order counts: an unbounded discriminant has an AUC too
+    assert auc([0.5, 1.7, -3.0], [1, 0, 1]) == 0.0
+    assert auc([0.0, 1.0, -0.0], [0, 1, 1]) == 0.75
+
+
 def test_auc_matches_pair_counting_oracle():
     rng = np.random.default_rng(11)
     for trial in range(200):

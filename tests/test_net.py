@@ -324,7 +324,6 @@ def test_stacked_group_ids_are_checked_before_the_model_offset():
         (NormKind.LEARNABLE_SHARED, "momentum", 0.0),
         (NormKind.BATCH, "eps", 1e-3),
         (NormKind.BATCH, "bn_momentum", 0.5),
-        (NormKind.BATCH, "mode", "inference"),
     ],
 )
 def test_stack_models_refuses_differing_norm_settings(kind, field, value):

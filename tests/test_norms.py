@@ -26,8 +26,6 @@ from fin_equity import (
     fin_backward,
     fin_forward,
     init_fin,
-    lbn_backward,
-    lbn_forward,
     softplus,
     softplus_grad,
 )
@@ -199,26 +197,6 @@ def test_init_fin_draw_order_and_seeding():
         init_fin(0, 4, np.random.default_rng(0))
 
 
-def test_shared_normalizer_delegates_bitwise():
-    rng = np.random.default_rng(9)
-    params = init_fin(1, 6, np.random.default_rng(42))
-    z = rng.standard_normal((8, 6))
-    out_shared, cache_shared = lbn_forward(z, params)
-    out_fin, cache_fin = fin_forward(z, np.zeros(8, dtype=np.intp), params)
-    assert np.array_equal(out_shared, out_fin)
-    g = rng.standard_normal((8, 6))
-    gs = lbn_backward(g, cache_shared)
-    gf = fin_backward(g, cache_fin)
-    for a, b in zip(gs, gf):
-        assert np.array_equal(a, b)
-
-
-def test_shared_normalizer_needs_one_group():
-    params = init_fin(2, 3, np.random.default_rng(0))
-    with pytest.raises(ValidationError):
-        lbn_forward(np.ones((2, 3)), params)
-
-
 def test_sigma_stays_positive_under_updates():
     rng = np.random.default_rng(7)
     params = init_fin(2, 3, rng)
@@ -246,7 +224,6 @@ def test_bn_defaults():
     state = BatchNormState.create(4)
     assert state.eps == 1e-5
     assert state.bn_momentum == 0.1
-    assert state.mode == "training"
     assert np.array_equal(state.gamma, np.ones(4))
     assert np.array_equal(state.running_var, np.ones(4))
 

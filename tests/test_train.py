@@ -1,10 +1,14 @@
 import copy
 import hashlib
 import re
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fin_equity import (
     AdamWConfig,
@@ -34,6 +38,7 @@ from fin_equity import (
     evaluate_model,
     generate,
     load_checkpoint,
+    metric_report_to_dict,
     named_parameters,
     run_seeds,
     save_checkpoint,
@@ -41,6 +46,8 @@ from fin_equity import (
     train,
     train_config_from_dict,
     train_config_to_dict,
+    write_predictions_csv,
+    write_pretty_json,
 )
 from fin_equity.net import model_slice, stack_models
 from fin_equity.train import CHECKPOINT_VERSION
@@ -486,6 +493,56 @@ def test_checkpoint_loader_rejects_bad_values():
         load_with(ck_fin, lambda d: d["config"].update(optimizer="adamw"))
 
 
+def test_checkpoint_loader_checks_scalars_and_the_norm_kind():
+    train_set, eval_set = tiny_data()
+    ck_fin, _ = train(train_set, eval_set, tiny_config(norm_kind=NormKind.FAIR_IDENTITY))
+    ck_bn, _ = train(train_set, eval_set, tiny_config(norm_kind=NormKind.BATCH))
+    nan = float("nan")
+    typed = "bad value in checkpoint: "
+    cases = [
+        (ck_fin, [], "epoch", "abc", typed + "'epoch' must be an integer, got 'abc'"),
+        (ck_fin, [], "epoch", 3.7, typed + "'epoch' must be an integer, got 3.7"),
+        (ck_fin, [], "epoch", True, typed + "'epoch' must be an integer, got True"),
+        (ck_fin, [], "epoch", "5", typed + "'epoch' must be an integer, got '5'"),
+        (ck_fin, [], "epoch", -4, "epoch must be >= 0, got -4"),
+        (ck_fin, [], "version", True, typed + "'version' must be an integer, got True"),
+        (ck_fin, ["norm"], "m", True, typed + "'norm.m' must be a number, got True"),
+        (ck_fin, ["norm"], "m", "0.5", typed + "'norm.m' must be a number, got '0.5'"),
+        (ck_fin, ["norm"], "m", 1.5, "momentum must lie in [0, 1], got 1.5"),
+        (ck_fin, ["norm"], "m", nan, "momentum must lie in [0, 1], got nan"),
+        (ck_bn, ["norm"], "bn_momentum", nan, "bn_momentum must lie in [0, 1], got nan"),
+        (ck_bn, ["norm"], "bn_momentum", 7.0, "bn_momentum must lie in [0, 1], got 7.0"),
+        (ck_bn, ["norm"], "bn_momentum", -1.0, "bn_momentum must lie in [0, 1], got -1.0"),
+        (
+            ck_bn, ["norm"], "bn_momentum", True,
+            typed + "'norm.bn_momentum' must be a number, got True",
+        ),
+        (ck_bn, ["norm"], "eps", True, typed + "'norm.eps' must be a number, got True"),
+    ]
+    for kind in ("batch", "learnable_shared", "bogus", None):
+        message = (
+            f"norm.kind {kind!r} does not match config.norm_kind 'fair_identity'"
+        )
+        cases.append((ck_fin, ["norm"], "kind", kind, message))
+    cases.append(
+        (ck_bn, ["norm"], "kind", "fair_identity",
+         "norm.kind 'fair_identity' does not match config.norm_kind 'batch'")
+    )
+    for ck, path, key, value, message in cases:
+        data = copy.deepcopy(checkpoint_to_dict(ck))
+        block = data[path[0]] if path else data
+        if value is None:
+            del block[key]
+        else:
+            block[key] = value
+        with pytest.raises(CheckpointFormatError, match=re.escape(message)):
+            checkpoint_from_dict(data)
+    version = checkpoint_to_dict(ck_fin)
+    version["version"] = 2
+    with pytest.raises(CheckpointVersionError):
+        checkpoint_from_dict(version)
+
+
 def test_train_config_round_trip():
     config = TrainConfig(
         layer_dims=(8, 4),
@@ -609,6 +666,73 @@ def test_multi_seed_checkpoint_bytes_are_pinned(kind):
         assert digest == PINNED_MULTI_SEED_SHA256[kind, seed], seed
 
 
+# SHA-256 of the predictions CSV and the report JSON that `evaluate` writes
+# for the tiny_config() checkpoint of each norm kind, scored on tiny_data()'s
+# eval split: these pin the inference forward, which the checkpoint digests
+# above never run.
+PINNED_INFERENCE_SHA256 = {
+    "none": (
+        "8cda9a43f7a07e45a61e2a6594d8751128cabd1cbd2fccb113c193f306586df4",
+        "f9ed0a205e8022b31a919db66988ba64d6c022db073c5dbdc4fcac02ad28743f",
+    ),
+    "batch": (
+        "2c2ae988ad038a2bab8ba8fc8a5a21a1886c272b03123ce05eb43c27687948d2",
+        "1d4a485c1741ce391a997884308a149d4fa58b3a64222095d6d2373556c9deff",
+    ),
+    "learnable_shared": (
+        "37d6af5f54ca1574924f72461d5a5afefa11fa53e957ac942b5d3a2b4bffd713",
+        "7ce7751b07f7777b34687b613bd04157a82fe9873bc7faf276485c2e7e2acaa1",
+    ),
+    "fair_identity": (
+        "daee1fcb6324ed02e4a32f329768236ccfe938d7ddf2444320e2e0d433638ad2",
+        "2f69371659308ff3813a910156370396b87895dfbcda2d28485451e4f7d448db",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_INFERENCE_SHA256))
+def test_inference_bytes_are_pinned(kind, tmp_path):
+    train_set, eval_set = tiny_data()
+    ck, _ = train(train_set, eval_set, tiny_config(norm_kind=NormKind(kind)))
+    predictions, report = evaluate_model(ck, eval_set)
+    write_predictions_csv(predictions, str(tmp_path / "preds.csv"))
+    write_pretty_json(metric_report_to_dict(report), str(tmp_path / "report.json"))
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("preds.csv", "report.json")
+    )
+    assert digests == PINNED_INFERENCE_SHA256[kind]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(list(NormKind)),
+    dims=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+    groups=st.integers(1, 5),
+    m=st.floats(0.0, 1.0),
+    bn=st.tuples(st.floats(1e-12, 1.0), st.floats(0.0, 1.0)),
+    epoch=st.integers(0, 10**6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_checkpoint_write_read_write_is_byte_identical(
+    kind, dims, groups, m, bn, epoch, seed
+):
+    rng = np.random.default_rng(seed)
+    model = init_mlp(dims, kind, groups, rng, fin_momentum=m)
+    if kind is NormKind.BATCH:  # trained-looking statistics, not the defaults
+        norm = model.norm
+        norm.gamma, norm.beta, norm.running_mean = rng.standard_normal((3, dims[-1]))
+        norm.running_var = np.exp(rng.standard_normal(dims[-1]))
+        norm.eps, norm.bn_momentum = bn
+    config = TrainConfig(layer_dims=tuple(dims), norm_kind=kind, fin_momentum=m)
+    ck = Checkpoint(version=CHECKPOINT_VERSION, config=config, model=model, epoch=epoch)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.json"), Path(tmp, "second.json")
+        save_checkpoint(ck, str(first))
+        save_checkpoint(load_checkpoint(str(first)), str(second))
+        assert second.read_bytes() == first.read_bytes()
+
+
 @pytest.mark.parametrize(
     "kind", [NormKind.BATCH, NormKind.FAIR_IDENTITY], ids=lambda k: k.value
 )
@@ -629,6 +753,19 @@ def test_a_seed_trains_the_same_alone_or_among_others(kind):
         assert canonical_bytes(ck) == canonical_bytes(solo_ck)
         assert history.losses == solo_history.losses
         assert history.reports == solo_history.reports
+
+
+def test_batch_norm_refuses_a_one_row_train_set():
+    # every batch of it would be the singleton that training-mode batch norm
+    # skips, so the run would take no step at all
+    train_set, eval_set = tiny_data()
+    one = Dataset(
+        train_set.attribute_set, train_set.x[:1], train_set.labels[:1],
+        train_set.attrs[:1], train_set.ids[:1],
+    )
+    with pytest.raises(ValidationError, match="needs batch size >= 2 in training mode"):
+        train(one, eval_set, tiny_config(norm_kind=NormKind.BATCH))
+    train(one, eval_set, tiny_config(norm_kind=NormKind.FAIR_IDENTITY))
 
 
 def test_eval_group_id_beyond_the_train_groups_is_refused():
