@@ -1,7 +1,8 @@
 """Poke at the identity-aware normalizer and check its gradients by hand.
 
-Runs the layer forward on a two-sample batch, backpropagates a unit
-gradient, and compares every analytic derivative against central finite
+Runs the layer (a `FinParams` object: `rows`, then `forward`) on a
+two-sample batch, backpropagates a unit gradient through its `backward`,
+and compares every analytic derivative against central finite
 differences. Finishes with the two degeneracies worth knowing: blend 1.0
 passes features through untouched, and a model with the shared learnable
 normalizer gives the bits of a one-group identity-aware model drawn from
@@ -12,15 +13,7 @@ import math
 
 import numpy as np
 
-from fin_equity import (
-    FinParams,
-    NormKind,
-    fin_backward,
-    fin_forward,
-    forward,
-    init_mlp,
-    softplus,
-)
+from fin_equity import FinParams, NormKind, forward, init_mlp, softplus
 
 
 def finite_diff(f, arr, h=1e-6):
@@ -38,6 +31,11 @@ def finite_diff(f, arr, h=1e-6):
     return g
 
 
+def layer(params, z, attrs):
+    """The layer's training forward: (output, values saved for backward)."""
+    return params.forward(z, params.rows(attrs, len(z), True), True)
+
+
 def main():
     mu = np.array([[1.0, 0.0], [-0.5, 0.25]])
     tau = np.array([[math.log(math.e**2 - 1), math.log(math.e - 1)], [0.3, -0.2]])
@@ -45,18 +43,17 @@ def main():
     z = np.array([[3.0, -1.0], [0.5, 2.0]])
     attrs = np.array([0, 1])
 
-    out, cache = fin_forward(z, attrs, params)
+    out, saved = layer(params, z, attrs)
     print("input:\n", z)
     print("sigma per group:\n", softplus(tau))
     print("output (blend 0.3):\n", out)
 
-    grad_out = np.ones_like(out)
-    grad_z, grad_mu, grad_tau = fin_backward(grad_out, cache)
+    grads = {"norm.mu": np.empty_like(mu), "norm.tau": np.empty_like(tau)}
+    grad_z = params.backward(np.ones_like(out), saved, grads)
+    grad_mu, grad_tau = grads["norm.mu"], grads["norm.tau"]
 
     def total():
-        o, c = fin_forward(z, attrs, params)
-        del c
-        return float(o.sum())
+        return float(layer(params, z, attrs)[0].sum())
 
     for name, analytic, arr in (
         ("d/d input", grad_z, z),
@@ -69,7 +66,7 @@ def main():
 
     # blend 1.0 is a bitwise no-op
     passthrough = FinParams(mu=mu.copy(), tau=tau.copy(), momentum=1.0)
-    out1, _ = fin_forward(z, attrs, passthrough)
+    out1, _ = layer(passthrough, z, attrs)
     print("blend 1.0 returns the input bitwise:", bool((out1 == z).all()))
 
     # one group == shared learnable layer, as whole models from one seed

@@ -46,25 +46,18 @@ from .metrics import (
 )
 from .net import (
     AffineLayer,
-    Gradients,
     MlpModel,
     backward,
     cross_entropy,
     forward,
     init_mlp,
-    named_gradients,
     named_parameters,
     softmax,
 )
 from .norms import (
     BatchNormState,
     FinParams,
-    NormCache,
     NormKind,
-    bn_backward,
-    bn_forward,
-    fin_backward,
-    fin_forward,
     init_fin,
     softplus,
     softplus_grad,

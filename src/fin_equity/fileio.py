@@ -306,16 +306,24 @@ def _read_chunks(path: str, header_width):
 
 
 def _attribute_set(
-    path: str, attrs: dict[str, int], group_names: Sequence[str] | None
+    path: str, attrs: dict[str, int], records: int, group_names: Sequence[str] | None
 ) -> AttributeSet:
     """The given group names, or group0..k defaults for the largest id k.
 
     Refuses a file with no data rows, and given names too few for the ids.
+    Without names, k must be below the record count: a file cannot show more
+    groups than it has records, and a stray large id would otherwise make
+    about k empty default groups.
     """
     if not attrs:
         raise ValidationError(f"{path!r} has a header but no data rows")
     max_attr = max(attrs.values())
     if group_names is None:
+        if max_attr >= records:
+            raise ValidationError(
+                f"{path!r}: attribute id {max_attr} is not below the record "
+                f"count {records}; pass --groups to name the groups"
+            )
         return AttributeSet.default(max_attr + 1)
     attribute_set = AttributeSet(tuple(group_names))
     if max_attr >= attribute_set.group_count:
@@ -356,8 +364,9 @@ def read_dataset_csv(path: str, group_names: Sequence[str] | None = None) -> Dat
     """Load and validate a dataset CSV.
 
     Group names default to group0..k where k is the largest attribute id
-    seen; pass group_names (e.g. from a sidecar file) to override. Sample
-    ids must be unique; violations name the offending line.
+    seen, which must then be below the record count; pass group_names (e.g.
+    from a sidecar file) to override. Sample ids must be unique; violations
+    name the offending line.
     """
     seen: set[str] = set()
     attrs: dict[str, int] = {}
@@ -386,7 +395,7 @@ def read_dataset_csv(path: str, group_names: Sequence[str] | None = None) -> Dat
         x_chunks.append(x)
         del cells, table  # free the chunk's cells before the next is read
     del seen  # free the duplicate-id set before the columns are built
-    attribute_set = _attribute_set(path, attrs, group_names)
+    attribute_set = _attribute_set(path, attrs, sum(map(len, id_chunks)), group_names)
     x = np.concatenate(x_chunks)
     del x_chunks
     dataset = Dataset(
@@ -462,7 +471,7 @@ def read_predictions_csv(
         attr_chunks.append(attr_text)
         del cells, score_text  # free the chunk's cells before the next is read
     del seen  # free the duplicate-id set before the columns are built
-    attribute_set = _attribute_set(path, attrs, group_names)
+    attribute_set = _attribute_set(path, attrs, sum(map(len, id_chunks)), group_names)
     scores = np.concatenate(score_chunks)
     predictions = Predictions(
         tuple(chain.from_iterable(id_chunks)),

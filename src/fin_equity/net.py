@@ -16,11 +16,15 @@ gives that model alone.
 forward, cross_entropy and backward check their inputs, then call a private
 kernel (_forward, _cross_entropy, _backward) that holds the only copy of
 the op's arithmetic and trusts its inputs: checked shapes, the rows that
-the normalizer object's `rows` gives, a one_hot label mask. The training
-loop checks its data once per run and calls the kernels directly. No op
-branches on the normalizer kind: each calls the object (None for the
-identity). The backward pass stops at the weight and bias gradients of the
-first backbone layer; the input gradient is never formed.
+the normalizer object's `rows` gives, a one_hot label mask. These checks
+are the normalizer's too: forward checks the mode and the feature shape
+and reaches the group-id checks through `rows`, and backward checks the
+saved values' state and the gradient's shape. The training loop checks its
+data once per run and calls the kernels directly. No op branches on the
+normalizer kind: each calls the object (None for the identity). backward
+returns a dict keyed like named_parameters, and stops at the weight and
+bias gradients of the first backbone layer; the input gradient is never
+formed.
 """
 
 from __future__ import annotations
@@ -206,21 +210,14 @@ def _cross_entropy(logits: np.ndarray, onehot: np.ndarray):
     return loss, grad
 
 
-@dataclass
-class Gradients:
-    backbone: list[tuple[np.ndarray, np.ndarray]]  # (dw, db) per layer
-    norm: tuple[np.ndarray, np.ndarray] | None     # (dmu, dtau) or (dgamma, dbeta)
-    head: tuple[np.ndarray, np.ndarray]
-
-
 def backward(
     model: MlpModel, caches: ForwardCaches, grad_logits, out=None
-) -> Gradients:
+) -> dict[str, np.ndarray]:
     """Backpropagate grad_logits through head, normalizer, and backbone.
 
-    out, if given, maps every named_parameters name to a C-contiguous array
-    of that parameter's shape; each gradient is written there instead of a
-    new array.
+    Returns the gradients keyed and ordered like named_parameters. out, if
+    given, maps every such name to a C-contiguous array of that
+    parameter's shape; each gradient is written there and out is returned.
     """
     if caches.mode != "training":
         raise CacheError("backward requires caches from a training-mode forward")
@@ -234,18 +231,10 @@ def backward(
             f"grad_logits shape {g.shape} does not match batch "
             f"{head_input.shape[:-1] + (2,)}"
         )
-    params = named_parameters(model)
     if out is None:
-        out = {name: np.empty(p.shape) for name, p in params.items()}
+        out = {name: np.empty(p.shape) for name, p in named_parameters(model).items()}
     _backward(model, caches.saved, g, out)
-    return Gradients(
-        backbone=[
-            (out[f"backbone.{i}.w"], out[f"backbone.{i}.b"])
-            for i in range(len(model.backbone))
-        ],
-        norm=tuple(out[name] for name in params if name.startswith("norm.")) or None,
-        head=(out["head.w"], out["head.b"]),
-    )
+    return out
 
 
 def _backward(model: MlpModel, saved, g: np.ndarray, out) -> None:
@@ -286,12 +275,6 @@ def named_parameters(model: MlpModel) -> dict[str, np.ndarray]:
     out["head.w"] = model.head.w
     out["head.b"] = model.head.b
     return out
-
-
-def named_gradients(model: MlpModel, grads: Gradients) -> dict[str, np.ndarray]:
-    """Gradient arrays keyed to match named_parameters."""
-    pairs = [*grads.backbone, grads.norm or (), grads.head]
-    return dict(zip(named_parameters(model), (g for pair in pairs for g in pair)))
 
 
 def _map_arrays(objs, fn):

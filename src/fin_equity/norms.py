@@ -23,7 +23,7 @@ unconstrained updates to tau, and the momentum blend m in [0, 1] mixes the
 raw features back in; m = 1 collapses to the identity exactly (same bits),
 because the blend multiplies zhat by zero and z by one.
 
-Gradients are computed analytically. For row i in group A:
+The gradients are computed analytically. For row i in group A:
 
     d loss / d z_i  = g_i * ((1 - m) / sigma_A + m)
     d loss / d mu_A = sum_i -g_i * (1 - m) / sigma_A
@@ -40,12 +40,13 @@ group-aware ops gather and scatter through the flattened row s * groups + a,
 so each model only ever touches its own rows, in batch order. Each model's
 slice of the result is bit for bit what the op gives that model alone.
 
-Each op is split in two. The public entry point (fin_forward, fin_backward,
-bn_forward, bn_backward) checks its inputs and raises the errors callers
-see; a private kernel (_fin_forward, _fin_backward, _bn_forward,
-_bn_backward) holds the only copy of the op's arithmetic and trusts its
-inputs. The public entry point always ends in its kernel; the model and
-the training loop call the kernels, through the objects.
+The objects are the layer's only entry point. `rows` checks one batch
+(its group ids, or batch norm's size) and raises the errors callers see;
+`forward` and `backward` call a private kernel (_fin_forward,
+_fin_backward, _bn_forward, _bn_backward) that holds the only copy of the
+op's arithmetic and trusts its inputs. The model checks the rest:
+`net.forward` the mode and the feature shape, `net.backward` the saved
+values' state and the gradient shape.
 """
 
 from __future__ import annotations
@@ -58,9 +59,7 @@ from typing import ClassVar
 import numpy as np
 
 from .core import config_value
-from .errors import (
-    CacheError, CheckpointFormatError, CheckpointShapeError, ValidationError
-)
+from .errors import CheckpointFormatError, CheckpointShapeError, ValidationError
 
 
 class NormKind(enum.Enum):
@@ -176,6 +175,12 @@ class FinParams:
         return fin_rows(attrs, self, batch)
 
     def forward(self, z: np.ndarray, rows: np.ndarray, training: bool):
+        """Normalize each row by its group's (mu, sigma), then blend with m.
+
+        z is (batch, dim), or (models, batch, dim) for stacked params, and
+        rows come from `rows`. Returns the output and what `backward`
+        needs (None in inference, which overwrites z; see `_fin_forward`).
+        """
         return _fin_forward(z, rows, self, training)
 
     def backward(self, grad: np.ndarray, saved, grads) -> np.ndarray:
@@ -212,27 +217,6 @@ class SharedParams(FinParams):
 init_fin = FinParams.init
 
 
-@dataclass
-class NormCache:
-    """Values saved by a group-aware forward pass for its one backward pass."""
-
-    momentum: float
-    rows: np.ndarray       # each row's group, offset into the flattened stack
-    sigma: np.ndarray      # (models * groups, dim), softplus(tau) at forward time
-    sig_grad: np.ndarray   # sigmoid(tau) at forward time, shaped like tau
-    centered: np.ndarray   # z - mu of each row's group
-    consumed: bool = False
-
-
-def _features(z, models: tuple[int, ...], dim: int) -> np.ndarray:
-    """z as float64, checked to be (*models, batch, dim)."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim < 2 or z.shape[:-2] != models or z.shape[-1] != dim:
-        want = ", ".join([*map(str, models), "batch", str(dim)])
-        raise ValidationError(f"features must be ({want}), got {z.shape}")
-    return z
-
-
 def fin_rows(attrs, params: FinParams, batch: int) -> np.ndarray:
     """Check one batch's group ids and offset them into the flattened stack.
 
@@ -265,25 +249,14 @@ def fin_rows(attrs, params: FinParams, batch: int) -> np.ndarray:
     return attrs
 
 
-def fin_forward(z, attrs, params: FinParams) -> tuple[np.ndarray, NormCache]:
-    """Normalize each row by its group's (mu, sigma), then blend with m.
-
-    z is (batch, dim), or (models, batch, dim) for stacked params; attrs
-    holds one group id per row, checked by `fin_rows`. z is never written.
-    """
-    z = _features(z, params.mu.shape[:-2], params.dim)
-    out, saved = _fin_forward(z, fin_rows(attrs, params, z.shape[-2]), params, True)
-    return out, NormCache(*saved)
-
-
 def _fin_forward(z: np.ndarray, rows: np.ndarray, params: FinParams, training: bool):
-    """Kernel of fin_forward; rows are each row's group as `fin_rows` gives them.
+    """Kernel of FinParams.forward; rows are each row's group from `fin_rows`.
 
     In training, returns the output and the values saved for
-    `_fin_backward`, in NormCache field order, and leaves z as it was. In
-    inference, z must be the caller's own scratch array: the output is
-    built in place, z is overwritten, and nothing is saved. Both give the
-    same output bits.
+    `_fin_backward` (m, rows, sigma, sigmoid(tau), z - mu), and leaves z
+    as it was. In inference, z must be the caller's own scratch array: the
+    output is built in place, z is overwritten, and nothing is saved. Both
+    give the same output bits.
     """
     dim = params.dim
     m = float(params.momentum)
@@ -300,33 +273,8 @@ def _fin_forward(z: np.ndarray, rows: np.ndarray, params: FinParams, training: b
     return centered, None
 
 
-def fin_backward(
-    grad_out, cache: NormCache, out=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic backward for fin_forward.
-
-    Returns (grad_z, grad_mu, grad_tau). If out is given, it is a pair of
-    C-contiguous arrays shaped like mu and tau that receive grad_mu and
-    grad_tau. The cache is single-use; reusing it or passing a mismatched
-    gradient shape is an internal error.
-    """
-    if cache.consumed:
-        raise CacheError("normalizer cache already consumed by a backward pass")
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != cache.centered.shape:
-        raise CacheError(
-            f"grad shape {grad_out.shape} does not match forward shape "
-            f"{cache.centered.shape}"
-        )
-    cache.consumed = True
-    shape = cache.sig_grad.shape
-    grad_mu, grad_tau = (np.empty(shape), np.empty(shape)) if out is None else out
-    saved = (cache.momentum, cache.rows, cache.sigma, cache.sig_grad, cache.centered)
-    return _fin_backward(grad_out, saved, grad_mu, grad_tau), grad_mu, grad_tau
-
-
 def _fin_backward(grad_out: np.ndarray, saved, grad_mu, grad_tau) -> np.ndarray:
-    """Kernel of fin_backward: writes grad_mu and grad_tau, returns grad_z."""
+    """Kernel of FinParams.backward: writes grad_mu and grad_tau, returns grad_z."""
     m, rows, sigma, sig_grad, centered = saved
     one_m = 1.0 - m
     sig_rows = sigma[rows]
@@ -393,6 +341,7 @@ class BatchNormState:
             )
 
     def forward(self, z: np.ndarray, rows: None, training: bool):
+        """z is (batch, dim), or (models, batch, dim) for a stacked state."""
         return _bn_forward(z, self, training)
 
     def backward(self, grad: np.ndarray, saved, grads) -> np.ndarray:
@@ -423,36 +372,13 @@ def norm_class(kind: NormKind):
     }.get(kind)
 
 
-@dataclass
-class BnCache:
-    xhat: np.ndarray
-    inv_std: np.ndarray
-    gamma: np.ndarray
-    training: bool
-    consumed: bool = False
-
-
 def _over_batch(v: np.ndarray) -> np.ndarray:
     """A per-feature (..., dim) array broadcast over the batch axis."""
     return v[..., None, :]
 
 
-def bn_forward(z, state: BatchNormState, mode: str) -> tuple[np.ndarray, BnCache]:
-    """Batch normalization forward in "training" or "inference" mode.
-
-    z is (batch, dim), or (models, batch, dim) for a stacked state.
-    """
-    if mode not in ("training", "inference"):
-        raise ValidationError(f"mode must be 'training' or 'inference', got {mode!r}")
-    z = _features(z, state.gamma.shape[:-1], state.dim)
-    training = mode == "training"
-    state.rows(None, z.shape[-2], training)
-    out, saved = _bn_forward(z, state, training)
-    return out, BnCache(*saved, training=training)
-
-
 def _bn_forward(z: np.ndarray, state: BatchNormState, training: bool):
-    """Kernel of bn_forward: returns the output and (xhat, inv_std, gamma)."""
+    """Kernel of BatchNormState.forward: returns the output and (xhat, inv_std, gamma)."""
     if training:
         n = z.shape[-2]
         mean = z.mean(axis=-2)
@@ -469,34 +395,8 @@ def _bn_forward(z: np.ndarray, state: BatchNormState, training: bool):
     return out, (xhat, inv_std, state.gamma)
 
 
-def bn_backward(
-    grad_out, cache: BnCache, out=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward through a training-mode batch normalization forward.
-
-    Returns (grad_z, grad_gamma, grad_beta). If out is given, it is a pair
-    of arrays shaped like gamma and beta that receive grad_gamma and
-    grad_beta.
-    """
-    if cache.consumed:
-        raise CacheError("batch-norm cache already consumed by a backward pass")
-    if not cache.training:
-        raise CacheError("backward requires a training-mode forward cache")
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != cache.xhat.shape:
-        raise CacheError(
-            f"grad shape {grad_out.shape} does not match forward shape "
-            f"{cache.xhat.shape}"
-        )
-    cache.consumed = True
-    shape = cache.gamma.shape
-    grad_gamma, grad_beta = (np.empty(shape), np.empty(shape)) if out is None else out
-    saved = (cache.xhat, cache.inv_std, cache.gamma)
-    return _bn_backward(grad_out, saved, grad_gamma, grad_beta), grad_gamma, grad_beta
-
-
 def _bn_backward(grad_out: np.ndarray, saved, grad_gamma, grad_beta) -> np.ndarray:
-    """Kernel of bn_backward: writes grad_gamma and grad_beta, returns grad_z."""
+    """Kernel of BatchNormState.backward: writes grad_gamma and grad_beta, returns grad_z."""
     xhat, inv_std, gamma = saved
     n = grad_out.shape[-2]
     grad_out.sum(axis=-2, out=grad_beta)

@@ -3,11 +3,11 @@
 The decay is applied as a separate multiplicative shrink, never through the
 gradient moments:
 
-    theta <- theta * (1 - lr * wd)          (decay-masked parameters only)
+    theta <- theta * (1 - lr * wd)          (affine weights only)
     theta <- theta - lr * mhat / (sqrt(vhat) + eps)
 
-By default only affine weights decay; biases and normalizer parameters are
-excluded.
+Only affine weights decay (`default_decay_mask`); biases and normalizer
+parameters are excluded.
 
 The gradients and moments of all parameter blocks live in one flat float64
 buffer each, block after block in parameter order, and the per-name arrays
@@ -15,26 +15,25 @@ are views into them. A caller that writes its gradients straight into the
 state's gradient views (as `net.backward(..., out=state.grad)` does) hands
 them over without a copy; any other gradient block is copied in.
 
-`adamw_step` checks names, shapes and the finiteness of the gradients, then
-calls the kernel `_adamw_update`, which trusts its inputs and makes one
-flat pass over the moments, the update and the parameters: the decay is one
-multiply by a per-element shrink vector (`decay_shrink`: 1.0 outside the
-decay mask, and no multiply at all when weight_decay is 0), then the update
-is subtracted. Parameters that are views of one flat buffer laid out like
-the state's (as `net.stack_models` builds them; see `param_buffer`) are
-updated in place; any others are copied into such a buffer and back out.
-Every element sees the same operations in the same order as a per-block
-loop would apply (a multiply by 1.0 is exact), so results are bitwise
-unchanged by the fusion. A block with a leading model axis (a stack of
-models) is just a bigger block: every model is updated in the same pass,
-each as if alone.
+`adamw_step` checks names, shapes and the finiteness of the gradients,
+copies the parameters into one flat buffer laid out like the state's, calls
+the kernel `_adamw_update` on it and copies them back out. The kernel
+trusts its inputs and makes one flat pass over the moments, the update and
+the parameters: the decay is one multiply by a per-element shrink vector
+(`decay_shrink`: 1.0 outside the decay mask, and no multiply at all when
+weight_decay is 0), then the update is subtracted. The training loop calls
+the kernel on the buffer that `net.stack_models` lays the parameters out
+in, so it copies nothing. Every element sees the same operations in the
+same order as a per-block loop would apply (a multiply by 1.0 is exact, and
+so is the copy), so results are bitwise unchanged by the fusion. A block
+with a leading model axis (a stack of models) is just a bigger block:
+every model is updated in the same pass, each as if alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -54,7 +53,6 @@ class AdamWConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.0
-    decay_mask: Callable[[str], bool] | None = None  # None -> default_decay_mask
 
     def __post_init__(self):
         type_config_fields(
@@ -92,8 +90,8 @@ def flat_views(
 class AdamWState:
     """Step count, moments, and the buffers each step reads and writes.
 
-    m[name], v[name], grad[name] and update[name] are views into m_flat,
-    v_flat, grad_flat and update_flat.
+    m[name], v[name] and grad[name] are views into m_flat, v_flat and
+    grad_flat; update_flat holds the last step's update.
     """
 
     step: int
@@ -104,7 +102,6 @@ class AdamWState:
     grad_flat: np.ndarray = field(repr=False)
     grad: dict[str, np.ndarray] = field(repr=False)
     update_flat: np.ndarray = field(repr=False)
-    update: dict[str, np.ndarray] = field(repr=False)
 
     @classmethod
     def create(cls, params: dict[str, np.ndarray]) -> "AdamWState":
@@ -112,7 +109,6 @@ class AdamWState:
         m_flat, m = flat_views(shapes)
         v_flat, v = flat_views(shapes)
         grad_flat, grad = flat_views(shapes)
-        update_flat, update = flat_views(shapes)
         return cls(
             step=0,
             m=m,
@@ -121,8 +117,7 @@ class AdamWState:
             v_flat=v_flat,
             grad_flat=grad_flat,
             grad=grad,
-            update_flat=update_flat,
-            update=update,
+            update_flat=np.zeros(m_flat.size),
         )
 
 
@@ -135,9 +130,9 @@ def adamw_step(
     """One update over every named parameter; arrays are mutated in place.
 
     Fails fast on any non-finite gradient, naming the first bad parameter
-    block; nothing is updated when a check fails. Parameters that are not
-    consecutive views of one flat buffer (see `param_buffer`) are copied
-    into one for the update and back out of it.
+    block; nothing is updated when a check fails. The parameters are
+    copied into one flat buffer laid out like the state's for the update,
+    and back out of it.
     """
     if params.keys() != grads.keys():
         raise ValidationError(
@@ -165,45 +160,13 @@ def adamw_step(
         bad = next(n for n in state.m if not np.isfinite(state.grad[n]).all())
         raise NonFiniteError(f"non-finite gradient in parameter block {bad!r}")
 
-    flat, staged = param_buffer(params), None
-    if flat is None:
-        flat, staged = flat_views({name: p.shape for name, p in params.items()})
-        for name, p in params.items():
-            staged[name][...] = p
+    flat, staged = flat_views({name: m.shape for name, m in state.m.items()})
+    for name, block in staged.items():
+        block[...] = params[name]
     _adamw_update(flat, state, config, decay_shrink(state, config))
-    if staged is not None:
-        for name, p in params.items():
-            p[...] = staged[name]
+    for name, block in staged.items():
+        params[name][...] = block
     return params, state
-
-
-def param_buffer(params: dict[str, np.ndarray]) -> np.ndarray | None:
-    """The flat float64 buffer the parameters are views of, block after block.
-
-    None unless every parameter is a C-contiguous view of one 1-D buffer and
-    the views tile it exactly in params order, as `flat_views` lays them out.
-    """
-    arrays = list(params.values())
-    base = arrays[0].base
-    if not (
-        isinstance(base, np.ndarray)
-        and base.ndim == 1
-        and base.dtype == np.float64
-        and base.flags.c_contiguous
-    ):
-        return None
-    start = base.__array_interface__["data"][0]
-    at = start
-    for p in arrays:
-        if (
-            p.base is not base
-            or p.dtype != np.float64
-            or not p.flags.c_contiguous
-            or p.__array_interface__["data"][0] != at
-        ):
-            return None
-        at += p.nbytes
-    return base if at == start + base.nbytes else None
 
 
 def decay_shrink(state: AdamWState, config: AdamWConfig) -> np.ndarray | None:
@@ -214,11 +177,10 @@ def decay_shrink(state: AdamWState, config: AdamWConfig) -> np.ndarray | None:
     """
     if not config.weight_decay:
         return None
-    mask = config.decay_mask if config.decay_mask is not None else default_decay_mask
     factor = 1.0 - config.lr * config.weight_decay
     shrink, blocks = flat_views({name: m.shape for name, m in state.m.items()})
     for name, block in blocks.items():
-        block[...] = factor if mask(name) else 1.0
+        block[...] = factor if default_decay_mask(name) else 1.0
     return shrink
 
 

@@ -15,7 +15,7 @@ Class counts are exact rounded counts per split, not Bernoulli draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -184,6 +184,7 @@ def synth_config_to_dict(config: SynthConfig) -> dict:
 
 
 _GROUP_KEYS = tuple(f.name for f in fields(GroupSpec))
+_REQUIRED_GROUP_KEYS = tuple(f.name for f in fields(GroupSpec) if f.default is MISSING)
 
 
 def synth_config_from_dict(data: dict) -> SynthConfig:
@@ -191,19 +192,11 @@ def synth_config_from_dict(data: dict) -> SynthConfig:
     try:
         for i, g in enumerate(data["groups"]):
             check_config_keys(g, _GROUP_KEYS, f"synth config group {i}")
-        groups = tuple(
-            GroupSpec(
-                name=g["name"],
-                n_train=g["n_train"],
-                n_eval=g["n_eval"],
-                prevalence=g["prevalence"],
-                separation=g["separation"],
-                offset=g["offset"],
-                noise_std=g.get("noise_std", 1.0),
-            )
+        groups = tuple(  # required keys are read first, so a missing one is a KeyError
+            GroupSpec(**{**{key: g[key] for key in _REQUIRED_GROUP_KEYS}, **g})
             for g in data["groups"]
         )
-        return SynthConfig(d=data["d"], groups=groups, seed=data.get("seed", 0))
+        return SynthConfig(**{**data, "d": data["d"], "groups": groups})
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -18,7 +18,9 @@ The loop checks once per run, not once per step. `_train_seeds` validates
 both splits and the feature width at entry, then calls the ops' kernels
 (`net._forward`, `net._cross_entropy`, `net._backward`,
 `optim._adamw_update`), which trust their inputs; the public entry points
-check and then call the same kernels. Once per epoch the loop gathers the
+check and then call the same kernels. The AdamW kernel updates the flat
+buffer that `stack_models` lays the parameters out in, where the public
+`adamw_step` stages a copy. Once per epoch the loop gathers the
 shuffled features, the one-hot label mask and the normalizer's rows (from
 its `rows` method), so each step takes slices of them. Every step still
 checks each seed's loss and gradients for non-finite values.
@@ -70,7 +72,7 @@ from .net import (
     stack_models,
 )
 from .norms import NormKind, _as_array, _as_scalar, norm_class
-from .optim import AdamWConfig, AdamWState, _adamw_update, decay_shrink, param_buffer
+from .optim import AdamWConfig, AdamWState, _adamw_update, decay_shrink
 
 CHECKPOINT_VERSION = 1
 
@@ -212,7 +214,7 @@ def _train_seeds(
     model = stack_models(models)
     params = named_parameters(model)
     state = AdamWState.create(params)
-    flat = param_buffer(params)  # stack_models lays the parameters out in one buffer
+    flat = params["head.b"].base  # the one buffer stack_models lays them out in
     shrink = decay_shrink(state, config.optimizer)
 
     x, y, a = train_set.x, train_set.labels, train_set.attrs
@@ -429,27 +431,22 @@ def train_config_to_dict(config: TrainConfig) -> dict:
 
 
 def train_config_from_dict(data: dict) -> TrainConfig:
+    """A TrainConfig from its dict; a key left out takes the dataclass default.
+
+    layer_dims, norm_kind, epochs and batch_size are required.
+    """
     check_config_keys(data, tuple(f.name for f in fields(TrainConfig)), "train config")
     opt = data.get("optimizer", {})
-    check_config_keys(opt, ("lr", "beta1", "beta2", "eps", "weight_decay"), "optimizer")
+    check_config_keys(opt, tuple(f.name for f in fields(AdamWConfig)), "optimizer")
     try:
-        return TrainConfig(
-            layer_dims=data["layer_dims"],
-            norm_kind=NormKind.from_string(data["norm_kind"]),
-            fin_momentum=data.get("fin_momentum", 0.3),
-            epochs=data["epochs"],
-            batch_size=data["batch_size"],
-            optimizer=AdamWConfig(
-                lr=opt.get("lr", 5e-5),
-                beta1=opt.get("beta1", 0.9),
-                beta2=opt.get("beta2", 0.999),
-                eps=opt.get("eps", 1e-8),
-                weight_decay=opt.get("weight_decay", 0.0),
-            ),
-            seed=data.get("seed", 0),
-            threshold=data.get("threshold", 0.5),
-            shuffle=data.get("shuffle", True),
-        )
+        read = {  # in this order, so the first missing or bad key is the one named
+            "layer_dims": data["layer_dims"],
+            "norm_kind": NormKind.from_string(data["norm_kind"]),
+            "epochs": data["epochs"],
+            "batch_size": data["batch_size"],
+            "optimizer": AdamWConfig(**opt),
+        }
+        return TrainConfig(**{**data, **read})
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

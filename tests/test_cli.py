@@ -485,3 +485,16 @@ def test_oversized_csv_field_is_exit_2(tmp_path):
     assert r.returncode == 2, r.stderr
     assert "preds.csv' line 3: field larger than field limit" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_group_id_beyond_the_record_count_is_exit_2(tmp_path):
+    # without --groups the default names would run group0..group2000000
+    preds = tmp_path / "preds.csv"
+    preds.write_text("id,score,label,attr\na,0.5,1,0\nb,0.25,0,2000000\n")
+    out = tmp_path / "r.json"
+    r = run_cli("report", "--predictions", str(preds), "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert "attribute id 2000000 is not below the record count 2" in r.stderr
+    assert "--groups" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists()

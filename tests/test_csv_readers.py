@@ -50,6 +50,11 @@ def _attribute_set(
         raise ValidationError(f"{path!r} has a header but no data rows")
     max_attr = max(attrs)
     if group_names is None:
+        if max_attr >= len(attrs):
+            raise ValidationError(
+                f"{path!r}: attribute id {max_attr} is not below the record "
+                f"count {len(attrs)}; pass --groups to name the groups"
+            )
         return AttributeSet.default(max_attr + 1)
     attribute_set = AttributeSet(tuple(group_names))
     if max_attr >= attribute_set.group_count:
@@ -310,6 +315,28 @@ def test_earlier_row_beats_later_short_row(tmp_path, kind):
         with pytest.raises(ValidationError) as exc:
             read(path)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+def test_default_group_ids_must_stay_below_the_record_count(tmp_path, kind):
+    if kind == "dataset":
+        header, row = "id,attr,label,f0", "r{},{},1,0.5"
+    else:
+        header, row = "id,score,label,attr", "r{},0.5,1,{}"
+    for top, ok in ((2, True), (3, False)):  # three records
+        rows = [row.format(i, attr) for i, attr in enumerate((0, 1, top))]
+        path = write_lines(tmp_path, [header, *rows])
+        for read in FORMATS[kind]:
+            if ok:
+                read(path)
+                continue
+            with pytest.raises(ValidationError) as exc:
+                read(path)
+            assert str(exc.value).endswith(
+                "attribute id 3 is not below the record count 3; "
+                "pass --groups to name the groups"
+            )
+            read(path, ("a", "b", "c", "d"))  # named groups lift the bound
 
 
 @pytest.mark.parametrize("kind", sorted(FORMATS))

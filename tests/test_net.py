@@ -13,7 +13,6 @@ from fin_equity import (
     cross_entropy,
     forward,
     init_mlp,
-    named_gradients,
     named_parameters,
     softmax,
 )
@@ -25,7 +24,6 @@ from fin_equity.net import (
     one_hot,
     stack_models,
 )
-from fin_equity.norms import fin_rows
 from reference_fixtures import max_rel_err, numeric_grad
 
 ALL_KINDS = (
@@ -184,7 +182,8 @@ def test_model_gradients_match_finite_differences(kind):
 
     logits, caches = forward(model, x, attrs, mode="training")
     _, grad_logits = cross_entropy(logits, labels)
-    analytic = named_gradients(model, backward(model, caches, grad_logits))
+    analytic = backward(model, caches, grad_logits)
+    assert list(analytic) == list(named_parameters(model))  # same names, same order
 
     params = named_parameters(model)
     for name, p in params.items():
@@ -207,7 +206,7 @@ def test_ramp_subgradient_at_zero_is_zero():
     x = np.array([[0.0]])
     logits, caches = forward(model, x, mode="training")
     _, grad_logits = cross_entropy(logits, np.array([1]))
-    grads = named_gradients(model, backward(model, caches, grad_logits))
+    grads = backward(model, caches, grad_logits)
     assert grads["backbone.0.w"] == 0.0
     assert grads["backbone.0.b"] == 0.0
     assert grads["backbone.1.b"].any()  # downstream gradient still flows
@@ -264,15 +263,15 @@ def test_stacked_models_match_each_model_alone_bitwise(kind):
     for name, p in named_parameters(stack).items():  # stale values must be overwritten
         out[name] = flat[start : start + p.size].reshape(p.shape)
         start += p.size
-    stacked = backward(stack, caches, grad_logits, out=out)
-    stacked_grads = named_gradients(stack, stacked)
+    stacked_grads = backward(stack, caches, grad_logits, out=out)
+    assert stacked_grads is out
     eval_x = rng.standard_normal((9, 4))
     eval_attrs = rng.integers(0, 3, size=9)
     eval_logits, _ = forward(stack, eval_x, eval_attrs, mode="inference")
     for s, model in enumerate(models):
         lg, c = forward(model, x[s], attrs[s], mode="training")
         loss, g = cross_entropy(lg, labels[s])
-        grads = named_gradients(model, backward(model, c, g))
+        grads = backward(model, c, g)
         assert np.array_equal(logits[s], lg)
         assert losses[s] == loss
         assert np.array_equal(grad_logits[s], g)
@@ -339,11 +338,7 @@ def test_stack_models_refuses_differing_norm_settings(kind, field, value):
 
 
 def kernel_rows(model, attrs, batch):
-    if model.norm_kind is NormKind.FAIR_IDENTITY:
-        return fin_rows(attrs, model.norm, batch)
-    if model.norm_kind is NormKind.LEARNABLE_SHARED:
-        return fin_rows(np.zeros(batch, dtype=np.intp), model.norm, batch)
-    return None
+    return None if model.norm is None else model.norm.rows(attrs, batch, True)
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["2-D", "stacked"])
@@ -375,7 +370,7 @@ def test_public_ops_and_their_kernels_give_the_same_bits(kind, stacked):
     k_loss, k_grad_logits = _cross_entropy(k_logits, one_hot(labels))
     assert np.array_equal(loss, k_loss) and np.array_equal(grad_logits, k_grad_logits)
 
-    grads = named_gradients(public, backward(public, caches, grad_logits))
+    grads = backward(public, caches, grad_logits)
     out = {name: np.full(p.shape, np.nan) for name, p in named_parameters(kernel).items()}
     _backward(kernel, saved, k_grad_logits, out)
     assert grads.keys() == out.keys()

@@ -17,24 +17,12 @@ import pytest
 
 from fin_equity import (
     BatchNormState,
-    CacheError,
     FinParams,
     NormKind,
     ValidationError,
-    bn_backward,
-    bn_forward,
-    fin_backward,
-    fin_forward,
     init_fin,
     softplus,
     softplus_grad,
-)
-from fin_equity.norms import (
-    _bn_backward,
-    _bn_forward,
-    _fin_backward,
-    _fin_forward,
-    fin_rows,
 )
 from reference_fixtures import max_rel_err, numeric_grad
 
@@ -62,18 +50,31 @@ def hand_params(m=0.3):
     return FinParams(mu=np.array([[1.0, 0.0]]), tau=np.array(tau), momentum=m)
 
 
+def norm_forward(norm, z, attrs=None, training=True):
+    """One forward through the object: its rows, then its kernel."""
+    z = np.array(z, dtype=np.float64)
+    return norm.forward(z, norm.rows(attrs, z.shape[-2], training), training)
+
+
+def norm_backward(norm, grad, saved):
+    """grad_z and the object's parameter gradients, in `names` order."""
+    grads = {f"norm.{name}": np.empty(getattr(norm, name).shape) for name in norm.names}
+    grad_z = norm.backward(np.asarray(grad, dtype=np.float64), saved, grads)
+    return (grad_z, *grads.values())
+
+
 def test_fin_forward_hand_example():
     params = hand_params()
-    out, cache = fin_forward(np.array([[2.0, -1.0]]), np.array([0]), params)
+    out, saved = norm_forward(params, [[2.0, -1.0]], np.array([0]))
     assert np.allclose(out, [[0.95, -1.0]], atol=1e-12)
     assert np.allclose(params.sigma(), [[2.0, 1.0]], atol=1e-12)
-    assert cache.momentum == 0.3
+    assert saved[0] == 0.3  # the blend weight the backward pass uses
 
 
 def test_fin_backward_hand_example():
     params = hand_params()
-    _, cache = fin_forward(np.array([[2.0, -1.0]]), np.array([0]), params)
-    grad_z, grad_mu, grad_tau = fin_backward(np.array([[1.0, 1.0]]), cache)
+    _, saved = norm_forward(params, [[2.0, -1.0]], np.array([0]))
+    grad_z, grad_mu, grad_tau = norm_backward(params, [[1.0, 1.0]], saved)
     assert np.allclose(grad_z, [[0.65, 1.0]], atol=1e-12)
     assert np.allclose(grad_mu, [[-0.35, -0.7]], atol=1e-12)
     expected_tau = [
@@ -92,9 +93,9 @@ def test_fin_groups_accumulate_and_absent_groups_stay_zero():
     )
     z = rng.standard_normal((6, 4))
     attrs = np.array([0, 0, 2, 2, 2, 0])  # group 1 absent
-    out, cache = fin_forward(z, attrs, params)
+    out, saved = norm_forward(params, z, attrs)
     g = rng.standard_normal((6, 4))
-    _, grad_mu, grad_tau = fin_backward(g, cache)
+    _, grad_mu, grad_tau = norm_backward(params, g, saved)
     assert np.all(grad_mu[1] == 0.0)  # exact zeros, not small numbers
     assert np.all(grad_tau[1] == 0.0)
     # group sums equal the per-row contributions added up
@@ -113,17 +114,17 @@ def test_momentum_one_is_bitwise_identity():
     )
     z = rng.standard_normal((7, 5))
     attrs = rng.integers(0, 2, size=7)
-    out, cache = fin_forward(z, attrs, params)
+    out, saved = norm_forward(params, z, attrs)
     assert np.array_equal(out, z)
     g = rng.standard_normal((7, 5))
-    grad_z, grad_mu, grad_tau = fin_backward(g, cache)
+    grad_z, grad_mu, grad_tau = norm_backward(params, g, saved)
     assert np.array_equal(grad_z, g)
     assert not grad_mu.any() and not grad_tau.any()
 
 
 def test_momentum_zero_is_pure_normalization():
     params = hand_params(m=0.0)
-    out, _ = fin_forward(np.array([[2.0, -1.0]]), np.array([0]), params)
+    out, _ = norm_forward(params, [[2.0, -1.0]], np.array([0]))
     assert np.allclose(out, [[0.5, -1.0]], atol=1e-12)
 
 
@@ -136,12 +137,12 @@ def test_fin_gradients_match_finite_differences():
     weight = rng.standard_normal((5, 3))  # fixed linear readout as the loss
 
     def loss(params):
-        out, _ = fin_forward(z, attrs, params)
+        out, _ = norm_forward(params, z, attrs)
         return float((out * weight).sum())
 
     params = FinParams(mu=mu.copy(), tau=tau.copy(), momentum=0.3)
-    _, cache = fin_forward(z, attrs, params)
-    grad_z, grad_mu, grad_tau = fin_backward(weight, cache)
+    _, saved = norm_forward(params, z, attrs)
+    grad_z, grad_mu, grad_tau = norm_backward(params, weight, saved)
 
     num_mu = numeric_grad(lambda: loss(params), params.mu)
     num_tau = numeric_grad(lambda: loss(params), params.tau)
@@ -151,33 +152,18 @@ def test_fin_gradients_match_finite_differences():
     assert max_rel_err(grad_z, num_z) < 1e-7
 
 
-def test_fin_cache_is_single_use():
+def test_fin_rows_validation():
     params = hand_params()
-    _, cache = fin_forward(np.array([[2.0, -1.0]]), np.array([0]), params)
-    fin_backward(np.array([[1.0, 1.0]]), cache)
-    with pytest.raises(CacheError):
-        fin_backward(np.array([[1.0, 1.0]]), cache)
-
-
-def test_fin_cache_rejects_wrong_grad_shape():
-    params = hand_params()
-    _, cache = fin_forward(np.array([[2.0, -1.0]]), np.array([0]), params)
-    with pytest.raises(CacheError):
-        fin_backward(np.ones((2, 2)), cache)
-
-
-def test_fin_forward_validation():
-    params = hand_params()
-    with pytest.raises(ValidationError):
-        fin_forward(np.ones((2, 3)), np.array([0, 0]), params)  # wrong width
-    with pytest.raises(ValidationError):
-        fin_forward(np.ones((2, 2)), np.array([0]), params)  # attrs length
+    with pytest.raises(ValidationError, match="attribute id per row"):
+        params.rows(None, 2, True)
+    with pytest.raises(ValidationError, match="length 2"):
+        params.rows(np.array([0]), 2, True)  # attrs length
     with pytest.raises(ValidationError, match="batch position 1"):
-        fin_forward(np.ones((2, 2)), np.array([0, 1]), params)  # group 1 absent
+        params.rows(np.array([0, 1]), 2, True)  # group 1 absent
     with pytest.raises(ValidationError, match="integers"):
-        fin_forward(np.ones((2, 2)), np.array([0.7, 1.9]), params)  # not truncated
+        params.rows(np.array([0.7, 1.9]), 2, True)  # not truncated
     for dtype in (np.int8, np.int32, np.uint16, np.int64):
-        out, _ = fin_forward(np.ones((2, 2)), np.zeros(2, dtype=dtype), params)
+        out, _ = norm_forward(params, np.ones((2, 2)), np.zeros(2, dtype=dtype))
         assert out.shape == (2, 2)
     with pytest.raises(ValidationError):
         FinParams(mu=np.ones((1, 2)), tau=np.ones((1, 3)))
@@ -211,8 +197,7 @@ def test_sigma_stays_positive_under_updates():
 
 def test_bn_forward_hand_case():
     state = BatchNormState.create(1)
-    z = np.array([[-1.0], [1.0]])
-    out, cache = bn_forward(z, state, "training")
+    out, _ = norm_forward(state, [[-1.0], [1.0]])
     expected = 1.0 / math.sqrt(1.0 + 1e-5)
     assert np.allclose(out, [[-expected], [expected]], atol=1e-12)
     # running stats: mean stays 0, var blends in the unbiased estimate 2.0
@@ -230,27 +215,27 @@ def test_bn_defaults():
 
 def test_bn_training_needs_two_rows():
     state = BatchNormState.create(2)
-    with pytest.raises(ValidationError):
-        bn_forward(np.ones((1, 2)), state, "training")
+    with pytest.raises(ValidationError, match="batch size >= 2 in training mode"):
+        norm_forward(state, np.ones((1, 2)))
     # inference mode is fine with a single row
-    out, _ = bn_forward(np.ones((1, 2)), state, "inference")
+    out, _ = norm_forward(state, np.ones((1, 2)), training=False)
     assert out.shape == (1, 2)
 
 
 def test_bn_inference_uses_running_stats_and_mutates_nothing():
     state = BatchNormState.create(3)
     rng = np.random.default_rng(2)
-    bn_forward(rng.standard_normal((16, 3)), state, "training")
+    norm_forward(state, rng.standard_normal((16, 3)))
     mean_before = state.running_mean.copy()
     var_before = state.running_var.copy()
     z = rng.standard_normal((5, 3))
-    out, _ = bn_forward(z, state, "inference")
+    out, _ = norm_forward(state, z, training=False)
     expected = (z - mean_before) / np.sqrt(var_before + state.eps)
     assert np.allclose(out, expected, atol=1e-12)
     assert np.array_equal(state.running_mean, mean_before)
     assert np.array_equal(state.running_var, var_before)
     # same input twice gives the same output: nothing drifted
-    out2, _ = bn_forward(z, state, "inference")
+    out2, _ = norm_forward(state, z, training=False)
     assert np.array_equal(out, out2)
 
 
@@ -263,26 +248,14 @@ def test_bn_backward_matches_finite_differences():
     state.beta = rng.standard_normal(3)
 
     def loss():
-        out, _ = bn_forward(z, state, "training")
+        out, _ = norm_forward(state, z)
         return float((out * weight).sum())
 
-    _, cache = bn_forward(z, state, "training")
-    grad_z, grad_gamma, grad_beta = bn_backward(weight, cache)
+    _, saved = norm_forward(state, z)
+    grad_z, grad_gamma, grad_beta = norm_backward(state, weight, saved)
     assert max_rel_err(grad_z, numeric_grad(loss, z)) < 1e-6
     assert max_rel_err(grad_gamma, numeric_grad(loss, state.gamma)) < 1e-6
     assert max_rel_err(grad_beta, numeric_grad(loss, state.beta)) < 1e-6
-
-
-def test_bn_backward_needs_training_cache():
-    state = BatchNormState.create(2)
-    bn_forward(np.ones((4, 2)), state, "training")
-    _, cache = bn_forward(np.ones((4, 2)), state, "inference")
-    with pytest.raises(CacheError):
-        bn_backward(np.ones((4, 2)), cache)
-    _, cache = bn_forward(np.zeros((4, 2)), state, "training")
-    bn_backward(np.ones((4, 2)), cache)
-    with pytest.raises(CacheError):
-        bn_backward(np.ones((4, 2)), cache)
 
 
 def test_norm_kind_from_string():
@@ -293,7 +266,7 @@ def test_norm_kind_from_string():
 
 
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["2-D", "stacked"])
-def test_fin_inference_kernel_works_in_place_and_fin_forward_never_does(lead):
+def test_fin_inference_works_in_place_and_training_never_does(lead):
     rng = np.random.default_rng(22)
     params = FinParams(
         mu=rng.standard_normal(lead + (3, 4)),
@@ -302,48 +275,11 @@ def test_fin_inference_kernel_works_in_place_and_fin_forward_never_does(lead):
     )
     z = rng.standard_normal(lead + (7, 4))
     before = z.tobytes()
-    attrs = rng.integers(0, 3, size=7)
-    out, _ = fin_forward(z, attrs, params)
+    rows = params.rows(rng.integers(0, 3, size=7), 7, True)
+    out, _ = params.forward(z, rows, True)
     assert z.tobytes() == before  # the caller's array is left as it was
     scratch = z.copy()
-    k_out, saved = _fin_forward(scratch, fin_rows(attrs, params, 7), params, False)
+    inf_out, saved = params.forward(scratch, rows, False)
     assert saved is None
-    assert k_out.tobytes() == out.tobytes()
-
-
-@pytest.mark.parametrize("lead", [(), (3,)], ids=["2-D", "stacked"])
-def test_public_norm_ops_and_their_kernels_give_the_same_bits(lead):
-    rng = np.random.default_rng(21)
-    params = FinParams(
-        mu=rng.standard_normal(lead + (3, 4)),
-        tau=rng.standard_normal(lead + (3, 4)),
-        momentum=0.3,
-    )
-    z = rng.standard_normal(lead + (7, 4))
-    g = rng.standard_normal(lead + (7, 4))
-    for attrs in (rng.integers(0, 3, size=lead + (7,)), rng.integers(0, 3, size=7)):
-        out, cache = fin_forward(z, attrs, params)
-        k_out, saved = _fin_forward(z, fin_rows(attrs, params, 7), params, True)
-        assert np.array_equal(out, k_out)
-        grad_z, grad_mu, grad_tau = fin_backward(g, cache)
-        k_mu, k_tau = np.full(params.mu.shape, np.nan), np.full(params.mu.shape, np.nan)
-        k_grad_z = _fin_backward(g, saved, k_mu, k_tau)
-        for a, b in ((grad_z, k_grad_z), (grad_mu, k_mu), (grad_tau, k_tau)):
-            assert np.array_equal(a, b)
-
-    arrays = [rng.standard_normal(lead + (4,)) for _ in range(3)]
-    arrays.append(rng.uniform(0.5, 2.0, lead + (4,)))  # running_var > 0
-    public = BatchNormState(*arrays)
-    kernel = BatchNormState(*(a.copy() for a in arrays))
-    for mode in ("training", "inference"):
-        out, cache = bn_forward(z, public, mode)
-        k_out, saved = _bn_forward(z, kernel, mode == "training")
-        assert np.array_equal(out, k_out)
-        assert np.array_equal(public.running_mean, kernel.running_mean)
-        assert np.array_equal(public.running_var, kernel.running_var)
-        if mode == "training":
-            grad_z, grad_gamma, grad_beta = bn_backward(g, cache)
-            k_gamma, k_beta = np.empty(kernel.gamma.shape), np.empty(kernel.gamma.shape)
-            k_grad_z = _bn_backward(g, saved, k_gamma, k_beta)
-            for a, b in ((grad_z, k_grad_z), (grad_gamma, k_gamma), (grad_beta, k_beta)):
-                assert np.array_equal(a, b)
+    assert inf_out.tobytes() == out.tobytes()
+    assert scratch.tobytes() != before  # inference used it as working space

@@ -148,6 +148,21 @@ def test_default_benchmark_shape():
     assert all(g.noise_std == 1.0 for g in config.groups)
 
 
+def test_config_from_dict_takes_the_dataclass_defaults():
+    group = {"name": "a", "n_train": 5, "n_eval": 4, "prevalence": 0.5,
+             "separation": 1.0, "offset": 0.0}
+    config = synth_config_from_dict({"d": 3, "groups": [group]})
+    assert config == SynthConfig(d=3, groups=(GroupSpec(**group),))
+    assert config.seed == 0 and config.groups[0].noise_std == 1.0
+    for key in group:  # each group's six keys stay required
+        with pytest.raises(ValidationError, match=rf"bad synth config: KeyError\('{key}'\)"):
+            synth_config_from_dict(
+                {"d": 3, "groups": [{k: v for k, v in group.items() if k != key}]}
+            )
+    with pytest.raises(ValidationError, match=r"bad synth config: KeyError\('d'\)"):
+        synth_config_from_dict({"groups": [group]})
+
+
 def test_config_round_trip():
     config = default_benchmark(seed=9)
     again = synth_config_from_dict(synth_config_to_dict(config))

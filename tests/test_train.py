@@ -543,6 +543,19 @@ def test_checkpoint_loader_checks_scalars_and_the_norm_kind():
         checkpoint_from_dict(version)
 
 
+def test_train_config_from_dict_takes_the_dataclass_defaults():
+    required = {"layer_dims": [4, 3], "norm_kind": "batch", "epochs": 2, "batch_size": 5}
+    config = train_config_from_dict(required)
+    assert config == TrainConfig(
+        layer_dims=(4, 3), norm_kind=NormKind.BATCH, epochs=2, batch_size=5
+    )
+    assert train_config_from_dict({**required, "optimizer": {}}) == config
+    for key in required:  # each of the four stays required, in this order
+        missing = {k: v for k, v in required.items() if k != key}
+        with pytest.raises(ValidationError, match=rf"bad train config: KeyError\('{key}'\)"):
+            train_config_from_dict(missing)
+
+
 def test_train_config_round_trip():
     config = TrainConfig(
         layer_dims=(8, 4),
