@@ -10,6 +10,7 @@ from .core import (
     AttributeSet,
     Dataset,
     GroupPartition,
+    IdColumn,
     Predictions,
     Violation,
     partition_by_attribute,

@@ -9,6 +9,7 @@ a run of that seed alone would write.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import traceback
@@ -26,7 +27,8 @@ from .fileio import (
     write_predictions_csv,
     write_pretty_json,
 )
-from .metrics import full_report, prediction_histogram
+from .metrics import check_bins, full_report, prediction_histogram
+from .norms import NormKind
 from .synth import default_benchmark, generate, synth_config_from_dict
 from .train import (
     evaluate_model,
@@ -36,6 +38,9 @@ from .train import (
     sweep_momentum,
     train_config_from_dict,
 )
+
+MAX_GRID_POINTS = 10_000  # blend values one sweep may train
+
 
 def _parse_seeds(raw: str) -> tuple[int, ...]:
     try:
@@ -56,9 +61,16 @@ def _parse_grid(raw: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ValidationError(f"bad --grid {raw!r}: {exc}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValidationError(f"--grid needs finite start, stop and step, got {raw!r}")
     if step <= 0 or stop < start:
         raise ValidationError(f"--grid needs step > 0 and stop >= start, got {raw!r}")
-    count = int(round((stop - start) / step)) + 1
+    steps = (stop - start) / step  # may overflow to inf
+    if not steps < MAX_GRID_POINTS or round(steps) >= MAX_GRID_POINTS:
+        raise ValidationError(
+            f"--grid {raw!r} has more than {MAX_GRID_POINTS} points"
+        )
+    count = round(steps) + 1
     values = [round(start + i * step, 10) for i in range(count)]
     return [v for v in values if v <= stop + 1e-9]
 
@@ -197,7 +209,13 @@ def _print_report(report, names, percent: bool) -> None:
 def _cmd_evaluate(args) -> int:
     ck = load_checkpoint(args.checkpoint)
     names = _groups_arg(args)
-    dataset = read_dataset_csv(args.data, group_names=names)
+    # a fair_identity model has one mu row per group it was trained on
+    fin = ck.config.norm_kind is NormKind.FAIR_IDENTITY
+    dataset = read_dataset_csv(
+        args.data,
+        group_names=names,
+        group_count=ck.model.norm.group_count if fin else None,
+    )
     predictions, report = evaluate_model(ck, dataset, threshold=args.threshold)
     write_pretty_json(metric_report_to_dict(report), args.out)
     if args.preds_out:
@@ -238,6 +256,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    check_bins(args.bins)
     names = _groups_arg(args)
     predictions, attribute_set = read_predictions_csv(
         args.predictions, group_names=names

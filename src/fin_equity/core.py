@@ -3,21 +3,26 @@
 Everything downstream (metrics, training, file formats) speaks in terms of
 these types. Both containers are columnar: a Dataset holds a feature
 matrix with label, group-id and sample-id columns, and Predictions hold
-score, label, group-id and id columns. Group ids are digitized group
-memberships: non-negative integers indexing an ordered set of group names.
-All containers are immutable after construction; arrays are copied and
-marked read-only. Validation lives here too: the containers' constructors,
-validate_dataset, and the key check the config readers share.
+score, label, group-id and id columns. Record ids are one numpy
+StringDType column, wrapped by IdColumn, a read-only sequence of str.
+Group ids are digitized group memberships: non-negative integers indexing
+an ordered set of group names. All containers are immutable after
+construction; arrays are copied and marked read-only. Validation lives
+here too: the containers' constructors, validate_dataset, and the key
+check the config readers share.
 """
 
 from __future__ import annotations
 
 import difflib
 import numbers
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from .errors import ValidationError
 
@@ -48,6 +53,88 @@ class AttributeSet:
         if group_count < 1:
             raise ValidationError("group_count must be >= 1")
         return cls(tuple(f"group{i}" for i in range(group_count)))
+
+
+class IdColumn(Sequence):
+    """Record ids as one read-only numpy StringDType column.
+
+    It acts as a tuple of str: len, iteration and int indexing give str, a
+    slice gives an IdColumn, and == against any sequence of str compares
+    element by element and gives one bool. np.asarray gives the column,
+    which stores an id of up to 15 UTF-8 bytes inline in 16 bytes.
+    Comparisons run on Python str, because numpy's string comparisons can
+    disagree with str's when an id holds a NUL character.
+    """
+
+    __slots__ = ("_column",)
+
+    def __init__(self, ids=()):
+        if isinstance(ids, IdColumn):
+            column = ids._column  # read-only, so shared
+        else:
+            try:
+                # a str is a sequence of its characters, as for tuple()
+                column = np.array(
+                    ids if isinstance(ids, np.ndarray) else list(ids), StringDType()
+                )
+            except UnicodeEncodeError as exc:
+                raise ValidationError(
+                    f"id {exc.object!r} is not valid text ({exc.reason})"
+                ) from exc
+            if column.ndim != 1:
+                raise ValidationError(
+                    f"ids must be a flat sequence of strings, got shape {column.shape}"
+                )
+            column.flags.writeable = False
+        self._column = column
+
+    @classmethod
+    def from_chunks(cls, chunks: list[np.ndarray]) -> "IdColumn":
+        """One column, without a copy, from StringDType chunks it empties."""
+        ids = cls.__new__(cls)
+        ids._column = join_chunks(chunks, StringDType())
+        ids._column.flags.writeable = False
+        return ids
+
+    def __len__(self) -> int:
+        return len(self._column)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return IdColumn(self._column[index])
+        return self._column[operator.index(index)]
+
+    def __iter__(self):
+        return iter(self._column)
+
+    def __eq__(self, other):
+        if isinstance(other, str) or not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __array__(self, dtype=None, copy=None):
+        if dtype is None and not copy:
+            return self._column
+        return np.array(self._column, dtype=dtype, copy=True)
+
+    def __repr__(self) -> str:
+        return f"IdColumn({list(self)!r})"
+
+
+def join_chunks(chunks: list[np.ndarray], dtype) -> np.ndarray:
+    """One column from consecutive 1-D chunks, which it empties.
+
+    Each chunk is freed once copied, so the column costs one chunk more
+    than itself, not twice itself.
+    """
+    out = np.empty(sum(map(len, chunks)), dtype)
+    chunks.reverse()
+    end = 0
+    while chunks:
+        chunk = chunks.pop()
+        out[end : end + len(chunk)] = chunk
+        end += len(chunk)
+    return out
 
 
 def _column(values, n: int, what: str, dtype) -> np.ndarray:
@@ -82,14 +169,14 @@ class Dataset:
     x: np.ndarray
     labels: np.ndarray
     attrs: np.ndarray
-    ids: tuple[str, ...]
+    ids: IdColumn
 
     def __post_init__(self):
         x = np.array(self.x, dtype=np.float64)  # copy, own it
         if x.ndim != 2:
             raise ValidationError(f"features must be a 2-D (n, d) array, got {x.shape}")
         x.flags.writeable = False
-        n, ids = len(x), tuple(self.ids)
+        n, ids = len(x), IdColumn(self.ids)
         if len(ids) != n:
             raise ValidationError(f"ids must have length {n}, got {len(ids)}")
         object.__setattr__(self, "x", x)
@@ -112,13 +199,13 @@ class Predictions:
     Validated once on construction; an error names the first bad record.
     """
 
-    ids: tuple[str, ...]
+    ids: IdColumn
     scores: np.ndarray
     labels: np.ndarray
     attrs: np.ndarray
 
     def __post_init__(self):
-        ids = tuple(self.ids)
+        ids = IdColumn(self.ids)
         scores = _column(self.scores, len(ids), "scores", np.float64)
         labels = _column(self.labels, len(ids), "labels", np.int64)
         bad_score = ~((scores >= 0.0) & (scores <= 1.0))  # NaN fails both

@@ -9,14 +9,22 @@ save -> load -> save is byte-identical.
 The CSV readers stream a file once, in chunks of about CHUNK_CELLS cells,
 and check and convert each chunk column by column, in record order. Within
 a chunk the checks run in the order a row loop meets them within a row,
-each over the rows before the earliest failure so far; one set of the ids
-seen so far spans the chunks. So every error is the one a row-by-row reader
-of the whole file raises, with the same line and text: the earliest record
-wins, and within a record the earlier check. After a failing chunk the file
-is still tokenized to its end (or to a row of the wrong width), so a decode
-error or an oversized field anywhere in that range still wins. The int
-columns are built only once the group ids have been range-checked, and at
-most one chunk's cells are alive at a time.
+each over the rows before the earliest failure so far. So every error is
+the one a row-by-row reader of the whole file raises, with the same line
+and text: the earliest record wins, and within a record the earlier check.
+After a failing chunk the file is still tokenized to its end (or to a row
+of the wrong width), so a decode error or an oversized field anywhere in
+that range still wins. At most one chunk's cells are alive at a time: each
+chunk that passes becomes a StringDType id column and int and float
+columns, and each column is joined from its chunks once the file is read.
+
+Duplicate ids are found from an int64 array of hash() of each id, not
+from a set of str, and only when the read ends: at the first failing
+chunk, over the rows up to its failure, or after the last chunk. One sort
+of the hashes finds the rows whose hash an earlier row has, and an exact
+comparison of the ids decides each. The earliest duplicate then wins over
+the chunk's own error if it comes no later, as in a row loop, which checks
+a row's id first; the chunks between cost one hash per id and no search.
 """
 
 from __future__ import annotations
@@ -24,17 +32,25 @@ from __future__ import annotations
 import csv
 import json
 import math
-from itertools import chain, islice
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
+from numpy.dtypes import StringDType
 
-from .core import AttributeSet, Dataset, Predictions, require_valid
+from .core import (
+    AttributeSet,
+    Dataset,
+    IdColumn,
+    Predictions,
+    join_chunks,
+    require_valid,
+)
 from .errors import ValidationError
 from .metrics import MetricReport, PredictionHistogram
 
 FLOAT_FMT = ".16e"  # 17 significant digits
-CHUNK_CELLS = 1 << 16  # CSV cells tokenized and checked at a time
+CHUNK_CELLS = 1 << 15  # CSV cells tokenized and checked at a time
 
 
 def format_float(x: float) -> str:
@@ -118,14 +134,14 @@ def load_json(path: str, what: str = "file"):
 # dataset CSV: header  id,attr,label,f0..f{d-1}
 
 
-def _csv_writer(f, ids: Sequence[str]):
+def _csv_writer(f, ids: IdColumn):
     """A csv writer with "\\n" line ends.
 
     Minimal quoting quotes only the line terminator's characters, so an id
     holding a lone "\\r" would be written bare and end its record when read
     back; a file with such an id quotes every field.
     """
-    quote_all = any("\r" in sid for sid in ids)
+    quote_all = bool((np.strings.find(ids, "\r") >= 0).any())
     quoting = csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL
     return csv.writer(f, lineterminator="\n", quoting=quoting)
 
@@ -138,6 +154,64 @@ def write_dataset_csv(dataset: Dataset, path: str) -> None:
             dataset.ids, dataset.attrs.tolist(), dataset.labels.tolist(), dataset.x
         ):
             w.writerow([sid, attr, label] + [format_float(v) for v in feats])
+
+
+def _hashes(ids: list[str]) -> np.ndarray:
+    return np.fromiter(map(hash, ids), np.int64, len(ids))
+
+
+class _SeenIds:
+    """The ids of the chunks that passed: their columns and hashes.
+
+    Duplicates are looked for once, when the read ends (see check), so a
+    chunk that passes costs one hash() per id and no search.
+    """
+
+    def __init__(self, what: str):
+        self.what = what  # the error's name for a duplicate
+        self.chunks: list[np.ndarray] = []  # StringDType columns, in order
+        self.hashes: list[np.ndarray] = []  # int64 hash() of each id
+        self.places: list[_FirstError] = []  # each chunk's line numbers
+
+    def add(self, ids: list[str], first: "_FirstError") -> None:
+        self.chunks.append(np.array(ids, StringDType()))
+        self.hashes.append(_hashes(ids))
+        self.places.append(first)
+
+    def check(self, ids: list[str], first: "_FirstError | None") -> None:
+        """Name the earliest row whose id an earlier row has, if any.
+
+        Call it once, when the read ends. At a chunk that failed, ids are its
+        rows and first its error, which a duplicate up to and including the
+        failing row replaces: a row loop checks a row's id before the rest
+        of it. After the last chunk (no ids, no first) a duplicate raises.
+        A row whose hash an earlier row has is a candidate, and an exact
+        comparison with those rows' ids decides it, so the row named does
+        not depend on how PYTHONHASHSEED salts the hashes.
+        """
+        if first is not None:
+            ids = ids[: first.limit + 1]
+        sources, places = self.chunks + [ids], self.places + [first]
+        self.hashes.append(_hashes(ids))
+        hashes = join_chunks(self.hashes, np.int64)
+        ranked = np.sort(hashes)
+        twice = ranked[1:][ranked[1:] == ranked[:-1]]
+        if not twice.size:
+            return
+        ends = np.cumsum([len(source) for source in sources])
+        earlier: dict[int, list[str]] = {}  # candidates' ids by hash
+        for row in np.flatnonzero(np.isin(hashes, twice)).tolist():
+            c = int(np.searchsorted(ends, row, side="right"))
+            i = row - int(ends[c]) + len(sources[c])
+            sid = sources[c][i]
+            same = earlier.setdefault(int(hashes[row]), [])
+            if sid in same:
+                message = f"line {places[c].line_of(i)}: {self.what} {sid!r}"
+                if first is None:
+                    raise ValidationError(message)
+                first.message = message
+                return
+            same.append(sid)
 
 
 class _FirstError:
@@ -154,14 +228,18 @@ class _FirstError:
         self.blanks = blanks  # record numbers of the blank rows among them
         self.message: str | None = None
 
-    def fail(self, i: int, message: str) -> None:
+    def line_of(self, i: int) -> int:
+        """The record number of row i."""
         line = self.line + i
         for blank in self.blanks:
             if blank > line:
                 break
             line += 1
+        return line
+
+    def fail(self, i: int, message: str) -> None:
         self.limit = i
-        self.message = f"line {line}: {message}"
+        self.message = f"line {self.line_of(i)}: {message}"
 
     def raise_first(self) -> None:
         if self.message is not None:
@@ -174,25 +252,6 @@ class _FirstError:
                 if text in bad:
                     return i
         return None
-
-    def duplicates(
-        self, ids: list[str], seen: set[str], earlier: list[list[str]], what: str
-    ) -> None:
-        """Fail at the first row still checked whose id an earlier row has.
-
-        seen holds the ids of the earlier chunks, whose id lists are
-        earlier, and gains the chunk's ids.
-        """
-        size = len(seen)
-        seen.update(ids)
-        if len(seen) - size == len(ids):
-            return
-        seen = set(chain.from_iterable(earlier))
-        for i, sid in enumerate(ids[: self.limit]):
-            if sid in seen:
-                self.fail(i, f"{what} {sid!r}")
-                return
-            seen.add(sid)
 
     def ints(self, texts: list[str], values: dict[str, int], what: str) -> None:
         """Add int() of each new distinct text of the rows still checked to
@@ -306,18 +365,31 @@ def _read_chunks(path: str, header_width):
 
 
 def _attribute_set(
-    path: str, attrs: dict[str, int], records: int, group_names: Sequence[str] | None
+    path: str,
+    attrs: dict[str, int],
+    records: int,
+    group_names: Sequence[str] | None,
+    group_count: int | None = None,
 ) -> AttributeSet:
-    """The given group names, or group0..k defaults for the largest id k.
+    """The given group names, or group0.. defaults.
 
     Refuses a file with no data rows, and given names too few for the ids.
-    Without names, k must be below the record count: a file cannot show more
-    groups than it has records, and a stray large id would otherwise make
-    about k empty default groups.
+    Without names, a given group_count (a model's) bounds the ids and sets
+    the number of default names. Else the defaults run to the largest id k,
+    which must be below the record count: a file cannot show more groups
+    than it has records, and a stray large id would otherwise make about k
+    empty default groups.
     """
     if not attrs:
         raise ValidationError(f"{path!r} has a header but no data rows")
     max_attr = max(attrs.values())
+    if group_names is None and group_count is not None:
+        if max_attr >= group_count:
+            raise ValidationError(
+                f"{path!r}: attribute id {max_attr} is not below the model's "
+                f"group count {group_count}"
+            )
+        return AttributeSet.default(group_count)
     if group_names is None:
         if max_attr >= records:
             raise ValidationError(
@@ -334,11 +406,14 @@ def _attribute_set(
     return attribute_set
 
 
-def _int_column(
-    chunks: list[list[str]], values: dict[str, int], n: int, dtype
-) -> np.ndarray:
-    """The value of each text of the chunks, in order, as an n-long array."""
-    return np.fromiter(map(values.__getitem__, chain.from_iterable(chunks)), dtype, n)
+def _int_column(texts: list[str], values: dict[str, int], dtype) -> np.ndarray:
+    """The value of each text, in order, as an array."""
+    try:
+        return np.fromiter(map(values.__getitem__, texts), dtype, len(texts))
+    except OverflowError:
+        # a group id past any dtype: _attribute_set refuses the file, unless
+        # a later chunk fails first, so these values are never used
+        return np.zeros(len(texts), dtype)
 
 
 def _negative(attr: int) -> bool:
@@ -360,21 +435,26 @@ def _dataset_width(header: list[str]) -> int:
     return d + 3
 
 
-def read_dataset_csv(path: str, group_names: Sequence[str] | None = None) -> Dataset:
+def read_dataset_csv(
+    path: str,
+    group_names: Sequence[str] | None = None,
+    group_count: int | None = None,
+) -> Dataset:
     """Load and validate a dataset CSV.
 
     Group names default to group0..k where k is the largest attribute id
     seen, which must then be below the record count; pass group_names (e.g.
-    from a sidecar file) to override. Sample ids must be unique; violations
-    name the offending line.
+    from a sidecar file) to override. Without group_names, a group_count
+    (the groups of the model that will score the data) replaces that rule:
+    the ids must be below it, and it names group0..group{count-1}. Sample
+    ids must be unique; violations name the offending line.
     """
-    seen: set[str] = set()
+    seen = _SeenIds("duplicate sample id")
     attrs: dict[str, int] = {}
     labels: dict[str, int] = {}
-    id_chunks, attr_chunks, label_chunks, x_chunks = [], [], [], []
+    attr_chunks, label_chunks, x_chunks = [], [], []
     for cells, width, first in _read_chunks(path, _dataset_width):
         ids, attr_text, label_text = (cells[c::width] for c in range(3))
-        first.duplicates(ids, seen, id_chunks, "duplicate sample id")
         first.ints(attr_text, attrs, "attr")
         first.refuse(
             attr_text, attrs, _negative, lambda i, v: f"attr must be >= 0, got {v}"
@@ -389,21 +469,26 @@ def read_dataset_csv(path: str, group_names: Sequence[str] | None = None) -> Dat
         table = np.array(cells, dtype=object).reshape(-1, width)
         x = first.floats(table[:, 3:], lambda i, exc: f"bad feature value ({exc})")
         first.mask(~np.isfinite(x).all(axis=1), lambda i: "non-finite feature value")
-        id_chunks.append(ids)
-        attr_chunks.append(attr_text)
-        label_chunks.append(label_text)
-        x_chunks.append(x)
-        del cells, table  # free the chunk's cells before the next is read
-    del seen  # free the duplicate-id set before the columns are built
-    attribute_set = _attribute_set(path, attrs, sum(map(len, id_chunks)), group_names)
+        if first.message is None:
+            seen.add(ids, first)
+            attr_chunks.append(_int_column(attr_text, attrs, np.intp))
+            label_chunks.append(_int_column(label_text, labels, np.int64))
+            x_chunks.append(x)
+        else:  # the chunk raises: an earlier duplicate, else its own error
+            seen.check(ids, first)
+        # free the chunk's cells before the next is read
+        del cells, table, ids, attr_text, label_text
+    seen.check([], None)
+    records = sum(map(len, seen.chunks))
+    attribute_set = _attribute_set(path, attrs, records, group_names, group_count)
     x = np.concatenate(x_chunks)
     del x_chunks
     dataset = Dataset(
         attribute_set,
         x,
-        _int_column(label_chunks, labels, len(x), np.int64),
-        _int_column(attr_chunks, attrs, len(x), np.intp),
-        tuple(chain.from_iterable(id_chunks)),
+        join_chunks(label_chunks, np.int64),
+        join_chunks(attr_chunks, np.intp),
+        IdColumn.from_chunks(seen.chunks),
     )
     require_valid(dataset, what=path)
     return dataset
@@ -438,13 +523,12 @@ def _predictions_width(header: list[str]) -> int:
 def read_predictions_csv(
     path: str, group_names: Sequence[str] | None = None
 ) -> tuple[Predictions, AttributeSet]:
-    seen: set[str] = set()
+    seen = _SeenIds("duplicate id")
     labels: dict[str, int] = {}
     attrs: dict[str, int] = {}
-    id_chunks, score_chunks, label_chunks, attr_chunks = [], [], [], []
+    score_chunks, label_chunks, attr_chunks = [], [], []
     for cells, _, first in _read_chunks(path, _predictions_width):
         ids, score_text, label_text, attr_text = (cells[c::4] for c in range(4))
-        first.duplicates(ids, seen, id_chunks, "duplicate id")
         scores = first.floats(
             np.array(score_text, dtype=object)[:, None],
             lambda i, exc: f"score {score_text[i]!r} is not a number",
@@ -465,19 +549,23 @@ def read_predictions_csv(
             _not_binary,
             lambda i, v: f"record {ids[i]!r}: label must be 0 or 1, got {v!r}",
         )
-        id_chunks.append(ids)
-        score_chunks.append(scores)
-        label_chunks.append(label_text)
-        attr_chunks.append(attr_text)
-        del cells, score_text  # free the chunk's cells before the next is read
-    del seen  # free the duplicate-id set before the columns are built
-    attribute_set = _attribute_set(path, attrs, sum(map(len, id_chunks)), group_names)
-    scores = np.concatenate(score_chunks)
+        if first.message is None:
+            seen.add(ids, first)
+            score_chunks.append(scores)
+            label_chunks.append(_int_column(label_text, labels, np.int64))
+            attr_chunks.append(_int_column(attr_text, attrs, np.intp))
+        else:  # the chunk raises: an earlier duplicate, else its own error
+            seen.check(ids, first)
+        # free the chunk's cells before the next is read
+        del cells, ids, score_text, label_text, attr_text
+    seen.check([], None)
+    records = sum(map(len, seen.chunks))
+    attribute_set = _attribute_set(path, attrs, records, group_names)
     predictions = Predictions(
-        tuple(chain.from_iterable(id_chunks)),
-        scores,
-        _int_column(label_chunks, labels, len(scores), np.int64),
-        _int_column(attr_chunks, attrs, len(scores), np.intp),
+        IdColumn.from_chunks(seen.chunks),
+        join_chunks(score_chunks, np.float64),
+        join_chunks(label_chunks, np.int64),
+        join_chunks(attr_chunks, np.intp),
     )
     return predictions, attribute_set
 

@@ -346,6 +346,17 @@ class PredictionHistogram:
         )
 
 
+MAX_BINS = 100_000  # far beyond any useful histogram; bounds its arrays
+
+
+def check_bins(bins: int) -> None:
+    """Refuse a histogram bin count outside [1, MAX_BINS]."""
+    if bins < 1:
+        raise ValidationError(f"bins must be >= 1, got {bins}")
+    if bins > MAX_BINS:
+        raise ValidationError(f"bins must be <= {MAX_BINS}, got {bins}")
+
+
 def prediction_histogram(
     predictions: Predictions, threshold: float = 0.5, bins: int = 20
 ) -> PredictionHistogram:
@@ -354,8 +365,7 @@ def prediction_histogram(
     One bincount over the key kind * bins + bin fills all four tallies.
     With bins = 1 the four totals equal the plain confusion counts.
     """
-    if bins < 1:
-        raise ValidationError(f"bins must be >= 1, got {bins}")
+    check_bins(bins)
     scores, labels = predictions.scores, predictions.labels
     decisions = decide(scores, threshold)
     edges = np.arange(bins + 1) / bins

@@ -147,7 +147,11 @@ def _evaluate(
     """
     logits, _ = forward(model, dataset.x, dataset.attrs, mode="inference")
     scores = softmax(logits)[..., 1].reshape(-1, len(dataset))
-    ids = tuple(sid or f"r{i}" for i, sid in enumerate(dataset.ids))
+    ids = dataset.ids
+    empty = np.flatnonzero(np.asarray(ids) == "")
+    if empty.size:  # an empty id is named by its row
+        ids = np.array(ids)
+        ids[empty] = [f"r{i}" for i in empty.tolist()]
     out = []
     for model_scores in scores:
         predictions = Predictions(

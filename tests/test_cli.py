@@ -498,3 +498,105 @@ def test_group_id_beyond_the_record_count_is_exit_2(tmp_path):
     assert "--groups" in r.stderr
     assert "Traceback" not in r.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("0:1:nan", "finite"),
+        ("nan:1:0.5", "finite"),
+        ("0:inf:1", "finite"),
+        ("0:1:1e-8", "more than 10000 points"),
+        ("0:1e308:1e-300", "more than 10000 points"),  # the count overflows
+    ],
+)
+def test_unbounded_grid_is_exit_2(workdir, tmp_path, grid, message):
+    r = run_cli(
+        "sweep-momentum",
+        "--config", str(workdir / "train.json"),
+        "--train", str(workdir / "train.csv"),
+        "--eval", str(workdir / "eval.csv"),
+        "--grid", grid,
+        "--seeds", "1",
+        "--out", str(tmp_path / "s.json"),
+    )
+    assert r.returncode == 2, r.stderr
+    assert error_lines(r.stderr) == [line for line in r.stderr.splitlines() if line]
+    assert message in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "bins, message",
+    [("0", "bins must be >= 1, got 0"),
+     ("1000000000000", "bins must be <= 100000, got 1000000000000")],
+)
+def test_bins_out_of_range_is_exit_2_before_the_read(tmp_path, bins, message):
+    # the file is not even there: the bin count is refused first
+    r = run_cli(
+        "report",
+        "--predictions", str(tmp_path / "absent.csv"),
+        "--bins", bins,
+        "--out", str(tmp_path / "r.json"),
+    )
+    assert r.returncode == 2, r.stderr
+    assert error_lines(r.stderr) == [f"error: {message}"]
+
+
+@pytest.fixture(scope="module")
+def three_group_run(tmp_path_factory):
+    """A fair_identity checkpoint trained on a 3-group cohort, and its eval CSV."""
+    root = tmp_path_factory.mktemp("three")
+    config = dict(SYNTH_CONFIG)
+    config["groups"] = SYNTH_CONFIG["groups"] + [
+        {"name": "g2", "n_train": 24, "n_eval": 12, "prevalence": 0.5,
+         "separation": 1.5, "offset": 0.0},
+    ]
+    (root / "synth.json").write_text(json.dumps(config))
+    (root / "train.json").write_text(json.dumps({**TRAIN_CONFIG, "epochs": 1}))
+    for args in (
+        ["synth", "--config", str(root / "synth.json"),
+         "--out-train", str(root / "train.csv"), "--out-eval", str(root / "eval.csv")],
+        ["train", "--config", str(root / "train.json"), "--train", str(root / "train.csv"),
+         "--eval", str(root / "eval.csv"), "--seeds", "1", "--out-prefix", str(root / "run_")],
+    ):
+        r = run_cli(*args)
+        assert r.returncode == 0, r.stderr
+    return root
+
+
+def slice_of_group(root, gid, rows):
+    lines = (root / "eval.csv").read_text().splitlines()
+    picked = [line for line in lines[1:] if line.split(",")[1] == str(gid)][:rows]
+    path = root / f"slice{gid}.csv"
+    path.write_text("\n".join([lines[0]] + picked) + "\n")
+    return path
+
+
+def test_evaluate_bounds_group_ids_by_the_fin_checkpoint(three_group_run):
+    root = three_group_run
+    out = root / "slice_report.json"
+    r = run_cli(
+        "evaluate",
+        "--checkpoint", str(root / "run_checkpoint_seed1.json"),
+        "--data", str(slice_of_group(root, 2, 2)),
+        "--out", str(out),
+    )
+    assert r.returncode == 0, r.stderr
+    report = json.loads(out.read_text())
+    assert report["group_sizes"] == {"0": 0, "1": 0, "2": 2}
+    for gid in ("0", "1"):
+        assert report["per_group"][gid] == {"accuracy": None, "auc": None}
+        assert f"group {gid} empty: accuracy and auc undefined" in report["undefined"]
+    # an id at the checkpoint's group count is refused, naming the count
+    bad = root / "bad.csv"
+    bad.write_text(slice_of_group(root, 2, 2).read_text().replace(",2,", ",3,", 1))
+    r = run_cli(
+        "evaluate",
+        "--checkpoint", str(root / "run_checkpoint_seed1.json"),
+        "--data", str(bad),
+        "--out", str(root / "bad.json"),
+    )
+    assert r.returncode == 2, r.stderr
+    assert error_lines(r.stderr) == [
+        f"error: {str(bad)!r}: attribute id 3 is not below the model's group count 3"
+    ]

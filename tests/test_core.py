@@ -194,3 +194,23 @@ def test_validate_empty_dataset():
     ds = Dataset(AttributeSet.default(1), np.zeros((0, 2)), [], [], ())
     violations = validate_dataset(ds)
     assert len(violations) == 1 and violations[0].index is None
+
+
+def test_ids_are_one_read_only_string_column():
+    ds = make_dataset()
+    column = np.asarray(ds.ids)
+    assert column.dtype == np.dtypes.StringDType() and not column.flags.writeable
+    assert ds.ids == ["a", "b", "c"] and ds.ids != ("a", "b") and ds.ids != "abc"
+    assert ds.ids[1] == "b" and ds.ids[np.int64(-1)] == "c"
+    assert type(ds.ids[:2]) is type(ds.ids) and ds.ids[:2] == ("a", "b")
+    assert [type(i) for i in ds.ids] == [str, str, str]
+    # a NUL ends no id: numpy compares such strings loosely, the column must not
+    ids = Predictions(("a\x00b", "x\x00"), [0.5, 0.5], [0, 1], [0, 0]).ids
+    assert ids == ("a\x00b", "x\x00") and ids != ("a\x00c", "x")
+
+
+def test_lone_surrogate_id_is_a_validation_error():
+    with pytest.raises(ValidationError, match="not valid text"):
+        Dataset(AttributeSet.default(1), np.zeros((1, 2)), [0], [0], ("\ud800",))
+    with pytest.raises(ValidationError, match="not valid text"):
+        Predictions(("ok", "x\udfff"), [0.5, 0.5], [0, 1], [0, 0])

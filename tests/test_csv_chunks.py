@@ -11,6 +11,9 @@ runs again with chunks a few cells long, so that chunk edges fall between
 any two records.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -208,3 +211,39 @@ def test_dataset_read_peak_is_a_few_times_what_it_keeps(tmp_path):
     assert len(dataset) == 20_000
     assert peak <= 4 * kept, (peak, kept)
 
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_earlier_chunk_duplicate_beats_a_later_chunks_bad_label(tmp_path, kind):
+    rows = [row(kind, i) for i in range(40)]
+    rows[12] = "s3" + rows[12][rows[12].index(","):]  # line 14, a later chunk
+    rows[30] = row(kind, 30, label="7")  # line 32, a chunk after that
+    path = write_file(tmp_path, kind, rows)
+    what = "duplicate sample id" if kind == "dataset" else "duplicate id"
+    with mock.patch.object(fileio, "CHUNK_CELLS", 4 * 5):  # five rows a chunk
+        assert read_error(kind, path) == f"line 14: {what} 's3'"
+
+
+def test_duplicate_error_does_not_depend_on_the_hash_seed(tmp_path):
+    rows = good_rows("predictions")
+    rows[45_000] = "s40000" + rows[45_000][rows[45_000].index(","):]
+    rows[50_000] = "s7" + rows[50_000][rows[50_000].index(","):]
+    path = write_file(tmp_path, "predictions", rows)
+    code = (
+        "import sys\n"
+        "from fin_equity import ValidationError, read_predictions_csv\n"
+        "try:\n"
+        "    read_predictions_csv(sys.argv[1])\n"
+        "except ValidationError as exc:\n"
+        "    print(exc)\n"
+    )
+    outputs = []
+    for seed in ("0", "1"):  # one process after the other
+        done = subprocess.run(
+            [sys.executable, "-c", code, path],
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1] == b"line 45002: duplicate id 's40000'\n"

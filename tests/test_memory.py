@@ -85,3 +85,10 @@ def test_fin_inference_forward_peak_is_under_two_hidden_layers():
     hidden = rows * 32 * 8  # the first layer's float64 output
     # 2.5 hidden layers with the normalizer's temporaries, 1.5 in place
     assert peak <= 2 * hidden, (peak, hidden)
+
+
+def test_predictions_read_keeps_under_48_bytes_per_record(predictions_csv):
+    (predictions, _), kept, _ = traced(lambda: read_predictions_csv(predictions_csv))
+    assert len(predictions) == RECORDS
+    # about 84 with a str per id in a tuple, 40 with a StringDType id column
+    assert kept <= 48 * RECORDS, kept / RECORDS
