@@ -9,12 +9,9 @@ an overall metric by its per-group discrepancy.
 from .core import (
     AttributeSet,
     Dataset,
-    GroupPartition,
     IdColumn,
     Predictions,
     Violation,
-    partition_by_attribute,
-    partition_from_ids,
     require_valid,
     validate_dataset,
 )
@@ -42,8 +39,8 @@ from .metrics import (
     dpd,
     equity_scaled,
     full_report,
+    group_counts,
     prediction_histogram,
-    selection_rate,
 )
 from .net import (
     AffineLayer,

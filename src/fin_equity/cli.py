@@ -195,9 +195,8 @@ def _print_report(report, names, percent: bool) -> None:
             f"es {fmt(report.equity_scaled[name])}"
         )
     for gid, row in sorted(report.per_group.items()):
-        label = names[gid] if gid < len(names) else f"group{gid}"
         print(
-            f"  {label:<12} n={report.group_sizes[gid]:<6} "
+            f"  {names[gid]:<12} n={report.group_sizes[gid]:<6} "
             f"acc {fmt(row['accuracy'])}  auc {fmt(row['auc'])}"
         )
     print(f"dpd        {fmt(report.dpd)}")

@@ -6,10 +6,11 @@ matrix with label, group-id and sample-id columns, and Predictions hold
 score, label, group-id and id columns. Record ids are one numpy
 StringDType column, wrapped by IdColumn, a read-only sequence of str.
 Group ids are digitized group memberships: non-negative integers indexing
-an ordered set of group names. All containers are immutable after
-construction; arrays are copied and marked read-only. Validation lives
-here too: the containers' constructors, validate_dataset, and the key
-check the config readers share.
+an ordered set of group names. No grouping type lives here: an audit
+counts each group's records itself (metrics.group_counts). All containers
+are immutable after construction; arrays are copied and marked read-only.
+Validation lives here too: the containers' constructors, validate_dataset,
+and the key check the config readers share.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 from numpy.dtypes import StringDType
@@ -224,62 +224,6 @@ class Predictions:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-
-@dataclass(frozen=True, eq=False)
-class GroupPartition:
-    """Disjoint index arrays per group id; empty groups map to empty arrays.
-
-    The union of the index arrays covers every record exactly once.
-    Treated as read-only everywhere.
-    """
-
-    indices_by_group: Mapping[int, np.ndarray]
-
-    @property
-    def group_count(self) -> int:
-        return len(self.indices_by_group)
-
-    def nonempty_groups(self) -> tuple[int, ...]:
-        return tuple(
-            g for g in sorted(self.indices_by_group) if self.indices_by_group[g].size
-        )
-
-    def sizes(self) -> dict[int, int]:
-        return {g: int(ix.size) for g, ix in sorted(self.indices_by_group.items())}
-
-
-def partition_from_ids(attr_ids: np.ndarray, group_count: int) -> GroupPartition:
-    """Partition positions 0..n-1 by integer attribute id."""
-    attr_ids = np.asarray(attr_ids)
-    bad = np.flatnonzero((attr_ids < 0) | (attr_ids >= group_count))
-    if bad.size:
-        raise ValidationError(
-            f"record {int(bad[0])}: attribute id {int(attr_ids[bad[0]])} out of "
-            f"range for {group_count} groups"
-        )
-    indices = {
-        g: np.flatnonzero(attr_ids == g).astype(np.intp) for g in range(group_count)
-    }
-    return GroupPartition(indices)
-
-
-def partition_by_attribute(
-    predictions: Predictions, attribute_set: AttributeSet
-) -> GroupPartition:
-    """Group record positions by attribute id.
-
-    An out-of-range attribute raises a validation error naming the record.
-    """
-    g = attribute_set.group_count
-    bad = np.flatnonzero(predictions.attrs >= g)
-    if bad.size:
-        pos = int(bad[0])
-        raise ValidationError(
-            f"record {pos} (id={predictions.ids[pos]!r}): attribute id "
-            f"{int(predictions.attrs[pos])} out of range for {g} groups"
-        )
-    return partition_from_ids(predictions.attrs, g)
 
 
 def check_config_keys(data, allowed: tuple[str, ...], what: str) -> None:

@@ -10,6 +10,11 @@ discrepancy between per-group values and the overall value:
 so es == overall exactly when every group matches the overall value, and
 es < overall otherwise. Undefined metrics (single-class AUC, empty groups,
 rate gaps with fewer than two eligible groups) are flagged, never imputed.
+
+An audit counts its records once, into a (group, label, decision) table
+(group_counts). Accuracy, the demographic-parity gap and the
+equalized-odds gap are ratios of those exact integer counts; only AUC
+reads each group's scores.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import AttributeSet, GroupPartition, Predictions, partition_by_attribute
+from .core import AttributeSet, Predictions
 from .errors import UndefinedMetricError, ValidationError
 
 
@@ -128,64 +133,64 @@ def confusion(decisions, labels) -> ConfusionCounts:
     )
 
 
-def selection_rate(decisions) -> float:
-    """Fraction of positive decisions."""
-    decisions = np.asarray(decisions)
-    if decisions.size == 0:
-        raise UndefinedMetricError("selection rate undefined on empty input")
-    return float(np.mean(decisions != 0))
+def group_counts(decisions, labels, attrs, group_count: int) -> np.ndarray:
+    """Confusion counts per group: an int64 (group_count, 2, 2) table.
 
-
-def dpd(decisions, partition: GroupPartition) -> float:
-    """Demographic parity difference: max - min per-group selection rate.
-
-    Empty groups are skipped; fewer than two nonempty groups leaves the
-    gap undefined.
-    """
-    decisions = np.asarray(decisions)
-    rates = [
-        selection_rate(decisions[ix])
-        for _, ix in sorted(partition.indices_by_group.items())
-        if ix.size
-    ]
-    if len(rates) < 2:
-        raise UndefinedMetricError(
-            f"dpd undefined: needs >= 2 nonempty groups, got {len(rates)}"
-        )
-    return float(max(rates) - min(rates))
-
-
-def deodds(decisions, labels, partition: GroupPartition) -> float:
-    """Equalized-odds difference: the larger of the TPR gap and FPR gap.
-
-    A group enters the TPR gap only if it has a positive label, the FPR gap
-    only if it has a negative one. A gap needs two eligible groups; if both
-    gaps are short of that, the metric is undefined.
+    counts[g, y, d] is the number of records of group g with label y and
+    decision d, all from one bincount over the key 4 * g + 2 * y + d.
+    Decisions and labels must be 0 or 1, and group ids integers in
+    [0, group_count).
     """
     decisions, labels = _check_paired(decisions, labels, "decisions", "labels")
-    tprs: list[float] = []
-    fprs: list[float] = []
-    for _, ix in sorted(partition.indices_by_group.items()):
-        if ix.size == 0:
-            continue
-        dec = decisions[ix]
-        lab = labels[ix]
-        pos = lab == 1
-        if pos.any():
-            tprs.append(float(np.mean(dec[pos] != 0)))
-        if (~pos).any():
-            fprs.append(float(np.mean(dec[~pos] != 0)))
-    gaps = []
-    if len(tprs) >= 2:
-        gaps.append(max(tprs) - min(tprs))
-    if len(fprs) >= 2:
-        gaps.append(max(fprs) - min(fprs))
+    labels, attrs = _check_paired(labels, attrs, "labels", "group ids")
+    try:
+        key = np.ravel_multi_index((attrs, labels, decisions), (group_count, 2, 2))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"group counts need integer group ids in [0, {group_count}) and "
+            "0/1 labels and decisions"
+        ) from exc
+    return np.bincount(key, minlength=4 * group_count).reshape(group_count, 2, 2)
+
+
+def _rates(hits: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """hits / totals over the groups with a nonzero total."""
+    some = totals > 0
+    return hits[some] / totals[some]
+
+
+def dpd(counts) -> float:
+    """Demographic parity difference: max - min per-group selection rate.
+
+    counts is a group_counts table. Empty groups are skipped; fewer than
+    two nonempty groups leaves the gap undefined.
+    """
+    selected = counts[:, :, 1].sum(axis=1)
+    rates = _rates(selected, counts.sum(axis=(1, 2)))
+    if rates.size < 2:
+        raise UndefinedMetricError(
+            f"dpd undefined: needs >= 2 nonempty groups, got {rates.size}"
+        )
+    return float(rates.max() - rates.min())
+
+
+def deodds(counts) -> float:
+    """Equalized-odds difference: the larger of the TPR gap and FPR gap.
+
+    counts is a group_counts table. A group enters the TPR gap only if it
+    has a positive label, the FPR gap only if it has a negative one. A gap
+    needs two eligible groups; if both gaps are short of that, the metric
+    is undefined.
+    """
+    tprs = _rates(counts[:, 1, 1], counts[:, 1].sum(axis=1))
+    fprs = _rates(counts[:, 0, 1], counts[:, 0].sum(axis=1))
+    gaps = [float(r.max() - r.min()) for r in (tprs, fprs) if r.size >= 2]
     if not gaps:
         raise UndefinedMetricError(
             "deodds undefined: fewer than 2 groups have positives and fewer "
             "than 2 have negatives"
         )
-    return float(max(gaps))
+    return max(gaps)
 
 
 def _check_fraction(value: float, what: str) -> float:
@@ -253,17 +258,29 @@ def full_report(
 ) -> MetricReport:
     """Compute overall, per-group, discrepancy, and equity-scaled metrics.
 
-    Partial failures (a single-class group, a degenerate gap) are recorded
-    as flags and None values; they never abort the rest of the report.
+    Group sizes, accuracies and both rate gaps come from one group_counts
+    table; only each group's AUC reads that group's records. Partial
+    failures (a single-class group, a degenerate gap) are recorded as flags
+    and None values; they never abort the rest of the report. A group id
+    outside the attribute set is an error naming its record.
     """
     if not len(predictions):
         raise UndefinedMetricError("cannot build a report from zero records")
-    scores, labels = predictions.scores, predictions.labels
+    scores, labels, attrs = predictions.scores, predictions.labels, predictions.attrs
     decisions = decide(scores, threshold)
-    partition = partition_by_attribute(predictions, attribute_set)
+    group_count = attribute_set.group_count
+    if attrs.max() >= group_count:
+        pos = int(np.argmax(attrs >= group_count))
+        raise ValidationError(
+            f"record {pos} (id={predictions.ids[pos]!r}): attribute id "
+            f"{int(attrs[pos])} out of range for {group_count} groups"
+        )
+    counts = group_counts(decisions, labels, attrs, group_count)
+    sizes = counts.sum(axis=(1, 2)).tolist()
+    correct = (counts[:, 0, 0] + counts[:, 1, 1]).tolist()
 
     flags: list[str] = []
-    overall: dict[str, float | None] = {"accuracy": accuracy(decisions, labels)}
+    overall: dict[str, float | None] = {"accuracy": sum(correct) / len(predictions)}
     try:
         overall["auc"] = auc(scores, labels)
     except UndefinedMetricError as exc:
@@ -271,15 +288,13 @@ def full_report(
         flags.append(f"overall auc undefined: {exc}")
 
     per_group: dict[int, dict[str, float | None]] = {}
-    for gid in range(attribute_set.group_count):
-        ix = partition.indices_by_group[gid]
-        if ix.size == 0:
+    for gid in range(group_count):
+        if not sizes[gid]:
             per_group[gid] = {"accuracy": None, "auc": None}
             flags.append(f"group {gid} empty: accuracy and auc undefined")
             continue
-        row: dict[str, float | None] = {
-            "accuracy": accuracy(decisions[ix], labels[ix])
-        }
+        row: dict[str, float | None] = {"accuracy": correct[gid] / sizes[gid]}
+        ix = np.flatnonzero(attrs == gid)
         try:
             row["auc"] = auc(scores[ix], labels[ix])
         except UndefinedMetricError as exc:
@@ -303,12 +318,12 @@ def full_report(
         es[name] = equity_scaled(overall[name], delta[name])
 
     try:
-        dpd_value: float | None = dpd(decisions, partition)
+        dpd_value: float | None = dpd(counts)
     except UndefinedMetricError as exc:
         dpd_value = None
         flags.append(f"dpd undefined: {exc}")
     try:
-        deodds_value: float | None = deodds(decisions, labels, partition)
+        deodds_value: float | None = deodds(counts)
     except UndefinedMetricError as exc:
         deodds_value = None
         flags.append(f"deodds undefined: {exc}")
@@ -321,7 +336,7 @@ def full_report(
         equity_scaled=es,
         dpd=dpd_value,
         deodds=deodds_value,
-        group_sizes=partition.sizes(),
+        group_sizes=dict(enumerate(sizes)),
         undefined=tuple(flags),
     )
 

@@ -34,6 +34,7 @@ reads its own block, whose kind must be the config's `norm_kind`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -75,6 +76,7 @@ from .norms import NormKind, _as_array, _as_scalar, norm_class
 from .optim import AdamWConfig, AdamWState, _adamw_update, decay_shrink
 
 CHECKPOINT_VERSION = 1
+MAX_PARAMETERS = 10_000_000  # backbone and head weights and biases, 80 MB of float64
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,18 @@ class TrainConfig:
         )
         if len(self.layer_dims) < 2:
             raise ValidationError("layer_dims needs at least input and feature dims")
+        if min(self.layer_dims) < 1:
+            raise ValidationError(
+                f"layer_dims entries must be >= 1, got {list(self.layer_dims)}"
+            )
+        # backbone and head affine layers: (fan_in + 1) * fan_out each
+        widths = self.layer_dims + (2,)
+        count = sum((a + 1) * b for a, b in zip(widths, widths[1:]))
+        if count > MAX_PARAMETERS:
+            raise ValidationError(
+                f"layer_dims {list(self.layer_dims)} give {count} backbone and "
+                f"head parameters, more than MAX_PARAMETERS = {MAX_PARAMETERS}"
+            )
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -315,7 +329,7 @@ def _summarize(values: list[float | None]) -> MetricSummary:
     return MetricSummary(mean=float(arr.mean()), std=std, per_seed=tuple(values))
 
 
-def _scalar_metrics(report: MetricReport, group_count: int) -> dict[str, float | None]:
+def _scalar_metrics(report: MetricReport) -> dict[str, float | None]:
     out: dict[str, float | None] = {
         "acc": report.overall["accuracy"],
         "auc": report.overall["auc"],
@@ -324,10 +338,9 @@ def _scalar_metrics(report: MetricReport, group_count: int) -> dict[str, float |
         "dpd": report.dpd,
         "deodds": report.deodds,
     }
-    for g in range(group_count):
-        row = report.per_group.get(g, {})
-        out[f"acc_group{g}"] = row.get("accuracy")
-        out[f"auc_group{g}"] = row.get("auc")
+    for g, row in report.per_group.items():
+        out[f"acc_group{g}"] = row["accuracy"]
+        out[f"auc_group{g}"] = row["auc"]
     return out
 
 
@@ -364,12 +377,15 @@ def run_seeds(
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ValidationError("need at least one seed")
+    repeated = [s for s, k in Counter(seeds).items() if k > 1]
+    if repeated:
+        raise ValidationError(f"seed {repeated[0]} is given more than once")
     runs = _train_seeds(train_set, eval_set, config, seeds)
     checkpoints = tuple(r[0] for r in runs)
     histories = tuple(r[1] for r in runs)
     reports = tuple(h.reports[-1] for h in histories)
     group_count = eval_set.attribute_set.group_count
-    per_seed = [_scalar_metrics(rep, group_count) for rep in reports]
+    per_seed = [_scalar_metrics(rep) for rep in reports]
     names = per_seed[0].keys()
     metrics = {name: _summarize([row[name] for row in per_seed]) for name in names}
     return SeedAggregate(
@@ -402,6 +418,9 @@ def sweep_momentum(
     for m in grid:
         if not 0.0 <= m <= 1.0:
             raise ValidationError(f"momentum grid values must lie in [0, 1], got {m}")
+    for m, after in zip(grid, grid[1:]):
+        if m == after:
+            raise ValidationError(f"momentum grid value {m} is given more than once")
     out: list[tuple[float, SeedAggregate]] = []
     for m in grid:
         cfg = replace(config, norm_kind=NormKind.FAIR_IDENTITY, fin_momentum=m)

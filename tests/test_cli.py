@@ -1,13 +1,16 @@
 """End-to-end checks of the command-line interface via subprocesses."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from fin_equity import write_predictions_csv
+from fin_equity import Predictions, write_predictions_csv
+from fin_equity.cli import run
 from reference_fixtures import reconciliation_records
 
 TRAIN_CONFIG = {
@@ -600,3 +603,85 @@ def test_evaluate_bounds_group_ids_by_the_fin_checkpoint(three_group_run):
     assert error_lines(r.stderr) == [
         f"error: {str(bad)!r}: attribute id 3 is not below the model's group count 3"
     ]
+
+
+def _audit_predictions(n=800, seed=12):
+    """n records in groups 0..7 of 9 names; group 5 all positive, 5% tied."""
+    rng = np.random.default_rng(seed)
+    attrs = rng.choice(8, size=n, p=[0.3, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05])
+    labels = rng.integers(0, 2, size=n)
+    labels[attrs == 5] = 1  # a single-class group
+    scores = np.clip(0.35 * labels + 0.65 * rng.random(n), 0.0, 1.0)
+    tied = rng.random(n) < 0.05
+    scores[tied] = rng.choice([0.25, 0.5, 0.75], size=int(tied.sum()))
+    ids = tuple(f"r{i}" for i in range(n))
+    return Predictions(ids, scores, labels, attrs)
+
+
+# SHA-256 of the report JSON, the histogram CSV and the stdout of
+# `report --hist-out` on _audit_predictions(), with a sidecar naming a ninth,
+# empty group: any change to the audit that moves one byte fails here.
+PINNED_REPORT_SHA256 = (
+    "334ba8dda82baf830452a85860b1e7d5a2a1a3a94b1217978bf7ed72ac48b63b",
+    "4a751ffda0c021c3bdcb90e5c6e1daa85bbe16ed33618bb1954412c3af6437cc",
+    "015b14855dbaca11bd598ee4f7e507ff77afef9788e12cbdee1922641d204eb0",
+)
+
+
+def test_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    write_predictions_csv(_audit_predictions(), str(tmp_path / "preds.csv"))
+    names = [f"g{i}" for i in range(9)]  # g8 has no records
+    (tmp_path / "groups.json").write_text(json.dumps({"groups": names}))
+    monkeypatch.chdir(tmp_path)
+    code = run([
+        "report",
+        "--predictions", "preds.csv",
+        "--groups", "groups.json",
+        "--out", "report.json",
+        "--hist-out", "hist.csv",
+        "--bins", "17",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "note: group 8 empty" in out and "auc undefined for group 5" in out
+    digests = tuple(
+        hashlib.sha256(data).hexdigest()
+        for data in (
+            (tmp_path / "report.json").read_bytes(),
+            (tmp_path / "hist.csv").read_bytes(),
+            out.encode(),
+        )
+    )
+    assert digests == PINNED_REPORT_SHA256
+
+
+def test_repeated_seed_is_exit_2(workdir, tmp_path):
+    r = run_cli(
+        "train",
+        "--config", str(workdir / "train.json"),
+        "--train", str(workdir / "train.csv"),
+        "--eval", str(workdir / "eval.csv"),
+        "--seeds", "1,1",
+        "--out-prefix", str(tmp_path / "run_"),
+    )
+    assert r.returncode == 2, r.stderr
+    assert error_lines(r.stderr) == ["error: seed 1 is given more than once"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_that_rounds_to_repeated_values_is_exit_2(workdir, tmp_path):
+    # eleven points 1e-13 apart, each rounded to 10 decimals: all 0.0
+    r = run_cli(
+        "sweep-momentum",
+        "--config", str(workdir / "train.json"),
+        "--train", str(workdir / "train.csv"),
+        "--eval", str(workdir / "eval.csv"),
+        "--grid", "0:1e-12:1e-13",
+        "--seeds", "1",
+        "--out", str(tmp_path / "s.json"),
+    )
+    assert r.returncode == 2, r.stderr
+    assert error_lines(r.stderr) == [
+        "error: momentum grid value 0.0 is given more than once"
+    ]
+    assert not (tmp_path / "s.json").exists()

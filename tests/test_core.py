@@ -4,11 +4,8 @@ import pytest
 from fin_equity import (
     AttributeSet,
     Dataset,
-    GroupPartition,
     Predictions,
     ValidationError,
-    partition_by_attribute,
-    partition_from_ids,
     require_valid,
     validate_dataset,
 )
@@ -104,48 +101,6 @@ def test_prediction_record_validation():
         Predictions(("a", "b", "c"), [0.5, 0.5, -0.1], [0, 3, 1], [0, 0, 0])
     with pytest.raises(ValidationError, match="scores"):
         Predictions(("a", "b"), [0.5], [0, 1], [0, 0])
-
-
-def test_partition_from_ids():
-    part = partition_from_ids(np.array([0, 2, 0, 1]), 3)
-    assert part.group_count == 3
-    assert part.indices_by_group[0].tolist() == [0, 2]
-    assert part.indices_by_group[1].tolist() == [3]
-    assert part.indices_by_group[2].tolist() == [1]
-    assert part.nonempty_groups() == (0, 1, 2)
-    assert part.sizes() == {0: 2, 1: 1, 2: 1}
-
-
-def test_partition_from_ids_covers_every_position_once():
-    rng = np.random.default_rng(7)
-    ids = rng.integers(0, 4, size=57)
-    part = partition_from_ids(ids, 4)
-    merged = np.concatenate([part.indices_by_group[g] for g in range(4)])
-    assert sorted(merged.tolist()) == list(range(57))
-
-
-def test_partition_from_ids_rejects_out_of_range():
-    with pytest.raises(ValidationError, match="record 1"):
-        partition_from_ids(np.array([0, 3]), 3)
-    with pytest.raises(ValidationError, match="record 0"):
-        partition_from_ids(np.array([-1, 0]), 3)
-
-
-def test_partition_by_attribute_names_the_record():
-    preds = Predictions(("ok", "oops"), [0.5, 0.5], [0, 0], [0, 5])
-    with pytest.raises(ValidationError, match="oops"):
-        partition_by_attribute(preds, AttributeSet.default(2))
-    part = partition_by_attribute(
-        Predictions(("ok",), [0.5], [0], [0]), AttributeSet.default(2)
-    )
-    assert part.sizes() == {0: 1, 1: 0}
-    assert part.nonempty_groups() == (0,)
-
-
-def test_empty_group_partition():
-    part = GroupPartition({0: np.array([0, 1]), 1: np.array([], dtype=np.intp)})
-    assert part.nonempty_groups() == (0,)
-    assert part.sizes() == {0: 2, 1: 0}
 
 
 def test_validate_dataset_finds_problems():

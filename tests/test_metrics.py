@@ -17,10 +17,9 @@ from fin_equity import (
     dpd,
     equity_scaled,
     full_report,
+    group_counts,
     metric_report_to_dict,
-    partition_from_ids,
     prediction_histogram,
-    selection_rate,
 )
 from reference_fixtures import (
     RECON_DEODDS,
@@ -131,38 +130,65 @@ def test_rank_auc_is_pair_counting_and_the_midrank_form_bit_for_bit(case):
     assert value == midranks_auc(scores, labels)
 
 
-def test_confusion_and_selection_rate():
+def test_confusion_counts():
     c = confusion([1, 1, 0, 0, 1], [1, 0, 0, 1, 1])
     assert (c.tp, c.fp, c.tn, c.fn) == (2, 1, 1, 1)
     assert c.total == 5
-    assert selection_rate([1, 1, 0, 0, 1]) == 0.6
-    with pytest.raises(UndefinedMetricError):
-        selection_rate([])
+
+
+def test_group_counts_table():
+    decisions = np.array([1, 0, 1, 1, 0, 0])
+    labels = np.array([1, 1, 0, 1, 0, 1])
+    counts = group_counts(decisions, labels, np.array([0, 0, 0, 2, 2, 2]), 3)
+    assert counts.shape == (3, 2, 2) and counts.dtype == np.int64
+    # [group, label, decision]
+    assert counts[0].tolist() == [[0, 1], [1, 1]]
+    assert counts[1].tolist() == [[0, 0], [0, 0]]
+    assert counts[2].tolist() == [[1, 0], [1, 1]]
+    empty = np.array([], dtype=int)
+    assert group_counts(empty, empty, empty, 2).tolist() == [[[0, 0], [0, 0]]] * 2
+
+
+def test_group_counts_refuses_bad_input():
+    message = r"integer group ids in \[0, 3\) and 0/1 labels and decisions"
+    for decisions, labels, attrs in (
+        ([1, 0], [1, 0], [0, 3]),
+        ([1, 0], [1, 0], [-1, 0]),
+        ([1, 0], [1, 2], [0, 0]),
+        ([1, -1], [1, 0], [0, 0]),
+        ([1, 0], [1.0, 0.0], [0, 0]),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            group_counts(decisions, labels, np.array(attrs), 3)
+    with pytest.raises(ValidationError, match="equal length"):
+        group_counts([1, 0], [1, 0], np.array([0]), 3)
 
 
 def test_dpd_max_minus_min():
     decisions = np.array([1, 0, 0, 0, 0, 1, 1, 1, 0, 0, 1, 0])
     attrs = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2])
-    part = partition_from_ids(attrs, 3)
+    counts = group_counts(decisions, np.zeros(12, dtype=int), attrs, 3)
     # rates 0.2 / 0.6 / 0.5
-    assert dpd(decisions, part) == pytest.approx(0.4)
+    assert dpd(counts) == pytest.approx(0.4)
 
 
 def test_dpd_skips_empty_groups_and_needs_two():
     decisions = np.array([1, 0])
-    part = partition_from_ids(np.array([0, 0]), 3)
-    with pytest.raises(UndefinedMetricError):
-        dpd(decisions, part)
-    part = partition_from_ids(np.array([0, 2]), 3)  # group 1 empty, still fine
-    assert dpd(decisions, part) == 1.0
+    labels = np.array([0, 0])
+    counts = group_counts(decisions, labels, np.array([0, 0]), 3)
+    with pytest.raises(UndefinedMetricError, match="got 1"):
+        dpd(counts)
+    # group 1 empty, still fine
+    counts = group_counts(decisions, labels, np.array([0, 2]), 3)
+    assert dpd(counts) == 1.0
 
 
 def test_deodds_takes_the_larger_gap():
     #       g0: tpr 1.0, fpr 0.0      g1: tpr 0.0, fpr 1.0
     decisions = np.array([1, 1, 0, 0, 1, 1])
     labels = np.array([1, 1, 0, 1, 0, 0])
-    part = partition_from_ids(np.array([0, 0, 0, 1, 1, 1]), 2)
-    assert deodds(decisions, labels, part) == 1.0
+    counts = group_counts(decisions, labels, np.array([0, 0, 0, 1, 1, 1]), 2)
+    assert deodds(counts) == 1.0
 
 
 def test_deodds_eligibility_is_per_gap():
@@ -170,16 +196,16 @@ def test_deodds_eligibility_is_per_gap():
     # two eligible groups, so the metric is undefined
     decisions = np.array([1, 0, 1, 0])
     labels = np.array([1, 1, 0, 0])
-    part = partition_from_ids(np.array([0, 0, 1, 1]), 2)
+    counts = group_counts(decisions, labels, np.array([0, 0, 1, 1]), 2)
     with pytest.raises(UndefinedMetricError):
-        deodds(decisions, labels, part)
+        deodds(counts)
 
     # adding a mixed group makes both gaps well defined
     decisions = np.array([1, 0, 1, 0, 1, 1])
     labels = np.array([1, 1, 0, 0, 1, 0])
-    part = partition_from_ids(np.array([0, 0, 1, 1, 2, 2]), 3)
+    counts = group_counts(decisions, labels, np.array([0, 0, 1, 1, 2, 2]), 3)
     # tprs: g0 0.5, g2 1.0 ; fprs: g1 0.5, g2 1.0
-    assert deodds(decisions, labels, part) == 0.5
+    assert deodds(counts) == 0.5
 
 
 def test_discrepancy_and_equity_scaled():
@@ -242,6 +268,15 @@ def test_full_report_flags_undefined_instead_of_imputing():
 def test_full_report_rejects_empty_input():
     with pytest.raises(UndefinedMetricError):
         full_report(Predictions((), [], [], []), AttributeSet.default(1))
+
+
+def test_full_report_names_the_out_of_range_record():
+    preds = Predictions(("ok", "oops"), [0.5, 0.5], [0, 0], [0, 5])
+    with pytest.raises(ValidationError, match="oops"):
+        full_report(preds, AttributeSet.default(2))
+    rep = full_report(Predictions(("ok",), [0.5], [0], [0]), AttributeSet.default(2))
+    assert rep.group_sizes == {0: 1, 1: 0}
+    assert rep.undefined[-3] == "group 1 empty: accuracy and auc undefined"
 
 
 def test_report_and_histogram_are_invariant_under_row_permutation():

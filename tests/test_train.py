@@ -50,7 +50,7 @@ from fin_equity import (
     write_pretty_json,
 )
 from fin_equity.net import model_slice, stack_models
-from fin_equity.train import CHECKPOINT_VERSION
+from fin_equity.train import CHECKPOINT_VERSION, MAX_PARAMETERS
 from reference_fixtures import same_predictions
 
 
@@ -357,6 +357,41 @@ def test_sweep_momentum():
         sweep_momentum(train_set, eval_set, tiny_config(), grid=[], seeds=(1,))
     with pytest.raises(ValidationError):
         sweep_momentum(train_set, eval_set, tiny_config(), grid=[1.2], seeds=(1,))
+
+
+def test_repeated_seeds_and_grid_values_are_refused():
+    train_set, eval_set = tiny_data()
+    with pytest.raises(ValidationError, match="seed 1 is given more than once"):
+        run_seeds(train_set, eval_set, tiny_config(), seeds=(1, 2, 1))
+    for grid, value in (([0.5, 0.0, 0.5], "0.5"), ([0.0, -0.0], "0.0")):
+        with pytest.raises(ValidationError, match=f"value {value} is given more than"):
+            sweep_momentum(train_set, eval_set, tiny_config(), grid=grid, seeds=(1,))
+
+
+def test_layer_dims_are_positive_and_the_parameter_count_is_capped():
+    with pytest.raises(ValidationError, match=r"entries must be >= 1, got \[20, -3\]"):
+        TrainConfig(layer_dims=(20, -3))
+    with pytest.raises(ValidationError, match="entries must be >= 1"):
+        TrainConfig(layer_dims=(0, 4))
+    # (20 + 1) * 10^8 + (10^8 + 1) * 2 parameters; none is allocated
+    with pytest.raises(ValidationError, match="give 2300000002 backbone and head"):
+        TrainConfig(layer_dims=(20, 10**8))
+    # just at the cap: (k + 1) * k + (k + 1) * 2 = (k + 1) * (k + 2)
+    k = 3160
+    assert (k + 1) * (k + 2) <= MAX_PARAMETERS < (k + 2) * (k + 3)
+    assert TrainConfig(layer_dims=(k, k)).layer_dims == (k, k)
+    with pytest.raises(ValidationError, match="MAX_PARAMETERS"):
+        TrainConfig(layer_dims=(k + 1, k + 1))
+
+
+def test_checkpoint_loader_refuses_oversized_layer_dims():
+    train_set, eval_set = tiny_data()
+    ck, _ = train(train_set, eval_set, tiny_config())
+    for dims, message in (([4, -6, 5], ">= 1"), ([4, 10**8, 5], "MAX_PARAMETERS")):
+        data = copy.deepcopy(checkpoint_to_dict(ck))
+        data["config"]["layer_dims"] = dims
+        with pytest.raises(ValidationError, match=message):
+            checkpoint_from_dict(data)
 
 
 # ---------------------------------------------------------------------------
