@@ -381,12 +381,14 @@ def _bn_forward(z: np.ndarray, state: BatchNormState, training: bool):
     """Kernel of BatchNormState.forward: returns the output and (xhat, inv_std, gamma)."""
     if training:
         n = z.shape[-2]
-        mean = z.mean(axis=-2)
-        var = z.var(axis=-2)  # biased, used for normalization
+        # z.mean and z.var's steps, in numpy's order, with the mean taken once
+        mean = z.sum(axis=-2, keepdims=True) / n
+        centered = z - mean
+        var = (centered * centered).sum(axis=-2) / n  # biased, for normalization
         inv_std = 1.0 / np.sqrt(var + state.eps)
-        xhat = (z - _over_batch(mean)) * _over_batch(inv_std)
+        xhat = centered * _over_batch(inv_std)
         r = state.bn_momentum
-        state.running_mean = (1.0 - r) * state.running_mean + r * mean
+        state.running_mean = (1.0 - r) * state.running_mean + r * mean[..., 0, :]
         state.running_var = (1.0 - r) * state.running_var + r * (var * n / (n - 1))
     else:
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)

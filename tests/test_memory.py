@@ -1,11 +1,13 @@
-"""Memory pins for the audit and scoring paths, on generated inputs.
+"""Memory pins for the audit, scoring and writing paths, on generated inputs.
 
 Each pin bounds a call's tracemalloc peak, over what was traced before the
 call, by a multiple of a size the call cannot do without: the columns a
 read keeps, the score column an audit reads, the first hidden layer a
-forward pass computes. The bounds sit between the peaks of the earlier
-code and of the current one (noted at each bound), so a working set that
-grows back to the earlier size fails the pin.
+forward pass computes, the features a write formats. The bounds sit
+between the peaks of the earlier code and of the current one (noted at
+each bound), so a working set that grows back to the earlier size fails
+the pin. The write's pin instead bounds the block of rows it formats at a
+time, which earlier code did not have.
 """
 
 import csv
@@ -15,7 +17,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fin_equity import full_report, read_predictions_csv
+from fin_equity import AttributeSet, Dataset, full_report, read_predictions_csv
+from fin_equity.fileio import write_dataset_csv
 from fin_equity.net import forward, init_mlp
 from fin_equity.norms import NormKind
 
@@ -92,3 +95,21 @@ def test_predictions_read_keeps_under_48_bytes_per_record(predictions_csv):
     assert len(predictions) == RECORDS
     # about 84 with a str per id in a tuple, 40 with a StringDType id column
     assert kept <= 48 * RECORDS, kept / RECORDS
+
+
+def test_dataset_write_peak_is_under_half_its_features(tmp_path):
+    rng = np.random.default_rng(1)
+    rows = 20_000
+    dataset = Dataset(
+        AttributeSet.default(3),
+        rng.standard_normal((rows, 20)),
+        rng.integers(0, 2, rows),
+        rng.integers(0, 3, rows),
+        [f"s{i:06d}" for i in range(rows)],
+    )
+    path = tmp_path / "data.csv"
+    _, _, peak = traced(lambda: write_dataset_csv(dataset, str(path)))
+    assert path.stat().st_size > rows * 20 * 24
+    # 0.15x formatting one value at a time, about 0.2x in blocks of 128
+    # rows, 0.7x in blocks of 1024 and 2.5x in blocks of 4096
+    assert peak <= 0.5 * dataset.x.nbytes, (peak, dataset.x.nbytes)

@@ -265,6 +265,61 @@ def test_full_report_flags_undefined_instead_of_imputing():
     assert rep.equity_scaled["accuracy"] is not None
 
 
+@st.composite
+def es_case(draw):
+    """Records in a few groups, some single-class, in one of three shapes:
+    random scores; inverted ones (every positive below the threshold and
+    every negative above it, so overall accuracy and AUC are 0); or one
+    block of records copied into every group, so each group equals overall."""
+    group_count = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 30))
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    unit = st.floats(0.0, 1.0)
+    scores = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    shape = draw(st.sampled_from(["random", "inverted", "copies"]))
+    if shape == "inverted":
+        scores = np.where(labels == 1, 0.4 * scores, 0.6 + 0.4 * scores)
+    if shape == "copies":
+        attrs = np.repeat(np.arange(group_count), n)
+        labels, scores = np.tile(labels, group_count), np.tile(scores, group_count)
+    else:
+        group = st.integers(0, group_count - 1)
+        attrs = np.array(draw(st.lists(group, min_size=n, max_size=n)))
+        for g in draw(st.lists(group, unique=True)):
+            labels[attrs == g] = draw(st.integers(0, 1))  # a single-class group
+    ids = [f"r{i}" for i in range(len(labels))]
+    return Predictions(ids, scores, labels, attrs), AttributeSet.default(group_count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=es_case())
+def test_equity_scaling_never_raises_a_metric_and_keeps_it_only_without_gaps(case):
+    predictions, attribute_set = case
+    report = full_report(predictions, attribute_set, threshold=0.5)
+    for name in ("accuracy", "auc"):
+        overall, es = report.overall[name], report.equity_scaled[name]
+        if es is None:
+            continue
+        values = [row[name] for row in report.per_group.values()]
+        values = [value for value in values if value is not None]
+        assert es <= overall
+        # a gap between distinct count ratios is far above 2**-52, so 1 + delta > 1
+        assert (es == overall) == all(value == overall for value in values)
+
+
+def test_equity_scaling_at_an_overall_value_of_zero():
+    # every positive scored below 0.5 and every negative above: accuracy and
+    # auc are 0 overall and in each group with both classes; group 2 has one
+    labels, attrs = [1, 0, 1, 0, 1, 1], [0, 0, 1, 1, 2, 2]
+    scores = [0.1, 0.9, 0.2, 0.7, 0.3, 0.4]
+    preds = Predictions([f"r{i}" for i in range(6)], scores, labels, attrs)
+    report = full_report(preds, AttributeSet.default(3), threshold=0.5)
+    assert report.overall == {"accuracy": 0.0, "auc": 0.0}
+    assert report.per_group[2] == {"accuracy": 0.0, "auc": None}
+    assert report.delta == {"accuracy": 0.0, "auc": 0.0}
+    assert report.equity_scaled == {"accuracy": 0.0, "auc": 0.0}
+
+
 def test_full_report_rejects_empty_input():
     with pytest.raises(UndefinedMetricError):
         full_report(Predictions((), [], [], []), AttributeSet.default(1))

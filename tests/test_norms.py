@@ -205,6 +205,24 @@ def test_bn_forward_hand_case():
     assert np.allclose(state.running_var, [0.9 * 1.0 + 0.1 * 2.0], atol=1e-15)
 
 
+@pytest.mark.parametrize("shape", [(7, 5), (3, 6, 4)])
+def test_bn_training_statistics_are_numpys_mean_and_var_bitwise(shape):
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    state = BatchNormState.create(shape[-1])
+    if len(shape) == 3:  # a stack of models keeps (models, dim) statistics
+        for name in ("gamma", "beta", "running_mean", "running_var"):
+            setattr(state, name, np.tile(getattr(state, name), (shape[0], 1)))
+    state.gamma = state.gamma * 1.5
+    out, (xhat, inv_std, _) = norm_forward(state, z)
+    mean, var, n = z.mean(axis=-2), z.var(axis=-2), shape[-2]
+    assert np.array_equal(inv_std, 1.0 / np.sqrt(var + state.eps))
+    assert np.array_equal(xhat, (z - mean[..., None, :]) * inv_std[..., None, :])
+    assert np.array_equal(out, 1.5 * xhat)
+    assert np.array_equal(state.running_mean, 0.1 * mean)
+    assert np.array_equal(state.running_var, 0.9 + 0.1 * (var * n / (n - 1)))
+
+
 def test_bn_defaults():
     state = BatchNormState.create(4)
     assert state.eps == 1e-5
