@@ -27,12 +27,10 @@ from .errors import (
     ValidationError,
 )
 from .metrics import (
-    ConfusionCounts,
     MetricReport,
     PredictionHistogram,
     accuracy,
     auc,
-    confusion,
     decide,
     deodds,
     discrepancy,

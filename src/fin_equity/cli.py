@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .errors import CheckpointError, UndefinedMetricError, ValidationError
 from .fileio import (
@@ -144,14 +144,7 @@ def _print_aggregate_table(agg, names, es_of_means: bool) -> None:
 def _aggregate_to_dict(agg) -> dict:
     return {
         "seeds": list(agg.seeds),
-        "metrics": {
-            name: {
-                "mean": s.mean,
-                "std": s.std,
-                "per_seed": list(s.per_seed),
-            }
-            for name, s in agg.metrics.items()
-        },
+        "metrics": {name: asdict(s) for name, s in agg.metrics.items()},
         "es_from_means": dict(agg.es_from_means),
     }
 

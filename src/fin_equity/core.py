@@ -19,7 +19,7 @@ import difflib
 import numbers
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.dtypes import StringDType
@@ -265,15 +265,24 @@ def config_value(value, kind: type, key: str, what: str):
     return kind(value)
 
 
-def type_config_fields(config, kinds: dict[str, type], what: str) -> None:
-    """Check each named field of a config dataclass; store it as its kind.
+# a field's kind is its annotation: the type, or its name as a module under
+# `from __future__ import annotations` leaves it
+_FIELD_KINDS = {key: kind for kind in _KIND_NAMES for key in (kind, kind.__name__)}
 
-    Frozen dataclasses call this from __post_init__, so every way of
-    building a config (JSON or Python) gets the same checks.
+
+def type_config_fields(config, what: str) -> None:
+    """Check each bool, int or float field of a config dataclass; store it as its kind.
+
+    Fields are typed in declaration order, so the first bad one is named;
+    fields with any other annotation are left to the class. Frozen
+    dataclasses call this from __post_init__, so every way of building a
+    config (JSON or Python) gets the same checks.
     """
-    for key, kind in kinds.items():
-        value = config_value(getattr(config, key), kind, key, what)
-        object.__setattr__(config, key, value)
+    for f in fields(config):
+        kind = _FIELD_KINDS.get(f.type)
+        if kind is not None:
+            value = config_value(getattr(config, f.name), kind, f.name, what)
+            object.__setattr__(config, f.name, value)
 
 
 @dataclass(frozen=True)

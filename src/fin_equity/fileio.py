@@ -625,20 +625,14 @@ def read_predictions_csv(
 
 
 def write_histogram_csv(hist: PredictionHistogram, path: str) -> None:
+    # tp, fp, tn, fn of each bin from its [label, decision] counts
+    cells = hist.counts[:, [1, 0, 0, 1], [1, 1, 0, 0]].tolist()
+    edges = hist.edges.tolist()
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["bin_lo", "bin_hi", "tp", "fp", "tn", "fn"])
-        for i in range(hist.bins):
-            w.writerow(
-                [
-                    repr(float(hist.edges[i])),
-                    repr(float(hist.edges[i + 1])),
-                    int(hist.counts["tp"][i]),
-                    int(hist.counts["fp"][i]),
-                    int(hist.counts["tn"][i]),
-                    int(hist.counts["fn"][i]),
-                ]
-            )
+        for lo, hi, row in zip(edges, edges[1:], cells):
+            w.writerow([repr(lo), repr(hi), *row])
 
 
 # ---------------------------------------------------------------------------

@@ -108,31 +108,6 @@ def auc(scores, labels) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
-def confusion(decisions, labels) -> ConfusionCounts:
-    """Counts of true/false positives/negatives."""
-    decisions, labels = _check_paired(decisions, labels, "decisions", "labels")
-    dec = decisions.astype(bool)
-    lab = labels.astype(bool)
-    return ConfusionCounts(
-        tp=int(np.count_nonzero(dec & lab)),
-        fp=int(np.count_nonzero(dec & ~lab)),
-        tn=int(np.count_nonzero(~dec & ~lab)),
-        fn=int(np.count_nonzero(~dec & lab)),
-    )
-
-
 def group_counts(decisions, labels, attrs, group_count: int) -> np.ndarray:
     """Confusion counts per group: an int64 (group_count, 2, 2) table.
 
@@ -153,10 +128,10 @@ def group_counts(decisions, labels, attrs, group_count: int) -> np.ndarray:
     return np.bincount(key, minlength=4 * group_count).reshape(group_count, 2, 2)
 
 
-def _rates(hits: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """hits / totals over the groups with a nonzero total."""
-    some = totals > 0
-    return hits[some] / totals[some]
+def _rates(hits: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """hits / sizes over the groups with a nonzero size."""
+    some = sizes > 0
+    return hits[some] / sizes[some]
 
 
 def dpd(counts) -> float:
@@ -343,22 +318,15 @@ def full_report(
 
 @dataclass(frozen=True, eq=False)
 class PredictionHistogram:
-    """Per-bin confusion counts over uniform score bins on [0, 1].
+    """Confusion counts per uniform score bin on [0, 1].
 
-    Bins are right-open except the last, which includes 1.0.
+    counts is a group_counts table over the bins, indexed [bin, label,
+    decision]. Bins are right-open except the last, which includes 1.0.
     """
 
     bins: int
     edges: np.ndarray  # length bins + 1
-    counts: dict[str, np.ndarray]  # "tp"/"fp"/"tn"/"fn" -> length-bins int arrays
-
-    def totals(self) -> ConfusionCounts:
-        return ConfusionCounts(
-            tp=int(self.counts["tp"].sum()),
-            fp=int(self.counts["fp"].sum()),
-            tn=int(self.counts["tn"].sum()),
-            fn=int(self.counts["fn"].sum()),
-        )
+    counts: np.ndarray  # int64 (bins, 2, 2)
 
 
 MAX_BINS = 100_000  # far beyond any useful histogram; bounds its arrays
@@ -375,19 +343,15 @@ def check_bins(bins: int) -> None:
 def prediction_histogram(
     predictions: Predictions, threshold: float = 0.5, bins: int = 20
 ) -> PredictionHistogram:
-    """Tally TP/FP/TN/FN per uniform score bin.
+    """Count each score bin's records by label and decision (group_counts).
 
-    One bincount over the key kind * bins + bin fills all four tallies.
-    With bins = 1 the four totals equal the plain confusion counts.
+    With bins = 1 its one row holds the counts of the whole set.
     """
     check_bins(bins)
-    scores, labels = predictions.scores, predictions.labels
+    scores = predictions.scores
     decisions = decide(scores, threshold)
     edges = np.arange(bins + 1) / bins
-    key = np.searchsorted(edges, scores, side="right") - 1
-    np.minimum(key, bins - 1, out=key)  # score exactly 1.0 stays in the last bin
-    # kind in tp, fp, tn, fn order: 2 for a negative decision, plus 1 if wrong
-    key += bins * (2 * (decisions == 0) + ((decisions == 1) != (labels == 1)))
-    tally = np.bincount(key, minlength=4 * bins).reshape(4, bins)
-    counts = dict(zip(("tp", "fp", "tn", "fn"), tally))
+    bin_ids = np.searchsorted(edges, scores, side="right") - 1
+    np.minimum(bin_ids, bins - 1, out=bin_ids)  # a score of 1.0 stays in the last bin
+    counts = group_counts(decisions, predictions.labels, bin_ids, bins)
     return PredictionHistogram(bins=bins, edges=edges, counts=counts)

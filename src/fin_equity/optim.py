@@ -55,11 +55,7 @@ class AdamWConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        type_config_fields(
-            self,
-            {name: float for name in ("lr", "beta1", "beta2", "eps", "weight_decay")},
-            "optimizer config",
-        )
+        type_config_fields(self, "optimizer config")
         if self.lr <= 0:
             raise ValidationError(f"lr must be > 0, got {self.lr}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):

@@ -15,7 +15,7 @@ Class counts are exact rounded counts per split, not Bernoulli draws.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -34,18 +34,7 @@ class GroupSpec:
     noise_std: float = 1.0
 
     def __post_init__(self):
-        type_config_fields(
-            self,
-            {
-                "n_train": int,
-                "n_eval": int,
-                "prevalence": float,
-                "separation": float,
-                "offset": float,
-                "noise_std": float,
-            },
-            "synth config",
-        )
+        type_config_fields(self, "synth config")
         if self.n_train < 1 or self.n_eval < 1:
             raise ValidationError(
                 f"group {self.name!r}: n_train and n_eval must be >= 1"
@@ -72,10 +61,12 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        type_config_fields(self, {"d": int, "seed": int}, "synth config")
+        type_config_fields(self, "synth config")
         object.__setattr__(self, "groups", tuple(self.groups))
         if self.d < 2:
             raise ValidationError(f"d must be >= 2, got {self.d}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not self.groups:
             raise ValidationError("need at least one group")
         names = [g.name for g in self.groups]
@@ -165,30 +156,18 @@ def default_benchmark(seed: int = 42) -> SynthConfig:
 
 
 def synth_config_to_dict(config: SynthConfig) -> dict:
-    return {
-        "d": config.d,
-        "seed": config.seed,
-        "groups": [
-            {
-                "name": g.name,
-                "n_train": g.n_train,
-                "n_eval": g.n_eval,
-                "prevalence": g.prevalence,
-                "separation": g.separation,
-                "offset": g.offset,
-                "noise_std": g.noise_std,
-            }
-            for g in config.groups
-        ],
-    }
+    """d, seed, then each group's fields in declaration order."""
+    groups = [asdict(g) for g in config.groups]
+    return {"d": config.d, "seed": config.seed, "groups": groups}
 
 
+_CONFIG_KEYS = tuple(f.name for f in fields(SynthConfig))
 _GROUP_KEYS = tuple(f.name for f in fields(GroupSpec))
 _REQUIRED_GROUP_KEYS = tuple(f.name for f in fields(GroupSpec) if f.default is MISSING)
 
 
 def synth_config_from_dict(data: dict) -> SynthConfig:
-    check_config_keys(data, ("d", "seed", "groups"), "synth config")
+    check_config_keys(data, _CONFIG_KEYS, "synth config")
     try:
         for i, g in enumerate(data["groups"]):
             check_config_keys(g, _GROUP_KEYS, f"synth config group {i}")

@@ -35,7 +35,7 @@ reads its own block, whose kind must be the config's `norm_kind`.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -97,18 +97,7 @@ class TrainConfig:
         )
         object.__setattr__(self, "layer_dims", dims)
         object.__setattr__(self, "norm_kind", NormKind(self.norm_kind))
-        type_config_fields(
-            self,
-            {
-                "fin_momentum": float,
-                "epochs": int,
-                "batch_size": int,
-                "seed": int,
-                "threshold": float,
-                "shuffle": bool,
-            },
-            "train config",
-        )
+        type_config_fields(self, "train config")
         if len(self.layer_dims) < 2:
             raise ValidationError("layer_dims needs at least input and feature dims")
         if min(self.layer_dims) < 1:
@@ -127,6 +116,8 @@ class TrainConfig:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.norm_kind is NormKind.BATCH and self.batch_size < 2:
             raise ValidationError("batch_size must be >= 2 with batch normalization")
         if not 0.0 <= self.fin_momentum <= 1.0:
@@ -161,15 +152,10 @@ def _evaluate(
     """
     logits, _ = forward(model, dataset.x, dataset.attrs, mode="inference")
     scores = softmax(logits)[..., 1].reshape(-1, len(dataset))
-    ids = dataset.ids
-    empty = np.flatnonzero(np.asarray(ids) == "")
-    if empty.size:  # an empty id is named by its row
-        ids = np.array(ids)
-        ids[empty] = [f"r{i}" for i in empty.tolist()]
     out = []
     for model_scores in scores:
         predictions = Predictions(
-            ids=ids, scores=model_scores, labels=dataset.labels, attrs=dataset.attrs
+            dataset.ids, model_scores, dataset.labels, dataset.attrs
         )
         report = full_report(predictions, dataset.attribute_set, threshold)
         out.append((predictions, report))
@@ -380,6 +366,8 @@ def run_seeds(
     repeated = [s for s, k in Counter(seeds).items() if k > 1]
     if repeated:
         raise ValidationError(f"seed {repeated[0]} is given more than once")
+    for seed in seeds:
+        replace(config, seed=seed)  # the config's rules hold for every seed
     runs = _train_seeds(train_set, eval_set, config, seeds)
     checkpoints = tuple(r[0] for r in runs)
     histories = tuple(r[1] for r in runs)
@@ -433,23 +421,11 @@ def sweep_momentum(
 
 
 def train_config_to_dict(config: TrainConfig) -> dict:
-    opt = config.optimizer
+    """The config's fields in declaration order, the optimizer's nested in its own."""
     return {
+        **asdict(config),
         "layer_dims": list(config.layer_dims),
         "norm_kind": config.norm_kind.value,
-        "fin_momentum": config.fin_momentum,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "optimizer": {
-            "lr": opt.lr,
-            "beta1": opt.beta1,
-            "beta2": opt.beta2,
-            "eps": opt.eps,
-            "weight_decay": opt.weight_decay,
-        },
-        "seed": config.seed,
-        "threshold": config.threshold,
-        "shuffle": config.shuffle,
     }
 
 

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface via subprocesses."""
 
+import csv
 import hashlib
 import json
 import os
@@ -685,3 +686,48 @@ def test_grid_that_rounds_to_repeated_values_is_exit_2(workdir, tmp_path):
         "error: momentum grid value 0.0 is given more than once"
     ]
     assert not (tmp_path / "s.json").exists()
+
+
+def test_negative_seeds_are_exit_2(workdir, tmp_path, capsys):
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({**TRAIN_CONFIG, "seed": -2}))
+    data = ["--train", str(workdir / "train.csv"), "--eval", str(workdir / "eval.csv")]
+    cases = [
+        (["train", "--config", str(workdir / "train.json"), *data, "--seeds", "-1",
+          "--out-prefix", str(tmp_path / "run_")], "seed must be >= 0, got -1"),
+        (["synth", "--seed", "-3", "--out-train", str(tmp_path / "tr.csv"),
+          "--out-eval", str(tmp_path / "ev.csv")], "seed must be >= 0, got -3"),
+        (["train", "--config", str(config), *data, "--seeds", "1",
+          "--out-prefix", str(tmp_path / "run_")], "seed must be >= 0, got -2"),
+    ]
+    for argv, message in cases:
+        assert run(argv) == 2
+        assert error_lines(capsys.readouterr().err) == [f"error: {message}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.json"]
+
+
+def test_empty_id_round_trips_through_evaluate_and_report(workdir, tmp_path, capsys):
+    # row 0 has the empty id and row 1 the id "r0"; both stay as they are
+    with open(workdir / "eval.csv", encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    rows[1][0], rows[2][0] = "", "r0"
+    with open(tmp_path / "eval.csv", "w", encoding="utf-8", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+    code = run([
+        "evaluate",
+        "--checkpoint", str(workdir / "run_checkpoint_seed1.json"),
+        "--data", str(tmp_path / "eval.csv"),
+        "--out", str(tmp_path / "evaluated.json"),
+        "--preds-out", str(tmp_path / "preds.csv"),
+    ])
+    assert code == 0, capsys.readouterr().err
+    with open(tmp_path / "preds.csv", encoding="utf-8", newline="") as f:
+        ids = [row[0] for row in csv.reader(f)]
+    assert ids[1:] == [row[0] for row in rows[1:]]
+    code = run([
+        "report",
+        "--predictions", str(tmp_path / "preds.csv"),
+        "--out", str(tmp_path / "reported.json"),
+    ])
+    assert code == 0, capsys.readouterr().err
+    assert (tmp_path / "reported.json").read_bytes() == (tmp_path / "evaluated.json").read_bytes()

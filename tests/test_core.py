@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fin_equity import (
     require_valid,
     validate_dataset,
 )
+from fin_equity.core import type_config_fields
 
 
 def test_attribute_rejects_bad_ids():
@@ -169,3 +172,27 @@ def test_lone_surrogate_id_is_a_validation_error():
         Dataset(AttributeSet.default(1), np.zeros((1, 2)), [0], [0], ("\ud800",))
     with pytest.raises(ValidationError, match="not valid text"):
         Predictions(("ok", "x\udfff"), [0.5, 0.5], [0, 1], [0, 0])
+
+
+@dataclass(frozen=True)
+class Probe:
+    """A config typed from both forms of annotation this module can hold."""
+
+    count: int = 1  # the type itself: this module does not postpone annotations
+    share: "float" = 0.5  # the name, as a module that postpones them leaves it
+    label: str = "x"
+
+    def __post_init__(self):
+        type_config_fields(self, "probe config")
+
+
+def test_config_fields_are_typed_from_their_annotations():
+    probe = Probe(count=np.int64(2), share=1)
+    assert type(probe.count) is int and type(probe.share) is float
+    assert Probe(label=3).label == 3  # other annotations are the class's to check
+    with pytest.raises(
+        ValidationError, match="bad probe config: 'count' must be an integer, got '2'"
+    ):
+        Probe(count="2", share="x")  # fields are typed in order: the first is named
+    with pytest.raises(ValidationError, match="'share' must be a number, got True"):
+        Probe(share=True)

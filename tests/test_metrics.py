@@ -10,7 +10,6 @@ from fin_equity import (
     ValidationError,
     accuracy,
     auc,
-    confusion,
     decide,
     deodds,
     discrepancy,
@@ -131,9 +130,11 @@ def test_rank_auc_is_pair_counting_and_the_midrank_form_bit_for_bit(case):
 
 
 def test_confusion_counts():
-    c = confusion([1, 1, 0, 0, 1], [1, 0, 0, 1, 1])
-    assert (c.tp, c.fp, c.tn, c.fn) == (2, 1, 1, 1)
-    assert c.total == 5
+    decisions, labels = np.array([1, 1, 0, 0, 1]), np.array([1, 0, 0, 1, 1])
+    c = group_counts(decisions, labels, np.zeros(5, int), 1)
+    (tn, fp), (fn, tp) = c[0].tolist()
+    assert (tp, fp, tn, fn) == (2, 1, 1, 1)
+    assert c.sum() == 5
 
 
 def test_group_counts_table():
@@ -357,8 +358,7 @@ def test_report_and_histogram_are_invariant_under_row_permutation():
         assert metric_report_to_dict(full_report(shuffled, attribute_set)) == report
         hist = prediction_histogram(preds, bins=13)
         hist_shuffled = prediction_histogram(shuffled, bins=13)
-        for kind in ("tp", "fp", "tn", "fn"):
-            assert np.array_equal(hist_shuffled.counts[kind], hist.counts[kind])
+        assert np.array_equal(hist_shuffled.counts, hist.counts)
 
 
 def recs(scores, labels):
@@ -373,10 +373,11 @@ def test_histogram_hand_case():
     )
     hist = prediction_histogram(records, threshold=0.5, bins=4)
     assert hist.edges.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
-    assert hist.counts["tn"].tolist() == [1, 0, 0, 0]
-    assert hist.counts["fn"].tolist() == [0, 1, 0, 0]
-    assert hist.counts["tp"].tolist() == [0, 0, 1, 1]
-    assert hist.counts["fp"].tolist() == [0, 0, 1, 1]
+    # [bin, label, decision]
+    assert hist.counts[:, 0, 0].tolist() == [1, 0, 0, 0]  # tn
+    assert hist.counts[:, 1, 0].tolist() == [0, 1, 0, 0]  # fn
+    assert hist.counts[:, 1, 1].tolist() == [0, 0, 1, 1]  # tp
+    assert hist.counts[:, 0, 1].tolist() == [0, 0, 1, 1]  # fp
 
 
 def test_histogram_totals_match_confusion():
@@ -385,19 +386,23 @@ def test_histogram_totals_match_confusion():
     labels = rng.integers(0, 2, size=500)
     records = recs(scores, labels)
     hist = prediction_histogram(records, threshold=0.4, bins=20)
-    c = confusion(decide(scores, 0.4), labels)
-    assert hist.totals() == c
-    total = sum(int(hist.counts[k].sum()) for k in ("tp", "fp", "tn", "fn"))
-    assert total == 500
+    dec, pos = decide(scores, 0.4) == 1, labels == 1
+    c = [[np.sum(~dec & ~pos), np.sum(dec & ~pos)], [np.sum(~dec & pos), np.sum(dec & pos)]]
+    assert hist.counts.sum(axis=0).tolist() == c
+    assert hist.counts.sum() == 500
 
 
 def test_histogram_single_bin_is_plain_confusion():
     records = recs([0.1, 0.6, 0.9], [0, 0, 1])
     hist = prediction_histogram(records, threshold=0.5, bins=1)
-    t = hist.totals()
-    assert (t.tp, t.fp, t.tn, t.fn) == (1, 1, 1, 0)
+    (tn, fp), (fn, tp) = hist.counts[0].tolist()
+    assert hist.counts.shape == (1, 2, 2) and (tp, fp, tn, fn) == (1, 1, 1, 0)
     with pytest.raises(ValidationError):
         prediction_histogram(records, bins=0)
+
+
+# each kind's [label, decision] cell of a histogram bin
+HISTOGRAM_CELLS = {"tp": (1, 1), "fp": (0, 1), "tn": (0, 0), "fn": (1, 0)}
 
 
 @settings(max_examples=200, deadline=None)
@@ -411,6 +416,6 @@ def test_histogram_tally_equals_one_add_at_per_kind(data, bins):
     threshold = data.draw(st.one_of(st.sampled_from((0.0, 1.0)), on_edge))
     hist = prediction_histogram(recs(scores, labels), threshold=threshold, bins=bins)
     expected = add_at_histogram(scores, labels, threshold, bins)
-    for kind in ("tp", "fp", "tn", "fn"):
-        assert hist.counts[kind].dtype == np.int64
-        assert hist.counts[kind].tolist() == expected[kind].tolist()
+    assert hist.counts.dtype == np.int64 and hist.counts.shape == (bins, 2, 2)
+    for kind, (label, decision) in HISTOGRAM_CELLS.items():
+        assert hist.counts[:, label, decision].tolist() == expected[kind].tolist()

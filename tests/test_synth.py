@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -199,6 +201,51 @@ def test_config_round_trip():
     data["groups"][0]["offset"] = False
     with pytest.raises(ValidationError, match="'offset' must be a number, got False"):
         synth_config_from_dict(data)
+
+
+def test_config_round_trip_keeps_every_field():
+    group = GroupSpec(
+        name="only", n_train=7, n_eval=5, prevalence=0.3,
+        separation=0.7, offset=-2.5, noise_std=0.25,
+    )
+    config = SynthConfig(d=3, groups=(group, replace(group, name="other")), seed=13)
+    assert config.seed != 0 and group.noise_std != 1.0
+    data = synth_config_to_dict(config)
+    assert synth_config_from_dict(data) == config
+    assert list(data) == ["d", "seed", "groups"]
+    assert list(data["groups"][0]) == [
+        "name", "n_train", "n_eval", "prevalence", "separation", "offset", "noise_std",
+    ]
+
+
+# every field whose JSON type is checked, with the kind its error names
+TYPED_SYNTH_FIELDS = {"d": "an integer", "seed": "an integer"}
+TYPED_GROUP_FIELDS = {
+    "n_train": "an integer",
+    "n_eval": "an integer",
+    "prevalence": "a number",
+    "separation": "a number",
+    "offset": "a number",
+    "noise_std": "a number",
+}
+
+
+def test_every_typed_config_field_refuses_a_string():
+    config = two_group_config()
+    data = synth_config_to_dict(config)
+    for key, kind in TYPED_SYNTH_FIELDS.items():
+        message = f"bad synth config: '{key}' must be {kind}, got '1'"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            synth_config_from_dict({**data, key: "1"})
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            replace(config, **{key: "1"})
+    for key, kind in TYPED_GROUP_FIELDS.items():
+        message = f"bad synth config: '{key}' must be {kind}, got '1'"
+        groups = [{**data["groups"][0], key: "1"}, data["groups"][1]]
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            synth_config_from_dict({**data, "groups": groups})
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            replace(config.groups[0], **{key: "1"})
 
 
 def test_group_spec_validation():

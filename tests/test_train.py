@@ -2,7 +2,7 @@ import copy
 import hashlib
 import re
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -651,6 +651,63 @@ def test_train_config_round_trip():
     assert loose.fin_momentum == 1.0 and type(loose.fin_momentum) is float
     assert loose.optimizer.lr == 1.0
     assert train_config_from_dict({**data, "shuffle": True}).shuffle is True
+
+
+def test_train_config_round_trip_keeps_every_field():
+    config = TrainConfig(
+        layer_dims=(7, 5, 3),
+        norm_kind=NormKind.FAIR_IDENTITY,
+        fin_momentum=0.25,
+        epochs=4,
+        batch_size=9,
+        optimizer=AdamWConfig(lr=2e-3, beta1=0.8, beta2=0.95, eps=1e-6, weight_decay=0.05),
+        seed=11,
+        threshold=0.4,
+        shuffle=False,
+    )
+    default = TrainConfig()
+    for f in fields(TrainConfig):
+        assert getattr(config, f.name) != getattr(default, f.name), f.name
+    for f in fields(AdamWConfig):
+        assert getattr(config.optimizer, f.name) != getattr(default.optimizer, f.name)
+    data = train_config_to_dict(config)
+    assert train_config_from_dict(data) == config
+    assert list(data) == [
+        "layer_dims", "norm_kind", "fin_momentum", "epochs", "batch_size",
+        "optimizer", "seed", "threshold", "shuffle",
+    ]
+    assert list(data["optimizer"]) == ["lr", "beta1", "beta2", "eps", "weight_decay"]
+    assert data["layer_dims"] == [7, 5, 3] and data["norm_kind"] == "fair_identity"
+
+
+# every field whose JSON type is checked, with the kind its error names
+TYPED_TRAIN_FIELDS = {
+    "fin_momentum": "a number",
+    "epochs": "an integer",
+    "batch_size": "an integer",
+    "seed": "an integer",
+    "threshold": "a number",
+    "shuffle": "a boolean",
+}
+TYPED_OPTIMIZER_FIELDS = {
+    name: "a number" for name in ("lr", "beta1", "beta2", "eps", "weight_decay")
+}
+
+
+def test_every_typed_config_field_refuses_a_string():
+    data = train_config_to_dict(tiny_config())
+    for key, kind in TYPED_TRAIN_FIELDS.items():
+        message = f"'{key}' must be {kind}, got '1'"
+        with pytest.raises(ValidationError, match=re.escape(f"bad train config: {message}")):
+            train_config_from_dict({**data, key: "1"})
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            replace(tiny_config(), **{key: "1"})
+    for key, kind in TYPED_OPTIMIZER_FIELDS.items():
+        message = f"bad optimizer config: '{key}' must be {kind}, got '1'"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            train_config_from_dict({**data, "optimizer": {key: "1"}})
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            AdamWConfig(**{key: "1"})
 
 
 # SHA-256 of the canonical checkpoint JSON for tiny_data() and tiny_config(),
