@@ -274,19 +274,24 @@ def _fin_forward(z: np.ndarray, rows: np.ndarray, params: FinParams, training: b
 
 
 def _fin_backward(grad_out: np.ndarray, saved, grad_mu, grad_tau) -> np.ndarray:
-    """Kernel of FinParams.backward: writes grad_mu and grad_tau, returns grad_z."""
+    """Kernel of FinParams.backward: writes grad_mu and grad_tau, returns grad_z.
+
+    Each group sum is one `bincount` over the flattened (row, feature) bins.
+    It adds the weights into zeroed bins in batch order, as `np.add.at` into
+    zeros does, so absent groups get exact zeros and the bits match.
+    """
     m, rows, sigma, sig_grad, centered = saved
     one_m = 1.0 - m
     sig_rows = sigma[rows]
-    grad_z = grad_out * (one_m / sig_rows + m)
-    per_mu = -grad_out * (one_m / sig_rows)
-    per_sigma = -grad_out * one_m * centered / (sig_rows * sig_rows)
-    dim = sig_grad.shape[-1]
-    grad_mu[...] = 0.0
-    grad_sigma = np.zeros(sig_grad.shape)
-    rows = rows.ravel()
-    np.add.at(grad_mu.reshape(-1, dim), rows, per_mu.reshape(-1, dim))
-    np.add.at(grad_sigma.reshape(-1, dim), rows, per_sigma.reshape(-1, dim))
+    scale = one_m / sig_rows
+    neg = -grad_out
+    grad_z = grad_out * (scale + m)
+    per_mu = neg * scale
+    per_sigma = neg * one_m * centered / (sig_rows * sig_rows)
+    shape, dim = sig_grad.shape, sig_grad.shape[-1]
+    bins = (rows[..., None] * dim + np.arange(dim)).ravel()
+    grad_mu[...] = np.bincount(bins, per_mu.ravel(), grad_mu.size).reshape(shape)
+    grad_sigma = np.bincount(bins, per_sigma.ravel(), grad_mu.size).reshape(shape)
     np.multiply(grad_sigma, sig_grad, out=grad_tau)
     return grad_z
 

@@ -46,7 +46,7 @@ def default_decay_mask(name: str) -> bool:
     return name.endswith(".w") and not name.startswith("norm.")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdamWConfig:
     lr: float = 5e-5
     beta1: float = 0.9

@@ -98,6 +98,10 @@ class TrainConfig:
         object.__setattr__(self, "layer_dims", dims)
         object.__setattr__(self, "norm_kind", NormKind(self.norm_kind))
         type_config_fields(self, "train config")
+        if not isinstance(self.optimizer, AdamWConfig):
+            raise ValidationError(
+                f"optimizer must be an AdamWConfig, got {type(self.optimizer).__name__}"
+            )
         if len(self.layer_dims) < 2:
             raise ValidationError("layer_dims needs at least input and feature dims")
         if min(self.layer_dims) < 1:

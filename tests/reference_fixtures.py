@@ -4,8 +4,9 @@ pairs_auc is an independent AUC implementation (all positive/negative pairs
 counted directly, ties worth 1/2) used to cross-check the rank-based one.
 midranks_auc is the earlier rank form, which built a per-record array of
 midranks from a stable sort, and add_at_histogram the earlier histogram
-tally, one np.add.at per confusion kind; both are kept as references for
-the kernels that replaced them.
+tally, one np.add.at per confusion kind; add_at_fin_backward is the earlier
+FIN backward, which summed each group's gradients with np.add.at into
+zeros. All three are kept as references for the kernels that replaced them.
 
 reconciliation_records builds a 600-record prediction set whose overall and
 per-group AUCs are exact four-decimal values, so the equity-scaled pipeline
@@ -55,6 +56,23 @@ def midranks_auc(scores, labels):
     n_neg = x.size - n_pos
     rank_sum = float(np.sum(ranks[pos]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def add_at_fin_backward(grad_out, saved):
+    """(grad_z, grad_mu, grad_tau) of the FIN backward, summed with np.add.at."""
+    m, rows, sigma, sig_grad, centered = saved
+    one_m = 1.0 - m
+    sig_rows = sigma[rows]
+    grad_z = grad_out * (one_m / sig_rows + m)
+    per_mu = -grad_out * (one_m / sig_rows)
+    per_sigma = -grad_out * one_m * centered / (sig_rows * sig_rows)
+    dim = sig_grad.shape[-1]
+    grad_mu = np.zeros(sig_grad.shape)
+    grad_sigma = np.zeros(sig_grad.shape)
+    rows = rows.ravel()
+    np.add.at(grad_mu.reshape(-1, dim), rows, per_mu.reshape(-1, dim))
+    np.add.at(grad_sigma.reshape(-1, dim), rows, per_sigma.reshape(-1, dim))
+    return grad_z, grad_mu, grad_sigma * sig_grad
 
 
 def add_at_histogram(scores, labels, threshold, bins):

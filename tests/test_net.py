@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fin_equity import (
     AffineLayer,
@@ -16,6 +19,7 @@ from fin_equity import (
     named_parameters,
     softmax,
 )
+from fin_equity import net
 from fin_equity.net import (
     _backward,
     _cross_entropy,
@@ -395,3 +399,74 @@ def test_inference_saves_nothing(kind, stacked):
         train_logits, _ = forward(model, x, attrs, mode="training")
         assert np.array_equal(logits, train_logits)
 
+
+B = net.INFER_ROWS
+EDGE_ROWS = (1, 2, B - 1, B, B + 1, 2 * B + 1)
+
+
+def one_block(model, x, attrs):
+    """The inference logits with every row in one block."""
+    with mock.patch.object(net, "INFER_ROWS", x.shape[-2]):
+        return forward(model, x, attrs, mode="inference")[0]
+
+
+def scoring_model(dims, kind, stacked, rng):
+    models = [init_mlp(dims, kind, 3, rng) for _ in range(3 if stacked else 1)]
+    if kind is NormKind.BATCH:  # trained-looking statistics, not the defaults
+        for m in models:
+            m.norm.running_mean = rng.standard_normal(dims[-1])
+            m.norm.running_var = np.exp(rng.standard_normal(dims[-1]))
+    return stack_models(models) if stacked else models[0]
+
+
+def block_sizes(model, n):
+    return [block.stop - block.start for block in net._row_blocks(model, n)]
+
+
+def test_row_blocks_fold_a_one_row_tail_and_keep_narrow_layers_whole():
+    rng = np.random.default_rng(30)
+    model = init_mlp((3, 16, 8), NormKind.NONE, 1, rng)
+    assert block_sizes(model, 1) == [1]
+    assert block_sizes(model, B) == [B]
+    assert block_sizes(model, B + 1) == [B + 1]
+    assert block_sizes(model, B + 2) == [B, 2]
+    assert block_sizes(model, 2 * B + 1) == [B, B + 1]
+    narrow = init_mlp((3, 12, 8), NormKind.NONE, 1, rng)
+    assert block_sizes(narrow, 10 * B) == [10 * B]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(ALL_KINDS),
+    stacked=st.booleans(),
+    batch_per_model=st.booleans(),
+    n=st.sampled_from(EDGE_ROWS) | st.integers(1, 4 * B),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_inference_equals_one_block_bitwise(
+    kind, stacked, batch_per_model, n, seed
+):
+    rng = np.random.default_rng(seed)
+    model = scoring_model((5, 16, 8), kind, stacked, rng)
+    lead = (3,) if stacked and batch_per_model else ()
+    x = 3.0 * rng.standard_normal(lead + (n, 5))
+    attrs = rng.integers(0, 3, size=lead + (n,))
+    blocked, _ = forward(model, x, attrs, mode="inference")
+    assert blocked.tobytes() == one_block(model, x, attrs).tobytes()
+
+
+@pytest.mark.parametrize(
+    "dims, rows",
+    [((20, 32, 16), 40_000), ((20, 12), 6_000)],
+    ids=["head", "narrow-layer"],
+)
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_blocked_inference_keeps_its_bits_where_blas_switches_kernel(kind, dims, rows):
+    # the 16x2 head past 40k rows and a 20x12 layer past 6k rows each take
+    # a gemm kernel whose bits differ from the one a 256-row block takes
+    rng = np.random.default_rng(31)
+    model = scoring_model(dims, kind, False, rng)
+    x = rng.standard_normal((rows, dims[0]))
+    attrs = rng.integers(0, 3, size=rows)
+    blocked, _ = forward(model, x, attrs, mode="inference")
+    assert blocked.tobytes() == one_block(model, x, attrs).tobytes()

@@ -24,7 +24,7 @@ from fin_equity import (
     softplus,
     softplus_grad,
 )
-from reference_fixtures import max_rel_err, numeric_grad
+from reference_fixtures import add_at_fin_backward, max_rel_err, numeric_grad
 
 
 def test_softplus_reference_points():
@@ -103,6 +103,26 @@ def test_fin_groups_accumulate_and_absent_groups_stay_zero():
     rows = np.flatnonzero(attrs == 2)
     manual = (-g[rows] * 0.7 / sigma[2]).sum(axis=0)
     assert np.allclose(grad_mu[2], manual, atol=1e-12)
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["2-D", "stack-of-1", "stacked"])
+@pytest.mark.parametrize("m", [0.0, 0.3, 1.0])
+def test_fin_backward_equals_the_add_at_reference_bitwise(lead, m):
+    rng = np.random.default_rng(23)
+    params = FinParams(
+        mu=rng.standard_normal(lead + (4, 5)),
+        tau=rng.standard_normal(lead + (4, 5)),
+        momentum=m,
+    )
+    batch = 40
+    attrs = rng.choice([0, 2, 3], size=batch)  # group 1 absent
+    _, saved = norm_forward(params, rng.standard_normal(lead + (batch, 5)), attrs)
+    g = rng.standard_normal(lead + (batch, 5))
+    g[..., attrs == 3, :] = 0.0  # group 3 sums only -0.0 terms, to +0.0
+    got = norm_backward(params, g, saved)
+    want = add_at_fin_backward(g, saved)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_momentum_one_is_bitwise_identity():

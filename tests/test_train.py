@@ -2,7 +2,7 @@ import copy
 import hashlib
 import re
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +112,20 @@ def test_config_validation():
     typed = TrainConfig(layer_dims=np.array([4, 2]), seed=np.int64(3), threshold=1)
     assert typed.layer_dims == (4, 2) and type(typed.seed) is int
     assert type(typed.threshold) is float
+
+
+def test_optimizer_config_cannot_change_after_its_checks():
+    config = TrainConfig()
+    with pytest.raises(FrozenInstanceError):
+        config.optimizer.lr = "fast"  # a checkpoint would hold a config it refuses
+    assert train_config_from_dict(train_config_to_dict(config)) == config
+
+
+def test_train_config_refuses_an_optimizer_that_is_not_an_adamw_config():
+    with pytest.raises(
+        ValidationError, match="optimizer must be an AdamWConfig, got dict"
+    ):
+        TrainConfig(optimizer={"lr": 1.0})
 
 
 def test_training_is_deterministic():
@@ -807,6 +821,44 @@ def test_inference_bytes_are_pinned(kind, tmp_path):
         for name in ("preds.csv", "report.json")
     )
     assert digests == PINNED_INFERENCE_SHA256[kind]
+
+
+# The same two files for a (4, 16, 8) model scored on 1,026 eval rows,
+# which the inference forward takes in five blocks (four of 256 rows and
+# one of 2); computed before the forward scored in blocks.
+PINNED_BLOCKED_INFERENCE_SHA256 = {
+    "none": (
+        "9a443b3825170c7408c11acb72c47bca430416c8c38ce9ed9456695548025642",
+        "d05cc3be0688c343fb53e81a237100f28e1b35127e5cb8a94e31508d786b8144",
+    ),
+    "batch": (
+        "616557feedc437b269811a68872f4ef78dc696e377d2656dfe89532d387fd2d9",
+        "e9f2d6fe258cb6846bb4618fbbae071085bb0b70c528b992980c6c86d12b4362",
+    ),
+    "learnable_shared": (
+        "ec8a3c4a64a83f664bb03d44325f5b633286183bc05f54d8faf5d5dfb6ebbdcb",
+        "94767b0e94e8cce099c74334cbdaf6e09bb75a121b289be101978b73897bf91e",
+    ),
+    "fair_identity": (
+        "b5d2a0853a4f10ab2ed43648ac35f39cf9a4577f4658f1a1e0cff7dff6ec9781",
+        "a14d1b88653c7216f2eefc7a3aca054b62c789c2ed883b0b8dc51dd65d0083c5",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_BLOCKED_INFERENCE_SHA256))
+def test_blocked_inference_bytes_are_pinned(kind, tmp_path):
+    train_set, eval_set = tiny_data(n_eval=513)
+    config = tiny_config(layer_dims=(4, 16, 8), norm_kind=NormKind(kind))
+    ck, _ = train(train_set, eval_set, config)
+    predictions, report = evaluate_model(ck, eval_set)
+    write_predictions_csv(predictions, str(tmp_path / "preds.csv"))
+    write_pretty_json(metric_report_to_dict(report), str(tmp_path / "report.json"))
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("preds.csv", "report.json")
+    )
+    assert digests == PINNED_BLOCKED_INFERENCE_SHA256[kind]
 
 
 @settings(max_examples=60, deadline=None)
