@@ -161,7 +161,7 @@ def _forward(model: MlpModel, x: np.ndarray, rows, training: bool):
     the call: it runs the backbone and normalizer over blocks of
     INFER_ROWS rows into one (..., batch, feature_dim) matrix, so only one
     block's hidden layers are alive at a time, and then the head over that
-    whole matrix.
+    whole matrix. A batch of one block skips the matrix.
     """
     if training:
         z, layers, norm_saved = _features(model, x, rows, True)
