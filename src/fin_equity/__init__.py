@@ -54,7 +54,6 @@ from .norms import (
     BatchNormState,
     FinParams,
     NormKind,
-    init_fin,
     softplus,
     softplus_grad,
 )
@@ -66,7 +65,6 @@ from .fileio import (
     read_dataset_csv,
     read_groups_sidecar,
     read_predictions_csv,
-    write_canonical_json,
     write_dataset_csv,
     write_histogram_csv,
     write_predictions_csv,

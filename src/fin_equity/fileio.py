@@ -18,25 +18,26 @@ the write's tracemalloc peak is 0.5 MB in blocks of 128 rows and 8.1 MB in
 blocks of 4096, and three score_eval set-ups with blocks of 4096 left a
 peak RSS 11 MB higher.
 
-The CSV readers stream a file once, in chunks of about CHUNK_CELLS cells,
-and check and convert each chunk column by column, in record order. Within
-a chunk the checks run in the order a row loop meets them within a row,
-each over the rows before the earliest failure so far. So every error is
-the one a row-by-row reader of the whole file raises, with the same line
-and text: the earliest record wins, and within a record the earlier check.
-After a failing chunk the file is still tokenized to its end (or to a row
-of the wrong width), so a decode error or an oversized field anywhere in
-that range still wins. At most one chunk's cells are alive at a time: each
-chunk that passes becomes a StringDType id column and int and float
-columns, and each column is joined from its chunks once the file is read.
+The CSV readers stream a file once, in chunks of about CHUNK_CELLS cells.
+First a chunk's columns decide: each is converted whole (ints once per
+distinct text, floats by one object-to-float64 astype) and checked whole.
+A chunk whose every row passes is kept as a StringDType id column and int
+and float columns, so at most one chunk's cells are alive at a time; each
+column is joined from its chunks once the file is read. A chunk that the
+columns refuse, or that ends at a row of the wrong width, then goes to a
+loop over its rows in the order of a row-by-row reader, which names the
+first rule broken. So every error is the one such a reader of the whole
+file raises, with the same line and text. After a failing chunk the file
+is still tokenized to its end (or to a row of the wrong width), so a
+decode error or an oversized field anywhere in that range still wins.
 
 Duplicate ids are found from an int64 array of hash() of each id, not
-from a set of str, and only when the read ends: at the first failing
-chunk, over the rows up to its failure, or after the last chunk. One sort
-of the hashes finds the rows whose hash an earlier row has, and an exact
-comparison of the ids decides each. The earliest duplicate then wins over
-the chunk's own error if it comes no later, as in a row loop, which checks
-a row's id first; the chunks between cost one hash per id and no search.
+from a set of str, and only when the read ends: at the failing chunk, over
+the rows up to and including its failing row, or after the last chunk. One
+sort of the hashes finds the rows whose hash an earlier row has, and an
+exact comparison of the ids decides each. The earliest duplicate wins over
+the chunk's own error, as in a row loop, which checks a row's id first;
+the chunks before cost one hash per id and no search.
 """
 
 from __future__ import annotations
@@ -129,12 +130,6 @@ def _write_canonical(o, out: list[str]) -> None:
         raise ValidationError(f"cannot serialize {type(o).__name__} to JSON")
 
 
-def write_canonical_json(obj, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(dumps_canonical(obj))
-        f.write("\n")
-
-
 def write_pretty_json(obj, path: str) -> None:
     """Human-facing JSON (reports, aggregates); still deterministic."""
     with open(path, "w", encoding="utf-8", newline="") as f:
@@ -209,73 +204,19 @@ def _hashes(ids: list[str]) -> np.ndarray:
     return np.fromiter(map(hash, ids), np.int64, len(ids))
 
 
-class _SeenIds:
-    """The ids of the chunks that passed: their columns and hashes.
+class _Chunk:
+    """Where a chunk's rows sit in the file, and the error that ends the read.
 
-    Duplicates are looked for once, when the read ends (see check), so a
-    chunk that passes costs one hash() per id and no search.
+    Messages name a row by its record number, the header being line 1 and
+    blank rows counted.
     """
 
-    def __init__(self, what: str):
-        self.what = what  # the error's name for a duplicate
-        self.chunks: list[np.ndarray] = []  # StringDType columns, in order
-        self.hashes: list[np.ndarray] = []  # int64 hash() of each id
-        self.places: list[_FirstError] = []  # each chunk's line numbers
-
-    def add(self, ids: list[str], first: "_FirstError") -> None:
-        self.chunks.append(np.array(ids, StringDType()))
-        self.hashes.append(_hashes(ids))
-        self.places.append(first)
-
-    def check(self, ids: list[str], first: "_FirstError | None") -> None:
-        """Name the earliest row whose id an earlier row has, if any.
-
-        Call it once, when the read ends. At a chunk that failed, ids are its
-        rows and first its error, which a duplicate up to and including the
-        failing row replaces: a row loop checks a row's id before the rest
-        of it. After the last chunk (no ids, no first) a duplicate raises.
-        A row whose hash an earlier row has is a candidate, and an exact
-        comparison with those rows' ids decides it, so the row named does
-        not depend on how PYTHONHASHSEED salts the hashes.
-        """
-        if first is not None:
-            ids = ids[: first.limit + 1]
-        sources, places = self.chunks + [ids], self.places + [first]
-        self.hashes.append(_hashes(ids))
-        hashes = join_chunks(self.hashes, np.int64)
-        ranked = np.sort(hashes)
-        twice = ranked[1:][ranked[1:] == ranked[:-1]]
-        if not twice.size:
-            return
-        ends = np.cumsum([len(source) for source in sources])
-        earlier: dict[int, list[str]] = {}  # candidates' ids by hash
-        for row in np.flatnonzero(np.isin(hashes, twice)).tolist():
-            c = int(np.searchsorted(ends, row, side="right"))
-            i = row - int(ends[c]) + len(sources[c])
-            sid = sources[c][i]
-            same = earlier.setdefault(int(hashes[row]), [])
-            if sid in same:
-                message = f"line {places[c].line_of(i)}: {self.what} {sid!r}"
-                if first is None:
-                    raise ValidationError(message)
-                first.message = message
-                return
-            same.append(sid)
-
-
-class _FirstError:
-    """The earliest failing row of a chunk found so far, and its message.
-
-    Each check looks only at the chunk's rows before that failure (see the
-    module docstring). Messages name a row by its record number, the header
-    being line 1 and blank rows counted.
-    """
-
-    def __init__(self, rows: int, line: int, blanks: list[int]):
-        self.limit = rows  # rows [0, limit) are still checked
+    def __init__(self, width: int, line: int, blanks: list[int], wrong: int | None):
+        self.width = width  # cells per row
         self.line = line  # record number of row 0, were no record blank
         self.blanks = blanks  # record numbers of the blank rows among them
-        self.message: str | None = None
+        self.wrong = wrong  # the width of a row after them that ends the read
+        self.error: str | None = None
 
     def line_of(self, i: int) -> int:
         """The record number of row i."""
@@ -286,85 +227,66 @@ class _FirstError:
             line += 1
         return line
 
-    def fail(self, i: int, message: str) -> None:
-        self.limit = i
-        self.message = f"line {self.line_of(i)}: {message}"
 
-    def raise_first(self) -> None:
-        if self.message is not None:
-            raise ValidationError(self.message)
+class _SeenIds:
+    """The ids of the chunks read: their columns and hashes.
 
-    def first_of(self, texts: list[str], bad: set[str]) -> int | None:
-        """The first row still checked whose text is in bad."""
-        if bad:
-            for i, text in enumerate(texts[: self.limit]):
-                if text in bad:
-                    return i
+    Duplicates are looked for once, when the read ends (see check), so a
+    chunk that passes costs one hash() per id and no search.
+    """
+
+    def __init__(self, what: str):
+        self.what = what  # the error's name for a duplicate
+        self.chunks: list[np.ndarray] = []  # StringDType columns, in order
+        self.hashes: list[np.ndarray] = []  # int64 hash() of each id
+        self.places: list[_Chunk] = []  # each chunk's line numbers
+
+    def add(self, ids: list[str], place: _Chunk) -> None:
+        self.chunks.append(np.array(ids, StringDType()))
+        self.hashes.append(_hashes(ids))
+        self.places.append(place)
+
+    def check(self, rows: int | None = None) -> str | None:
+        """The error naming the earliest row whose id an earlier row has.
+
+        Call it once, when the read ends: after the last chunk, or at a
+        failing chunk with rows, the number of its rows up to and including
+        the failing one. A row whose hash an earlier row has is a
+        candidate, and an exact comparison with those rows' ids decides it,
+        so the row named does not depend on how PYTHONHASHSEED salts the
+        hashes.
+        """
+        if rows is not None:
+            self.chunks[-1] = self.chunks[-1][:rows]
+            self.hashes[-1] = self.hashes[-1][:rows]
+        hashes = join_chunks(self.hashes, np.int64)
+        ranked = np.sort(hashes)
+        twice = ranked[1:][ranked[1:] == ranked[:-1]]
+        if not twice.size:
+            return None
+        ends = np.cumsum([len(chunk) for chunk in self.chunks])
+        earlier: dict[int, list[str]] = {}  # candidates' ids by hash
+        for row in np.flatnonzero(np.isin(hashes, twice)).tolist():
+            c = int(np.searchsorted(ends, row, side="right"))
+            i = row - int(ends[c]) + len(self.chunks[c])
+            sid = self.chunks[c][i]
+            same = earlier.setdefault(int(hashes[row]), [])
+            if sid in same:
+                return f"line {self.places[c].line_of(i)}: {self.what} {sid!r}"
+            same.append(sid)
         return None
-
-    def ints(self, texts: list[str], values: dict[str, int], what: str) -> None:
-        """Add int() of each new distinct text of the rows still checked to
-        values, which holds those of the earlier chunks."""
-        bad = set()
-        for text in set(texts[: self.limit]).difference(values):
-            try:
-                values[text] = int(text)
-            except ValueError:
-                bad.add(text)
-        i = self.first_of(texts, bad)
-        if i is not None:
-            self.fail(i, f"{what} {texts[i]!r} is not an integer")
-
-    def refuse(
-        self, texts: list[str], values: dict[str, int], refused, message
-    ) -> None:
-        """Fail at the first row still checked whose value is refused."""
-        i = self.first_of(texts, {t for t, v in values.items() if refused(v)})
-        if i is not None:
-            self.fail(i, message(i, values[texts[i]]))
-
-    def mask(self, bad: np.ndarray, message) -> None:
-        """Fail at the first row still checked where bad is true."""
-        hits = np.flatnonzero(bad[: self.limit])
-        if hits.size:
-            self.fail(int(hits[0]), message(int(hits[0])))
-
-    def floats(self, cells: np.ndarray, message) -> np.ndarray:
-        """float() of each cell of an (n, k) object array, in the rows still
-        checked. A refused cell fails its row; the leftmost one is named."""
-        cells = cells[: self.limit]
-        try:
-            return cells.astype(np.float64)
-        except ValueError:
-            pass
-        first, error = len(cells), None
-        for column in cells.T:
-            try:
-                column[:first].astype(np.float64)
-                continue
-            except ValueError:
-                pass
-            for i, text in enumerate(column[:first]):
-                try:
-                    float(text)
-                except ValueError as exc:
-                    first, error = i, exc
-                    break
-        self.fail(first, message(first, error))
-        return cells[:first].astype(np.float64)
 
 
 def _read_chunks(path: str, header_width):
     """Stream a CSV once, yielding its data rows a chunk at a time.
 
     header_width checks the header row and returns the width of a data row.
-    Each chunk is (cells, width, first): the flat cells of the rows among
-    the next CHUNK_CELLS / width records, and an error tracker over them.
-    Blank rows are skipped; reading stops at the first row of another width,
-    which becomes the first error of the last chunk. Once the caller's checks
-    have failed a chunk, the rest of the file up to that row is still
-    tokenized, so that a decode error or an oversized field anywhere in it
-    wins; then the chunk's error is raised.
+    Each chunk is (cells, chunk): the flat cells of the rows among the next
+    CHUNK_CELLS / width records, and their _Chunk. Blank rows are skipped;
+    reading stops at the first row of another width, which ends the last
+    chunk. Once the caller has set a chunk's error, the rest of the file up
+    to such a row is still tokenized, so that a decode error or an oversized
+    field anywhere in it wins; then the chunk's error is raised.
     """
     # no per-row counter: a record's number is line plus the rows and blank
     # rows of the chunk read before it
@@ -391,19 +313,17 @@ def _read_chunks(path: str, header_width):
                         blanks.append(line + len(cells) // width + len(blanks))
                 end = len(cells) // width + len(blanks) - read < records
                 if cells or wrong is not None:
-                    first = _FirstError(len(cells) // width, line, blanks)
-                    if wrong is not None:
-                        first.fail(first.limit, f"expected {width} fields, got {wrong}")
-                    yield cells, width, first
+                    chunk = _Chunk(width, line, blanks, wrong)
+                    yield cells, chunk
                     line += len(cells) // width + len(blanks)
                     cells, blanks = [], []
-                    if first.message is not None:
+                    if chunk.error is not None:
                         if wrong is None:
                             for row in reader:
                                 if row and len(row) != width:
                                     break
                                 line += 1
-                        first.raise_first()
+                        raise ValidationError(chunk.error)
                 if end:
                     return
     except UnicodeDecodeError as exc:
@@ -411,6 +331,74 @@ def _read_chunks(path: str, header_width):
     except csv.Error as exc:
         line += len(cells) // width + len(blanks)  # the record being read
         raise ValidationError(f"{path!r} line {line}: {exc}") from exc
+
+
+def _read_csv(path: str, header_width, what: str, keep, check_row) -> list[np.ndarray]:
+    """Read and check a CSV's rows; return its id column in chunks.
+
+    keep(cells, width, add_ids) converts a chunk column by column. If every
+    row is valid it calls add_ids, between its float and int columns, and
+    keeps its columns; else it returns False. (That order is for heap layout
+    alone: on a 2-vCPU host, score_eval's peak RSS read 82.3-82.4 MB with
+    the ids added before keep, 80.5-81.5 MB after it, and 80.1-80.2 MB in
+    this order, 5 runs each.) A chunk it refuses, or one that ends at a row
+    of another width, goes to a loop over its rows: check_row raises the
+    ValidationError of the first rule a row breaks, in a row-by-row reader's
+    order. A duplicate id up to and including that row wins, as a row's id
+    is checked first.
+    """
+    seen = _SeenIds(what)
+    for cells, chunk in _read_chunks(path, header_width):
+        width = chunk.width
+        ids = cells[::width]
+        kept = chunk.wrong is None and keep(cells, width, lambda: seen.add(ids, chunk))
+        if not kept:
+            seen.add(ids, chunk)
+            r, error = _first_bad_row(cells, width, check_row)
+            if error is None:
+                if chunk.wrong is None:
+                    raise AssertionError(f"{path!r}: no row of a refused chunk fails")
+                error = f"expected {width} fields, got {chunk.wrong}"
+            duplicate = seen.check(r + 1)
+            chunk.error = duplicate or f"line {chunk.line_of(r)}: {error}"
+        del cells, ids  # free the chunk's cells before the next is read
+    error = seen.check()
+    if error is not None:
+        raise ValidationError(error)
+    return seen.chunks
+
+
+def _first_bad_row(cells: list[str], width: int, check_row) -> tuple[int, str | None]:
+    """The first row that check_row refuses and its error, else (rows, None)."""
+    rows = len(cells) // width
+    for r in range(rows):
+        try:
+            check_row(cells[r * width : (r + 1) * width])
+        except ValidationError as exc:
+            return r, str(exc)
+    return rows, None
+
+
+def _add_ints(texts: list[str], values: dict[str, int], valid) -> bool:
+    """Add int() of each new distinct text to values, which holds those of
+    the earlier chunks; False at a text that is not an integer or whose
+    value valid refuses."""
+    for text in set(texts).difference(values):
+        try:
+            value = int(text)
+        except ValueError:
+            return False
+        if not valid(value):
+            return False
+        values[text] = value
+    return True
+
+
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"{what} {text!r} is not an integer") from None
 
 
 def _attribute_set(
@@ -465,14 +453,6 @@ def _int_column(texts: list[str], values: dict[str, int], dtype) -> np.ndarray:
         return np.zeros(len(texts), dtype)
 
 
-def _negative(attr: int) -> bool:
-    return attr < 0
-
-
-def _not_binary(label: int) -> bool:
-    return label not in (0, 1)
-
-
 def _dataset_width(header: list[str]) -> int:
     if len(header) < 4 or header[:3] != ["id", "attr", "label"]:
         raise ValidationError(
@@ -482,6 +462,22 @@ def _dataset_width(header: list[str]) -> int:
     if header[3:] != [f"f{i}" for i in range(d)]:
         raise ValidationError(f"line 1: feature columns must be f0..f{d-1}")
     return d + 3
+
+
+def _check_dataset_row(row: list[str]) -> None:
+    """Raise the error of the first rule a dataset row breaks, if any."""
+    attr = _parse_int(row[1], "attr")
+    if attr < 0:
+        raise ValidationError(f"attr must be >= 0, got {attr}")
+    label = _parse_int(row[2], "label")
+    if label not in (0, 1):
+        raise ValidationError(f"label must be 0 or 1, got {label}")
+    try:
+        x = list(map(float, row[3:]))
+    except ValueError as exc:
+        raise ValidationError(f"bad feature value ({exc})") from None
+    if not all(map(math.isfinite, x)):
+        raise ValidationError("non-finite feature value")
 
 
 def read_dataset_csv(
@@ -498,37 +494,34 @@ def read_dataset_csv(
     the ids must be below it, and it names group0..group{count-1}. Sample
     ids must be unique; violations name the offending line.
     """
-    seen = _SeenIds("duplicate sample id")
     attrs: dict[str, int] = {}
     labels: dict[str, int] = {}
     attr_chunks, label_chunks, x_chunks = [], [], []
-    for cells, width, first in _read_chunks(path, _dataset_width):
-        ids, attr_text, label_text = (cells[c::width] for c in range(3))
-        first.ints(attr_text, attrs, "attr")
-        first.refuse(
-            attr_text, attrs, _negative, lambda i, v: f"attr must be >= 0, got {v}"
-        )
-        first.ints(label_text, labels, "label")
-        first.refuse(
-            label_text,
-            labels,
-            _not_binary,
-            lambda i, v: f"label must be 0 or 1, got {v}",
-        )
+
+    def keep(cells: list[str], width: int, add_ids) -> bool:
+        attr_text, label_text = cells[1::width], cells[2::width]
+        if not (
+            _add_ints(attr_text, attrs, lambda attr: attr >= 0)
+            and _add_ints(label_text, labels, lambda label: label in (0, 1))
+        ):
+            return False
         table = np.array(cells, dtype=object).reshape(-1, width)
-        x = first.floats(table[:, 3:], lambda i, exc: f"bad feature value ({exc})")
-        first.mask(~np.isfinite(x).all(axis=1), lambda i: "non-finite feature value")
-        if first.message is None:
-            seen.add(ids, first)
-            attr_chunks.append(_int_column(attr_text, attrs, np.intp))
-            label_chunks.append(_int_column(label_text, labels, np.int64))
-            x_chunks.append(x)
-        else:  # the chunk raises: an earlier duplicate, else its own error
-            seen.check(ids, first)
-        # free the chunk's cells before the next is read
-        del cells, table, ids, attr_text, label_text
-    seen.check([], None)
-    records = sum(map(len, seen.chunks))
+        try:
+            x = table[:, 3:].astype(np.float64)
+        except ValueError:
+            return False
+        if not np.isfinite(x).all():
+            return False
+        add_ids()
+        attr_chunks.append(_int_column(attr_text, attrs, np.intp))
+        label_chunks.append(_int_column(label_text, labels, np.int64))
+        x_chunks.append(x)
+        return True
+
+    ids = _read_csv(
+        path, _dataset_width, "duplicate sample id", keep, _check_dataset_row
+    )
+    records = sum(map(len, ids))
     attribute_set = _attribute_set(path, attrs, records, group_names, group_count)
     x = np.concatenate(x_chunks)
     del x_chunks
@@ -537,7 +530,7 @@ def read_dataset_csv(
         x,
         join_chunks(label_chunks, np.int64),
         join_chunks(attr_chunks, np.intp),
-        IdColumn.from_chunks(seen.chunks),
+        IdColumn.from_chunks(ids),
     )
     require_valid(dataset, what=path)
     return dataset
@@ -570,49 +563,58 @@ def _predictions_width(header: list[str]) -> int:
     return 4
 
 
+def _check_predictions_row(row: list[str]) -> None:
+    """Raise the error of the first rule a predictions row breaks, if any."""
+    sid, score_text, label_text, attr_text = row
+    try:
+        score = float(score_text)
+    except ValueError:
+        raise ValidationError(f"score {score_text!r} is not a number") from None
+    label = _parse_int(label_text, "label")
+    attr = _parse_int(attr_text, "attr")
+    if attr < 0:
+        raise ValidationError(f"attr must be >= 0, got {attr}")
+    if not 0.0 <= score <= 1.0:
+        raise ValidationError(
+            f"record {sid!r}: score must lie in [0, 1], got {score!r}"
+        )
+    if label not in (0, 1):
+        raise ValidationError(f"record {sid!r}: label must be 0 or 1, got {label!r}")
+
+
 def read_predictions_csv(
     path: str, group_names: Sequence[str] | None = None
 ) -> tuple[Predictions, AttributeSet]:
-    seen = _SeenIds("duplicate id")
     labels: dict[str, int] = {}
     attrs: dict[str, int] = {}
     score_chunks, label_chunks, attr_chunks = [], [], []
-    for cells, _, first in _read_chunks(path, _predictions_width):
-        ids, score_text, label_text, attr_text = (cells[c::4] for c in range(4))
-        scores = first.floats(
-            np.array(score_text, dtype=object)[:, None],
-            lambda i, exc: f"score {score_text[i]!r} is not a number",
-        )[:, 0]
-        first.ints(label_text, labels, "label")
-        first.ints(attr_text, attrs, "attr")
-        first.refuse(
-            attr_text, attrs, _negative, lambda i, v: f"attr must be >= 0, got {v}"
-        )
-        first.mask(
-            ~((scores >= 0.0) & (scores <= 1.0)),  # NaN fails both
-            lambda i: f"record {ids[i]!r}: score must lie in [0, 1], "
-            f"got {float(scores[i])!r}",
-        )
-        first.refuse(
-            label_text,
-            labels,
-            _not_binary,
-            lambda i, v: f"record {ids[i]!r}: label must be 0 or 1, got {v!r}",
-        )
-        if first.message is None:
-            seen.add(ids, first)
-            score_chunks.append(scores)
-            label_chunks.append(_int_column(label_text, labels, np.int64))
-            attr_chunks.append(_int_column(attr_text, attrs, np.intp))
-        else:  # the chunk raises: an earlier duplicate, else its own error
-            seen.check(ids, first)
-        # free the chunk's cells before the next is read
-        del cells, ids, score_text, label_text, attr_text
-    seen.check([], None)
-    records = sum(map(len, seen.chunks))
+
+    def keep(cells: list[str], width: int, add_ids) -> bool:
+        score_text, label_text, attr_text = (cells[c::width] for c in (1, 2, 3))
+        if not (
+            _add_ints(label_text, labels, lambda label: label in (0, 1))
+            and _add_ints(attr_text, attrs, lambda attr: attr >= 0)
+        ):
+            return False
+        try:
+            scores = np.array(score_text, dtype=object).astype(np.float64)
+        except ValueError:
+            return False
+        if not ((scores >= 0.0) & (scores <= 1.0)).all():  # NaN fails both
+            return False
+        add_ids()
+        score_chunks.append(scores)
+        label_chunks.append(_int_column(label_text, labels, np.int64))
+        attr_chunks.append(_int_column(attr_text, attrs, np.intp))
+        return True
+
+    ids = _read_csv(
+        path, _predictions_width, "duplicate id", keep, _check_predictions_row
+    )
+    records = sum(map(len, ids))
     attribute_set = _attribute_set(path, attrs, records, group_names)
     predictions = Predictions(
-        IdColumn.from_chunks(seen.chunks),
+        IdColumn.from_chunks(ids),
         join_chunks(score_chunks, np.float64),
         join_chunks(label_chunks, np.int64),
         join_chunks(attr_chunks, np.intp),

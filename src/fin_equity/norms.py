@@ -92,7 +92,7 @@ def softplus_grad(t):
     """Derivative of softplus: the logistic sigmoid, computed without overflow."""
     t = np.asarray(t, dtype=np.float64)
     e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def _as_array(
@@ -212,9 +212,6 @@ class SharedParams(FinParams):
 
     def rows(self, attrs, batch: int, training: bool) -> np.ndarray:
         return fin_rows(np.zeros(batch, dtype=np.intp), self, batch)
-
-
-init_fin = FinParams.init
 
 
 def fin_rows(attrs, params: FinParams, batch: int) -> np.ndarray:

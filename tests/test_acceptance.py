@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from fin_equity import (
+    FinParams,
     GroupSpec,
     NormKind,
     SynthConfig,
@@ -30,7 +31,6 @@ from fin_equity import (
     evaluate_model,
     forward,
     generate,
-    init_fin,
     init_mlp,
     load_checkpoint,
     named_parameters,
@@ -215,7 +215,7 @@ def test_criterion_5_degeneracy_gates():
     shared_ok = set(ps) == set(pf) and all(np.array_equal(ps[k], pf[k]) for k in ps)
 
     rng = np.random.default_rng(11)
-    params = init_fin(4, 8, rng)
+    params = FinParams.init(4, 8, rng)
     positive_ok = True
     for _ in range(10_000):
         params.tau += rng.standard_normal(params.tau.shape)

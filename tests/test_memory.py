@@ -17,7 +17,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fin_equity import AttributeSet, Dataset, full_report, read_predictions_csv
+from fin_equity import (
+    AttributeSet,
+    Dataset,
+    ValidationError,
+    full_report,
+    read_predictions_csv,
+)
 from fin_equity.fileio import write_dataset_csv
 from fin_equity.net import forward, init_mlp
 from fin_equity.norms import NormKind
@@ -67,6 +73,29 @@ def test_predictions_read_peak_is_under_twice_what_it_keeps(predictions_csv):
     assert len(predictions) == RECORDS
     # 2.1x while the duplicate-id set outlived the read, 1.7x since
     assert peak <= 1.9 * kept, (peak, kept)
+
+
+def test_predictions_read_error_peak_is_near_a_clean_reads(tmp_path):
+    records = 60_000
+    rows = [f"p{i:06d},{i % 97 / 96!r},{i % 2},{i % 4}" for i in range(records)]
+    clean, bad = tmp_path / "clean.csv", tmp_path / "bad.csv"
+    clean.write_text("\n".join(["id,score,label,attr", *rows]) + "\n")
+    rows[-1] = f"p{records - 1:06d},0.5,7,0"  # the last row's label is bad
+    bad.write_text("\n".join(["id,score,label,attr", *rows]) + "\n")
+    _, _, clean_peak = traced(lambda: read_predictions_csv(str(clean)))
+
+    def refused():
+        with pytest.raises(ValidationError) as exc:
+            read_predictions_csv(str(bad))
+        return str(exc.value)
+
+    message, _, peak = traced(refused)
+    assert message == (
+        f"line {records + 1}: record 'p059999': label must be 0 or 1, got 7"
+    )
+    # 1.00x (4.3 MB) with the error found by column checks, 1.00x (4.1 MB)
+    # with it named by a row loop, 2.2x with a set of every earlier id
+    assert peak <= 1.25 * clean_peak, (peak, clean_peak)
 
 
 def test_report_peak_is_a_few_score_columns(predictions_csv):

@@ -14,13 +14,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fin_equity import (
     BatchNormState,
     FinParams,
     NormKind,
     ValidationError,
-    init_fin,
     softplus,
     softplus_grad,
 )
@@ -43,6 +44,24 @@ def test_softplus_grad_is_sigmoid():
     h = 1e-6
     numeric = (softplus(ts + h) - softplus(ts - h)) / (2 * h)
     assert np.allclose(softplus_grad(ts), numeric, atol=1e-9)
+
+
+def two_branch_softplus_grad(t):
+    """The sigmoid with one divide in each branch of the where."""
+    t = np.asarray(t, dtype=np.float64)
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 745.0, -745.0]
+
+
+@given(st.lists(st.floats(), max_size=60))
+def test_softplus_grad_has_the_two_branch_bits(values):
+    t = np.array(values + EDGES)
+    assert softplus_grad(t).tobytes() == two_branch_softplus_grad(t).tobytes()
+    stack = np.resize(t, (2, 3, 16))  # a seed stack of (groups, dim) taus
+    assert softplus_grad(stack).tobytes() == two_branch_softplus_grad(stack).tobytes()
 
 
 def hand_params(m=0.3):
@@ -195,17 +214,17 @@ def test_init_fin_draw_order_and_seeding():
     ref = np.random.default_rng(123)
     expected_mu = ref.standard_normal((3, 4))
     expected_tau = ref.standard_normal((3, 4))
-    params = init_fin(3, 4, np.random.default_rng(123))
+    params = FinParams.init(3, 4, np.random.default_rng(123))
     assert np.array_equal(params.mu, expected_mu)
     assert np.array_equal(params.tau, expected_tau)
     assert params.momentum == 0.3
     with pytest.raises(ValidationError):
-        init_fin(0, 4, np.random.default_rng(0))
+        FinParams.init(0, 4, np.random.default_rng(0))
 
 
 def test_sigma_stays_positive_under_updates():
     rng = np.random.default_rng(7)
-    params = init_fin(2, 3, rng)
+    params = FinParams.init(2, 3, rng)
     for _ in range(1000):
         params.tau += rng.standard_normal(params.tau.shape)
         assert (params.sigma() > 0.0).all()
