@@ -14,6 +14,7 @@ import os
 import sys
 import traceback
 from dataclasses import asdict, replace
+from functools import partial
 
 from .errors import CheckpointError, UndefinedMetricError, ValidationError
 from .fileio import (
@@ -75,26 +76,28 @@ def _parse_grid(raw: str) -> list[float]:
     return [v for v in values if v <= stop + 1e-9]
 
 
-def _fmt_pct(value, std=None) -> str:
+def _fmt(value, std=None, percent: bool = True) -> str:
+    """A fraction x100 to 2 decimals, or as it is to 4; None is "undefined"."""
     if value is None:
         return "undefined"
-    s = f"{100.0 * value:.2f}"
+    scale, digits = (100.0, 2) if percent else (1.0, 4)
+    s = f"{scale * value:.{digits}f}"
     if std is not None:
-        s += f" ± {100.0 * std:.2f}"
-    return s
-
-
-def _fmt_frac(value, std=None) -> str:
-    if value is None:
-        return "undefined"
-    s = f"{value:.4f}"
-    if std is not None:
-        s += f" ± {std:.4f}"
+        s += f" ± {scale * std:.{digits}f}"
     return s
 
 
 def _groups_arg(args) -> tuple[str, ...] | None:
     return read_groups_sidecar(args.groups) if args.groups else None
+
+
+def _training_inputs(args):
+    """The train config, both datasets and the seeds of train or sweep-momentum."""
+    config = train_config_from_dict(load_json(args.config, what="train config"))
+    names = _groups_arg(args)
+    train_set = read_dataset_csv(args.train, group_names=names)
+    eval_set = read_dataset_csv(args.eval, group_names=names)
+    return config, train_set, eval_set, _parse_seeds(args.seeds)
 
 
 def _cmd_synth(args) -> int:
@@ -135,9 +138,9 @@ def _print_aggregate_table(agg, names, es_of_means: bool) -> None:
     for key, label in rows:
         summary = agg.metrics[key]
         if es_of_means and key in ("es_acc", "es_auc"):
-            cell = _fmt_pct(agg.es_from_means[key]) + " (of means)"
+            cell = _fmt(agg.es_from_means[key]) + " (of means)"
         else:
-            cell = _fmt_pct(summary.mean, summary.std)
+            cell = _fmt(summary.mean, summary.std)
         print(f"{label.ljust(width)}{cell}")
 
 
@@ -150,11 +153,7 @@ def _aggregate_to_dict(agg) -> dict:
 
 
 def _cmd_train(args) -> int:
-    config = train_config_from_dict(load_json(args.config, what="train config"))
-    names = _groups_arg(args)
-    train_set = read_dataset_csv(args.train, group_names=names)
-    eval_set = read_dataset_csv(args.eval, group_names=names)
-    seeds = _parse_seeds(args.seeds)
+    config, train_set, eval_set, seeds = _training_inputs(args)
     prefix = args.out_prefix
     parent = os.path.dirname(prefix)
     if parent:
@@ -179,7 +178,7 @@ def _cmd_train(args) -> int:
 
 
 def _print_report(report, names, percent: bool) -> None:
-    fmt = _fmt_pct if percent else _fmt_frac
+    fmt = partial(_fmt, percent=percent)
     print(f"threshold  {report.threshold}")
     for name in ("accuracy", "auc"):
         print(
@@ -219,11 +218,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = train_config_from_dict(load_json(args.config, what="train config"))
-    names = _groups_arg(args)
-    train_set = read_dataset_csv(args.train, group_names=names)
-    eval_set = read_dataset_csv(args.eval, group_names=names)
-    seeds = _parse_seeds(args.seeds)
+    config, train_set, eval_set, seeds = _training_inputs(args)
     grid = _parse_grid(args.grid)
     results = sweep_momentum(train_set, eval_set, config, grid, seeds)
     payload: dict = {"m": [m for m, _ in results], "seeds": list(seeds)}
@@ -240,7 +235,7 @@ def _cmd_sweep(args) -> int:
     print(f"{'m':>{width}}  {'AUC':>16}  {'ES-AUC':>16}  {'DPD':>16}  {'DEOdds':>16}")
     for label, (_, agg) in zip(labels, results):
         cells = [
-            _fmt_pct(agg.metrics[k].mean, agg.metrics[k].std)
+            _fmt(agg.metrics[k].mean, agg.metrics[k].std)
             for k in ("auc", "es_auc", "dpd", "deodds")
         ]
         print(f"{label:>{width}}  " + "  ".join(c.rjust(16) for c in cells))

@@ -27,9 +27,9 @@ column is joined from its chunks once the file is read. A chunk that the
 columns refuse, or that ends at a row of the wrong width, then goes to a
 loop over its rows in the order of a row-by-row reader, which names the
 first rule broken. So every error is the one such a reader of the whole
-file raises, with the same line and text. After a failing chunk the file
-is still tokenized to its end (or to a row of the wrong width), so a
-decode error or an oversized field anywhere in that range still wins.
+file raises, with the same line and text. The first failing chunk stops
+the conversion, but the same chunk stream is still read to its end, so a
+decode error or an oversized field anywhere after it still wins.
 
 Duplicate ids are found from an int64 array of hash() of each id, not
 from a set of str, and only when the read ends: at the failing chunk, over
@@ -205,7 +205,7 @@ def _hashes(ids: list[str]) -> np.ndarray:
 
 
 class _Chunk:
-    """Where a chunk's rows sit in the file, and the error that ends the read.
+    """Where a chunk's rows sit in the file, and a wrong-width row after them.
 
     Messages name a row by its record number, the header being line 1 and
     blank rows counted.
@@ -216,7 +216,6 @@ class _Chunk:
         self.line = line  # record number of row 0, were no record blank
         self.blanks = blanks  # record numbers of the blank rows among them
         self.wrong = wrong  # the width of a row after them that ends the read
-        self.error: str | None = None
 
     def line_of(self, i: int) -> int:
         """The record number of row i."""
@@ -246,19 +245,15 @@ class _SeenIds:
         self.hashes.append(_hashes(ids))
         self.places.append(place)
 
-    def check(self, rows: int | None = None) -> str | None:
+    def check(self) -> str | None:
         """The error naming the earliest row whose id an earlier row has.
 
-        Call it once, when the read ends: after the last chunk, or at a
-        failing chunk with rows, the number of its rows up to and including
-        the failing one. A row whose hash an earlier row has is a
-        candidate, and an exact comparison with those rows' ids decides it,
-        so the row named does not depend on how PYTHONHASHSEED salts the
-        hashes.
+        Call it once, when the read ends: after the last chunk, or after a
+        failing chunk's ids up to and including its failing row were added.
+        A row whose hash an earlier row has is a candidate, and an exact
+        comparison with those rows' ids decides it, so the row named does
+        not depend on how PYTHONHASHSEED salts the hashes.
         """
-        if rows is not None:
-            self.chunks[-1] = self.chunks[-1][:rows]
-            self.hashes[-1] = self.hashes[-1][:rows]
         hashes = join_chunks(self.hashes, np.int64)
         ranked = np.sort(hashes)
         twice = ranked[1:][ranked[1:] == ranked[:-1]]
@@ -284,9 +279,8 @@ def _read_chunks(path: str, header_width):
     Each chunk is (cells, chunk): the flat cells of the rows among the next
     CHUNK_CELLS / width records, and their _Chunk. Blank rows are skipped;
     reading stops at the first row of another width, which ends the last
-    chunk. Once the caller has set a chunk's error, the rest of the file up
-    to such a row is still tokenized, so that a decode error or an oversized
-    field anywhere in it wins; then the chunk's error is raised.
+    chunk. A decode error or an oversized field raises with its record's
+    number, whatever the consumer did with the chunks before it.
     """
     # no per-row counter: a record's number is line plus the rows and blank
     # rows of the chunk read before it
@@ -313,17 +307,9 @@ def _read_chunks(path: str, header_width):
                         blanks.append(line + len(cells) // width + len(blanks))
                 end = len(cells) // width + len(blanks) - read < records
                 if cells or wrong is not None:
-                    chunk = _Chunk(width, line, blanks, wrong)
-                    yield cells, chunk
+                    yield cells, _Chunk(width, line, blanks, wrong)
                     line += len(cells) // width + len(blanks)
                     cells, blanks = [], []
-                    if chunk.error is not None:
-                        if wrong is None:
-                            for row in reader:
-                                if row and len(row) != width:
-                                    break
-                                line += 1
-                        raise ValidationError(chunk.error)
                 if end:
                     return
     except UnicodeDecodeError as exc:
@@ -341,27 +327,33 @@ def _read_csv(path: str, header_width, what: str, keep, check_row) -> list[np.nd
     keeps its columns; else it returns False. (That order is for heap layout
     alone: on a 2-vCPU host, score_eval's peak RSS read 82.3-82.4 MB with
     the ids added before keep, 80.5-81.5 MB after it, and 80.1-80.2 MB in
-    this order, 5 runs each.) A chunk it refuses, or one that ends at a row
-    of another width, goes to a loop over its rows: check_row raises the
+    this order, 5 runs each.) The first chunk it refuses, or that ends at a
+    row of another width, goes to a loop over its rows: check_row raises the
     ValidationError of the first rule a row breaks, in a row-by-row reader's
     order. A duplicate id up to and including that row wins, as a row's id
-    is checked first.
+    is checked first. No later chunk is converted, but the rest of the file
+    is still read, so that a decode error or an oversized field in it wins;
+    then the read's error is raised.
     """
     seen = _SeenIds(what)
-    for cells, chunk in _read_chunks(path, header_width):
+    chunks = _read_chunks(path, header_width)
+    for cells, chunk in chunks:
         width = chunk.width
         ids = cells[::width]
-        kept = chunk.wrong is None and keep(cells, width, lambda: seen.add(ids, chunk))
-        if not kept:
-            seen.add(ids, chunk)
-            r, error = _first_bad_row(cells, width, check_row)
-            if error is None:
-                if chunk.wrong is None:
-                    raise AssertionError(f"{path!r}: no row of a refused chunk fails")
-                error = f"expected {width} fields, got {chunk.wrong}"
-            duplicate = seen.check(r + 1)
-            chunk.error = duplicate or f"line {chunk.line_of(r)}: {error}"
-        del cells, ids  # free the chunk's cells before the next is read
+        if chunk.wrong is None and keep(cells, width, lambda: seen.add(ids, chunk)):
+            del cells, ids  # free the chunk's cells before the next is read
+            continue
+        r, error = _first_bad_row(cells, width, check_row)
+        if error is None:
+            if chunk.wrong is None:
+                raise AssertionError(f"{path!r}: no row of a refused chunk fails")
+            error = f"expected {width} fields, got {chunk.wrong}"
+        seen.add(ids[: r + 1], chunk)
+        error = seen.check() or f"line {chunk.line_of(r)}: {error}"
+        del cells, ids
+        for cells, _ in chunks:  # read on: a later decode error still wins
+            del cells
+        raise ValidationError(error)
     error = seen.check()
     if error is not None:
         raise ValidationError(error)

@@ -202,6 +202,18 @@ def equity_scaled(overall: float, delta: float) -> float:
     return overall / (1.0 + delta)
 
 
+def es_over_groups(
+    overall: float | None, group_values: Mapping[int, float | None]
+) -> tuple[float | None, float | None]:
+    """(delta, es) over the groups that have a value; (None, None) when
+    overall is None or no group has one."""
+    values = {g: v for g, v in group_values.items() if v is not None}
+    if overall is None or not values:
+        return None, None
+    delta = discrepancy(overall, values)
+    return delta, equity_scaled(overall, delta)
+
+
 @dataclass(frozen=True)
 class MetricReport:
     """Everything the auditor produces for one prediction set.
@@ -255,53 +267,41 @@ def full_report(
     correct = (counts[:, 0, 0] + counts[:, 1, 1]).tolist()
 
     flags: list[str] = []
-    overall: dict[str, float | None] = {"accuracy": sum(correct) / len(predictions)}
-    try:
-        overall["auc"] = auc(scores, labels)
-    except UndefinedMetricError as exc:
-        overall["auc"] = None
-        flags.append(f"overall auc undefined: {exc}")
 
+    def defined(note: str, metric, *args) -> float | None:
+        """metric(*args), or None with the note in flags if it is undefined."""
+        try:
+            return metric(*args)
+        except UndefinedMetricError as exc:
+            flags.append(f"{note}: {exc}")
+            return None
+
+    overall: dict[str, float | None] = {
+        "accuracy": sum(correct) / len(predictions),
+        "auc": defined("overall auc undefined", auc, scores, labels),
+    }
     per_group: dict[int, dict[str, float | None]] = {}
     for gid in range(group_count):
         if not sizes[gid]:
             per_group[gid] = {"accuracy": None, "auc": None}
             flags.append(f"group {gid} empty: accuracy and auc undefined")
             continue
-        row: dict[str, float | None] = {"accuracy": correct[gid] / sizes[gid]}
         ix = np.flatnonzero(attrs == gid)
-        try:
-            row["auc"] = auc(scores[ix], labels[ix])
-        except UndefinedMetricError as exc:
-            row["auc"] = None
-            flags.append(f"auc undefined for group {gid}: {exc}")
-        per_group[gid] = row
+        note = f"auc undefined for group {gid}"
+        per_group[gid] = {
+            "accuracy": correct[gid] / sizes[gid],
+            "auc": defined(note, auc, scores[ix], labels[ix]),
+        }
 
     delta: dict[str, float | None] = {}
     es: dict[str, float | None] = {}
     for name in _REPORT_METRICS:
-        group_vals = {
-            g: row[name] for g, row in per_group.items() if row[name] is not None
-        }
-        if overall[name] is None or not group_vals:
-            delta[name] = None
-            es[name] = None
-            if overall[name] is not None:
-                flags.append(f"delta undefined for {name}: no group has a value")
-            continue
-        delta[name] = discrepancy(overall[name], group_vals)
-        es[name] = equity_scaled(overall[name], delta[name])
-
-    try:
-        dpd_value: float | None = dpd(counts)
-    except UndefinedMetricError as exc:
-        dpd_value = None
-        flags.append(f"dpd undefined: {exc}")
-    try:
-        deodds_value: float | None = deodds(counts)
-    except UndefinedMetricError as exc:
-        deodds_value = None
-        flags.append(f"deodds undefined: {exc}")
+        group_values = {g: row[name] for g, row in per_group.items()}
+        delta[name], es[name] = es_over_groups(overall[name], group_values)
+        if delta[name] is None and overall[name] is not None:
+            flags.append(f"delta undefined for {name}: no group has a value")
+    dpd_value = defined("dpd undefined", dpd, counts)
+    deodds_value = defined("deodds undefined", deodds, counts)
 
     return MetricReport(
         threshold=float(threshold),

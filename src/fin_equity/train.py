@@ -57,7 +57,7 @@ from .errors import (
     ValidationError,
 )
 from .fileio import dumps_canonical, load_json
-from .metrics import MetricReport, discrepancy, equity_scaled, full_report
+from .metrics import MetricReport, es_over_groups, full_report
 from .net import (
     AffineLayer,
     MlpModel,
@@ -340,16 +340,8 @@ def _es_from_means(
     """ES of the seed-averaged metrics (instead of the mean of per-seed ES)."""
     out: dict[str, float | None] = {}
     for name, prefix in (("acc", "acc_group"), ("auc", "auc_group")):
-        overall = metrics[name].mean
-        groups = {
-            g: metrics[f"{prefix}{g}"].mean
-            for g in range(group_count)
-            if metrics[f"{prefix}{g}"].mean is not None
-        }
-        if overall is None or not groups:
-            out[f"es_{name}"] = None
-        else:
-            out[f"es_{name}"] = equity_scaled(overall, discrepancy(overall, groups))
+        groups = {g: metrics[f"{prefix}{g}"].mean for g in range(group_count)}
+        out[f"es_{name}"] = es_over_groups(metrics[name].mean, groups)[1]
     return out
 
 
