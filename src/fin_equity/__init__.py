@@ -6,15 +6,7 @@ audits scored predictions with an equity-scaled metric family that deflates
 an overall metric by its per-group discrepancy.
 """
 
-from .core import (
-    AttributeSet,
-    Dataset,
-    IdColumn,
-    Predictions,
-    Violation,
-    require_valid,
-    validate_dataset,
-)
+from .core import AttributeSet, Dataset, IdColumn, Predictions
 from .errors import (
     CacheError,
     CheckpointError,

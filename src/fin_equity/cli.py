@@ -1,9 +1,9 @@
 """Command-line interface: synth, train, evaluate, sweep-momentum, report.
 
 Exit codes: 0 success, 2 user/input error (bad flags, malformed files,
-invalid data), 1 internal error. `train` and `sweep-momentum` train all
-their seeds in lockstep in one process; each seed's outputs are the bytes
-a run of that seed alone would write.
+invalid data, a run that diverges), 1 internal error. `train` and
+`sweep-momentum` train all their seeds in lockstep in one process; each
+seed's outputs are the bytes a run of that seed alone would write.
 """
 
 from __future__ import annotations
@@ -16,7 +16,12 @@ import traceback
 from dataclasses import asdict, replace
 from functools import partial
 
-from .errors import CheckpointError, UndefinedMetricError, ValidationError
+from .errors import (
+    CheckpointError,
+    NonFiniteError,
+    UndefinedMetricError,
+    ValidationError,
+)
 from .fileio import (
     load_json,
     metric_report_to_dict,
@@ -327,7 +332,9 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, UndefinedMetricError, CheckpointError, OSError) as exc:
+    except (
+        ValidationError, UndefinedMetricError, CheckpointError, NonFiniteError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

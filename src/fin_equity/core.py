@@ -9,13 +9,16 @@ Group ids are digitized group memberships: non-negative integers indexing
 an ordered set of group names. No grouping type lives here: an audit
 counts each group's records itself (metrics.group_counts). All containers
 are immutable after construction; arrays are copied and marked read-only.
-Validation lives here too: the containers' constructors, validate_dataset,
-and the key check the config readers share.
+Validation lives here too: each container's constructor checks every row
+and names the first bad record, so no Dataset or Predictions can hold a
+non-finite feature or score, and the CSV writers do not check again. The
+key and field checks that the config readers share live here as well.
 """
 
 from __future__ import annotations
 
 import difflib
+import math
 import numbers
 import operator
 from collections.abc import Sequence
@@ -160,9 +163,11 @@ def _attr_column(values, n: int) -> np.ndarray:
 class Dataset:
     """One split as columns: features x (n, d), labels, group ids, sample ids.
 
-    Sample ids are opaque strings; uniqueness is enforced at ingestion (CSV
-    readers), not here. Labels and group ranges are checked by
-    validate_dataset.
+    Validated once on construction: d >= 1, at least one row, then row by
+    row finite features, a 0/1 label and a group id below the attribute
+    set's group count; an error names the first bad record. Sample ids are
+    opaque strings; uniqueness is enforced at ingestion (CSV readers), not
+    here.
     """
 
     attribute_set: AttributeSet
@@ -179,9 +184,33 @@ class Dataset:
         n, ids = len(x), IdColumn(self.ids)
         if len(ids) != n:
             raise ValidationError(f"ids must have length {n}, got {len(ids)}")
+        labels = _column(self.labels, n, "labels", np.int64)
+        attrs = _attr_column(self.attrs, n)
+        if x.shape[1] < 1:
+            raise ValidationError(f"feature dimension must be >= 1, got {x.shape[1]}")
+        if not n:
+            raise ValidationError("dataset has no samples")
+        g = self.attribute_set.group_count
+        # min and max carry any NaN, so a valid dataset allocates no mask
+        if not (
+            np.isfinite([x.min(), x.max()]).all()
+            and labels.min() >= 0
+            and labels.max() <= 1
+            and attrs.max() < g
+        ):
+            nonfinite = ~np.isfinite(x).all(axis=1)
+            bad_label = (labels != 0) & (labels != 1)
+            i = int(np.argmax(nonfinite | bad_label | (attrs >= g)))
+            if nonfinite[i]:
+                problem = "non-finite feature value"
+            elif bad_label[i]:
+                problem = f"label must be 0 or 1, got {int(labels[i])!r}"
+            else:
+                problem = f"attribute id {int(attrs[i])} out of range for {g} groups"
+            raise ValidationError(f"record {ids[i]!r}: {problem}")
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "labels", _column(self.labels, n, "labels", np.int64))
-        object.__setattr__(self, "attrs", _attr_column(self.attrs, n))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "attrs", attrs)
         object.__setattr__(self, "ids", ids)
 
     @property
@@ -273,8 +302,9 @@ _FIELD_KINDS = {key: kind for kind in _KIND_NAMES for key in (kind, kind.__name_
 def type_config_fields(config, what: str) -> None:
     """Check each bool, int or float field of a config dataclass; store it as its kind.
 
-    Fields are typed in declaration order, so the first bad one is named;
-    fields with any other annotation are left to the class. Frozen
+    A float field must also be finite, since json.load reads NaN and
+    Infinity. Fields are typed in declaration order, so the first bad one is
+    named; fields with any other annotation are left to the class. Frozen
     dataclasses call this from __post_init__, so every way of building a
     config (JSON or Python) gets the same checks.
     """
@@ -282,54 +312,8 @@ def type_config_fields(config, what: str) -> None:
         kind = _FIELD_KINDS.get(f.type)
         if kind is not None:
             value = config_value(getattr(config, f.name), kind, f.name, what)
+            if kind is float and not math.isfinite(value):
+                raise ValidationError(
+                    f"bad {what}: {f.name!r} must be finite, got {value!r}"
+                )
             object.__setattr__(config, f.name, value)
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One validation finding; index is None for dataset-level problems."""
-
-    index: int | None
-    reason: str
-
-
-def validate_dataset(dataset: Dataset) -> list[Violation]:
-    """Check every row against the dataset's declared structure.
-
-    Returns an empty list when the dataset is valid, else the findings in
-    row order. Checks: d >= 1, at least one row, finite features, binary
-    labels, attribute ids within the attribute set.
-    """
-    out: list[Violation] = []
-    if dataset.d < 1:
-        out.append(Violation(None, f"feature dimension must be >= 1, got {dataset.d}"))
-    if not len(dataset):
-        out.append(Violation(None, "dataset has no samples"))
-        return out
-    g = dataset.attribute_set.group_count
-    labels, attrs = dataset.labels, dataset.attrs
-    nonfinite = ~np.isfinite(dataset.x).all(axis=1)
-    bad_label = (labels != 0) & (labels != 1)
-    bad_attr = attrs >= g
-    for i in np.flatnonzero(nonfinite | bad_label | bad_attr).tolist():
-        if nonfinite[i]:
-            out.append(Violation(i, "non-finite feature value"))
-        if bad_label[i]:
-            out.append(Violation(i, f"label {labels[i]} not in {{0, 1}}"))
-        if bad_attr[i]:
-            out.append(
-                Violation(i, f"attribute id {attrs[i]} out of range for {g} groups")
-            )
-    return out
-
-
-def require_valid(dataset: Dataset, what: str = "dataset") -> None:
-    """Raise ValidationError with the first few violations, if any."""
-    violations = validate_dataset(dataset)
-    if violations:
-        head = "; ".join(
-            f"[{v.index if v.index is not None else '-'}] {v.reason}"
-            for v in violations[:5]
-        )
-        more = f" (+{len(violations) - 5} more)" if len(violations) > 5 else ""
-        raise ValidationError(f"{what} invalid: {head}{more}")

@@ -6,10 +6,9 @@ formats are written in scientific notation with 17 significant digits
 The canonical JSON writer also fixes key order (insertion order) so that
 save -> load -> save is byte-identical.
 
-The CSV writers check each float array once, from its min and max, before
-the file is opened: a non-finite value raises format_float's error for the
-first one in row-major order and leaves the target untouched. Each float
-then costs one C-level %.16e conversion. The dataset writer formats a
+The CSV writers do not check finiteness again: a Dataset cannot hold a
+non-finite feature, nor Predictions a score outside [0, 1]. Each float
+costs one C-level %.16e conversion. The dataset writer formats a
 row's d features with one % and appends them to csv.writer's own encoding
 of the row's (id, attr, label), so csv.writer alone decides the quoting;
 under QUOTE_ALL (see _csv_writer) the features are quoted too. It works in
@@ -52,14 +51,7 @@ from typing import Sequence
 import numpy as np
 from numpy.dtypes import StringDType
 
-from .core import (
-    AttributeSet,
-    Dataset,
-    IdColumn,
-    Predictions,
-    join_chunks,
-    require_valid,
-)
+from .core import AttributeSet, Dataset, IdColumn, Predictions, join_chunks
 from .errors import ValidationError
 from .metrics import MetricReport, PredictionHistogram
 
@@ -74,18 +66,6 @@ def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValidationError(f"cannot serialize non-finite float {x!r}")
     return format(x, FLOAT_FMT)
-
-
-def _require_finite(values: np.ndarray) -> None:
-    """Refuse an array holding a non-finite value, as format_float would
-    refuse the first one in row-major order.
-
-    The check reads only the array's min and max, which carry any NaN, so
-    it allocates no mask as large as the array; a refused array pays for
-    one to find the value to name.
-    """
-    if values.size and not np.isfinite([values.min(), values.max()]).all():
-        format_float(values.flat[int(np.argmin(np.isfinite(values)))])  # raises
 
 
 def dumps_canonical(obj) -> str:
@@ -169,7 +149,6 @@ def _csv_writer(f, ids: IdColumn):
 
 
 def write_dataset_csv(dataset: Dataset, path: str) -> None:
-    _require_finite(dataset.x)
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = _csv_writer(f, dataset.ids)
         w.writerow(["id", "attr", "label"] + [f"f{i}" for i in range(dataset.d)])
@@ -517,15 +496,13 @@ def read_dataset_csv(
     attribute_set = _attribute_set(path, attrs, records, group_names, group_count)
     x = np.concatenate(x_chunks)
     del x_chunks
-    dataset = Dataset(
+    return Dataset(
         attribute_set,
         x,
         join_chunks(label_chunks, np.int64),
         join_chunks(attr_chunks, np.intp),
         IdColumn.from_chunks(ids),
     )
-    require_valid(dataset, what=path)
-    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +510,6 @@ def read_dataset_csv(
 
 
 def write_predictions_csv(predictions: Predictions, path: str) -> None:
-    _require_finite(predictions.scores)
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = _csv_writer(f, predictions.ids)
         w.writerow(["id", "score", "label", "attr"])

@@ -14,9 +14,9 @@ the bits it would get alone, so a seed's checkpoint is byte-identical
 whether it trains alone (`train` is the same loop with one seed) or among
 any other seeds.
 
-The loop checks once per run, not once per step. `_train_seeds` validates
-both splits and the feature width at entry, then calls the ops' kernels
-(`net._forward`, `net._cross_entropy`, `net._backward`,
+The loop checks once per run, not once per step. `_train_seeds` checks
+the feature width at entry (a Dataset checks its own rows), then calls the
+ops' kernels (`net._forward`, `net._cross_entropy`, `net._backward`,
 `optim._adamw_update`), which trust their inputs; the public entry points
 check and then call the same kernels. The AdamW kernel updates the flat
 buffer that `stack_models` lays the parameters out in, where the public
@@ -44,7 +44,6 @@ from .core import (
     Predictions,
     check_config_keys,
     config_value,
-    require_valid,
     type_config_fields,
 )
 from .errors import (
@@ -170,7 +169,6 @@ def evaluate_model(
     checkpoint: Checkpoint, dataset: Dataset, threshold: float | None = None
 ) -> tuple[Predictions, MetricReport]:
     """Score a dataset with a checkpointed model and audit the predictions."""
-    require_valid(dataset)
     if dataset.d != checkpoint.model.input_dim:
         raise ValidationError(
             f"dataset feature dim {dataset.d} != model input dim "
@@ -196,8 +194,6 @@ def _train_seeds(
     A non-finite loss or gradient raises for the first seed (in seeds
     order) that hits it, at the step where it happens.
     """
-    require_valid(train_set, "train set")
-    require_valid(eval_set, "eval set")
     if train_set.d != config.layer_dims[0]:
         raise ValidationError(
             f"train set feature dim {train_set.d} != layer_dims[0] "

@@ -351,6 +351,24 @@ def test_malformed_train_config_is_exit_2(workdir, tmp_path, config, message):
     assert "Traceback" not in r.stderr
 
 
+def test_diverged_training_is_exit_2(workdir, tmp_path):
+    # a finite but absurd learning rate overflows the loss in the first steps
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({**TRAIN_CONFIG, "optimizer": {"lr": 1e300}}))
+    r = run_cli(
+        "train",
+        "--config", str(config),
+        "--train", str(workdir / "train.csv"),
+        "--eval", str(workdir / "eval.csv"),
+        "--seeds", "1",
+        "--out-prefix", str(tmp_path / "run_"),
+    )
+    assert r.returncode == 2, r.stderr
+    assert error_lines(r.stderr) == ["error: non-finite loss for seed 1 at epoch 0, batch 1"]
+    assert "Traceback" not in r.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.json"]
+
+
 def test_unknown_synth_group_key_is_exit_2(tmp_path):
     groups = [{**SYNTH_CONFIG["groups"][0], "ofset": 1.0}]
     config = tmp_path / "synth.json"

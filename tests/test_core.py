@@ -3,14 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from fin_equity import (
-    AttributeSet,
-    Dataset,
-    Predictions,
-    ValidationError,
-    require_valid,
-    validate_dataset,
-)
+from fin_equity import AttributeSet, Dataset, Predictions, ValidationError
 from fin_equity.core import type_config_fields
 
 
@@ -106,52 +99,81 @@ def test_prediction_record_validation():
         Predictions(("a", "b"), [0.5], [0, 1], [0, 0])
 
 
-def test_validate_dataset_finds_problems():
-    good = make_dataset()
-    assert validate_dataset(good) == []
-    require_valid(good)  # should not raise
+def first_bad_record(x, labels, attrs, groups):
+    """The first problem a per-row loop finds, as the constructor names it."""
+    for i in range(len(x)):
+        if not np.all(np.isfinite(x[i])):
+            return i, "non-finite feature value"
+        if labels[i] not in (0, 1):
+            return i, f"label must be 0 or 1, got {labels[i]}"
+        if attrs[i] >= groups:
+            return i, f"attribute id {attrs[i]} out of range for {groups} groups"
+    return None
 
-    bad = Dataset(
-        AttributeSet.default(1),
-        x=np.array([[1.0, 2.0], [1.0, np.inf], [1.0, 2.0], [np.nan, 0.0]]),
-        labels=[0, 0, 3, 1],
-        attrs=[0, 0, 1, 2],
-        ids=("ok", "inf", "two_problems", "nan_and_attr"),
-    )
-    violations = validate_dataset(bad)
-    reasons = [v.reason for v in violations]
-    indices = [v.index for v in violations]
-    assert indices == [1, 2, 2, 3, 3]  # row order, then check order within a row
-    assert "non-finite" in reasons[0]
-    assert reasons[1] == "label 3 not in {0, 1}"
-    assert reasons[2] == "attribute id 1 out of range for 1 groups"
-    assert "non-finite" in reasons[3] and "attribute id 2" in reasons[4]
-    with pytest.raises(ValidationError, match="non-finite"):
-        require_valid(bad)
 
-    # the masked checks agree with a per-row loop on a random dirty dataset
+def test_dataset_names_its_first_bad_record():
+    make_dataset()  # a valid dataset builds
+    x = np.array([[1.0, 2.0], [1.0, np.inf], [1.0, 2.0], [np.nan, 0.0]])
+    labels, attrs = [0, 0, 3, 1], [0, 0, 1, 2]
+    ids = ("ok", "inf", "two_problems", "nan_and_attr")
+    # row order first, then features, label and group id within a row
+    for rows, message in [
+        ([0, 1, 2, 3], "record 'inf': non-finite feature value"),
+        ([0, 2, 3], "record 'two_problems': label must be 0 or 1, got 3"),
+        ([0, 3], "record 'nan_and_attr': non-finite feature value"),
+    ]:
+        with pytest.raises(ValidationError) as error:
+            Dataset(
+                AttributeSet.default(1), x[rows], [labels[i] for i in rows],
+                [attrs[i] for i in rows], [ids[i] for i in rows],
+            )
+        assert str(error.value) == message
+    with pytest.raises(ValidationError) as error:
+        Dataset(AttributeSet.default(2), [[0.0]], [1], [2], ["a"])
+    assert str(error.value) == "record 'a': attribute id 2 out of range for 2 groups"
+
+    # the constructor agrees with a per-row loop on random dirty datasets: a
+    # dense one, and sparse ones of which some are clean
     rng = np.random.default_rng(5)
     x = rng.standard_normal((60, 3))
     x.flat[rng.choice(x.size, 8, replace=False)] = rng.choice([np.nan, np.inf, -np.inf], 8)
-    labels = rng.choice([0, 1, 1, 0, 2, -1], 60)
-    attrs = rng.choice([0, 1, 2, 3], 60)
-    dirty = Dataset(AttributeSet.default(3), x, labels, attrs, tuple(map(str, range(60))))
-    expected = []
-    for i in range(60):
-        if not np.all(np.isfinite(x[i])):
-            expected.append((i, "non-finite feature value"))
-        if labels[i] not in (0, 1):
-            expected.append((i, f"label {labels[i]} not in {{0, 1}}"))
-        if attrs[i] >= 3:
-            expected.append((i, f"attribute id {attrs[i]} out of range for 3 groups"))
-    assert [(v.index, v.reason) for v in validate_dataset(dirty)] == expected
-    assert len(expected) > 10
+    cases = [(x, rng.choice([0, 1, 1, 0, 2, -1], 60), rng.choice([0, 1, 2, 3], 60))]
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((60, 3))
+        labels, attrs = rng.integers(0, 2, 60), rng.integers(0, 3, 60)
+        for _ in range(rng.integers(0, 3)):  # 0, 1 or 2 dirty cells
+            i, kind = rng.integers(60), rng.integers(3)
+            if kind == 0:
+                x[i, rng.integers(3)] = rng.choice([np.nan, np.inf, -np.inf])
+            elif kind == 1:
+                labels[i] = rng.choice([2, -1])
+            else:
+                attrs[i] = 3
+        cases.append((x, labels, attrs))
+    found = []
+    for x, labels, attrs in cases:
+        ids = tuple(map(str, range(60)))
+        first = first_bad_record(x, labels.tolist(), attrs.tolist(), 3)
+        if first is None:
+            Dataset(AttributeSet.default(3), x, labels, attrs, ids)
+        else:
+            with pytest.raises(ValidationError) as error:
+                Dataset(AttributeSet.default(3), x, labels, attrs, ids)
+            assert str(error.value) == f"record '{first[0]}': {first[1]}"
+        found.append(first and first[1].split()[0])
+    assert {None, "non-finite", "label", "attribute"} <= set(found)
 
 
-def test_validate_empty_dataset():
-    ds = Dataset(AttributeSet.default(1), np.zeros((0, 2)), [], [], ())
-    violations = validate_dataset(ds)
-    assert len(violations) == 1 and violations[0].index is None
+def test_dataset_needs_a_feature_and_a_row():
+    with pytest.raises(ValidationError, match=r"^dataset has no samples$"):
+        Dataset(AttributeSet.default(1), np.zeros((0, 2)), [], [], ())
+    for ids in (["a", "b"], []):  # the feature dimension is checked first
+        n = len(ids)
+        with pytest.raises(
+            ValidationError, match=r"^feature dimension must be >= 1, got 0$"
+        ):
+            Dataset(AttributeSet.default(1), np.zeros((n, 0)), [0] * n, [0] * n, ids)
 
 
 def test_ids_are_one_read_only_string_column():

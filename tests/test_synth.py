@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from dataclasses import replace
@@ -230,22 +231,34 @@ TYPED_GROUP_FIELDS = {
 }
 
 
+def refusals(kind):
+    """Values a field of this kind refuses, each with the end of its error:
+    a string, and for a number field the non-finite values json.load reads."""
+    out = [("1", f"must be {kind}, got '1'")]
+    if kind == "a number":
+        non_finite = json.loads("[NaN, Infinity, -Infinity]")
+        out += [(v, f"must be finite, got {v!r}") for v in non_finite]
+    return out
+
+
 def test_every_typed_config_field_refuses_a_string():
     config = two_group_config()
     data = synth_config_to_dict(config)
     for key, kind in TYPED_SYNTH_FIELDS.items():
-        message = f"bad synth config: '{key}' must be {kind}, got '1'"
-        with pytest.raises(ValidationError, match=re.escape(message)):
-            synth_config_from_dict({**data, key: "1"})
-        with pytest.raises(ValidationError, match=re.escape(message)):
-            replace(config, **{key: "1"})
+        for value, refusal in refusals(kind):
+            message = f"bad synth config: '{key}' {refusal}"
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                synth_config_from_dict({**data, key: value})
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                replace(config, **{key: value})
     for key, kind in TYPED_GROUP_FIELDS.items():
-        message = f"bad synth config: '{key}' must be {kind}, got '1'"
-        groups = [{**data["groups"][0], key: "1"}, data["groups"][1]]
-        with pytest.raises(ValidationError, match=re.escape(message)):
-            synth_config_from_dict({**data, "groups": groups})
-        with pytest.raises(ValidationError, match=re.escape(message)):
-            replace(config.groups[0], **{key: "1"})
+        for value, refusal in refusals(kind):
+            message = f"bad synth config: '{key}' {refusal}"
+            groups = [{**data["groups"][0], key: value}, data["groups"][1]]
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                synth_config_from_dict({**data, "groups": groups})
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                replace(config.groups[0], **{key: value})
 
 
 def test_group_spec_validation():

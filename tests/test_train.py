@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import json
 import re
 import tempfile
 from dataclasses import FrozenInstanceError, fields, replace
@@ -708,20 +709,32 @@ TYPED_OPTIMIZER_FIELDS = {
 }
 
 
+def refusals(kind):
+    """Values a field of this kind refuses, each with the end of its error:
+    a string, and for a number field the non-finite values json.load reads."""
+    out = [("1", f"must be {kind}, got '1'")]
+    if kind == "a number":
+        non_finite = json.loads("[NaN, Infinity, -Infinity]")
+        out += [(v, f"must be finite, got {v!r}") for v in non_finite]
+    return out
+
+
 def test_every_typed_config_field_refuses_a_string():
     data = train_config_to_dict(tiny_config())
     for key, kind in TYPED_TRAIN_FIELDS.items():
-        message = f"'{key}' must be {kind}, got '1'"
-        with pytest.raises(ValidationError, match=re.escape(f"bad train config: {message}")):
-            train_config_from_dict({**data, key: "1"})
-        with pytest.raises(ValidationError, match=re.escape(message)):
-            replace(tiny_config(), **{key: "1"})
+        for value, refusal in refusals(kind):
+            message = f"'{key}' {refusal}"
+            with pytest.raises(ValidationError, match=re.escape(f"bad train config: {message}")):
+                train_config_from_dict({**data, key: value})
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                replace(tiny_config(), **{key: value})
     for key, kind in TYPED_OPTIMIZER_FIELDS.items():
-        message = f"bad optimizer config: '{key}' must be {kind}, got '1'"
-        with pytest.raises(ValidationError, match=re.escape(message)):
-            train_config_from_dict({**data, "optimizer": {key: "1"}})
-        with pytest.raises(ValidationError, match=re.escape(message)):
-            AdamWConfig(**{key: "1"})
+        for value, refusal in refusals(kind):
+            message = f"bad optimizer config: '{key}' {refusal}"
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                train_config_from_dict({**data, "optimizer": {key: value}})
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                AdamWConfig(**{key: value})
 
 
 # SHA-256 of the canonical checkpoint JSON for tiny_data() and tiny_config(),
