@@ -1,9 +1,11 @@
 """Command-line interface: synth, train, evaluate, sweep-momentum, report.
 
 Exit codes: 0 success, 2 user/input error (bad flags, malformed files,
-invalid data, a run that diverges), 1 internal error. `train` and
-`sweep-momentum` train all their seeds in lockstep in one process; each
-seed's outputs are the bytes a run of that seed alone would write.
+invalid data, a run that diverges), 1 internal error. An input error prints
+one `error:` line: numpy's floating-point warnings are off in a command.
+`train` and `sweep-momentum` train all their seeds in lockstep in one
+process; each seed's outputs are the bytes a run of that seed alone would
+write.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import sys
 import traceback
 from dataclasses import asdict, replace
 from functools import partial
+
+import numpy as np
 
 from .errors import (
     CheckpointError,
@@ -159,11 +163,11 @@ def _aggregate_to_dict(agg) -> dict:
 
 def _cmd_train(args) -> int:
     config, train_set, eval_set, seeds = _training_inputs(args)
+    agg = run_seeds(train_set, eval_set, config, seeds)
     prefix = args.out_prefix
     parent = os.path.dirname(prefix)
-    if parent:
+    if parent:  # only now: a run that fails leaves no directory behind
         os.makedirs(parent, exist_ok=True)
-    agg = run_seeds(train_set, eval_set, config, seeds)
     for seed, ck, history in zip(agg.seeds, agg.checkpoints, agg.histories):
         save_checkpoint(ck, f"{prefix}checkpoint_seed{seed}.json")
         write_pretty_json(
@@ -331,7 +335,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (
         ValidationError, UndefinedMetricError, CheckpointError, NonFiniteError, OSError
     ) as exc:

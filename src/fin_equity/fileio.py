@@ -18,17 +18,20 @@ blocks of 4096, and three score_eval set-ups with blocks of 4096 left a
 peak RSS 11 MB higher.
 
 The CSV readers stream a file once, in chunks of about CHUNK_CELLS cells.
-First a chunk's columns decide: each is converted whole (ints once per
-distinct text, floats by one object-to-float64 astype) and checked whole.
-A chunk whose every row passes is kept as a StringDType id column and int
-and float columns, so at most one chunk's cells are alive at a time; each
-column is joined from its chunks once the file is read. A chunk that the
-columns refuse, or that ends at a row of the wrong width, then goes to a
-loop over its rows in the order of a row-by-row reader, which names the
-first rule broken. So every error is the one such a reader of the whole
-file raises, with the same line and text. The first failing chunk stops
-the conversion, but the same chunk stream is still read to its end, so a
-decode error or an oversized field anywhere after it still wins.
+The data is split by str.split in blocks of CHUNK_TEXT characters while
+each block is plain (see _plain_cells); the first that is not, and the rest
+of the file, go to csv.reader row by row. First a chunk's columns decide:
+each is converted whole (ints once per distinct text, floats by one
+object-to-float64 astype) and checked whole. A chunk whose every row
+passes is kept as a StringDType id column and int and float columns, so at
+most one chunk's cells are alive at a time; each column is joined from its
+chunks once the file is read. A chunk that the columns refuse, or that
+ends at a row of the wrong width, then goes to a loop over its rows in the
+order of a row-by-row reader, which names the first rule broken. So every
+error is the one such a reader of the whole file raises, with the same
+line and text. The first failing chunk stops the conversion, but the same
+chunk stream is still read to its end, so a decode error or an oversized
+field anywhere after it still wins.
 
 Duplicate ids are found from an int64 array of hash() of each id, not
 from a set of str, and only when the read ends: at the failing chunk, over
@@ -45,7 +48,7 @@ import csv
 import io
 import json
 import math
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from typing import Sequence
 
 import numpy as np
@@ -58,6 +61,7 @@ from .metrics import MetricReport, PredictionHistogram
 FLOAT_FMT = ".16e"  # 17 significant digits
 FLOAT_CELL = "%" + FLOAT_FMT  # the same, as a %-format
 CHUNK_CELLS = 1 << 15  # CSV cells tokenized and checked at a time
+CHUNK_TEXT = 4096  # CSV text split at a time; larger left heap holes (ROADMAP)
 WRITE_ROWS = 128  # dataset CSV rows formatted and written at a time
 
 
@@ -255,8 +259,10 @@ def _read_chunks(path: str, header_width):
     """Stream a CSV once, yielding its data rows a chunk at a time.
 
     header_width checks the header row and returns the width of a data row.
-    Each chunk is (cells, chunk): the flat cells of the rows among the next
-    CHUNK_CELLS / width records, and their _Chunk. Blank rows are skipped;
+    Each chunk is (cells, chunk): the flat cells of its rows, and their
+    _Chunk. While each text block is plain, a chunk gathers blocks up to
+    at least CHUNK_CELLS cells; from the first block that is not, csv.reader
+    reads CHUNK_CELLS / width records a chunk. Blank rows are skipped;
     reading stops at the first row of another width, which ends the last
     chunk. A decode error or an oversized field raises with its record's
     number, whatever the consumer did with the chunks before it.
@@ -273,6 +279,21 @@ def _read_chunks(path: str, header_width):
             if header is None:
                 raise ValidationError(f"{path!r} is empty")
             line, width = 2, header_width(header)
+            while True:  # plain blocks, up to the first that is not
+                block = f.read(CHUNK_TEXT)
+                if not block.endswith("\n"):
+                    block += f.readline()
+                plain = _plain_cells(block, width)
+                if plain:
+                    cells += plain
+                if cells and (not plain or len(cells) >= CHUNK_CELLS):
+                    yield cells, _Chunk(width, line, [], None)
+                    line += len(cells) // width
+                    cells = []
+                if not plain:  # not plain, or the end of the file
+                    break
+            # that block and the rest of the file, row by row
+            reader = csv.reader(chain(io.StringIO(block, newline=""), f))
             records = -(-CHUNK_CELLS // width)  # per chunk, blank ones too
             while True:
                 read, wrong = len(cells) // width + len(blanks), None
@@ -296,6 +317,30 @@ def _read_chunks(path: str, header_width):
     except csv.Error as exc:
         line += len(cells) // width + len(blanks)  # the record being read
         raise ValidationError(f"{path!r} line {line}: {exc}") from exc
+
+
+def _plain_cells(block: str, width: int) -> list[str] | None:
+    """The cells of a block of lines, or None unless csv.reader would read
+    each line as line.split(",") of width cells: no quote, "\\r" or NUL,
+    and no field past csv's limit.
+
+    Each "\\n" becomes a cell of its own; every line has width cells exactly
+    when these are the only "\\n" cells and sit one in every width + 1 (a
+    blank line is one cell; width is at least 2).
+    """
+    needs_csv = '"' in block or "\r" in block or "\0" in block
+    if needs_csv or len(block) > csv.field_size_limit():
+        return None
+    if block and not block.endswith("\n"):  # the file's last line
+        block += "\n"
+    rows = block.count("\n")
+    cells = block.replace("\n", ",\n,").split(",")
+    ends = slice(width, None, width + 1)
+    if len(cells) != rows * (width + 1) + 1 or cells[ends].count("\n") != rows:
+        return None
+    del cells[ends]
+    cells.pop()  # the "" after the last "\n"
+    return cells
 
 
 def _read_csv(path: str, header_width, what: str, keep, check_row) -> list[np.ndarray]:

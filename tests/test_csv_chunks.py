@@ -7,10 +7,15 @@ the whole file gives: a decode error or an oversized field anywhere before
 the first wrong-width row beats every check, ids are unique across chunks,
 blank rows count in later line numbers, and group ids are range-checked only
 after every row has passed. The row-by-row fuzz of test_csv_readers then
-runs again with chunks a few cells long, so that chunk edges fall between
-any two records.
+runs again with chunks a few cells long and text blocks
+(`fileio.CHUNK_TEXT`) a few characters long, so that chunk edges, block
+edges and the switch from plain blocks to csv.reader fall between any two
+records. A second fuzz pins that the plain blocks split into the cells and
+record numbers csv.reader gives, and that only a line csv.reader reads
+otherwise ends them; CRLF files read as their LF twins.
 """
 
+import csv
 import os
 import subprocess
 import sys
@@ -21,7 +26,8 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
-from test_csv_readers import FORMATS, dirty_files, outcome
+from hypothesis import strategies as st
+from test_csv_readers import FORMATS, columns, dirty_files, outcome
 
 from fin_equity import ValidationError, cli, fileio
 from fin_equity.fileio import read_dataset_csv, write_dataset_csv
@@ -165,8 +171,41 @@ def test_multi_chunk_file_reads_every_row(tmp_path, kind):
     assert column.tolist() == ((n % step) / 8).tolist()
 
 
+def crlf_text(kind, rows, first):
+    """The file of write_file with "\r\n" ending every row from rows[first] on."""
+    lines = [HEADERS[kind]] + rows
+    ends = ["\n"] * (first + 1) + ["\r\n"] * (len(rows) - first)
+    return "".join(map(str.__add__, lines, ends))
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_crlf_file_reads_as_its_lf_twin(tmp_path, kind):
+    rows = good_rows(kind)
+    lf = columns(READERS[kind](write_file(tmp_path, kind, rows)))
+    path = tmp_path / "crlf.csv"
+    for first in (0, ROWS // 2):  # every row, or the plain blocks end mid-file
+        path.write_text(crlf_text(kind, rows, first), encoding="utf-8", newline="")
+        assert columns(READERS[kind](str(path))) == lf
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@pytest.mark.parametrize("chunk_text", range(1, 25))
+def test_crlf_at_any_block_edge_keeps_line_numbers(tmp_path, kind, chunk_text):
+    # a block of chunk_text characters may end between a "\r" and its "\n";
+    # the pair still ends one record, so a later error names the LF twin's line
+    rows = [row(kind, i) for i in range(12)]
+    rows[10] = row(kind, 10, label="7")
+    lf = read_error(kind, write_file(tmp_path, kind, rows))
+    path = tmp_path / "crlf.csv"
+    path.write_text(crlf_text(kind, rows, 2), encoding="utf-8", newline="")
+    with mock.patch.object(fileio, "CHUNK_TEXT", chunk_text):
+        assert read_error(kind, str(path)) == lf
+    assert lf.startswith("line 12: ")
+
+
 # ---------------------------------------------------------------------------
-# tiny chunks: the row-by-row fuzz with a chunk edge after every few records
+# tiny chunks and blocks: the row-by-row fuzz with a chunk edge, a block edge
+# and the switch from plain blocks to csv.reader between any two records
 
 
 @pytest.fixture(scope="module")
@@ -174,17 +213,106 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("chunks")
 
 
-@pytest.mark.parametrize("chunk_cells", [1, 2, 3, 7, 13])
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=dirty_files())
-def test_tiny_chunks_match_the_row_by_row_readers(scratch, chunk_cells, case):
+def match_the_row_by_row_readers(scratch, case, chunk_cells, chunk_text):
     kind, text, names = case
     path = scratch / f"{kind}.csv"
     path.write_text(text, encoding="utf-8", newline="")
     read, reference = FORMATS[kind]
-    with mock.patch.object(fileio, "CHUNK_CELLS", chunk_cells):
+    with (
+        mock.patch.object(fileio, "CHUNK_CELLS", chunk_cells),
+        mock.patch.object(fileio, "CHUNK_TEXT", chunk_text),
+    ):
         got = outcome(read, str(path), names)
     assert got == outcome(reference, str(path), names)
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 2, 3, 7, 13])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=dirty_files())
+def test_tiny_chunks_match_the_row_by_row_readers(scratch, chunk_cells, case):
+    match_the_row_by_row_readers(scratch, case, chunk_cells, fileio.CHUNK_TEXT)
+
+
+@pytest.mark.parametrize("chunk_text", [1, 7, 64])
+@pytest.mark.parametrize("chunk_cells", [1, 2, 3, 7, 13])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=dirty_files())
+def test_tiny_blocks_match_the_row_by_row_readers(scratch, chunk_cells, chunk_text, case):
+    match_the_row_by_row_readers(scratch, case, chunk_cells, chunk_text)
+
+
+# cell text with no comma, quote, "\r", "\n" or NUL; str.splitlines breaks
+# lines at \x0b, \x0c, \x1c-\x1e, \x85 and \u2028-\u2029, but csv and io do not
+PLAIN_CELLS = st.text(
+    st.sampled_from(" a1.-é\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\U0001d7cf"), max_size=4
+)
+# one line that is not plain: csv.reader reads it and every line after it
+DIRT = {
+    "crlf": lambda line: line + "\r",
+    "lone cr": lambda line: line + "\r" + line,
+    "quoted": lambda line: '"a,\nb"' + line[line.index(","):],
+    "nul": lambda line: "\0" + line,
+    "wide": lambda line: line + ",x",
+    # 2 * width + 1 fields: the line's "\n" still falls on the stride
+    "wider by width + 1": lambda line: f"{line},{line},x",
+    "blank": lambda line: "\n" + line,
+}
+
+
+@st.composite
+def plain_files(draw):
+    """(width, text, dirty): a CSV of plain rows, perhaps with one dirty line,
+    with or without a final newline."""
+    width = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.lists(PLAIN_CELLS, min_size=width, max_size=width), max_size=30))
+    lines = [",".join(r) for r in [[f"h{i}" for i in range(width)], *rows]]
+    dirt = draw(st.sampled_from([None, *DIRT])) if rows else None
+    if dirt is not None:
+        r = draw(st.integers(1, len(rows)))
+        lines[r] = DIRT[dirt](lines[r])
+    return width, "\n".join(lines) + draw(st.sampled_from(["", "\n"])), dirt is not None
+
+
+@pytest.mark.parametrize("chunk_text", [1, 7, 64, fileio.CHUNK_TEXT])
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=plain_files())
+def test_plain_blocks_split_as_csv_reader_does(scratch, chunk_text, case):
+    width, text, dirty = case
+    path = scratch / "plain.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with open(path, encoding="utf-8", newline="") as f:
+        records = list(csv.reader(f))  # the header is record 1
+    rows, lines, wrong = [], [], None
+    for line, r in enumerate(records[1:], 2):
+        if r and len(r) != width:
+            wrong = len(r)
+            break
+        if r:
+            rows += r
+            lines.append(line)
+    split, refused = fileio._plain_cells, []  # refused: blocks left to csv.reader
+
+    def plain_cells(block, width):
+        cells = split(block, width)
+        if cells is None:
+            refused.append(block)
+        return cells
+
+    got, numbers, wrongs = [], [], []
+    with (
+        mock.patch.object(fileio, "CHUNK_CELLS", 5),
+        mock.patch.object(fileio, "CHUNK_TEXT", chunk_text),
+        mock.patch.object(fileio, "_plain_cells", plain_cells),
+    ):
+        for cells, chunk in fileio._read_chunks(str(path), len):
+            got += cells
+            numbers += map(chunk.line_of, range(len(cells) // width))
+            wrongs.append(chunk.wrong)
+    assert got == rows
+    assert numbers == lines
+    assert wrongs.count(None) == len(wrongs) - (wrong is not None)
+    assert wrong is None or wrongs[-1] == wrong
+    assert bool(refused) == dirty
 
 
 # ---------------------------------------------------------------------------
