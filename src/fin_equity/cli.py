@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a dataset with a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="dataset CSV")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, help="default: the checkpoint's")
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--preds-out", help="optional predictions CSV path")
     p.add_argument("--groups", help="sidecar JSON with group names")

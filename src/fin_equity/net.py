@@ -204,8 +204,7 @@ def _features(model: MlpModel, x: np.ndarray, rows, training: bool):
     Every step is row-wise, so inference can run it over blocks of rows
     (`_row_blocks`). The ramp runs in place, so a hidden layer's saved
     activation is the next layer's input; it is positive exactly where the
-    pre-activation is. In inference the group-aware normalizer also works
-    in place, on the last layer's output, which no one else holds.
+    pre-activation is.
     """
     h = x
     layers: list[tuple[np.ndarray, np.ndarray | None]] = []

@@ -9,9 +9,9 @@ Four kinds, each one object of the class `norm_class` picks:
   row whatever its attribute id, so both take the same path bit for bit.
 
 An object owns its decisions: its trainable fields in parameter order
-(`names`), its draw (`init`), one batch's checks and rows (`rows`), its
-forward and backward kernels, and its checked checkpoint form (`to_dict`,
-`from_dict`).
+(`names`), its draw (`init`), one batch's checks and rows (`rows`), the
+only copy of its arithmetic (`forward`, `backward`), and its checked
+checkpoint form (`to_dict`, `from_dict`).
 
 The group-aware normalization of a feature row z with group a is
 
@@ -42,11 +42,10 @@ slice of the result is bit for bit what the op gives that model alone.
 
 The objects are the layer's only entry point. `rows` checks one batch
 (its group ids, or batch norm's size) and raises the errors callers see;
-`forward` and `backward` call a private kernel (_fin_forward,
-_fin_backward, _bn_forward, _bn_backward) that holds the only copy of the
-op's arithmetic and trusts its inputs. The model checks the rest:
+`forward` and `backward` trust their inputs. The model checks the rest:
 `net.forward` the mode and the feature shape, `net.backward` the saved
-values' state and the gradient shape.
+values' state and the gradient shape. No normalizer writes its input z,
+in either mode.
 """
 
 from __future__ import annotations
@@ -167,25 +166,82 @@ class FinParams:
         return cls(rng.standard_normal(shape), rng.standard_normal(shape), momentum)
 
     def rows(self, attrs, batch: int, training: bool) -> np.ndarray:
-        """One batch's group rows for `forward`, checked by `fin_rows`."""
+        """Check one batch's group ids and offset them into the flattened stack.
+
+        attrs is (batch,), shared by every model, or one row of ids per
+        model. Every id must be a valid group id of an integer dtype; there
+        is no fallback for unseen groups, by design. The ids are checked
+        before they are offset, so a bad id can never reach another model's
+        parameters.
+        """
         if attrs is None:
             raise ValidationError(
                 "group-aware normalizer needs an attribute id per row"
             )
-        return fin_rows(attrs, self, batch)
+        attrs = np.asarray(attrs)
+        models = self.mu.shape[:-2]
+        if attrs.shape not in (models + (batch,), (batch,)):
+            raise ValidationError(
+                f"attrs must be 1-D of length {batch}, got shape {attrs.shape}"
+            )
+        if attrs.dtype.kind not in "iu":
+            raise ValidationError(
+                f"attribute ids must be integers, got dtype {attrs.dtype}"
+            )
+        attrs = attrs.astype(np.intp)
+        groups = self.group_count
+        bad = np.flatnonzero((attrs < 0) | (attrs >= groups))
+        if bad.size:
+            first = int(bad[0])
+            raise ValidationError(
+                f"batch position {first % batch}: attribute id "
+                f"{int(attrs.flat[first])} out of range for {groups} groups"
+            )
+        if math.prod(models) > 1:  # each model's ids index its own block of rows
+            attrs = attrs + groups * np.arange(models[0])[:, None]
+        return attrs
 
     def forward(self, z: np.ndarray, rows: np.ndarray, training: bool):
         """Normalize each row by its group's (mu, sigma), then blend with m.
 
         z is (batch, dim), or (models, batch, dim) for stacked params, and
-        rows come from `rows`. Returns the output and what `backward`
-        needs (None in inference, which overwrites z; see `_fin_forward`).
+        rows come from `rows`. Returns the output and, in training, what
+        `backward` needs: (m, rows, sigma, sigmoid(tau), z - mu). Both modes
+        run the same ops, so they give the same bits; inference builds the
+        output in its own z - mu array instead of a new one.
         """
-        return _fin_forward(z, rows, self, training)
+        m = float(self.momentum)
+        sigma = softplus(self.tau).reshape(-1, self.dim)
+        centered = z - self.mu.reshape(-1, self.dim)[rows]
+        out = np.divide(centered, sigma[rows], out=None if training else centered)
+        out *= 1.0 - m
+        out += m * z
+        saved = (m, rows, sigma, softplus_grad(self.tau), centered) if training else None
+        return out, saved
 
     def backward(self, grad: np.ndarray, saved, grads) -> np.ndarray:
-        """Writes grads["norm.mu"] and grads["norm.tau"]; returns grad_z."""
-        return _fin_backward(grad, saved, grads["norm.mu"], grads["norm.tau"])
+        """Writes grads["norm.mu"] and grads["norm.tau"]; returns grad_z.
+
+        Each group sum is one `bincount` over the flattened (row, feature)
+        bins. It adds the weights into zeroed bins in batch order, as
+        `np.add.at` into zeros does, so absent groups get exact zeros and
+        the bits match.
+        """
+        m, rows, sigma, sig_grad, centered = saved
+        grad_mu, grad_tau = grads["norm.mu"], grads["norm.tau"]
+        one_m = 1.0 - m
+        sig_rows = sigma[rows]
+        scale = one_m / sig_rows
+        neg = -grad
+        grad_z = grad * (scale + m)
+        per_mu = neg * scale
+        per_sigma = neg * one_m * centered / (sig_rows * sig_rows)
+        shape, dim = sig_grad.shape, sig_grad.shape[-1]
+        bins = (rows[..., None] * dim + np.arange(dim)).ravel()
+        grad_mu[...] = np.bincount(bins, per_mu.ravel(), grad_mu.size).reshape(shape)
+        grad_sigma = np.bincount(bins, per_sigma.ravel(), grad_mu.size).reshape(shape)
+        np.multiply(grad_sigma, sig_grad, out=grad_tau)
+        return grad_z
 
     def to_dict(self) -> dict:
         return {"mu": self.mu, "tau": self.tau, "m": self.momentum}
@@ -211,86 +267,12 @@ class SharedParams(FinParams):
     fixed_groups = 1
 
     def rows(self, attrs, batch: int, training: bool) -> np.ndarray:
-        return fin_rows(np.zeros(batch, dtype=np.intp), self, batch)
+        return super().rows(np.zeros(batch, dtype=np.intp), batch, training)
 
 
-def fin_rows(attrs, params: FinParams, batch: int) -> np.ndarray:
-    """Check one batch's group ids and offset them into the flattened stack.
-
-    attrs is (batch,), shared by every model, or one row of ids per model.
-    Every id must be a valid group id of an integer dtype; there is no
-    fallback for unseen groups, by design. The ids are checked before they
-    are offset, so a bad id can never reach another model's parameters.
-    """
-    attrs = np.asarray(attrs)
-    models = params.mu.shape[:-2]
-    if attrs.shape not in (models + (batch,), (batch,)):
-        raise ValidationError(
-            f"attrs must be 1-D of length {batch}, got shape {attrs.shape}"
-        )
-    if attrs.dtype.kind not in "iu":
-        raise ValidationError(
-            f"attribute ids must be integers, got dtype {attrs.dtype}"
-        )
-    attrs = attrs.astype(np.intp)
-    groups = params.group_count
-    bad = np.flatnonzero((attrs < 0) | (attrs >= groups))
-    if bad.size:
-        first = int(bad[0])
-        raise ValidationError(
-            f"batch position {first % batch}: attribute id "
-            f"{int(attrs.flat[first])} out of range for {groups} groups"
-        )
-    if math.prod(models) > 1:  # each model's ids index its own block of rows
-        attrs = attrs + groups * np.arange(models[0])[:, None]
-    return attrs
-
-
-def _fin_forward(z: np.ndarray, rows: np.ndarray, params: FinParams, training: bool):
-    """Kernel of FinParams.forward; rows are each row's group from `fin_rows`.
-
-    In training, returns the output and the values saved for
-    `_fin_backward` (m, rows, sigma, sigmoid(tau), z - mu), and leaves z
-    as it was. In inference, z must be the caller's own scratch array: the
-    output is built in place, z is overwritten, and nothing is saved. Both
-    give the same output bits.
-    """
-    dim = params.dim
-    m = float(params.momentum)
-    sigma = softplus(params.tau).reshape(-1, dim)
-    centered = z - params.mu.reshape(-1, dim)[rows]
-    if training:
-        zhat = centered / sigma[rows]
-        out = (1.0 - m) * zhat + m * z
-        return out, (m, rows, sigma, softplus_grad(params.tau), centered)
-    centered /= sigma[rows]
-    centered *= 1.0 - m
-    z *= m
-    centered += z
-    return centered, None
-
-
-def _fin_backward(grad_out: np.ndarray, saved, grad_mu, grad_tau) -> np.ndarray:
-    """Kernel of FinParams.backward: writes grad_mu and grad_tau, returns grad_z.
-
-    Each group sum is one `bincount` over the flattened (row, feature) bins.
-    It adds the weights into zeroed bins in batch order, as `np.add.at` into
-    zeros does, so absent groups get exact zeros and the bits match.
-    """
-    m, rows, sigma, sig_grad, centered = saved
-    one_m = 1.0 - m
-    sig_rows = sigma[rows]
-    scale = one_m / sig_rows
-    neg = -grad_out
-    grad_z = grad_out * (scale + m)
-    per_mu = neg * scale
-    per_sigma = neg * one_m * centered / (sig_rows * sig_rows)
-    shape, dim = sig_grad.shape, sig_grad.shape[-1]
-    bins = (rows[..., None] * dim + np.arange(dim)).ravel()
-    grad_mu[...] = np.bincount(bins, per_mu.ravel(), grad_mu.size).reshape(shape)
-    grad_sigma = np.bincount(bins, per_sigma.ravel(), grad_mu.size).reshape(shape)
-    np.multiply(grad_sigma, sig_grad, out=grad_tau)
-    return grad_z
+def _over_batch(v: np.ndarray) -> np.ndarray:
+    """A per-feature (..., dim) array broadcast over the batch axis."""
+    return v[..., None, :]
 
 
 @dataclass
@@ -330,10 +312,6 @@ class BatchNormState:
         """The fresh state of `create`; it draws nothing and has no groups."""
         return cls.create(dim)
 
-    @property
-    def dim(self) -> int:
-        return self.gamma.shape[-1]
-
     def rows(self, attrs, batch: int, training: bool) -> None:
         """Batch norm takes no group rows; a training batch needs two rows."""
         if training and batch < 2:
@@ -343,12 +321,39 @@ class BatchNormState:
             )
 
     def forward(self, z: np.ndarray, rows: None, training: bool):
-        """z is (batch, dim), or (models, batch, dim) for a stacked state."""
-        return _bn_forward(z, self, training)
+        """z is (batch, dim), or (models, batch, dim) for a stacked state.
+
+        Returns the output and (xhat, inv_std, gamma) for `backward`.
+        """
+        if training:
+            n = z.shape[-2]
+            # z.mean and z.var's steps, in numpy's order, with the mean taken once
+            mean = z.sum(axis=-2, keepdims=True) / n
+            centered = z - mean
+            var = (centered * centered).sum(axis=-2) / n  # biased, for normalization
+            inv_std = 1.0 / np.sqrt(var + self.eps)
+            xhat = centered * _over_batch(inv_std)
+            r = self.bn_momentum
+            self.running_mean = (1.0 - r) * self.running_mean + r * mean[..., 0, :]
+            self.running_var = (1.0 - r) * self.running_var + r * (var * n / (n - 1))
+        else:
+            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+            xhat = (z - _over_batch(self.running_mean)) * _over_batch(inv_std)
+        out = _over_batch(self.gamma) * xhat + _over_batch(self.beta)
+        return out, (xhat, inv_std, self.gamma)
 
     def backward(self, grad: np.ndarray, saved, grads) -> np.ndarray:
         """Writes grads["norm.gamma"] and grads["norm.beta"]; returns grad_z."""
-        return _bn_backward(grad, saved, grads["norm.gamma"], grads["norm.beta"])
+        xhat, inv_std, gamma = saved
+        n = grad.shape[-2]
+        grad.sum(axis=-2, out=grads["norm.beta"])
+        (grad * xhat).sum(axis=-2, out=grads["norm.gamma"])
+        gx = grad * _over_batch(gamma)
+        return _over_batch(inv_std / n) * (
+            n * gx
+            - gx.sum(axis=-2, keepdims=True)
+            - xhat * (gx * xhat).sum(axis=-2, keepdims=True)
+        )
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -373,41 +378,3 @@ def norm_class(kind: NormKind):
         NormKind.FAIR_IDENTITY: FinParams,
     }.get(kind)
 
-
-def _over_batch(v: np.ndarray) -> np.ndarray:
-    """A per-feature (..., dim) array broadcast over the batch axis."""
-    return v[..., None, :]
-
-
-def _bn_forward(z: np.ndarray, state: BatchNormState, training: bool):
-    """Kernel of BatchNormState.forward: returns the output and (xhat, inv_std, gamma)."""
-    if training:
-        n = z.shape[-2]
-        # z.mean and z.var's steps, in numpy's order, with the mean taken once
-        mean = z.sum(axis=-2, keepdims=True) / n
-        centered = z - mean
-        var = (centered * centered).sum(axis=-2) / n  # biased, for normalization
-        inv_std = 1.0 / np.sqrt(var + state.eps)
-        xhat = centered * _over_batch(inv_std)
-        r = state.bn_momentum
-        state.running_mean = (1.0 - r) * state.running_mean + r * mean[..., 0, :]
-        state.running_var = (1.0 - r) * state.running_var + r * (var * n / (n - 1))
-    else:
-        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-        xhat = (z - _over_batch(state.running_mean)) * _over_batch(inv_std)
-    out = _over_batch(state.gamma) * xhat + _over_batch(state.beta)
-    return out, (xhat, inv_std, state.gamma)
-
-
-def _bn_backward(grad_out: np.ndarray, saved, grad_gamma, grad_beta) -> np.ndarray:
-    """Kernel of BatchNormState.backward: writes grad_gamma and grad_beta, returns grad_z."""
-    xhat, inv_std, gamma = saved
-    n = grad_out.shape[-2]
-    grad_out.sum(axis=-2, out=grad_beta)
-    (grad_out * xhat).sum(axis=-2, out=grad_gamma)
-    gx = grad_out * _over_batch(gamma)
-    return _over_batch(inv_std / n) * (
-        n * gx
-        - gx.sum(axis=-2, keepdims=True)
-        - xhat * (gx * xhat).sum(axis=-2, keepdims=True)
-    )

@@ -22,6 +22,8 @@ import numpy as np
 from .core import AttributeSet, Dataset, check_config_keys, type_config_fields
 from .errors import ValidationError
 
+MAX_CELLS = 10**8  # feature values over both splits, 800 MB of float64
+
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -72,6 +74,12 @@ class SynthConfig:
         names = [g.name for g in self.groups]
         if len(set(names)) != len(names):
             raise ValidationError(f"group names must be unique, got {names}")
+        cells = self.d * sum(g.n_train + g.n_eval for g in self.groups)
+        if cells > MAX_CELLS:
+            raise ValidationError(
+                f"d = {self.d} over every group's rows gives {cells} feature "
+                f"values, more than MAX_CELLS = {MAX_CELLS}"
+            )
 
 
 def _positive_count(prevalence: float, n: int) -> int:

@@ -10,8 +10,16 @@ import sys
 import numpy as np
 import pytest
 
-from fin_equity import Predictions, write_predictions_csv
+from fin_equity import (
+    MetricSummary,
+    Predictions,
+    read_dataset_csv,
+    run_seeds,
+    train_config_from_dict,
+    write_predictions_csv,
+)
 from fin_equity.cli import run
+from fin_equity.metrics import es_over_groups
 from reference_fixtures import reconciliation_records
 
 TRAIN_CONFIG = {
@@ -185,6 +193,28 @@ def test_evaluate_threshold_flag(workdir, tmp_path):
         "--out", str(tmp_path / "r.json"),
     )
     assert r.returncode == 0
+    assert json.loads((tmp_path / "r.json").read_text())["threshold"] == 0.3
+
+
+def test_evaluate_defaults_to_the_checkpoints_threshold(workdir, tmp_path):
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({**TRAIN_CONFIG, "threshold": 0.3}))
+    r = run_cli(
+        "train",
+        "--config", str(config),
+        "--train", str(workdir / "train.csv"),
+        "--eval", str(workdir / "eval.csv"),
+        "--seeds", "1",
+        "--out-prefix", str(tmp_path / "t_"),
+    )
+    assert r.returncode == 0, r.stderr
+    r = run_cli(
+        "evaluate",
+        "--checkpoint", str(tmp_path / "t_checkpoint_seed1.json"),
+        "--data", str(workdir / "eval.csv"),
+        "--out", str(tmp_path / "r.json"),
+    )
+    assert r.returncode == 0, r.stderr
     assert json.loads((tmp_path / "r.json").read_text())["threshold"] == 0.3
 
 
@@ -382,6 +412,21 @@ def test_overflowing_synth_prints_one_error_line(tmp_path):
     )
     assert r.returncode == 2, r.stderr
     assert r.stderr.splitlines() == ["error: record 'tr-g0-0015': non-finite feature value"]
+
+
+def test_oversized_synth_is_exit_2_and_writes_nothing(tmp_path):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({**SYNTH_CONFIG, "d": 100_000_000}))
+    r = run_cli(
+        "synth",
+        "--config", str(config),
+        "--out-train", str(tmp_path / "train.csv"),
+        "--out-eval", str(tmp_path / "eval.csv"),
+    )
+    assert r.returncode == 2, r.stderr
+    assert len(error_lines(r.stderr)) == 1, r.stderr
+    assert "more than MAX_CELLS" in r.stderr and "Traceback" not in r.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["synth.json"]
 
 
 def test_unknown_synth_group_key_is_exit_2(tmp_path):
@@ -687,6 +732,47 @@ def test_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
         )
     )
     assert digests == PINNED_REPORT_SHA256
+
+
+def test_an_undefined_group_metric_stays_undefined_across_seeds(tmp_path, capsys):
+    # group 1's one eval row is a negative, so its AUC is undefined in every seed
+    groups = [
+        SYNTH_CONFIG["groups"][0],
+        {**SYNTH_CONFIG["groups"][1], "n_eval": 1, "prevalence": 0.4},
+    ]
+    (tmp_path / "synth.json").write_text(json.dumps({**SYNTH_CONFIG, "groups": groups}))
+    (tmp_path / "train.json").write_text(json.dumps(TRAIN_CONFIG))
+    train_csv, eval_csv = str(tmp_path / "train.csv"), str(tmp_path / "eval.csv")
+    assert run([
+        "synth",
+        "--config", str(tmp_path / "synth.json"),
+        "--out-train", train_csv,
+        "--out-eval", eval_csv,
+    ]) == 0
+    config = train_config_from_dict(TRAIN_CONFIG)
+    agg = run_seeds(read_dataset_csv(train_csv), read_dataset_csv(eval_csv), config, (1, 2))
+    undefined = MetricSummary(mean=None, std=None, per_seed=(None, None))
+    assert agg.metrics["auc_group1"] == undefined
+    # ES of the means is taken over the groups that have a mean
+    es = es_over_groups(agg.metrics["auc"].mean, {0: agg.metrics["auc_group0"].mean})[1]
+    assert es is not None and agg.es_from_means["es_auc"] == es
+
+    capsys.readouterr()
+    assert run([
+        "train",
+        "--config", str(tmp_path / "train.json"),
+        "--train", train_csv,
+        "--eval", eval_csv,
+        "--seeds", "1,2",
+        "--out-prefix", str(tmp_path / "run_"),
+    ]) == 0
+    aggregate = json.loads((tmp_path / "run_aggregate.json").read_text())
+    assert aggregate["metrics"]["auc_group1"] == {
+        "mean": None, "std": None, "per_seed": [None, None]
+    }
+    assert aggregate["es_from_means"]["es_auc"] == es
+    lines = capsys.readouterr().out.splitlines()
+    assert any(s.startswith("AUC[group1]") and s.endswith("undefined") for s in lines)
 
 
 def test_repeated_seed_is_exit_2(workdir, tmp_path):

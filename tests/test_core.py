@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from fin_equity import AttributeSet, Dataset, Predictions, ValidationError
+from fin_equity import AttributeSet, Dataset, IdColumn, Predictions, ValidationError
 from fin_equity.core import type_config_fields
 
 
@@ -187,6 +187,8 @@ def test_ids_are_one_read_only_string_column():
     # a NUL ends no id: numpy compares such strings loosely, the column must not
     ids = Predictions(("a\x00b", "x\x00"), [0.5, 0.5], [0, 1], [0, 0]).ids
     assert ids == ("a\x00b", "x\x00") and ids != ("a\x00c", "x")
+    with pytest.raises(ValidationError, match="ids must be a flat sequence of strings"):
+        IdColumn([["a", "b"]])
 
 
 def test_lone_surrogate_id_is_a_validation_error():

@@ -127,6 +127,12 @@ def test_name_and_shape_mismatches():
         adamw_step(params, {"head.b": np.ones(2)}, state, AdamWConfig())
     with pytest.raises(ValidationError):
         adamw_step(params, {"head.w": np.ones(3)}, state, AdamWConfig())
+    other = AdamWState.create({"head.b": np.ones(2)})
+    with pytest.raises(ValidationError, match="parameter/optimizer-state name mismatch"):
+        adamw_step(params, {"head.w": np.ones(2)}, other, AdamWConfig())
+    wider = AdamWState.create({"head.w": np.ones(3)})
+    with pytest.raises(ValidationError, match="!= optimizer-state shape"):
+        adamw_step(params, {"head.w": np.ones(2)}, wider, AdamWConfig())
 
 
 def reference_adamw_step(params, grads, state, config):

@@ -282,3 +282,10 @@ def test_group_spec_validation():
         SynthConfig(d=4, groups=(spec("same"), spec("same")))
     with pytest.raises(ValidationError):
         SynthConfig(d=4, groups=())
+    # the feature values are capped before anything is drawn
+    two_groups = (spec("a", 4 * 10**5, 10**5), spec("b", 4 * 10**5, 10**5))
+    assert SynthConfig(d=100, groups=two_groups)  # exactly MAX_CELLS
+    with pytest.raises(ValidationError, match="more than MAX_CELLS = 100000000"):
+        SynthConfig(d=101, groups=two_groups)
+    with pytest.raises(ValidationError, match="d = 100000000 over every group"):
+        SynthConfig(d=10**8, groups=(spec(),))

@@ -495,6 +495,11 @@ def test_checkpoint_shape_errors():
         checkpoint_from_dict(bad)
 
     bad = checkpoint_to_dict(ck)
+    bad["config"]["norm_kind"] = "none"
+    with pytest.raises(CheckpointShapeError, match="norm must be null for the identity kind"):
+        checkpoint_from_dict(bad)
+
+    bad = checkpoint_to_dict(ck)
     bad["norm"]["mu"] = [[0.0] * 5, [0.0] * 5]
     bad["norm"]["tau"] = [[0.0] * 5]
     with pytest.raises(CheckpointShapeError, match="norm.tau"):
