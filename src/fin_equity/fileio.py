@@ -134,6 +134,10 @@ def load_json(path: str, what: str = "file"):
         raise ValidationError(
             f"{what} {path!r} is not valid UTF-8 ({exc.reason})"
         ) from exc
+    except RecursionError as exc:
+        raise ValidationError(
+            f"{what} {path!r} is not valid JSON: nested too deeply"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -338,16 +338,9 @@ def named_parameters(model: MlpModel) -> dict[str, np.ndarray]:
 
 
 def _map_arrays(objs, fn):
-    """objs[0] with each array field replaced by fn(that field of every obj)."""
-    first = objs[0]
-    return replace(
-        first,
-        **{
-            f.name: fn(*(getattr(o, f.name) for o in objs))
-            for f in fields(first)
-            if isinstance(getattr(first, f.name), np.ndarray)
-        },
-    )
+    """objs[0] with each field, an array, replaced by fn(that field of every obj)."""
+    mapped = {f.name: fn(*(getattr(o, f.name) for o in objs)) for f in fields(objs[0])}
+    return replace(objs[0], **mapped)
 
 
 def _map_model(models, fn) -> MlpModel:
@@ -363,44 +356,25 @@ def _map_model(models, fn) -> MlpModel:
 def stack_models(models) -> MlpModel:
     """One model serving all of models, each array stacked on a leading axis.
 
-    The models must share their architecture, normalizer kind and the
-    normalizer's non-array fields (a ValidationError names the field that
-    differs). The stacked trainable parameters are views of one flat
-    float64 buffer, block after block in named_parameters order; batch-norm
-    running statistics are stacked into arrays of their own.
+    The models must share their architecture and normalizer kind. Every
+    array is stacked, the normalizer's settings too, so each model keeps
+    its own m, eps and bn_momentum. The stacked trainable parameters are
+    views of one flat float64 buffer, block after block in named_parameters
+    order; the other arrays are stacked into arrays of their own.
     """
     models = list(models)
-    _check_same_settings(models)
+    for model in models[1:]:
+        if model.norm_kind is not models[0].norm_kind:
+            raise ValidationError(
+                f"cannot stack models with different norm kinds: "
+                f"{models[0].norm_kind.value} and {model.norm_kind.value}"
+            )
     first = named_parameters(models[0])
     _, views = flat_views({name: (len(models),) + p.shape for name, p in first.items()})
     slot = {id(p): views[name] for name, p in first.items()}
     return _map_model(
         models, lambda *arrays: np.stack(arrays, out=slot.get(id(arrays[0])))
     )
-
-
-def _check_same_settings(models) -> None:
-    """Refuse models whose normalizer kind or non-array norm fields differ.
-
-    A stack keeps one value of each, such as FinParams.momentum or
-    BatchNormState.eps, so stacking models that differ there would
-    silently run them all with the first model's value.
-    """
-    first = models[0]
-    for model in models[1:]:
-        if model.norm_kind is not first.norm_kind:
-            raise ValidationError(
-                f"cannot stack models with different norm kinds: "
-                f"{first.norm_kind.value} and {model.norm_kind.value}"
-            )
-        if first.norm is None:
-            continue
-        for f in fields(first.norm):
-            a, b = getattr(first.norm, f.name), getattr(model.norm, f.name)
-            if not isinstance(a, np.ndarray) and a != b:
-                raise ValidationError(
-                    f"cannot stack models whose norm.{f.name} differs: {a!r} and {b!r}"
-                )
 
 
 def model_slice(model: MlpModel, index: int) -> MlpModel:

@@ -34,11 +34,12 @@ where g is the incoming gradient. Groups absent from the batch get exact
 zeros.
 
 Every op also takes a leading model axis: parameters of shape (S, groups,
-dim) or (S, dim) serve S independent models whose features come as
-(S, batch, dim). Reductions run over the batch axis (-2), and the
-group-aware ops gather and scatter through the flattened row s * groups + a,
-so each model only ever touches its own rows, in batch order. Each model's
-slice of the result is bit for bit what the op gives that model alone.
+dim) or (S, dim) and settings of shape (S,) serve S independent models
+whose features come as (S, batch, dim). Reductions run over the batch axis
+(-2), and the group-aware ops gather and scatter through the flattened row
+s * groups + a, so each model only ever touches its own rows, in batch
+order. Each model's slice of the result is bit for bit what the op gives
+that model alone; a single model's settings are 0-d.
 
 The objects are the layer's only entry point. `rows` checks one batch
 (its group ids, or batch norm's size) and raises the errors callers see;
@@ -108,6 +109,17 @@ def _as_array(
     return arr
 
 
+def _setting(value, models: tuple[int, ...], name: str, unit: bool) -> np.ndarray:
+    """A setting per model: 0-d alone, (S,) in a stack, where a scalar broadcasts."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.shape not in ((), models):
+        raise ValidationError(f"{name} must be 0-d or of shape {models}, got {arr.shape}")
+    for v in arr.flat if unit else ():
+        if not 0.0 <= v <= 1.0:
+            raise ValidationError(f"{name} must lie in [0, 1], got {float(v)}")
+    return np.full(models, arr)
+
+
 def _as_scalar(value, kind: type, what: str):
     """A loaded checkpoint scalar, typed as `core.config_value` types configs."""
     try:
@@ -122,12 +134,12 @@ class FinParams:
 
     A stack of models has shape (models, groups, dim). sigma is never
     stored; it is always softplus(tau). momentum is the raw blend weight m
-    in [0, 1], shared by the stack.
+    in [0, 1], one per model: 0-d alone, (models,) in a stack.
     """
 
     mu: np.ndarray
     tau: np.ndarray
-    momentum: float = 0.3
+    momentum: np.ndarray | float = 0.3
 
     names: ClassVar[tuple[str, ...]] = ("mu", "tau")  # trainable, in order
     fixed_groups: ClassVar[int | None] = None  # None: one group per identity
@@ -140,8 +152,7 @@ class FinParams:
                 f"mu and tau must be 2-D (or 3-D stacked) with equal shape, got "
                 f"{self.mu.shape} vs {self.tau.shape}"
             )
-        if not 0.0 <= self.momentum <= 1.0:
-            raise ValidationError(f"momentum must lie in [0, 1], got {self.momentum}")
+        self.momentum = _setting(self.momentum, self.mu.shape[:-2], "momentum", True)
 
     @property
     def group_count(self) -> int:
@@ -210,7 +221,7 @@ class FinParams:
         run the same ops, so they give the same bits; inference builds the
         output in its own z - mu array instead of a new one.
         """
-        m = float(self.momentum)
+        m = self.momentum[..., None, None]
         sigma = softplus(self.tau).reshape(-1, self.dim)
         centered = z - self.mu.reshape(-1, self.dim)[rows]
         out = np.divide(centered, sigma[rows], out=None if training else centered)
@@ -244,7 +255,7 @@ class FinParams:
         return grad_z
 
     def to_dict(self) -> dict:
-        return {"mu": self.mu, "tau": self.tau, "m": self.momentum}
+        return {"mu": self.mu, "tau": self.tau, "m": float(self.momentum)}
 
     @classmethod
     def from_dict(cls, data: dict, dim: int) -> "FinParams":
@@ -254,11 +265,11 @@ class FinParams:
             raise CheckpointShapeError(
                 f"norm.mu: expected ({groups}, {dim}), got {mu.shape}"
             )
-        return cls(
-            mu=_as_array(mu, mu.shape, "norm.mu"),
-            tau=_as_array(data["tau"], mu.shape, "norm.tau"),
-            momentum=_as_scalar(data["m"], float, "norm.m"),
-        )
+        mu = _as_array(mu, mu.shape, "norm.mu")
+        tau = _as_array(data["tau"], mu.shape, "norm.tau")
+        if not (softplus(tau) > 0.0).all():
+            raise CheckpointFormatError("norm.tau: sigma = softplus(tau) must be > 0")
+        return cls(mu, tau, _as_scalar(data["m"], float, "norm.m"))
 
 
 class SharedParams(FinParams):
@@ -283,23 +294,23 @@ class BatchNormState:
     updates the running statistics; inference mode normalizes with the
     running statistics and mutates nothing. The running variance is
     updated with the unbiased batch estimate, the usual convention. A stack
-    of models keeps (models, dim) arrays.
+    of models keeps (models, dim) arrays and (models,) settings eps and
+    bn_momentum; a single model's settings are 0-d.
     """
 
     gamma: np.ndarray
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    eps: float = 1e-5
-    bn_momentum: float = 0.1
+    eps: np.ndarray | float = 1e-5
+    bn_momentum: np.ndarray | float = 0.1
 
     names: ClassVar[tuple[str, ...]] = ("gamma", "beta")  # trainable, in order
 
     def __post_init__(self):
-        if not 0.0 <= self.bn_momentum <= 1.0:
-            raise ValidationError(
-                f"bn_momentum must lie in [0, 1], got {self.bn_momentum}"
-            )
+        models = np.shape(self.gamma)[:-1]
+        self.eps = _setting(self.eps, models, "eps", False)
+        self.bn_momentum = _setting(self.bn_momentum, models, "bn_momentum", True)
 
     @classmethod
     def create(cls, dim: int) -> "BatchNormState":
@@ -331,13 +342,13 @@ class BatchNormState:
             mean = z.sum(axis=-2, keepdims=True) / n
             centered = z - mean
             var = (centered * centered).sum(axis=-2) / n  # biased, for normalization
-            inv_std = 1.0 / np.sqrt(var + self.eps)
+            inv_std = 1.0 / np.sqrt(var + self.eps[..., None])
             xhat = centered * _over_batch(inv_std)
-            r = self.bn_momentum
+            r = self.bn_momentum[..., None]
             self.running_mean = (1.0 - r) * self.running_mean + r * mean[..., 0, :]
             self.running_var = (1.0 - r) * self.running_var + r * (var * n / (n - 1))
         else:
-            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+            inv_std = 1.0 / np.sqrt(self.running_var + self.eps[..., None])
             xhat = (z - _over_batch(self.running_mean)) * _over_batch(inv_std)
         out = _over_batch(self.gamma) * xhat + _over_batch(self.beta)
         return out, (xhat, inv_std, self.gamma)
@@ -356,7 +367,8 @@ class BatchNormState:
         )
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        arrays = {f.name: getattr(self, f.name) for f in fields(self)}
+        return arrays | {"eps": float(self.eps), "bn_momentum": float(self.bn_momentum)}
 
     @classmethod
     def from_dict(cls, data: dict, dim: int) -> "BatchNormState":
@@ -367,7 +379,7 @@ class BatchNormState:
         eps = _as_scalar(data["eps"], float, "norm.eps")
         eps = _as_array(eps, (), "norm.eps", positive=True)
         momentum = _as_scalar(data["bn_momentum"], float, "norm.bn_momentum")
-        return cls(*arrays, float(eps), momentum)
+        return cls(*arrays, eps, momentum)
 
 
 def norm_class(kind: NormKind):

@@ -29,7 +29,8 @@ Checkpoints serialize to canonical JSON with 17-significant-digit floats,
 so save -> load -> save is byte-identical and a loaded model reproduces
 the saved model's inference outputs exactly. The loader checks every
 value's type and range, as configs are checked; the normalizer object
-reads its own block, whose kind must be the config's `norm_kind`.
+reads its own block, whose kind must be the config's `norm_kind` (and
+FIN's m the config's `fin_momentum`).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .net import (
     softmax,
     stack_models,
 )
-from .norms import NormKind, _as_array, _as_scalar, norm_class
+from .norms import FinParams, NormKind, _as_array, _as_scalar, norm_class
 from .optim import AdamWConfig, AdamWState, _adamw_update, decay_shrink
 
 CHECKPOINT_VERSION = 1
@@ -517,6 +518,11 @@ def checkpoint_from_dict(data: dict) -> Checkpoint:
                     f"{config.norm_kind.value!r}"
                 )
             norm = cls.from_dict(norm_data, feature_dim)
+            if isinstance(norm, FinParams) and norm.momentum != config.fin_momentum:
+                raise CheckpointFormatError(
+                    f"norm.m {float(norm.momentum)} does not match "
+                    f"config.fin_momentum {config.fin_momentum}"
+                )
     except CheckpointError:
         raise
     except (KeyError, TypeError) as exc:

@@ -18,7 +18,7 @@ from fin_equity import (
     train_config_from_dict,
     write_predictions_csv,
 )
-from fin_equity.cli import run
+from fin_equity.cli import _fmt, run
 from fin_equity.metrics import es_over_groups
 from reference_fixtures import reconciliation_records
 
@@ -140,6 +140,35 @@ def test_train_prints_the_table(workdir):
     # the CSVs carry no group names, so the default labels appear
     for label in ("ES-Acc", "ES-AUC", "DPD", "DEOdds", "AUC[group0]", "AUC[group1]"):
         assert label in r.stdout, r.stdout
+
+
+def test_es_of_means_changes_only_the_two_es_rows(workdir, tmp_path):
+    def table(*flag):
+        r = run_cli(
+            "train",
+            "--config", str(workdir / "train.json"),
+            "--train", str(workdir / "train.csv"),
+            "--eval", str(workdir / "eval.csv"),
+            "--seeds", "1,2",
+            "--out-prefix", str(tmp_path / "x_"),
+            *flag,
+        )
+        assert r.returncode == 0, r.stderr
+        return r.stdout.splitlines()[1:]
+
+    plain, of_means = table(), table("--es-of-means")
+    es = json.loads((tmp_path / "x_aggregate.json").read_text())["es_from_means"]
+    width = plain[0].index("mean")
+    assert len(of_means) == len(plain) > 2
+    swapped = set()
+    for before, after in zip(plain, of_means):
+        key = {"ES-Acc": "es_acc", "ES-AUC": "es_auc"}.get(before.split()[0])
+        if key is None:
+            assert after == before
+        else:
+            assert after == before[:width] + _fmt(es[key]) + " (of means)"
+            swapped.add(key)
+    assert swapped == {"es_acc", "es_auc"}
 
 
 def test_train_threads_env_gives_identical_results(workdir, tmp_path):
@@ -463,6 +492,7 @@ def test_non_finite_checkpoint_is_exit_2(workdir, tmp_path):
     [
         ("epoch", "abc", "'epoch' must be an integer, got 'abc'"),
         ("kind", "bogus", "norm.kind 'bogus' does not match config.norm_kind"),
+        ("m", 0.9, "norm.m 0.9 does not match config.fin_momentum 0.3"),
     ],
 )
 def test_bad_checkpoint_scalar_or_kind_is_exit_2(workdir, tmp_path, key, value, message):
@@ -548,6 +578,50 @@ def test_undecodable_checkpoint_is_exit_2(workdir, tmp_path):
     )
     assert r.returncode == 2, r.stderr
     assert "checkpoint" in r.stderr and "not valid UTF-8" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "target, what",
+    [
+        ("train.json", "train config"),
+        ("groups.json", "groups sidecar"),
+        ("synth.json", "synth config"),
+        ("ck.json", "checkpoint"),
+    ],
+)
+def test_deeply_nested_json_is_exit_2(workdir, tmp_path, target, what):
+    path = tmp_path / target
+    path.write_text("[" * 100000 + "]" * 100000)
+    train = (
+        "train",
+        "--config", str(path if target == "train.json" else workdir / "train.json"),
+        "--train", str(workdir / "train.csv"),
+        "--eval", str(workdir / "eval.csv"),
+        "--seeds", "1",
+        "--out-prefix", str(tmp_path / "x_"),
+    )
+    argv = {
+        "train.json": train,
+        "groups.json": train + ("--groups", str(path)),
+        "synth.json": (
+            "synth",
+            "--config", str(path),
+            "--out-train", str(tmp_path / "train.csv"),
+            "--out-eval", str(tmp_path / "eval.csv"),
+        ),
+        "ck.json": (
+            "evaluate",
+            "--checkpoint", str(path),
+            "--data", str(workdir / "eval.csv"),
+            "--out", str(tmp_path / "r.json"),
+        ),
+    }[target]
+    r = run_cli(*argv)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.splitlines() == [
+        f"error: {what} {str(path)!r} is not valid JSON: nested too deeply"
+    ]
     assert "Traceback" not in r.stderr
 
 

@@ -210,6 +210,27 @@ def test_fin_rows_validation():
         FinParams(mu=np.ones((1, 2)), tau=np.ones((1, 2)), momentum=1.5)
 
 
+def test_settings_are_one_float64_per_model():
+    alone = hand_params(m=0.3)
+    assert alone.momentum.shape == () and alone.momentum.dtype == np.float64
+    stack = FinParams(mu=np.ones((3, 1, 2)), tau=np.ones((3, 1, 2)), momentum=0.3)
+    assert np.array_equal(stack.momentum, [0.3, 0.3, 0.3])  # a scalar broadcasts
+    stack = FinParams(stack.mu, stack.tau, momentum=[0.0, 0.5, 1.0])
+    assert np.array_equal(stack.momentum, [0.0, 0.5, 1.0])
+    with pytest.raises(ValidationError, match=r"momentum must be 0-d or of shape \(3,\)"):
+        FinParams(stack.mu, stack.tau, momentum=[0.3, 0.3])
+    with pytest.raises(ValidationError, match=r"momentum must be 0-d or of shape \(\)"):
+        FinParams(alone.mu, alone.tau, momentum=[0.3])
+    with pytest.raises(ValidationError, match=r"momentum must lie in \[0, 1\], got nan"):
+        FinParams(stack.mu, stack.tau, momentum=[0.3, float("nan"), 2.0])
+    bn = BatchNormState(*np.ones((4, 2, 3)), eps=[1e-5, 1e-3], bn_momentum=0.1)
+    assert np.array_equal(bn.eps, [1e-5, 1e-3]) and bn.bn_momentum.shape == (2,)
+    with pytest.raises(ValidationError, match=r"bn_momentum must lie in \[0, 1\], got 1.5"):
+        BatchNormState(*np.ones((4, 2, 3)), bn_momentum=[0.1, 1.5])
+    with pytest.raises(ValidationError, match=r"eps must be 0-d or of shape \(2,\)"):
+        BatchNormState(*np.ones((4, 2, 3)), eps=np.ones((2, 3)))
+
+
 def test_init_fin_draw_order_and_seeding():
     ref = np.random.default_rng(123)
     expected_mu = ref.standard_normal((3, 4))

@@ -532,6 +532,7 @@ def test_checkpoint_loader_rejects_bad_values():
         (ck_fin, lambda d: np.put(d["backbone"][0]["b"], 0, inf), "backbone.0.b: non-finite"),
         (ck_fin, lambda d: np.put(d["norm"]["mu"], 7, nan), "norm.mu: non-finite"),
         (ck_fin, lambda d: np.put(d["norm"]["tau"], 0, -inf), "norm.tau: non-finite"),
+        (ck_fin, lambda d: np.put(d["norm"]["tau"], 0, -800.0), "norm.tau: sigma = softplus"),
         (ck_bn, lambda d: np.put(d["norm"]["running_var"], 3, -1.0), "running_var: must be > 0"),
         (ck_bn, lambda d: np.put(d["norm"]["running_var"], 0, 0.0), "running_var: must be > 0"),
         (ck_bn, lambda d: d["norm"].update(eps=0.0), "norm.eps: must be > 0"),
@@ -565,6 +566,7 @@ def test_checkpoint_loader_checks_scalars_and_the_norm_kind():
         (ck_fin, ["norm"], "m", "0.5", typed + "'norm.m' must be a number, got '0.5'"),
         (ck_fin, ["norm"], "m", 1.5, "momentum must lie in [0, 1], got 1.5"),
         (ck_fin, ["norm"], "m", nan, "momentum must lie in [0, 1], got nan"),
+        (ck_fin, ["norm"], "m", 0.9, "norm.m 0.9 does not match config.fin_momentum 0.3"),
         (ck_bn, ["norm"], "bn_momentum", nan, "bn_momentum must lie in [0, 1], got nan"),
         (ck_bn, ["norm"], "bn_momentum", 7.0, "bn_momentum must lie in [0, 1], got 7.0"),
         (ck_bn, ["norm"], "bn_momentum", -1.0, "bn_momentum must lie in [0, 1], got -1.0"),
