@@ -21,8 +21,8 @@ The CSV readers stream a file once, in chunks of about CHUNK_CELLS cells.
 The data is split by str.split in blocks of CHUNK_TEXT characters while
 each block is plain (see _plain_cells); the first that is not, and the rest
 of the file, go to csv.reader row by row. First a chunk's columns decide:
-each is converted whole (ints once per distinct text, floats by one
-object-to-float64 astype) and checked whole. A chunk whose every row
+each is converted whole (ints once per distinct text, floats by the
+parser or astype below) and checked whole. A chunk whose every row
 passes is kept as a StringDType id column and int and float columns, so at
 most one chunk's cells are alive at a time; each column is joined from its
 chunks once the file is read. A chunk that the columns refuse, or that
@@ -32,6 +32,22 @@ error is the one such a reader of the whole file raises, with the same
 line and text. The first failing chunk stops the conversion, but the same
 chunk stream is still read to its end, so a decode error or an oversized
 field anywhere after it still wins.
+
+A plain chunk's float cells are first read by _writer_floats, which takes
+only the writers' form with a two-digit exponent,
+-?D.DDDDDDDDDDDDDDDDe[+-]DD, and gives float()'s bits for it; if any cell
+differs from that form, or the chunk came from csv.reader (whose cells may
+end in a NUL that the cast to bytes would drop), the chunk takes one
+object-to-float64 astype, which decides values and errors as before. The
+parser needs x87's 64-bit long double significand (see _parse_floats), so
+FAST_FLOATS gates it once, at import. It works on FLOAT_BLOCK cells at a
+time, straight into the chunk's result: with the whole chunk at once its
+temporaries reach 200-700 KB, past glibc's 128 KB mmap threshold, and
+freeing one raises that threshold, so later chunk arrays land in the heap
+and can fragment it (one such variant's peak RSS grew about 1 MB per
+evaluate). With 4096-cell blocks no temporary passes 100 KB. On a 2-vCPU
+x86-64 host, 30,000 cells take 3.8-4.4 ms this way against 8.1-8.7 ms by
+the astype.
 
 Duplicate ids are found from an int64 array of hash() of each id, not
 from a set of str, and only when the read ends: at the failing chunk, over
@@ -48,6 +64,7 @@ import csv
 import io
 import json
 import math
+import sys
 from itertools import accumulate, chain, islice
 from typing import Sequence
 
@@ -63,6 +80,17 @@ FLOAT_CELL = "%" + FLOAT_FMT  # the same, as a %-format
 CHUNK_CELLS = 1 << 15  # CSV cells tokenized and checked at a time
 CHUNK_TEXT = 4096  # CSV text split at a time; larger left heap holes (ROADMAP)
 WRITE_ROWS = 128  # dataset CSV rows formatted and written at a time
+FLOAT_BLOCK = 4096  # float cells parsed at a time; larger blocks raised peak RSS
+# The writer-form parser's exact rounding needs x87's 64-bit significand,
+# stored in 16 bytes (see _parse_floats); elsewhere float cells take the astype.
+FAST_FLOATS = (
+    np.finfo(np.longdouble).nmant == 63
+    and np.dtype(np.longdouble).itemsize == 16
+    and sys.byteorder == "little"
+)
+# 10**k for k <= 27, exact in a 64-bit significand (5**27 < 2**63)
+_POW10 = np.array([5**k for k in range(28)], np.uint64).astype(np.longdouble)
+_POW10 *= 2.0 ** np.arange(28)
 
 
 def format_float(x: float) -> str:
@@ -198,11 +226,14 @@ class _Chunk:
     blank rows counted.
     """
 
-    def __init__(self, width: int, line: int, blanks: list[int], wrong: int | None):
+    def __init__(
+        self, width: int, line: int, blanks: list[int], wrong: int | None, plain: bool
+    ):
         self.width = width  # cells per row
         self.line = line  # record number of row 0, were no record blank
         self.blanks = blanks  # record numbers of the blank rows among them
         self.wrong = wrong  # the width of a row after them that ends the read
+        self.plain = plain  # split from plain blocks, so no cell holds a NUL
 
     def line_of(self, i: int) -> int:
         """The record number of row i."""
@@ -291,7 +322,7 @@ def _read_chunks(path: str, header_width):
                 if plain:
                     cells += plain
                 if cells and (not plain or len(cells) >= CHUNK_CELLS):
-                    yield cells, _Chunk(width, line, [], None)
+                    yield cells, _Chunk(width, line, [], None, True)
                     line += len(cells) // width
                     cells = []
                 if not plain:  # not plain, or the end of the file
@@ -311,7 +342,7 @@ def _read_chunks(path: str, header_width):
                         blanks.append(line + len(cells) // width + len(blanks))
                 end = len(cells) // width + len(blanks) - read < records
                 if cells or wrong is not None:
-                    yield cells, _Chunk(width, line, blanks, wrong)
+                    yield cells, _Chunk(width, line, blanks, wrong, False)
                     line += len(cells) // width + len(blanks)
                     cells, blanks = [], []
                 if end:
@@ -350,25 +381,27 @@ def _plain_cells(block: str, width: int) -> list[str] | None:
 def _read_csv(path: str, header_width, what: str, keep, check_row) -> list[np.ndarray]:
     """Read and check a CSV's rows; return its id column in chunks.
 
-    keep(cells, width, add_ids) converts a chunk column by column. If every
-    row is valid it calls add_ids, between its float and int columns, and
-    keeps its columns; else it returns False. (That order is for heap layout
-    alone: on a 2-vCPU host, score_eval's peak RSS read 82.3-82.4 MB with
-    the ids added before keep, 80.5-81.5 MB after it, and 80.1-80.2 MB in
-    this order, 5 runs each.) The first chunk it refuses, or that ends at a
-    row of another width, goes to a loop over its rows: check_row raises the
-    ValidationError of the first rule a row breaks, in a row-by-row reader's
-    order. A duplicate id up to and including that row wins, as a row's id
-    is checked first. No later chunk is converted, but the rest of the file
-    is still read, so that a decode error or an oversized field in it wins;
-    then the read's error is raised.
+    keep(cells, width, plain, add_ids) converts a chunk column by column
+    (plain is _Chunk.plain). If every row is valid it calls add_ids, between
+    its float and int columns, and keeps its columns; else it returns False.
+    (That order is for heap layout alone: on a 2-vCPU host, score_eval's
+    peak RSS read 82.3-82.4 MB with the ids added before keep, 80.5-81.5 MB
+    after it, and 80.1-80.2 MB in this order, 5 runs each.) The first chunk
+    it refuses, or that ends at a row of another width, goes to a loop over
+    its rows: check_row raises the ValidationError of the first rule a row
+    breaks, in a row-by-row reader's order. A duplicate id up to and
+    including that row wins, as a row's id is checked first. No later chunk
+    is converted, but the rest of the file is still read, so that a decode
+    error or an oversized field in it wins; then the read's error is raised.
     """
     seen = _SeenIds(what)
     chunks = _read_chunks(path, header_width)
     for cells, chunk in chunks:
         width = chunk.width
         ids = cells[::width]
-        if chunk.wrong is None and keep(cells, width, lambda: seen.add(ids, chunk)):
+        if chunk.wrong is None and keep(
+            cells, width, chunk.plain, lambda: seen.add(ids, chunk)
+        ):
             del cells, ids  # free the chunk's cells before the next is read
             continue
         r, error = _first_bad_row(cells, width, check_row)
@@ -397,6 +430,93 @@ def _first_bad_row(cells: list[str], width: int, check_row) -> tuple[int, str | 
         except ValidationError as exc:
             return r, str(exc)
     return rows, None
+
+
+def _writer_floats(texts) -> np.ndarray | None:
+    """float() of every cell of texts, or None unless each is in the form
+    the writers give, -?D.DDDDDDDDDDDDDDDDe[+-]DD in ASCII.
+
+    texts is a list of str or a 2-D object array of them, holding no NUL:
+    the cast to bytes drops a trailing NUL, which float() refuses. The
+    cells are parsed FLOAT_BLOCK at a time straight into the result, so
+    that no temporary is as large as a chunk (see the module docstring).
+    """
+    if not FAST_FLOATS:
+        return None
+    out = np.empty(texts.shape if isinstance(texts, np.ndarray) else len(texts))
+    rows = max(1, FLOAT_BLOCK // math.prod(out.shape[1:]))
+    for start in range(0, len(out), rows):
+        try:
+            cells = np.array(texts[start : start + rows], "S24")
+        except UnicodeEncodeError:
+            return None
+        if not _parse_floats(cells.reshape(-1), out[start : start + rows].reshape(-1)):
+            return None
+    return out
+
+
+_ONES = 0x0101_0101_0101_0101  # one in each byte of a word
+# A cell's three words, read from its first digit, in the writers' form:
+# _FORM's byte wherever _FIXED is set, a digit wherever _DIGITS is. The
+# sign byte is checked apart; the NUL at byte 22 fixes the cell's length.
+_FORM = np.array([0x3030_3030_3030_2E30, 0x30 * _ONES, 0x3030_2B65_3030], np.uint64)
+_FIXED = np.array([0xFF00, 0, 0x00FF_0000_00FF_0000], np.uint64)
+_DIGITS = np.array([0x0101_0101_0101_0001, _ONES, 0x0101_0000_0101], np.uint64)
+
+
+def _parse_floats(cells: np.ndarray, out: np.ndarray) -> bool:
+    """Parse S24 cells into out as float() would; False unless each is in
+    the writers' form.
+
+    A cell is three little-endian words, its first character in the lowest
+    byte; a negative one is moved a byte down. Its 17 digits are read eight
+    at a time (Lemire, "Number Parsing at a Gigabyte per Second", SPE 2021)
+    into M < 10**17 < 2**57, and its value is M * 10**k, k = exponent - 16.
+    For |k| <= 27, M and 10**|k| are exact in x87's 64-bit significand, so
+    one multiply or divide gives q, the value rounded to 64 bits. Every
+    midpoint between adjacent doubles lies on that 64-bit grid, so none
+    lies strictly between the value and q, and q rounded to a double is
+    float()'s result unless q is such a midpoint (its 11 bits below a
+    double's are 0x400). Those cells, and those with |k| > 27, take float().
+    """
+    w = cells.view(np.uint64).reshape(-1, 3).T.copy()  # rows of words; cells stay
+    neg = (w[0] & 0xFF) == ord("-")
+    if neg.any():
+        shift = neg.astype(np.uint64) << 3  # bits; a shift by 64 gives 0
+        w[:2] = (w[:2] >> shift) | (w[1:] << (64 - shift))
+        w[2] >>= shift
+    w ^= _FORM[:, None]  # a digit's byte now holds its value
+    high = 0xF0 * _DIGITS[:, None]  # set unless a digit's byte is in 0-9
+    bad = (w & (_FIXED[:, None] | high)) | ((w + 6 * _DIGITS[:, None]) & high)
+    sign = (w[2] >> 24) & 0xFF  # 0 for "+", "+" ^ "-" for "-"
+    if bad.any() or not ((sign == 0) | (sign == 6)).all():
+        return False
+    w[0] = (w[0] & 0xFFFF_FFFF_FFFF_0000) | (w[0] & 0xFF) << 8  # 0, d0, d1..d6
+    eights = _eight_digits(w[:2])
+    m = eights[0] * 10**10 + eights[1] * 100 + (w[2] & 0xFF) * 10 + (w[2] >> 8 & 0xFF)
+    e = ((w[2] >> 32 & 0xFF) * 10 + (w[2] >> 40 & 0xFF)).astype(np.int64)
+    k = np.where(sign, -e, e) - 16
+    q = m.astype(np.longdouble)
+    # a cell's other step, if any, is by 10**0 = 1, so each rounds once
+    q /= _POW10[np.clip(-k, 0, 27)]
+    if k.max() > 0:
+        q *= _POW10[np.clip(k, 0, 27)]
+    out[...] = q
+    bits = out.view(np.uint64)
+    bits |= neg.astype(np.uint64) << 63
+    midpoint = q.view(np.uint64)[::2] & 0x7FF == 0x400  # the significand's word
+    slow = np.flatnonzero(midpoint | (np.abs(k) > 27))
+    out[slow] = [float(cell) for cell in cells[slow]]
+    return True
+
+
+def _eight_digits(w: np.ndarray) -> np.ndarray:
+    """The number each word's bytes spell, one digit's value a byte, the
+    first in the lowest byte (Lemire's SWAR steps)."""
+    w = w * 10 + (w >> 8)  # each even byte: its two digits' value
+    pairs = 0x0000_00FF_0000_00FF
+    hundreds = (w & pairs) * (100 + (10**6 << 32))
+    return (hundreds + (w >> 16 & pairs) * (1 + (10**4 << 32))) >> 32
 
 
 def _add_ints(texts: list[str], values: dict[str, int], valid) -> bool:
@@ -518,7 +638,7 @@ def read_dataset_csv(
     labels: dict[str, int] = {}
     attr_chunks, label_chunks, x_chunks = [], [], []
 
-    def keep(cells: list[str], width: int, add_ids) -> bool:
+    def keep(cells: list[str], width: int, plain: bool, add_ids) -> bool:
         attr_text, label_text = cells[1::width], cells[2::width]
         if not (
             _add_ints(attr_text, attrs, lambda attr: attr >= 0)
@@ -526,10 +646,12 @@ def read_dataset_csv(
         ):
             return False
         table = np.array(cells, dtype=object).reshape(-1, width)
-        try:
-            x = table[:, 3:].astype(np.float64)
-        except ValueError:
-            return False
+        x = _writer_floats(table[:, 3:]) if plain else None
+        if x is None:
+            try:
+                x = table[:, 3:].astype(np.float64)
+            except ValueError:
+                return False
         if not np.isfinite(x).all():
             return False
         add_ids()
@@ -606,17 +728,19 @@ def read_predictions_csv(
     attrs: dict[str, int] = {}
     score_chunks, label_chunks, attr_chunks = [], [], []
 
-    def keep(cells: list[str], width: int, add_ids) -> bool:
+    def keep(cells: list[str], width: int, plain: bool, add_ids) -> bool:
         score_text, label_text, attr_text = (cells[c::width] for c in (1, 2, 3))
         if not (
             _add_ints(label_text, labels, lambda label: label in (0, 1))
             and _add_ints(attr_text, attrs, lambda attr: attr >= 0)
         ):
             return False
-        try:
-            scores = np.array(score_text, dtype=object).astype(np.float64)
-        except ValueError:
-            return False
+        scores = _writer_floats(score_text) if plain else None
+        if scores is None:
+            try:
+                scores = np.array(score_text, dtype=object).astype(np.float64)
+            except ValueError:
+                return False
         if not ((scores >= 0.0) & (scores <= 1.0)).all():  # NaN fails both
             return False
         add_ids()

@@ -110,13 +110,18 @@ def _as_array(
 
 
 def _setting(value, models: tuple[int, ...], name: str, unit: bool) -> np.ndarray:
-    """A setting per model: 0-d alone, (S,) in a stack, where a scalar broadcasts."""
+    """A setting per model: 0-d alone, (S,) in a stack, where a scalar broadcasts.
+
+    Each value must lie in [0, 1] if unit, else be > 0 (NaN is neither).
+    """
     arr = np.asarray(value, dtype=np.float64)
     if arr.shape not in ((), models):
         raise ValidationError(f"{name} must be 0-d or of shape {models}, got {arr.shape}")
-    for v in arr.flat if unit else ():
-        if not 0.0 <= v <= 1.0:
+    for v in arr.flat:
+        if unit and not 0.0 <= v <= 1.0:
             raise ValidationError(f"{name} must lie in [0, 1], got {float(v)}")
+        if not unit and not v > 0.0:
+            raise ValidationError(f"{name} must be > 0, got {float(v)}")
     return np.full(models, arr)
 
 

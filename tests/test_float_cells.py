@@ -1,0 +1,314 @@
+"""The CSV readers' parser of the float cells the writers write.
+
+`fileio._writer_floats` reads cells in exactly the form FLOAT_CELL gives a
+double with a two-digit exponent, -?D.DDDDDDDDDDDDDDDDe[+-]DD, and must give
+the bits float() gives. Any other cell makes it return None, and the chunk
+then takes the object-to-float64 astype, so a file reads the same either
+way. The properties below compare it with float() bitwise; the reader tests
+pin that writer-form files take it on a host whose long double has a
+64-bit significand, and that they read the same bits with it switched off
+or under numpy's AVX2 paths.
+"""
+
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from decimal import Decimal, localcontext
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numeric_fingerprint import fingerprint
+from test_csv_readers import FORMATS, columns, outcome
+
+from fin_equity import AttributeSet, Dataset, Predictions, fileio
+from fin_equity.fileio import (
+    FLOAT_CELL,
+    read_dataset_csv,
+    read_predictions_csv,
+    write_dataset_csv,
+    write_predictions_csv,
+)
+
+X87 = (  # x86-64's long double
+    np.finfo(np.longdouble).nmant == 63
+    and np.dtype(np.longdouble).itemsize == 16
+    and sys.byteorder == "little"
+)
+needs_x87 = pytest.mark.skipif(not X87, reason="the fast path needs x87 long doubles")
+VALID = "1.0000000000000000e+00"
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, np.float64).view(np.uint64).tolist()
+
+
+def assert_reads_as_float(cells: list[str]) -> None:
+    got = fileio._writer_floats(cells)
+    assert got is not None, cells
+    assert bits(got) == bits([float(c) for c in cells]), fingerprint()
+
+
+def two_digit_exponent(cell: str) -> bool:
+    return cell[-4] == "e"
+
+
+@needs_x87
+@settings(max_examples=300, deadline=None)
+@given(st.lists(finite, min_size=1, max_size=40))
+def test_written_doubles_read_as_float_does(values):
+    cells = [FLOAT_CELL % v for v in values]
+    if all(map(two_digit_exponent, cells)):
+        assert_reads_as_float(cells)
+    else:  # a three-digit exponent is not the form
+        assert fileio._writer_floats(cells) is None
+    short = [c for c in cells if two_digit_exponent(c)]
+    if short:
+        assert_reads_as_float(short)
+
+
+seventeen_digit_cells = st.builds(
+    lambda sign, digits, exponent: f"{sign}{digits[0]}.{digits[1:]}e{exponent:+03d}",
+    st.sampled_from(["", "-"]),
+    st.text("0123456789", min_size=17, max_size=17),
+    st.integers(-99, 99),
+)
+
+
+@needs_x87
+@settings(max_examples=300, deadline=None)
+@given(st.lists(seventeen_digit_cells, min_size=1, max_size=40))
+def test_any_seventeen_digit_cell_reads_as_float_does(cells):
+    assert_reads_as_float(cells)
+
+
+@st.composite
+def midpoint_cells(draw):
+    """17-digit cells at and next to the midpoint between two adjacent
+    doubles: the midpoint itself where 17 digits hold it (integers up to
+    10**17), else its 17-digit roundings on either side."""
+    if draw(st.booleans()):
+        x = float(draw(st.integers(2**53, 10**17 - 1)))
+    else:
+        x = abs(draw(st.floats(1e-40, 1e60)))
+    if draw(st.booleans()):  # around powers of two the gaps differ by 2x
+        x = 2.0 ** math.frexp(x)[1]
+    y = math.nextafter(x, math.inf if draw(st.booleans()) else 0.0)
+    with localcontext() as ctx:
+        ctx.prec = 1000
+        mid = (Decimal(x) + Decimal(y)) / 2
+        step = Decimal(1).scaleb(mid.adjusted() - 16)  # one in the 17th digit
+        near = [mid.quantize(step, "ROUND_FLOOR"), mid.quantize(step, "ROUND_CEILING")]
+        cells = [f"{d:.16e}" for d in {near[0] - step, *near, near[1] + step}]
+    sign = draw(st.sampled_from(["", "-"]))
+    return [sign + c for c in cells if two_digit_exponent(c)]
+
+
+@needs_x87
+@settings(max_examples=300, deadline=None)
+@given(midpoint_cells())
+def test_cells_at_and_next_to_midpoints_read_as_float_does(cells):
+    if cells:
+        assert_reads_as_float(cells)
+
+
+@needs_x87
+def test_exact_midpoints_round_to_even():
+    # 2**53 + 1 lies halfway between 2**53 and 2**53 + 2
+    cells = ["9.0071992547409930e+15", "9.0071992547409950e+15"]
+    cells.append("-1.8014398509481985e+16")
+    assert_reads_as_float(cells)
+    assert fileio._writer_floats(cells).tolist() == [2.0**53, 2.0**53 + 4, -(2.0**54)]
+
+
+@needs_x87
+def test_cells_outside_the_exact_range_read_as_float_does():
+    # |exponent - 16| > 27 takes float(); zero has any exponent
+    cells = ["1.2345678901234567e-12", "9.9999999999999999e+99"]
+    cells += ["-4.9406564584124654e-99", "0.0000000000000000e+00"]
+    cells += ["-0.0000000000000000e+00", "0.0000000000000000e-99"]
+    assert_reads_as_float(cells)
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        "1.5",
+        "nan",
+        "inf",
+        "",
+        "é",
+        "1.0000000000000000e+0",
+        "1.0000000000000000e+000",
+        "-1.0000000000000000e+000",
+        "1.0000000000000000e+00000",  # 25 characters: more than the S24 cast keeps
+        "1.0000000000000000E+00",
+        "+1.0000000000000000e+00",
+        "--1.000000000000000e+00",
+        " 1.0000000000000000e+00",
+        "1.0000000000000000e+00 ",
+        "1.000000000000000e+00",
+        "1.00000000000000000e+00",
+        "1,0000000000000000e+00",
+        "1.000000000000000:e+00",
+        "1.0000000000000000f+00",
+        "1.0000000000000000e*00",
+        "1.0000000000000000e0+0",
+        "1.0000000000000000e+0a",
+        "1.0000000000000000e+/0",
+        "١.0000000000000000e+00",  # a digit float() takes, but not ASCII
+    ],
+)
+def test_other_forms_are_refused(cell):
+    assert fileio._writer_floats([cell]) is None
+    assert fileio._writer_floats([VALID, cell, VALID]) is None
+    table = np.array([[VALID] * 5, [VALID, VALID, cell, VALID, VALID]], dtype=object)
+    assert fileio._writer_floats(table) is None
+
+
+# ---------------------------------------------------------------------------
+# the readers: the fast path is taken, and reads as the astype does
+
+
+def dataset(rows: int, d: int = 5) -> Dataset:
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((rows, d)) * 10.0 ** rng.integers(-14, 30, (rows, d))
+    x[::97, 0] = 2.0**53 + 2  # next to a midpoint
+    return Dataset(
+        AttributeSet.default(3),
+        x,
+        rng.integers(0, 2, rows),
+        rng.integers(0, 3, rows),
+        [f"s{i}" for i in range(rows)],
+    )
+
+
+def predictions(rows: int) -> Predictions:
+    rng = np.random.default_rng(8)
+    scores = rng.random(rows) ** 8
+    scores[::50] = np.round(scores[::50], 2)
+    return Predictions(
+        [f"p{i}" for i in range(rows)],
+        scores,
+        rng.integers(0, 2, rows),
+        rng.integers(0, 3, rows),
+    )
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """A dataset and a predictions file from the writers, each several chunks long."""
+    root = tmp_path_factory.mktemp("float_cells")
+    data, preds = str(root / "data.csv"), str(root / "preds.csv")
+    write_dataset_csv(dataset(20_000), data)
+    write_predictions_csv(predictions(40_000), preds)
+    return data, preds
+
+
+def read_both(data: str, preds: str) -> tuple:
+    return columns(read_dataset_csv(data)), columns(read_predictions_csv(preds))
+
+
+@needs_x87
+def test_writer_files_take_the_fast_path(written):
+    parse, results = fileio._writer_floats, []
+
+    def spy(texts):
+        results.append(parse(texts))
+        return results[-1]
+
+    with mock.patch.object(fileio, "_writer_floats", spy):
+        read_both(*written)
+    # 20,000 x 5 features and 40,000 scores: at least three chunks each
+    assert len(results) >= 6
+    assert all(r is not None for r in results), fingerprint()
+
+
+def test_the_gate_switched_off_reads_the_same_bits(written):
+    fast = read_both(*written)
+    with mock.patch.object(fileio, "FAST_FLOATS", False):
+        with mock.patch.object(fileio, "_parse_floats", side_effect=AssertionError):
+            slow = read_both(*written)
+    assert fast == slow, fingerprint()
+
+
+MIXED = ["0.5", "1", " 0.25 ", "1e-3", "0_0.5", "-0.0", "7.0000000000000000E-01"]
+
+
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "csv-reader"])
+def test_chunks_mixing_forms_read_as_today(tmp_path, kind, quoted):
+    read, reference = FORMATS[kind]
+    rng = np.random.default_rng(3)
+    lines = ["id,attr,label,f0,f1" if kind == "dataset" else "id,score,label,attr"]
+    for i in range(3000):
+        other = MIXED[i % len(MIXED)] if i % 5 == 0 else FLOAT_CELL % rng.random()
+        own = FLOAT_CELL % rng.random()
+        sid = f'"s{i}"' if quoted and i == 2000 else f"s{i}"
+        cells = [sid, str(i % 3), str(i % 2), own, other]
+        if kind == "predictions":
+            cells = [sid, other, str(i % 2), str(i % 3)]
+        lines.append(",".join(cells))
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    got = outcome(read, str(path), None)
+    assert got[0] == "ok" and got == outcome(reference, str(path), None)
+
+
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+def test_a_nul_after_a_writer_cell_is_refused_as_today(tmp_path, kind):
+    # csv.reader passes the NUL through; the bytes cast would drop it
+    read, reference = FORMATS[kind]
+    if kind == "dataset":
+        lines = ["id,attr,label,f0", f"s0,0,1,{VALID}", f"s1,1,0,{VALID}\0"]
+    else:
+        lines = ["id,score,label,attr", f"p0,{VALID},1,0", f"p1,{VALID}\0,0,1"]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    got = outcome(read, str(path), None)
+    assert got[0] == "error" and got == outcome(reference, str(path), None)
+
+
+FOREIGN_KERNELS = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+FOREIGN_SCRIPT = textwrap.dedent(
+    """
+    import numpy as np
+    from numeric_fingerprint import fingerprint
+    from fin_equity import fileio
+
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(20_000) * 10.0 ** rng.integers(-20, 40, 20_000)
+    cells = [fileio.FLOAT_CELL % v for v in values.tolist()]
+    digits = rng.integers(0, 10, (20_000, 17)).tolist()
+    cells += [f"{d[0]}.{''.join(map(str, d[1:]))}e{e:+03d}"
+              for d, e in zip(digits, rng.integers(-40, 60, 20_000).tolist())]
+    got = fileio._writer_floats(cells)
+    want = np.array([float(c) for c in cells])
+    same = got is not None and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    print(fingerprint())
+    print("same" if same else "differ", len(cells))
+    """
+)
+
+
+@needs_x87
+def test_the_parser_keeps_its_bits_under_numpys_avx2_paths():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, **FOREIGN_KERNELS)
+    env["PYTHONPATH"] = os.pathsep.join([tests, env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", FOREIGN_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    printed, verdict = proc.stdout.splitlines()
+    assert "AVX512_ICL" not in printed, printed  # the switch took
+    assert verdict == "same 40000", printed

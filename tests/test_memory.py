@@ -7,11 +7,19 @@ rows (which the blocked forward never holds at once), the features a write
 formats. The bounds sit between the peaks of the earlier code and of the
 current one (noted at each bound), so a working set that grows back to the
 earlier size fails the pin. The write's pin instead bounds the block of
-rows it formats at a time, which earlier code did not have.
+rows it formats at a time, which earlier code did not have, and the float
+parser's pin the block of cells it parses at a time.
+
+One pin reads peak RSS instead, in a subprocess: memory that repeated
+reads leave behind, such as heap holes that grow from read to read, is
+not traced memory, so tracemalloc does not see it.
 """
 
 import csv
 import gc
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -21,10 +29,11 @@ from fin_equity import (
     AttributeSet,
     Dataset,
     ValidationError,
+    fileio,
     full_report,
     read_predictions_csv,
 )
-from fin_equity.fileio import write_dataset_csv
+from fin_equity.fileio import FLOAT_CELL, write_dataset_csv
 from fin_equity.net import forward, init_mlp
 from fin_equity.norms import NormKind
 
@@ -166,3 +175,58 @@ def test_dataset_write_peak_is_under_half_its_features(tmp_path):
     # 0.15x formatting one value at a time, about 0.2x in blocks of 128
     # rows, 0.7x in blocks of 1024 and 2.5x in blocks of 4096
     assert peak <= 0.5 * dataset.x.nbytes, (peak, dataset.x.nbytes)
+
+
+@pytest.mark.skipif(not fileio.FAST_FLOATS, reason="no writer-form float parser here")
+def test_float_parse_peak_is_a_few_blocks_not_a_chunk():
+    rng = np.random.default_rng(2)
+    rows, d = 1424, 20  # one dataset chunk of CHUNK_CELLS cells at d = 20
+    table = np.array(
+        [FLOAT_CELL % v for v in rng.standard_normal(rows * d).tolist()], dtype=object
+    ).reshape(rows, d)
+    x, kept, peak = traced(lambda: fileio._writer_floats(table))
+    assert x is not None and kept >= x.nbytes
+    # 0.68 MB over the result in blocks of 4096 cells, 1.39 MB in blocks of
+    # 8192 and 4.82 MB for the chunk at once
+    assert peak - x.nbytes <= 1 << 20, (peak, x.nbytes)
+
+
+RSS_SCRIPT = textwrap.dedent(
+    """
+    import resource, sys
+    import numpy as np
+    from fin_equity import AttributeSet, Dataset
+    from fin_equity.fileio import read_dataset_csv, write_dataset_csv
+
+    rng = np.random.default_rng(3)
+    rows = 20_000
+    dataset = Dataset(
+        AttributeSet.default(3),
+        rng.standard_normal((rows, 20)),
+        rng.integers(0, 2, rows),
+        rng.integers(0, 3, rows),
+        [f"s{i:06d}" for i in range(rows)],
+    )
+    write_dataset_csv(dataset, sys.argv[1])
+    for read in range(1, 13):
+        read_dataset_csv(sys.argv[1])
+        if read in (3, 12):
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """
+)
+
+
+def test_repeated_dataset_reads_do_not_grow_peak_rss(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_SCRIPT, str(tmp_path / "data.csv")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    third, twelfth = map(int, proc.stdout.split())  # KB on Linux
+    # 24-44 KB before the float parser, 4-32 KB with it (6 runs each), and
+    # 63 MB for a parser that kept a 512 KB buffer per call. (With each
+    # read's dataset kept alive during the next, growth moved by up to
+    # 3 MB from one batch of runs to the next, before and after.)
+    assert twelfth - third <= 1024, (third, twelfth)

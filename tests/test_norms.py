@@ -11,6 +11,7 @@ incoming gradient [1, 1]:
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -229,6 +230,17 @@ def test_settings_are_one_float64_per_model():
         BatchNormState(*np.ones((4, 2, 3)), bn_momentum=[0.1, 1.5])
     with pytest.raises(ValidationError, match=r"eps must be 0-d or of shape \(2,\)"):
         BatchNormState(*np.ones((4, 2, 3)), eps=np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan, [1e-5, -1e-3]])
+def test_bn_refuses_an_eps_that_is_not_positive(eps):
+    # a negative eps used to give all-NaN scores, far from its cause
+    shape = (4, 2, 3) if isinstance(eps, list) else (4, 3)
+    bad = eps[-1] if isinstance(eps, list) else eps
+    with pytest.raises(ValidationError, match=rf"^eps must be > 0, got {bad}$"):
+        BatchNormState(*np.ones(shape), eps=eps)
+    with pytest.raises(ValidationError, match=r"^eps must be > 0, got -1.0$"):
+        replace(BatchNormState.create(2), eps=-1.0)
 
 
 def test_init_fin_draw_order_and_seeding():
