@@ -7,15 +7,21 @@ The canonical JSON writer also fixes key order (insertion order) so that
 save -> load -> save is byte-identical.
 
 The CSV writers do not check finiteness again: a Dataset cannot hold a
-non-finite feature, nor Predictions a score outside [0, 1]. Each float
-costs one C-level %.16e conversion. The dataset writer formats a
-row's d features with one % and appends them to csv.writer's own encoding
-of the row's (id, attr, label), so csv.writer alone decides the quoting;
-under QUOTE_ALL (see _csv_writer) the features are quoted too. It works in
-blocks of WRITE_ROWS rows, whose strings stay small: at 20,000 x 20 rows
-the write's tracemalloc peak is 0.5 MB in blocks of 128 rows and 8.1 MB in
-blocks of 4096, and three score_eval set-ups with blocks of 4096 left a
-peak RSS 11 MB higher.
+non-finite feature, nor Predictions a score outside [0, 1]. Both run
+_write_csv, which builds each block of lines as bytes (_line_bytes): every
+field at a fixed place in a uint8 matrix, NUL-padded, and one mask drops
+the NULs. Float cells come from _format_floats, the inverse of
+_writer_floats: FLOAT_CELL % v exactly, in whole-array steps with one x87
+long double multiply or divide (see _format_block), about 0.15 us a cell
+against 1.2-1.5 us for the %; without x87, FAST_FLOATS off, each takes the
+%. A block whose ids csv.writer would quote, or that holds an id that is
+not ASCII, holds a NUL or is longer than ID_BYTES, or an int of 10**8 or
+more, goes to csv.writer, as does every block of a file that quotes every
+field (see _write_csv). A block holds FLOAT_BLOCK // (floats + 3) records,
+so that its matrix and each temporary stay under about 100 KB, below
+glibc's 128 KB mmap threshold (see the parser below). On a 2-vCPU x86-64 host,
+60,000 predictions take 50-85 ms against 250-270 ms one % and csv.writer
+row a record, and 60,000 x 20 features 0.45-0.6 s against 1.9-2.0 s.
 
 The CSV readers stream a file once, in chunks of about CHUNK_CELLS cells.
 The data is split by str.split in blocks of CHUNK_TEXT characters while
@@ -65,7 +71,7 @@ import io
 import json
 import math
 import sys
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from typing import Sequence
 
 import numpy as np
@@ -79,8 +85,7 @@ FLOAT_FMT = ".16e"  # 17 significant digits
 FLOAT_CELL = "%" + FLOAT_FMT  # the same, as a %-format
 CHUNK_CELLS = 1 << 15  # CSV cells tokenized and checked at a time
 CHUNK_TEXT = 4096  # CSV text split at a time; larger left heap holes (ROADMAP)
-WRITE_ROWS = 128  # dataset CSV rows formatted and written at a time
-FLOAT_BLOCK = 4096  # float cells parsed at a time; larger blocks raised peak RSS
+FLOAT_BLOCK = 4096  # float cells parsed or formatted at a time; see below
 # The writer-form parser's exact rounding needs x87's 64-bit significand,
 # stored in 16 bytes (see _parse_floats); elsewhere float cells take the astype.
 FAST_FLOATS = (
@@ -136,6 +141,15 @@ def _write_canonical(o, out: list[str]) -> None:
                 out.append(",")
             _write_canonical(v, out)
         out.append("]")
+    elif isinstance(o, np.ndarray) and o.dtype == np.float64 and o.size:
+        flat = o.reshape(-1)
+        bad = np.flatnonzero(~np.isfinite(flat))
+        if bad.size:
+            format_float(flat[bad[0]])  # raises for the first
+        text = [cell.decode() for cell in _format_floats(flat).tolist()]
+        for n in reversed(o.shape):  # nest the brackets, innermost first
+            text = ["[" + ",".join(text[i : i + n]) + "]" for i in range(0, len(text), n)]
+        out.append(text[0])
     elif isinstance(o, np.ndarray):
         _write_canonical(o.tolist(), out)
     else:
@@ -172,47 +186,53 @@ def load_json(path: str, what: str = "file"):
 # dataset CSV: header  id,attr,label,f0..f{d-1}
 
 
-def _csv_writer(f, ids: IdColumn):
-    """A csv writer with "\\n" line ends.
+def _write_csv(path: str, header: list[str], columns: list) -> None:
+    """Write the header, then a line per record of its cell in each column:
+    the ids, then int and float arrays (a 2-D one gives several cells).
 
-    Minimal quoting quotes only the line terminator's characters, so an id
-    holding a lone "\\r" would be written bare and end its record when read
-    back; a file with such an id quotes every field.
+    A block of FLOAT_BLOCK // (floats + 3) records, floats being a record's
+    float cells, is built as bytes by _line_bytes; csv.writer writes a block
+    it refuses. The lines end in "\\n". Minimal quoting quotes only the line
+    terminator's characters, so an id holding a lone "\\r" would be written
+    bare and end its record when read back; a file with such an id quotes
+    every field, and csv.writer writes all of it.
     """
-    quote_all = bool((np.strings.find(ids, "\r") >= 0).any())
+    ids = np.asarray(columns[0])
+    columns = [ids, *columns[1:]]
+    quote_all = any(
+        (np.strings.find(ids[i : i + FLOAT_BLOCK], "\r") >= 0).any()
+        for i in range(0, len(ids), FLOAT_BLOCK)
+    )
+    text = io.StringIO()
     quoting = csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL
-    return csv.writer(f, lineterminator="\n", quoting=quoting)
+    w = csv.writer(text, lineterminator="\n", quoting=quoting)
+    w.writerow(header)
+    floats = sum(math.prod(c.shape[1:]) for c in columns if c.dtype.kind == "f")
+    rows = max(1, FLOAT_BLOCK // (floats + 3))
+    with open(path, "wb") as f:
+        f.write(text.getvalue().encode())
+        for start in range(0, len(ids), rows):
+            block = [column[start : start + rows] for column in columns]
+            data = None if quote_all else _line_bytes(block)
+            if data is None:
+                text.seek(0)
+                text.truncate()
+                w.writerows(np.concatenate([_csv_cells(c) for c in block], 1).tolist())
+                data = text.getvalue().encode()
+            f.write(data)
+
+
+def _csv_cells(column: np.ndarray) -> np.ndarray:
+    """A block of a column as a (rows, cells) object array for csv.writer."""
+    if column.dtype.kind == "f":
+        cells = [FLOAT_CELL % v for v in column.reshape(-1).tolist()]
+        return np.array(cells, object).reshape(len(column), -1)
+    return column.astype(object).reshape(len(column), 1)
 
 
 def write_dataset_csv(dataset: Dataset, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = _csv_writer(f, dataset.ids)
-        w.writerow(["id", "attr", "label"] + [f"f{i}" for i in range(dataset.d)])
-        cell = f'"{FLOAT_CELL}"' if w.dialect.quoting == csv.QUOTE_ALL else FLOAT_CELL
-        # one % per row over (head, *features): at d = 20 that tuple is past
-        # CPython's free lists (tuples of up to 20 items), which kept the
-        # last 2000 tuple(features) of the write alive and raised the peak
-        # RSS of an evaluate after synth by 1.7 MB
-        row_format = "%s" + ("," + cell) * dataset.d + "\n"
-        heads = io.StringIO()
-        head_writer = csv.writer(heads, w.dialect)
-        for start in range(0, len(dataset), WRITE_ROWS):
-            block = slice(start, start + WRITE_ROWS)
-            heads.seek(0)
-            heads.truncate()
-            head_rows = zip(
-                dataset.ids[block],
-                dataset.attrs[block].tolist(),
-                dataset.labels[block].tolist(),
-            )
-            # writerow returns the characters it wrote, the "\n" included
-            ends = list(accumulate(map(head_writer.writerow, head_rows)))
-            text = heads.getvalue()
-            lines = [
-                row_format % (text[begin : end - 1], *row)
-                for begin, end, row in zip([0, *ends], ends, dataset.x[block].tolist())
-            ]
-            f.write("".join(lines))
+    header = ["id", "attr", "label"] + [f"f{i}" for i in range(dataset.d)]
+    _write_csv(path, header, [dataset.ids, dataset.attrs, dataset.labels, dataset.x])
 
 
 def _hashes(ids: list[str]) -> np.ndarray:
@@ -464,6 +484,17 @@ _FIXED = np.array([0xFF00, 0, 0x00FF_0000_00FF_0000], np.uint64)
 _DIGITS = np.array([0x0101_0101_0101_0001, _ONES, 0x0101_0000_0101], np.uint64)
 
 
+def _scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """a * 10**k in long double, rounded once where |k| <= 27: each value's
+    other step, if any, is by 10**0 = 1."""
+    q = a.astype(np.longdouble)
+    if k.min() < 0:
+        q /= _POW10[np.clip(-k, 0, 27)]
+    if k.max() > 0:
+        q *= _POW10[np.clip(k, 0, 27)]
+    return q
+
+
 def _parse_floats(cells: np.ndarray, out: np.ndarray) -> bool:
     """Parse S24 cells into out as float() would; False unless each is in
     the writers' form.
@@ -496,11 +527,7 @@ def _parse_floats(cells: np.ndarray, out: np.ndarray) -> bool:
     m = eights[0] * 10**10 + eights[1] * 100 + (w[2] & 0xFF) * 10 + (w[2] >> 8 & 0xFF)
     e = ((w[2] >> 32 & 0xFF) * 10 + (w[2] >> 40 & 0xFF)).astype(np.int64)
     k = np.where(sign, -e, e) - 16
-    q = m.astype(np.longdouble)
-    # a cell's other step, if any, is by 10**0 = 1, so each rounds once
-    q /= _POW10[np.clip(-k, 0, 27)]
-    if k.max() > 0:
-        q *= _POW10[np.clip(k, 0, 27)]
+    q = _scaled(m, k)
     out[...] = q
     bits = out.view(np.uint64)
     bits |= neg.astype(np.uint64) << 63
@@ -517,6 +544,145 @@ def _eight_digits(w: np.ndarray) -> np.ndarray:
     pairs = 0x0000_00FF_0000_00FF
     hundreds = (w & pairs) * (100 + (10**6 << 32))
     return (hundreds + (w >> 16 & pairs) * (1 + (10**4 << 32))) >> 32
+
+
+# the decade of 2**(b - 1023), b being a double's biased exponent: that of
+# any double in the binade, or one below it
+_DECADE = np.floor((np.arange(2048) - 1023) * math.log10(2)).astype(np.int64)
+# a cell's third word for each exponent E, |E| < 100: two NULs for its last
+# two digits, then "e", the sign and two digits
+_EXPONENT = np.array(
+    [int.from_bytes(b"\0\0" + b"e%+03d" % e, "little") for e in range(-99, 100)],
+    np.uint64,
+)
+
+
+def _format_floats(values: np.ndarray) -> np.ndarray:
+    """FLOAT_CELL % v of each finite float64 v, as S24 cells.
+
+    The cells are made FLOAT_BLOCK at a time (see the module docstring).
+    Without x87's long double each takes the % (see _format_block).
+    """
+    cells = np.empty(len(values), "S24")
+    for start in range(0, len(values), FLOAT_BLOCK):
+        block = values[start : start + FLOAT_BLOCK]
+        if FAST_FLOATS:
+            _format_block(block, cells[start : start + FLOAT_BLOCK])
+        else:
+            cells[start : start + FLOAT_BLOCK] = [FLOAT_CELL % v for v in block.tolist()]
+    return cells
+
+
+def _format_block(values: np.ndarray, out: np.ndarray) -> None:
+    """Write FLOAT_CELL % v of each finite v into the S24 cells out.
+
+    For v = ±a, a normal, let E be its decade and k = 16 - E. Its 17 digits
+    are M = a * 10**k rounded to an integer (Steele & White, "How to Print
+    Floating-Point Numbers Accurately", PLDI 1990). For |k| <= 27, a and
+    10**|k| are exact in x87's 64-bit significand, so one multiply or
+    divide gives q, the exact product rounded once; q < 2**57, so q is
+    within 2**-8 of it. Unless q's fraction is within 2**-8 of 1/2, q
+    rounds to M as the product does. Those cells (exact ties among them)
+    and |k| > 27 (zero, subnormals and three-digit exponents too) take the
+    %. E comes from _DECADE, one more where q >= 10**17. M < 10**17: no
+    double with |k| <= 27 lies within half a unit of the 17th digit below
+    a power of ten, so none is written 1.0000000000000000e+(E + 1).
+
+    A cell is three little-endian words, its first character in the lowest
+    byte: the first digit, ".", then M's other 16 digits, eight a word half
+    (_ascii8), then _EXPONENT's; a negative cell is moved a byte up behind
+    a "-".
+    """
+    a = np.abs(values)
+    k = 16 - _DECADE[a.view(np.uint64) >> 52]
+    q = _scaled(a, k)
+    with np.errstate(invalid="ignore"):  # q past 2**64, where |k| > 27
+        m = q.astype(np.uint64)
+    low = np.flatnonzero(m >= 10**17)  # the decade is one more
+    if low.size:
+        k[low] -= 1
+        q[low] = _scaled(a[low], k[low])
+        m[low] = q[low].astype(np.uint64)
+    half = q - m - 0.5  # exact
+    m += half > 0
+    first = m // 10**16
+    rest = m - first * 10**16
+    high = rest // 10**8
+    digits = _ascii8(np.stack([high, rest - high * 10**8]))
+    w = out.view(np.uint64).reshape(-1, 3)
+    w[:, 0] = digits[0] << 16 | 0x2E30 | first  # the first digit and "."
+    w[:, 1] = digits[0] >> 48 | digits[1] << 16
+    w[:, 2] = digits[1] >> 48 | _EXPONENT[np.clip(16 - k, -99, 99) + 99]
+    cells = out.view(np.uint8).reshape(-1, 24)
+    neg = np.flatnonzero(np.signbit(values))
+    cells[neg, 1:] = cells[neg, :23]
+    cells[neg, 0] = ord("-")
+    slow = np.flatnonzero((np.abs(half) <= 2.0**-8) | (np.abs(k) > 27))
+    out[slow] = [FLOAT_CELL % v for v in values[slow].tolist()]
+
+
+def _ascii8(n: np.ndarray) -> np.ndarray:
+    """The eight digits of each n < 10**8 as ASCII, the first in the lowest
+    byte: split into halves, quarters and digits a lane each (SWAR), with
+    n // 100 as n * 5243 >> 19 and n // 10 as n * 103 >> 10."""
+    high = n // 10_000
+    n = high | (n - high * 10_000) << 32
+    high = n * 5243 >> 19 & 0x7F_0000_007F
+    n = high | (n - high * 100) << 16
+    high = n * 103 >> 10 & 0x000F_000F_000F_000F
+    return high | (n - high * 10) << 8 | 0x30 * _ONES
+
+
+_TENS = np.array([10**k for k in range(1, 8)], np.uint64)  # 10 .. 10**7
+ID_BYTES = 40  # a longer id goes to csv.writer, which bounds a block's bytes
+_QUOTED = np.zeros(256, bool)  # the bytes that make csv.writer quote a field
+_QUOTED[[ord(c) for c in ',"\r\n']] = True
+
+
+def _line_bytes(block: list[np.ndarray]) -> np.ndarray | None:
+    """The text of a block of CSV lines, or None unless csv.writer would
+    write each id bare and it is ASCII, holds no NUL and has at most
+    ID_BYTES characters, and each int is below 10**8.
+
+    Each field sits at a fixed place in a uint8 matrix, a row a line, as
+    NUL-padded bytes followed by "," (the last by "\\n"); dropping the NULs
+    leaves the text.
+    """
+    ids, *columns = block
+    # str_len stops at trailing NULs; with a "," after them it counts them
+    lengths = np.strings.str_len(np.strings.add(ids, ",")) - 1
+    longest = int(lengths.max())
+    if longest > ID_BYTES:
+        return None
+    try:
+        id_bytes = ids.astype(f"S{max(longest, 1)}").view(np.uint8)
+    except UnicodeEncodeError:
+        return None
+    # count_nonzero counts neither the padding nor a NUL
+    if _QUOTED[id_bytes].any() or np.count_nonzero(id_bytes) != lengths.sum():
+        return None
+    fields = [id_bytes.reshape(len(ids), 1, -1)]
+    for column in columns:
+        if column.dtype.kind == "f":
+            cells = _format_floats(column.reshape(-1)).view(np.uint8)
+            fields.append(cells.reshape(len(ids), -1, 24))
+        elif column.max() >= 10**8:
+            return None
+        else:  # eight digits, less the leading zeros
+            n = column.astype(np.uint64)
+            zeros = 56 - 8 * np.searchsorted(_TENS, n, "right").astype(np.uint64)
+            fields.append((_ascii8(n) >> zeros).view(np.uint8).reshape(len(ids), 1, 8))
+    widths = [cells * (size + 1) for _, cells, size in (f.shape for f in fields)]
+    lines = np.zeros((len(ids), sum(widths)), np.uint8)
+    at = 0
+    for field, width in zip(fields, widths):
+        rows, cells, size = field.shape
+        view = lines[:, at : at + width].reshape(rows, cells, size + 1)  # a view
+        view[..., :size] = field
+        view[..., size] = ord(",")
+        at += width
+    lines[:, -1] = ord("\n")  # for the last ","
+    return lines[lines != 0]
 
 
 def _add_ints(texts: list[str], values: dict[str, int], valid) -> bool:
@@ -681,17 +847,8 @@ def read_dataset_csv(
 
 
 def write_predictions_csv(predictions: Predictions, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = _csv_writer(f, predictions.ids)
-        w.writerow(["id", "score", "label", "attr"])
-        w.writerows(
-            zip(
-                predictions.ids,
-                map(FLOAT_CELL.__mod__, predictions.scores.tolist()),
-                predictions.labels.tolist(),
-                predictions.attrs.tolist(),
-            )
-        )
+    columns = [predictions.ids, predictions.scores, predictions.labels, predictions.attrs]
+    _write_csv(path, ["id", "score", "label", "attr"], columns)
 
 
 def _predictions_width(header: list[str]) -> int:

@@ -28,12 +28,13 @@ import pytest
 from fin_equity import (
     AttributeSet,
     Dataset,
+    Predictions,
     ValidationError,
     fileio,
     full_report,
     read_predictions_csv,
 )
-from fin_equity.fileio import FLOAT_CELL, write_dataset_csv
+from fin_equity.fileio import FLOAT_CELL, write_dataset_csv, write_predictions_csv
 from fin_equity.net import forward, init_mlp
 from fin_equity.norms import NormKind
 
@@ -175,6 +176,23 @@ def test_dataset_write_peak_is_under_half_its_features(tmp_path):
     # 0.15x formatting one value at a time, about 0.2x in blocks of 128
     # rows, 0.7x in blocks of 1024 and 2.5x in blocks of 4096
     assert peak <= 0.5 * dataset.x.nbytes, (peak, dataset.x.nbytes)
+
+
+def test_predictions_write_peak_is_under_its_scores(tmp_path):
+    rng = np.random.default_rng(6)
+    rows = 100_000
+    predictions = Predictions(
+        [f"p{i:06d}" for i in range(rows)],
+        rng.random(rows),
+        rng.integers(0, 2, rows),
+        rng.integers(0, 8, rows),
+    )
+    path = tmp_path / "preds.csv"
+    _, _, peak = traced(lambda: write_predictions_csv(predictions, str(path)))
+    assert path.stat().st_size > rows * 30
+    # 6.4x with a "%.16e" % score per record into csv.writer, 0.7x with
+    # the lines built as bytes in blocks of 1024 records
+    assert peak <= 1.0 * predictions.scores.nbytes, (peak, predictions.scores.nbytes)
 
 
 @pytest.mark.skipif(not fileio.FAST_FLOATS, reason="no writer-form float parser here")

@@ -52,6 +52,7 @@ from fin_equity import (
 )
 from fin_equity.net import model_slice, stack_models
 from fin_equity.train import CHECKPOINT_VERSION, MAX_PARAMETERS
+from numeric_fingerprint import fingerprint
 from reference_fixtures import same_predictions
 
 
@@ -744,6 +745,20 @@ def test_every_typed_config_field_refuses_a_string():
                 AdamWConfig(**{key: value})
 
 
+# The numeric environment (numeric_fingerprint) every digest pin below was
+# taken on; another OpenBLAS core or numpy's AVX2 paths give other bits.
+PINNED_ON = (
+    "numpy 2.4.6, dispatch X86_V3+X86_V4+AVX512_ICL+AVX512_SPR, "
+    "longdouble nmant 63, OpenBLAS core SkylakeX"
+)
+
+
+def pin_message(case) -> str:
+    """A digest pin's failure message: the case, where it was pinned, and
+    where it ran."""
+    return f"{case}: pinned on {PINNED_ON}; ran on {fingerprint()}"
+
+
 # SHA-256 of the canonical checkpoint JSON for tiny_data() and tiny_config(),
 # one per norm kind plus a FIN run with weight decay (the only guard on the
 # decay path's bytes). Any change to the training step that moves a single
@@ -765,7 +780,7 @@ def test_checkpoint_bytes_are_pinned(case):
     train_set, eval_set = tiny_data()
     ck, _ = train(train_set, eval_set, config)
     digest = hashlib.sha256(dumps_canonical(checkpoint_to_dict(ck)).encode()).hexdigest()
-    assert digest == PINNED_CHECKPOINT_SHA256[case]
+    assert digest == PINNED_CHECKPOINT_SHA256[case], pin_message(case)
 
 
 # SHA-256 of the canonical checkpoint JSON of every seed of one run_seeds
@@ -802,7 +817,7 @@ def test_multi_seed_checkpoint_bytes_are_pinned(kind):
     agg = run_seeds(train_set, eval_set, config, seeds=(3, 4, 5))
     for seed, ck in zip(agg.seeds, agg.checkpoints):
         digest = hashlib.sha256(canonical_bytes(ck).encode()).hexdigest()
-        assert digest == PINNED_MULTI_SEED_SHA256[kind, seed], seed
+        assert digest == PINNED_MULTI_SEED_SHA256[kind, seed], pin_message((kind, seed))
 
 
 # SHA-256 of the predictions CSV and the report JSON that `evaluate` writes
@@ -840,7 +855,7 @@ def test_inference_bytes_are_pinned(kind, tmp_path):
         hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in ("preds.csv", "report.json")
     )
-    assert digests == PINNED_INFERENCE_SHA256[kind]
+    assert digests == PINNED_INFERENCE_SHA256[kind], pin_message(kind)
 
 
 # The same two files for a (4, 16, 8) model scored on 1,026 eval rows,
@@ -878,7 +893,7 @@ def test_blocked_inference_bytes_are_pinned(kind, tmp_path):
         hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in ("preds.csv", "report.json")
     )
-    assert digests == PINNED_BLOCKED_INFERENCE_SHA256[kind]
+    assert digests == PINNED_BLOCKED_INFERENCE_SHA256[kind], pin_message(kind)
 
 
 @settings(max_examples=60, deadline=None)
