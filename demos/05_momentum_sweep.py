@@ -3,7 +3,9 @@
 The blend interpolates between fully normalized features (0.0) and the raw
 input (1.0, which trains exactly like having no normalizer at all). On the
 stock benchmark the normalized end of the grid consistently audits better
-than the passthrough end. Twelve training runs, about a minute.
+than the passthrough end. The twelve models (4 blend values x 3 seeds)
+train as one lockstep stack of 12: 8-10 s on a 2-vCPU x86 host, against
+15-20 s when each blend value trained as its own stack of 3.
 """
 
 import time

@@ -6,15 +6,16 @@ contiguous slices of the shuffled order, and the optimizer is plain numpy.
 The final short batch is kept, except that a batch of size 1 is dropped
 when the model uses batch normalization (its training mode needs >= 2).
 
-All seeds of a run train in lockstep: one loop over a stack of models
-(`net.stack_models`), where step i runs batch i of every seed through one
-forward, cross-entropy, backward and AdamW step. Each seed keeps its own
-init and shuffle generators, and every stacked op gives each model exactly
-the bits it would get alone, so a seed's checkpoint is byte-identical
-whether it trains alone (`train` is the same loop with one seed) or among
-any other seeds.
-
-The loop checks once per run, not once per step. `_train_seeds` checks
+A run is a plan of (seed, fin_momentum) pairs, one model each, and
+`_train_models` trains it in plan order, in lockstep stacks of at most
+STACK_MODELS (`net.stack_models`): step i runs batch i of every model in
+the stack through one forward, cross-entropy, backward and AdamW step.
+Each model keeps its seed's init and shuffle generators and its own m, and
+every stacked op gives it exactly its solo bits, so its checkpoint is the
+same whether it trains alone (`train` is the one-pair plan) or among any
+others. A non-finite loss or gradient raises in the first stack to meet
+one, at its earliest step, naming the first such model in plan order.
+The loop checks once per run, not once per step. `_train_models` checks
 the feature width at entry (a Dataset checks its own rows), then calls the
 ops' kernels (`net._forward`, `net._cross_entropy`, `net._backward`,
 `optim._adamw_update`), which trust their inputs; the public entry points
@@ -23,7 +24,7 @@ buffer that `stack_models` lays the parameters out in, where the public
 `adamw_step` stages a copy. Once per epoch the loop gathers the
 shuffled features, the one-hot label mask and the normalizer's rows (from
 its `rows` method), so each step takes slices of them. Every step still
-checks each seed's loss and gradients for non-finite values.
+checks each model's loss and gradients for non-finite values.
 
 Checkpoints serialize to canonical JSON with 17-significant-digit floats,
 so save -> load -> save is byte-identical and a loaded model reproduces
@@ -77,6 +78,7 @@ from .optim import AdamWConfig, AdamWState, _adamw_update, decay_shrink
 
 CHECKPOINT_VERSION = 1
 MAX_PARAMETERS = 10_000_000  # backbone and head weights and biases, 80 MB of float64
+STACK_MODELS = 16  # models per lockstep stack; past about 10 the cost per model is flat
 
 
 @dataclass(frozen=True)
@@ -184,17 +186,14 @@ def train(
     train_set: Dataset, eval_set: Dataset, config: TrainConfig
 ) -> tuple[Checkpoint, RunHistory]:
     """Train from scratch; returns the final checkpoint and per-epoch history."""
-    return _train_seeds(train_set, eval_set, config, (config.seed,))[0]
+    plan = [(config.seed, config.fin_momentum)]
+    return _train_models(train_set, eval_set, config, plan)[0]
 
 
-def _train_seeds(
-    train_set: Dataset, eval_set: Dataset, config: TrainConfig, seeds: tuple[int, ...]
+def _train_models(
+    train_set: Dataset, eval_set: Dataset, config: TrainConfig, models
 ) -> list[tuple[Checkpoint, RunHistory]]:
-    """Train one model per seed, all in lockstep; one result per seed.
-
-    A non-finite loss or gradient raises for the first seed (in seeds
-    order) that hits it, at the step where it happens.
-    """
+    """Train the plan's (seed, fin_momentum) pairs in order; one result per pair."""
     if train_set.d != config.layer_dims[0]:
         raise ValidationError(
             f"train set feature dim {train_set.d} != layer_dims[0] "
@@ -202,21 +201,28 @@ def _train_seeds(
         )
     if eval_set.d != train_set.d:
         raise ValidationError("train and eval feature dimensions differ")
+    stacks = [models[i : i + STACK_MODELS] for i in range(0, len(models), STACK_MODELS)]
+    return [r for s in stacks for r in _train_stack(train_set, eval_set, config, s)]
 
-    models, shuffle_rngs = [], []
-    for seed in seeds:
+
+def _train_stack(
+    train_set: Dataset, eval_set: Dataset, config: TrainConfig, models
+) -> list[tuple[Checkpoint, RunHistory]]:
+    """Train the (seed, fin_momentum) pairs as one stack; one result per pair."""
+    stack, shuffle_rngs = [], []
+    for seed, m in models:
         init_ss, shuffle_ss = np.random.SeedSequence(seed).spawn(2)
-        models.append(
+        stack.append(
             init_mlp(
                 config.layer_dims,
                 config.norm_kind,
                 train_set.attribute_set.group_count,
                 np.random.default_rng(init_ss),
-                fin_momentum=config.fin_momentum,
+                fin_momentum=m,
             )
         )
         shuffle_rngs.append(np.random.default_rng(shuffle_ss))
-    model = stack_models(models)
+    model = stack_models(stack)
     params = named_parameters(model)
     state = AdamWState.create(params)
     flat = params["head.b"].base  # the one buffer stack_models lays them out in
@@ -225,14 +231,14 @@ def _train_seeds(
     x, y, a = train_set.x, train_set.labels, train_set.attrs
     n = len(train_set)
     kind = config.norm_kind
-    losses: list[list[float]] = [[] for _ in seeds]
-    reports: list[list[MetricReport]] = [[] for _ in seeds]
+    losses: list[list[float]] = [[] for _ in models]
+    reports: list[list[MetricReport]] = [[] for _ in models]
     for epoch in range(config.epochs):
         if config.shuffle:
             order = np.stack([rng.permutation(n) for rng in shuffle_rngs])
         else:
-            order = np.broadcast_to(np.arange(n), (len(seeds), n))
-        # gathered once per epoch, so each step takes (seeds, batch) slices
+            order = np.broadcast_to(np.arange(n), (len(models), n))
+        # gathered once per epoch, so each step takes (models, batch) slices
         xs = x[order]
         onehot = one_hot(y[order])
         rows = None if model.norm is None else model.norm.rows(a[order], n, True)
@@ -247,14 +253,14 @@ def _train_seeds(
             if not np.isfinite(loss).all():
                 bad = int(np.flatnonzero(~np.isfinite(loss))[0])
                 raise TrainingDivergedError(
-                    f"non-finite loss for seed {seeds[bad]} at epoch {epoch}, "
+                    f"non-finite loss for seed {models[bad][0]} at epoch {epoch}, "
                     f"batch {start // config.batch_size}"
                 )
             _backward(model, saved, grad_logits, state.grad)
             if not np.isfinite(state.grad_flat).all():
                 seed, name = next(
                     (seed, name)
-                    for i, seed in enumerate(seeds)
+                    for i, (seed, _) in enumerate(models)
                     for name, g in state.grad.items()
                     if not np.isfinite(g[i]).all()
                 )
@@ -272,13 +278,13 @@ def _train_seeds(
         (
             Checkpoint(
                 version=CHECKPOINT_VERSION,
-                config=replace(config, seed=seed),
+                config=replace(config, seed=seed, fin_momentum=m),
                 model=model_slice(model, i),
                 epoch=config.epochs,
             ),
             RunHistory(losses=losses[i], reports=reports[i]),
         )
-        for i, seed in enumerate(seeds)
+        for i, (seed, m) in enumerate(models)
     ]
 
 
@@ -342,17 +348,7 @@ def _es_from_means(
     return out
 
 
-def run_seeds(
-    train_set: Dataset, eval_set: Dataset, config: TrainConfig, seeds
-) -> SeedAggregate:
-    """Train once per seed and aggregate the final evaluation reports.
-
-    The seeds train in lockstep as one stack of models, and each seed's
-    checkpoint, losses and reports are byte-identical to a solo
-    `train(..., replace(config, seed=seed))`. Equity-scaled metrics are
-    computed per seed and then averaged; the alternative (ES of the
-    seed-averaged metrics) is reported alongside in es_from_means.
-    """
+def _checked_seeds(config: TrainConfig, seeds) -> tuple[int, ...]:
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ValidationError("need at least one seed")
@@ -361,22 +357,41 @@ def run_seeds(
         raise ValidationError(f"seed {repeated[0]} is given more than once")
     for seed in seeds:
         replace(config, seed=seed)  # the config's rules hold for every seed
-    runs = _train_seeds(train_set, eval_set, config, seeds)
+    return seeds
+
+
+def _aggregate(seeds: tuple[int, ...], runs, eval_set: Dataset) -> SeedAggregate:
+    """The seeds' runs, in seeds order, aggregated over their final reports."""
     checkpoints = tuple(r[0] for r in runs)
     histories = tuple(r[1] for r in runs)
     reports = tuple(h.reports[-1] for h in histories)
-    group_count = eval_set.attribute_set.group_count
     per_seed = [_scalar_metrics(rep) for rep in reports]
-    names = per_seed[0].keys()
-    metrics = {name: _summarize([row[name] for row in per_seed]) for name in names}
+    metrics = {name: _summarize([row[name] for row in per_seed]) for name in per_seed[0]}
     return SeedAggregate(
         seeds=seeds,
         metrics=metrics,
-        es_from_means=_es_from_means(metrics, group_count),
+        es_from_means=_es_from_means(metrics, eval_set.attribute_set.group_count),
         reports=reports,
         checkpoints=checkpoints,
         histories=histories,
     )
+
+
+def run_seeds(
+    train_set: Dataset, eval_set: Dataset, config: TrainConfig, seeds
+) -> SeedAggregate:
+    """Train once per seed and aggregate the final evaluation reports.
+
+    The seeds train in lockstep stacks of at most STACK_MODELS models, and
+    each seed's checkpoint, losses and reports are byte-identical to a solo
+    `train(..., replace(config, seed=seed))`. Equity-scaled metrics are
+    computed per seed and then averaged; the alternative (ES of the
+    seed-averaged metrics) is reported alongside in es_from_means.
+    """
+    seeds = _checked_seeds(config, seeds)
+    plan = [(s, config.fin_momentum) for s in seeds]
+    runs = _train_models(train_set, eval_set, config, plan)
+    return _aggregate(seeds, runs, eval_set)
 
 
 def sweep_momentum(
@@ -388,7 +403,7 @@ def sweep_momentum(
 ) -> list[tuple[float, SeedAggregate]]:
     """run_seeds at every blend value in the grid, identical seeds throughout.
 
-    Each grid point is one lockstep run of all the seeds.
+    All (m, seed) pairs train as one grid-major plan of lockstep stacks.
 
     The model kind is forced to the group-aware normalizer (the blend has
     no effect on the other kinds). Results come back sorted by m ascending.
@@ -402,11 +417,11 @@ def sweep_momentum(
     for m, after in zip(grid, grid[1:]):
         if m == after:
             raise ValidationError(f"momentum grid value {m} is given more than once")
-    out: list[tuple[float, SeedAggregate]] = []
-    for m in grid:
-        cfg = replace(config, norm_kind=NormKind.FAIR_IDENTITY, fin_momentum=m)
-        out.append((m, run_seeds(train_set, eval_set, cfg, seeds)))
-    return out
+    config = replace(config, norm_kind=NormKind.FAIR_IDENTITY)
+    seeds = _checked_seeds(config, seeds)
+    plan = [(s, m) for m in grid for s in seeds]
+    runs = iter(_train_models(train_set, eval_set, config, plan))
+    return [(m, _aggregate(seeds, [next(runs) for _ in seeds], eval_set)) for m in grid]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -11,11 +12,15 @@ import numpy as np
 import pytest
 
 from fin_equity import (
+    GroupSpec,
     MetricSummary,
     Predictions,
+    SynthConfig,
+    generate,
     read_dataset_csv,
     run_seeds,
     train_config_from_dict,
+    write_dataset_csv,
     write_predictions_csv,
 )
 from fin_equity.cli import _fmt, run
@@ -924,3 +929,46 @@ def test_empty_id_round_trips_through_evaluate_and_report(workdir, tmp_path, cap
     ])
     assert code == 0, capsys.readouterr().err
     assert (tmp_path / "reported.json").read_bytes() == (tmp_path / "evaluated.json").read_bytes()
+
+
+def test_many_seeds_train_in_bounded_memory(tmp_path):
+    # 64 FIN seeds over 12,000 rows of 20 features, one 12,000-row batch:
+    # held as one stack, the step's (64, 12000, 32) activations alone take
+    # 188 MiB each, and the run exceeds a 1 GiB address space; in stacks of
+    # at most STACK_MODELS it fits, and the exit code stays 0
+    n, seeds = 12_000, 64
+    train_set, eval_set = generate(
+        SynthConfig(
+            d=20,
+            groups=(
+                GroupSpec("g0", n // 2, 10, 0.5, 2.0, 1.0),
+                GroupSpec("g1", n // 2, 10, 0.5, 1.2, -1.0),
+            ),
+        )
+    )
+    write_dataset_csv(train_set, str(tmp_path / "train.csv"))
+    write_dataset_csv(eval_set, str(tmp_path / "eval.csv"))
+    config = {"layer_dims": [20, 32, 16], "norm_kind": "fair_identity",
+              "epochs": 1, "batch_size": n}
+    (tmp_path / "train.json").write_text(json.dumps(config))
+    cap = 1 << 30
+
+    def limit_address_space():  # in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    r = subprocess.run(
+        [sys.executable, "-m", "fin_equity", "train",
+         "--config", str(tmp_path / "train.json"),
+         "--train", str(tmp_path / "train.csv"),
+         "--eval", str(tmp_path / "eval.csv"),
+         "--seeds", ",".join(str(s) for s in range(seeds)),
+         "--out-prefix", str(tmp_path / "out" / "run_")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=limit_address_space,
+        timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    written = sorted(p.name for p in (tmp_path / "out").glob("run_checkpoint_seed*.json"))
+    assert written == sorted(f"run_checkpoint_seed{s}.json" for s in range(seeds))

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import importlib
 import json
 import re
 import tempfile
@@ -54,6 +55,9 @@ from fin_equity.net import model_slice, stack_models
 from fin_equity.train import CHECKPOINT_VERSION, MAX_PARAMETERS
 from numeric_fingerprint import fingerprint
 from reference_fixtures import same_predictions
+
+# the module itself: `fin_equity.train` as an attribute is the function
+TRAIN_MODULE = importlib.import_module("fin_equity.train")
 
 
 def tiny_data(seed=0, n_train=24, n_eval=16):
@@ -251,6 +255,29 @@ def test_divergence_errors_name_the_first_failing_seed(shuffle, seeds, error, me
         assert not isinstance(info.value, TrainingDivergedError)
 
 
+@pytest.mark.parametrize(
+    "stack, message",
+    [
+        # one stack: seed 5's batch 2 comes before seed 4's batch 7
+        (16, "non-finite loss for seed 5 at epoch 0, batch 2"),
+        # stacks (1, 4) and (5,), or (1,), (4,) and (5,): the stack holding
+        # seed 4 trains first, so seed 5 never takes a step
+        (2, "non-finite loss for seed 4 at epoch 0, batch 7"),
+        (1, "non-finite loss for seed 4 at epoch 0, batch 7"),
+    ],
+    ids=["one-stack", "stacks-of-2", "stacks-of-1"],
+)
+def test_the_first_stack_to_diverge_raises(stack, message, monkeypatch):
+    monkeypatch.setattr(TRAIN_MODULE, "STACK_MODELS", stack)
+    train_set, eval_set = overflow_data()
+    config = tiny_config(
+        batch_size=1, norm_kind=NormKind.LEARNABLE_SHARED, shuffle=True, epochs=1
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDivergedError, match=f"^{re.escape(message)}$"):
+            run_seeds(train_set, eval_set, config, (1, 4, 5))
+
+
 def test_momentum_one_training_matches_no_norm_bitwise():
     train_set, eval_set = tiny_data()
     ck_none, _ = train(train_set, eval_set, tiny_config(norm_kind=NormKind.NONE))
@@ -358,21 +385,46 @@ def test_run_seeds_single_seed_std_is_zero():
         run_seeds(train_set, eval_set, tiny_config(), seeds=())
 
 
-def test_sweep_momentum():
+def test_sweep_momentum(monkeypatch):
     train_set, eval_set = tiny_data()
-    results = sweep_momentum(
-        train_set, eval_set, tiny_config(), grid=[1.0, 0.0, 0.5], seeds=(1, 2)
-    )
-    assert [m for m, _ in results] == [0.0, 0.5, 1.0]  # sorted ascending
-    for m, agg in results:
-        for ck in agg.checkpoints:
-            assert ck.config.norm_kind is NormKind.FAIR_IDENTITY  # forced
-            assert ck.config.fin_momentum == m
-            assert ck.config.seed in (1, 2)
+    config = tiny_config()
+    solo = {
+        (m, seed): train(
+            train_set,
+            eval_set,
+            replace(config, norm_kind=NormKind.FAIR_IDENTITY, fin_momentum=m, seed=seed),
+        )
+        for m in (0.0, 0.5, 1.0)
+        for seed in (1, 2)
+    }
+    # the six (m, seed) models, grid-major, train as one stack of 6; as
+    # stacks of 4 and 2, cut between the m = 0.5 and m = 1.0 blocks; and as
+    # two stacks of 3, cut inside the m = 0.5 block
+    for stack in (16, 4, 3):
+        monkeypatch.setattr(TRAIN_MODULE, "STACK_MODELS", stack)
+        results = sweep_momentum(
+            train_set, eval_set, config, grid=[1.0, 0.0, 0.5], seeds=(1, 2)
+        )
+        assert [m for m, _ in results] == [0.0, 0.5, 1.0]  # sorted ascending
+        for m, agg in results:
+            assert agg.seeds == (1, 2)
+            for seed, ck, history in zip(agg.seeds, agg.checkpoints, agg.histories):
+                assert ck.config.norm_kind is NormKind.FAIR_IDENTITY  # forced
+                assert ck.config.fin_momentum == m
+                assert ck.config.seed == seed
+                solo_ck, solo_history = solo[m, seed]
+                assert canonical_bytes(ck) == canonical_bytes(solo_ck), (stack, m, seed)
+                assert history.losses == solo_history.losses
+                assert history.reports[-1] == solo_history.reports[-1]
     with pytest.raises(ValidationError):
         sweep_momentum(train_set, eval_set, tiny_config(), grid=[], seeds=(1,))
     with pytest.raises(ValidationError):
         sweep_momentum(train_set, eval_set, tiny_config(), grid=[1.2], seeds=(1,))
+    # grid errors come before seed errors
+    with pytest.raises(ValidationError, match="momentum grid is empty"):
+        sweep_momentum(train_set, eval_set, tiny_config(), grid=[], seeds=())
+    with pytest.raises(ValidationError, match="need at least one seed"):
+        sweep_momentum(train_set, eval_set, tiny_config(), grid=[0.5], seeds=())
 
 
 def test_repeated_seeds_and_grid_values_are_refused():
@@ -804,8 +856,21 @@ PINNED_MULTI_SEED_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("kind", [k.value for k in NormKind])
-def test_multi_seed_checkpoint_bytes_are_pinned(kind):
+def at_stack_sizes(cases):
+    """pytest params: each case at STACK_MODELS 16 under its own id, then at 2.
+
+    With 2, the seeds (3, 4, 5) of a run train as a stack of 2 and one of 1.
+    """
+    return [
+        pytest.param(case, stack, id=case if stack == 16 else f"{case}-stack{stack}")
+        for stack in (16, 2)
+        for case in cases
+    ]
+
+
+@pytest.mark.parametrize("kind, stack", at_stack_sizes([k.value for k in NormKind]))
+def test_multi_seed_checkpoint_bytes_are_pinned(kind, stack, monkeypatch):
+    monkeypatch.setattr(TRAIN_MODULE, "STACK_MODELS", stack)
     config = tiny_config(
         layer_dims=(4, 7, 6, 5),
         batch_size=13,
@@ -815,6 +880,7 @@ def test_multi_seed_checkpoint_bytes_are_pinned(kind):
     train_set, eval_set = tiny_data()
     assert len(train_set) % config.batch_size  # a short final batch
     agg = run_seeds(train_set, eval_set, config, seeds=(3, 4, 5))
+    assert [ck.config.seed for ck in agg.checkpoints] == [3, 4, 5]  # none dropped
     for seed, ck in zip(agg.seeds, agg.checkpoints):
         digest = hashlib.sha256(canonical_bytes(ck).encode()).hexdigest()
         assert digest == PINNED_MULTI_SEED_SHA256[kind, seed], pin_message((kind, seed))
@@ -925,13 +991,12 @@ def test_checkpoint_write_read_write_is_byte_identical(
         assert second.read_bytes() == first.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "kind", [NormKind.BATCH, NormKind.FAIR_IDENTITY], ids=lambda k: k.value
-)
-def test_a_seed_trains_the_same_alone_or_among_others(kind):
+@pytest.mark.parametrize("kind, stack", at_stack_sizes(["batch", "fair_identity"]))
+def test_a_seed_trains_the_same_alone_or_among_others(kind, stack, monkeypatch):
+    monkeypatch.setattr(TRAIN_MODULE, "STACK_MODELS", stack)
     # 50 rows in batches of 7: batch norm skips the singleton last batch
     train_set, eval_set = tiny_data(n_train=25)
-    config = tiny_config(norm_kind=kind, batch_size=7)
+    config = tiny_config(norm_kind=NormKind(kind), batch_size=7)
     many = run_seeds(train_set, eval_set, config, seeds=(1, 2, 3))
     one = run_seeds(train_set, eval_set, config, seeds=(2,))
     solo_ck, solo_history = train(train_set, eval_set, replace(config, seed=2))
