@@ -125,12 +125,13 @@ class IdColumn(Sequence):
 
 
 def join_chunks(chunks: list[np.ndarray], dtype) -> np.ndarray:
-    """One column from consecutive 1-D chunks, which it empties.
+    """One column, or table, from consecutive chunks, which it empties.
 
     Each chunk is freed once copied, so the column costs one chunk more
     than itself, not twice itself.
     """
-    out = np.empty(sum(map(len, chunks)), dtype)
+    rows = sum(map(len, chunks))
+    out = np.empty((rows, *chunks[0].shape[1:]) if chunks else rows, dtype)
     chunks.reverse()
     end = 0
     while chunks:

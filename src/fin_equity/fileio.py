@@ -23,37 +23,50 @@ glibc's 128 KB mmap threshold (see the parser below). On a 2-vCPU x86-64 host,
 60,000 predictions take 50-85 ms against 250-270 ms one % and csv.writer
 row a record, and 60,000 x 20 features 0.45-0.6 s against 1.9-2.0 s.
 
-The CSV readers stream a file once, in chunks of about CHUNK_CELLS cells.
-The data is split by str.split in blocks of CHUNK_TEXT characters while
-each block is plain (see _plain_cells); the first that is not, and the rest
-of the file, go to csv.reader row by row. First a chunk's columns decide:
-each is converted whole (ints once per distinct text, floats by the
-parser or astype below) and checked whole. A chunk whose every row
-passes is kept as a StringDType id column and int and float columns, so at
-most one chunk's cells are alive at a time; each column is joined from its
-chunks once the file is read. A chunk that the columns refuse, or that
-ends at a row of the wrong width, then goes to a loop over its rows in the
-order of a row-by-row reader, which names the first rule broken. So every
-error is the one such a reader of the whole file raises, with the same
-line and text. The first failing chunk stops the conversion, but the same
-chunk stream is still read to its end, so a decode error or an oversized
-field anywhere after it still wins.
+The CSV readers stream a file once, a block of CHUNK_TEXT bytes at a time,
+each run on to a line end. While a block is plain, the byte path converts
+it where it lies (_plain_columns; Langdale & Lemire, VLDB J. 2019): one
+scan finds every "," and "\\n", which give each cell's start and length;
+each float cell's 24 bytes are gathered as three words for the parser
+below, a one-digit int is its byte less "0", and the ids are sliced from
+the block's one decode. Plain means ASCII with no quote, "\\r" or NUL, and
+the header's width on every line; and every cell must be in the writers'
+form and pass its rule. The first block that is not, and the rest of the
+file, are decoded and go to csv.reader, and no later block goes back, so
+every error's text and line come from the row-by-row rules below. Both
+formats share this path, each by its _Schema. At 80 KB a block's
+temporaries stay below glibc's 128 KB mmap threshold; 4 KB blocks made the
+read four times slower, from numpy's cost per call. Plain blocks are
+gathered into chunks of CHUNK_CELLS cells, whose float and int columns
+each get an anonymous memory map (_mapped). The blocks' temporaries come
+and go in malloc's heap, and kept columns among them fragmented it: with
+them there, score_eval's peak RSS read 84.4-87.6 MB over 12 checkout
+paths, against 80.9-89.2 MB before the byte path and 80.1-80.5 MB with
+the maps.
 
-A plain chunk's float cells are first read by _writer_floats, which takes
-only the writers' form with a two-digit exponent,
--?D.DDDDDDDDDDDDDDDDe[+-]DD, and gives float()'s bits for it; if any cell
-differs from that form, or the chunk came from csv.reader (whose cells may
-end in a NUL that the cast to bytes would drop), the chunk takes one
-object-to-float64 astype, which decides values and errors as before. The
-parser needs x87's 64-bit long double significand (see _parse_floats), so
-FAST_FLOATS gates it once, at import. It works on FLOAT_BLOCK cells at a
-time, straight into the chunk's result: with the whole chunk at once its
-temporaries reach 200-700 KB, past glibc's 128 KB mmap threshold, and
-freeing one raises that threshold, so later chunk arrays land in the heap
-and can fragment it (one such variant's peak RSS grew about 1 MB per
-evaluate). With 4096-cell blocks no temporary passes 100 KB. On a 2-vCPU
-x86-64 host, 30,000 cells take 3.8-4.4 ms this way against 8.1-8.7 ms by
-the astype.
+csv.reader reads CHUNK_CELLS cells a chunk, and a chunk's columns decide
+first: each is converted whole (ints once per distinct text, floats by one
+object-to-float64 astype) and checked whole. A chunk whose every row
+passes is kept as a StringDType id column and int and float columns, as a
+plain block is, so at most one chunk's cells are alive at a time; each
+column is joined from its chunks once the file is read. A chunk that the
+columns refuse, or that ends at a row of the wrong width, then goes to a
+loop over its rows in the order of a row-by-row reader, which names the
+first rule broken. So every error is the one such a reader of the whole
+file raises, with the same line and text. The first failing chunk stops
+the conversion, but the same chunk stream is still read to its end, so a
+decode error or an oversized field anywhere after it still wins.
+
+The byte path reads float cells by _writer_floats, which takes only the
+writers' form with a two-digit exponent, -?D.DDDDDDDDDDDDDDDDe[+-]DD, and
+gives float()'s bits for it. The parser needs x87's 64-bit long double
+significand (see _parse_floats), so FAST_FLOATS gates it once, at import;
+without it the first block goes to csv.reader. It works on FLOAT_BLOCK
+cells at a time, straight into the result: with a whole chunk of 30,000
+cells at once its temporaries reach 200-700 KB, past glibc's 128 KB mmap
+threshold, and freeing one raises that threshold, so later chunk arrays
+land in the heap and can fragment it (one such variant's peak RSS grew
+about 1 MB per evaluate).
 
 Duplicate ids are found from an int64 array of hash() of each id, not
 from a set of str, and only when the read ends: at the failing chunk, over
@@ -70,9 +83,10 @@ import csv
 import io
 import json
 import math
+import mmap
 import sys
 from itertools import chain, islice
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.dtypes import StringDType
@@ -84,7 +98,7 @@ from .metrics import MetricReport, PredictionHistogram
 FLOAT_FMT = ".16e"  # 17 significant digits
 FLOAT_CELL = "%" + FLOAT_FMT  # the same, as a %-format
 CHUNK_CELLS = 1 << 15  # CSV cells tokenized and checked at a time
-CHUNK_TEXT = 4096  # CSV text split at a time; larger left heap holes (ROADMAP)
+CHUNK_TEXT = 80 << 10  # CSV bytes read at a time; see the module docstring
 FLOAT_BLOCK = 4096  # float cells parsed or formatted at a time; see below
 # The writer-form parser's exact rounding needs x87's 64-bit significand,
 # stored in 16 bytes (see _parse_floats); elsewhere float cells take the astype.
@@ -106,13 +120,28 @@ def format_float(x: float) -> str:
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON: %.16e floats, insertion-ordered keys, no spaces."""
-    out: list[str] = []
+    """Deterministic JSON: %.16e floats, insertion-ordered keys, no spaces.
+
+    The walk leaves each float array in out, and one _format_floats call
+    formats them all (a call costs 100-170 us however few its cells).
+    """
+    out: list = []
     _write_canonical(obj, out)
+    spots = [i for i, o in enumerate(out) if isinstance(o, np.ndarray)]
+    if spots:
+        flat = np.concatenate([out[i].reshape(-1) for i in spots])
+        cells, at = [cell.decode() for cell in _format_floats(flat).tolist()], 0
+        for i in spots:
+            shape, text = out[i].shape, cells[at : at + out[i].size]
+            at += len(text)
+            for n in reversed(shape):  # nest the brackets, innermost first
+                rows = range(0, len(text), n)
+                text = ["[" + ",".join(text[j : j + n]) + "]" for j in rows]
+            out[i] = text[0]
     return "".join(out)
 
 
-def _write_canonical(o, out: list[str]) -> None:
+def _write_canonical(o, out: list) -> None:
     if o is None:
         out.append("null")
     elif isinstance(o, bool):
@@ -146,10 +175,7 @@ def _write_canonical(o, out: list[str]) -> None:
         bad = np.flatnonzero(~np.isfinite(flat))
         if bad.size:
             format_float(flat[bad[0]])  # raises for the first
-        text = [cell.decode() for cell in _format_floats(flat).tolist()]
-        for n in reversed(o.shape):  # nest the brackets, innermost first
-            text = ["[" + ",".join(text[i : i + n]) + "]" for i in range(0, len(text), n)]
-        out.append(text[0])
+        out.append(o)  # formatted by dumps_canonical
     elif isinstance(o, np.ndarray):
         _write_canonical(o.tolist(), out)
     else:
@@ -239,6 +265,19 @@ def _hashes(ids: list[str]) -> np.ndarray:
     return np.fromiter(map(hash, ids), np.int64, len(ids))
 
 
+class _Schema(NamedTuple):
+    """A CSV format. Column 0 holds the ids; each of ints is (column, top,
+    dtype), its values integers in 0..top (no bound for None); floats picks
+    the float column(s), whose array valid must accept."""
+
+    header_width: Callable[[list[str]], int]  # checks the header; a row's width
+    what: str  # the error's name for a duplicate id
+    ints: tuple[tuple[int, int | None, type], ...]
+    floats: int | slice
+    valid: Callable[[np.ndarray], bool]
+    check_row: Callable[[list[str]], None]  # raises a row's first broken rule
+
+
 class _Chunk:
     """Where a chunk's rows sit in the file, and a wrong-width row after them.
 
@@ -253,7 +292,7 @@ class _Chunk:
         self.line = line  # record number of row 0, were no record blank
         self.blanks = blanks  # record numbers of the blank rows among them
         self.wrong = wrong  # the width of a row after them that ends the read
-        self.plain = plain  # split from plain blocks, so no cell holds a NUL
+        self.plain = plain  # from the byte path, so every row passed
 
     def line_of(self, i: int) -> int:
         """The record number of row i."""
@@ -310,17 +349,20 @@ class _SeenIds:
         return None
 
 
-def _read_chunks(path: str, header_width):
+def _read_chunks(path: str, schema: _Schema):
     """Stream a CSV once, yielding its data rows a chunk at a time.
 
-    header_width checks the header row and returns the width of a data row.
-    Each chunk is (cells, chunk): the flat cells of its rows, and their
-    _Chunk. While each text block is plain, a chunk gathers blocks up to
-    at least CHUNK_CELLS cells; from the first block that is not, csv.reader
-    reads CHUNK_CELLS / width records a chunk. Blank rows are skipped;
-    reading stops at the first row of another width, which ends the last
-    chunk. A decode error or an oversized field raises with its record's
-    number, whatever the consumer did with the chunks before it.
+    Each chunk is (data, chunk), chunk being its _Chunk. While each block
+    of CHUNK_TEXT bytes, run on to a line end, is plain, a chunk gathers
+    the blocks' _plain_columns up to CHUNK_CELLS cells, and data is its
+    (ids, floats, *ints). The first block that is not, and the rest of the
+    file, are decoded for csv.reader, which reads CHUNK_CELLS / width
+    records a chunk; data is then the flat cells of a chunk's rows. (A
+    header holding a quote or "\\r" sends the whole file to csv.reader.)
+    Blank rows are skipped; reading stops at the first row of another
+    width, which ends the last chunk. A decode error or an oversized field
+    raises with its record's number, whatever the consumer did with the
+    chunks before it.
     """
     # no per-row counter: a record's number is line plus the rows and blank
     # rows of the chunk read before it
@@ -328,27 +370,40 @@ def _read_chunks(path: str, header_width):
     cells: list[str] = []
     blanks: list[int] = []  # record numbers of the chunk's blank rows
     try:
-        with open(path, "r", encoding="utf-8", newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            if header is None:
+        with open(path, "rb") as f:
+            text = f.readline().decode()
+            if not text:
                 raise ValidationError(f"{path!r} is empty")
-            line, width = 2, header_width(header)
-            while True:  # plain blocks, up to the first that is not
+            plain = '"' not in text and "\r" not in text
+            if plain:
+                line, width = 2, schema.header_width(next(csv.reader([text]), []))
+            ids, kept, rows = [], [], 0  # the byte path's chunk so far
+            while plain:  # byte blocks, up to the first that is not plain
                 block = f.read(CHUNK_TEXT)
-                if not block.endswith("\n"):
+                if block and not block.endswith(b"\n"):
                     block += f.readline()
-                plain = _plain_cells(block, width)
-                if plain:
-                    cells += plain
-                if cells and (not plain or len(cells) >= CHUNK_CELLS):
-                    yield cells, _Chunk(width, line, [], None, True)
-                    line += len(cells) // width
-                    cells = []
-                if not plain:  # not plain, or the end of the file
+                data = _plain_columns(block, width, schema) if block else None
+                if kept and (data is None or rows + len(data[0]) > len(kept[0])):
+                    full = ids, *(column[:rows] for column in kept)
+                    yield full, _Chunk(width, line, [], None, True)
+                    line += rows
+                    ids, kept, rows = [], [], 0
+                if data is None:
+                    text = block.decode()
                     break
-            # that block and the rest of the file, row by row
-            reader = csv.reader(chain(io.StringIO(block, newline=""), f))
+                if not kept:  # a chunk's floats and ints, CHUNK_CELLS cells
+                    size = max(CHUNK_CELLS // width, len(data[0]))
+                    kept = [_mapped((size, *c.shape[1:]), c.dtype) for c in data[1:]]
+                ids += data[0]
+                for column, part in zip(kept, data[1:]):
+                    column[rows : rows + len(part)] = part
+                rows += len(data[0])
+                del data
+            # that text and the rest of the file, row by row
+            rest = io.TextIOWrapper(f, encoding="utf-8", newline="")
+            reader = csv.reader(chain(io.StringIO(text, newline=""), rest))
+            if not plain:
+                line, width = 2, schema.header_width(next(reader))
             records = -(-CHUNK_CELLS // width)  # per chunk, blank ones too
             while True:
                 read, wrong = len(cells) // width + len(blanks), None
@@ -374,71 +429,162 @@ def _read_chunks(path: str, header_width):
         raise ValidationError(f"{path!r} line {line}: {exc}") from exc
 
 
-def _plain_cells(block: str, width: int) -> list[str] | None:
-    """The cells of a block of lines, or None unless csv.reader would read
-    each line as line.split(",") of width cells: no quote, "\\r" or NUL,
-    and no field past csv's limit.
+def _mapped(shape: tuple, dtype) -> np.ndarray:
+    """np.empty(shape, dtype) in an anonymous memory map of its own, out of
+    malloc's heap (see the module docstring)."""
+    size = math.prod(shape)
+    mapped = mmap.mmap(-1, max(size * np.dtype(dtype).itemsize, 1))
+    return np.frombuffer(mapped, dtype, size).reshape(shape)
 
-    Each "\\n" becomes a cell of its own; every line has width cells exactly
-    when these are the only "\\n" cells and sit one in every width + 1 (a
-    blank line is one cell; width is at least 2).
+
+_PAD = bytes(24)  # after a block, so that _cell_words reads 24 bytes at any cell
+
+
+def _plain_columns(block: bytes, width: int, schema: _Schema):
+    """(ids, floats, *ints) of a block of lines, or None unless it is plain
+    and each of its cells is in the writers' form and passes its rule.
+
+    Plain: ASCII with no quote, "\\r" or NUL, and width cells on each line,
+    so csv.reader would read a line as line.split(","); and no id past
+    csv's field limit. The writers' forms: an int is one digit, a float is
+    in _writer_floats's form. Ids are sliced from the block's text.
     """
-    needs_csv = '"' in block or "\r" in block or "\0" in block
-    if needs_csv or len(block) > csv.field_size_limit():
+    if b'"' in block or b"\r" in block or b"\0" in block or not block.isascii():
         return None
-    if block and not block.endswith("\n"):  # the file's last line
-        block += "\n"
-    rows = block.count("\n")
-    cells = block.replace("\n", ",\n,").split(",")
-    ends = slice(width, None, width + 1)
-    if len(cells) != rows * (width + 1) + 1 or cells[ends].count("\n") != rows:
+    if not block.endswith(b"\n"):  # the file's last line
+        block += b"\n"
+    data = block + _PAD
+    a = np.frombuffer(data, np.uint8)
+    bounds = _cell_bounds(a, width)  # and no id too long for csv.reader
+    if bounds is None or bounds[1][:, 0].max() > csv.field_size_limit():
         return None
-    del cells[ends]
-    cells.pop()  # the "" after the last "\n"
-    return cells
+    starts, lengths = bounds
+    floats = schema.floats
+    x = _writer_floats(_cell_words(data, starts[:, floats], lengths[:, floats]))
+    if x is None or not schema.valid(x):
+        return None
+    firsts, ints = a[starts], []  # each cell's first byte
+    for column, top, dtype in schema.ints:
+        digits, n = firsts[:, column], lengths[:, column]
+        high = ord("0") + min(9, 9 if top is None else top)
+        if n.min() != 1 or n.max() != 1 or digits.min() < ord("0") or digits.max() > high:
+            return None
+        ints.append(digits.astype(dtype))
+        ints[-1] -= ord("0")
+    text = block.decode()
+    ids = starts[:, 0].tolist()
+    ids = [text[s : s + n] for s, n in zip(ids, lengths[:, 0].tolist())]
+    return ids, x, *ints
 
 
-def _read_csv(path: str, header_width, what: str, keep, check_row) -> list[np.ndarray]:
-    """Read and check a CSV's rows; return its id column in chunks.
+def _cell_bounds(a: np.ndarray, width: int):
+    """Where each cell of a's lines starts, and its length, as (lines,
+    width) arrays; or None unless each line has width cells, a cell ending
+    at a "," or "\\n", and a holds nothing after its last "\\n" but NULs.
 
-    keep(cells, width, plain, add_ids) converts a chunk column by column
-    (plain is _Chunk.plain). If every row is valid it calls add_ids, between
-    its float and int columns, and keeps its columns; else it returns False.
-    (That order is for heap layout alone: on a 2-vCPU host, score_eval's
-    peak RSS read 82.3-82.4 MB with the ids added before keep, 80.5-81.5 MB
-    after it, and 80.1-80.2 MB in this order, 5 runs each.) The first chunk
-    it refuses, or that ends at a row of another width, goes to a loop over
-    its rows: check_row raises the ValidationError of the first rule a row
-    breaks, in a row-by-row reader's order. A duplicate id up to and
-    including that row wins, as a row's id is checked first. No later chunk
-    is converted, but the rest of the file is still read, so that a decode
-    error or an oversized field in it wins; then the read's error is raised.
+    One scan finds every separator. Each line has width cells exactly when
+    there are width of them per "\\n" and every width-th one is a "\\n".
     """
-    seen = _SeenIds(what)
-    chunks = _read_chunks(path, header_width)
-    for cells, chunk in chunks:
-        width = chunk.width
-        ids = cells[::width]
-        if chunk.wrong is None and keep(
-            cells, width, chunk.plain, lambda: seen.add(ids, chunk)
-        ):
-            del cells, ids  # free the chunk's cells before the next is read
-            continue
-        r, error = _first_bad_row(cells, width, check_row)
-        if error is None:
+    line_ends = a == ord("\n")
+    ends = np.flatnonzero(line_ends | (a == ord(",")))
+    rows = np.count_nonzero(line_ends)
+    if len(ends) != rows * width or a[ends].reshape(rows, width)[:, -1].max() != ord("\n"):
+        return None
+    starts = np.empty_like(ends)
+    starts[:1] = 0
+    starts[1:] = ends[:-1] + 1
+    return starts.reshape(rows, width), (ends - starts).reshape(rows, width)
+
+
+# the bytes of a cell of n <= 24 bytes in its third word: a mask for each n
+_KEEP = np.array([(1 << 8 * max(n - 16, 0)) - 1 for n in range(25)], np.uint64)
+
+
+def _cell_words(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The 24 bytes from each start as three little-endian words, shape
+    (*starts.shape, 3), with the third word's bytes past the length 0.
+
+    So a cell of 16 to 24 bytes gets the words of its S24 form. A shorter
+    one keeps a separator ("," or "\\n") in its first two, and none of those
+    is in the writers' form anywhere. data holds 24 bytes from each start.
+    """
+    at = np.ndarray((len(data) - 23,), "V24", data, strides=(1,))  # one a byte
+    words = at[starts].view(np.uint64).reshape(*starts.shape, 3)
+    words[..., 2] &= _KEEP[np.minimum(lengths, 24)]
+    return words
+
+
+def _read_csv(path: str, schema: _Schema):
+    """Read and check a CSV's rows: (its id column in chunks, its float
+    column(s), its int columns, and per int column the int() of each
+    distinct text that csv.reader gave).
+
+    A byte path chunk has passed every rule. A csv.reader chunk is
+    converted column by column (_cell_columns). The first it refuses, or
+    that ends at a row of another width, goes to a loop over its rows:
+    check_row raises the ValidationError of the first rule a row breaks, in
+    a row-by-row reader's order. A duplicate id up to and including that
+    row wins, as a row's id is checked first. No later chunk is converted,
+    but the rest of the file is still read, so that a decode error or an
+    oversized field in it wins; then the read's error is raised.
+    """
+    seen = _SeenIds(schema.what)
+    values: list[dict[str, int]] = [{} for _ in schema.ints]
+    floats: list[np.ndarray] = []
+    ints: list[list[np.ndarray]] = [[] for _ in schema.ints]
+    chunks = _read_chunks(path, schema)
+    for data, chunk in chunks:
+        if not chunk.plain:
+            cells, width = data, chunk.width
+            ids = cells[::width]
             if chunk.wrong is None:
-                raise AssertionError(f"{path!r}: no row of a refused chunk fails")
-            error = f"expected {width} fields, got {chunk.wrong}"
-        seen.add(ids[: r + 1], chunk)
-        error = seen.check() or f"line {chunk.line_of(r)}: {error}"
-        del cells, ids
-        for cells, _ in chunks:  # read on: a later decode error still wins
-            del cells
-        raise ValidationError(error)
+                data = _cell_columns(cells, width, schema, values)
+            if chunk.wrong is not None or data is None:
+                r, error = _first_bad_row(cells, width, schema.check_row)
+                if error is None:
+                    if chunk.wrong is None:
+                        raise AssertionError(f"{path!r}: no row of a refused chunk fails")
+                    error = f"expected {width} fields, got {chunk.wrong}"
+                seen.add(ids[: r + 1], chunk)
+                error = seen.check() or f"line {chunk.line_of(r)}: {error}"
+                del cells, ids, data
+                for data, _ in chunks:  # read on: a later decode error still wins
+                    del data
+                raise ValidationError(error)
+            data = ids, *data
+            del cells, ids  # free the chunk's cells before the next is read
+        ids, x, *columns = data
+        floats.append(x)
+        seen.add(ids, chunk)
+        for column, kept in zip(columns, ints):
+            kept.append(column)
+        del data, ids, x, columns
     error = seen.check()
     if error is not None:
         raise ValidationError(error)
-    return seen.chunks
+    dtypes = [dtype for _, _, dtype in schema.ints]
+    ints = [join_chunks(kept, dtype) for kept, dtype in zip(ints, dtypes)]
+    return seen.chunks, join_chunks(floats, np.float64), ints, values
+
+
+def _cell_columns(cells: list[str], width: int, schema: _Schema, values):
+    """(floats, *ints) of a csv.reader chunk, or None unless every row
+    passes: ints are read once per distinct text (values holds each int
+    column's, from the chunks before), floats by one object-to-float64
+    astype."""
+    texts = [cells[column::width] for column, _, _ in schema.ints]
+    for text, known, (_, top, _) in zip(texts, values, schema.ints):
+        if not _add_ints(text, known, top):
+            return None
+    table = np.array(cells, dtype=object).reshape(-1, width)
+    try:
+        x = table[:, schema.floats].astype(np.float64)
+    except ValueError:
+        return None
+    if not schema.valid(x):
+        return None
+    dtypes = [dtype for _, _, dtype in schema.ints]
+    return x, *[_int_column(*args) for args in zip(texts, values, dtypes)]
 
 
 def _first_bad_row(cells: list[str], width: int, check_row) -> tuple[int, str | None]:
@@ -452,27 +598,37 @@ def _first_bad_row(cells: list[str], width: int, check_row) -> tuple[int, str | 
     return rows, None
 
 
-def _writer_floats(texts) -> np.ndarray | None:
-    """float() of every cell of texts, or None unless each is in the form
-    the writers give, -?D.DDDDDDDDDDDDDDDDe[+-]DD in ASCII.
+def _writer_floats(cells) -> np.ndarray | None:
+    """float() of every cell, or None unless each is in the form the
+    writers give, -?D.DDDDDDDDDDDDDDDDe[+-]DD in ASCII.
 
-    texts is a list of str or a 2-D object array of them, holding no NUL:
-    the cast to bytes drops a trailing NUL, which float() refuses. The
-    cells are parsed FLOAT_BLOCK at a time straight into the result, so
-    that no temporary is as large as a chunk (see the module docstring).
+    cells is their (..., 3) words from _cell_words, or their text: a list
+    of str or a 2-D object array of them. The result has the cells' shape.
+    They are parsed FLOAT_BLOCK at a time straight into it, text encoded a
+    block at a time, so that no temporary is as large as a chunk (see the
+    module docstring).
     """
     if not FAST_FLOATS:
         return None
-    out = np.empty(texts.shape if isinstance(texts, np.ndarray) else len(texts))
-    rows = max(1, FLOAT_BLOCK // math.prod(out.shape[1:]))
-    for start in range(0, len(out), rows):
-        try:
-            cells = np.array(texts[start : start + rows], "S24")
-        except UnicodeEncodeError:
-            return None
-        if not _parse_floats(cells.reshape(-1), out[start : start + rows].reshape(-1)):
+    words = isinstance(cells, np.ndarray) and cells.dtype == np.uint64
+    out = np.empty(cells.shape[:-1] if words else np.shape(cells))
+    flat = out.reshape(-1)
+    cells = cells.reshape(-1, 3) if words else np.asarray(cells, object).reshape(-1)
+    for start in range(0, flat.size, FLOAT_BLOCK):
+        end = start + FLOAT_BLOCK
+        block = cells[start:end] if words else _text_words(cells[start:end])
+        if block is None or not _parse_floats(block, flat[start:end]):
             return None
     return out
+
+
+def _text_words(texts: np.ndarray) -> np.ndarray | None:
+    """The _cell_words of str cells, or None if one holds a "," or "\\n"."""
+    data = ("\n".join(texts) + "\n").encode() + _PAD
+    bounds = _cell_bounds(np.frombuffer(data, np.uint8), 1)
+    if bounds is None or len(bounds[0]) != len(texts):
+        return None
+    return _cell_words(data, *bounds).reshape(-1, 3)
 
 
 _ONES = 0x0101_0101_0101_0101  # one in each byte of a word
@@ -495,12 +651,13 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     return q
 
 
-def _parse_floats(cells: np.ndarray, out: np.ndarray) -> bool:
-    """Parse S24 cells into out as float() would; False unless each is in
-    the writers' form.
+def _parse_floats(words: np.ndarray, out: np.ndarray) -> bool:
+    """Parse cells into out as float() would; False unless each is in the
+    writers' form.
 
-    A cell is three little-endian words, its first character in the lowest
-    byte; a negative one is moved a byte down. Its 17 digits are read eight
+    words is (n, 3), each cell's three little-endian words (_cell_words),
+    its first character in the lowest byte; a negative one is moved a byte
+    down. Its 17 digits are read eight
     at a time (Lemire, "Number Parsing at a Gigabyte per Second", SPE 2021)
     into M < 10**17 < 2**57, and its value is M * 10**k, k = exponent - 16.
     For |k| <= 27, M and 10**|k| are exact in x87's 64-bit significand, so
@@ -510,7 +667,7 @@ def _parse_floats(cells: np.ndarray, out: np.ndarray) -> bool:
     float()'s result unless q is such a midpoint (its 11 bits below a
     double's are 0x400). Those cells, and those with |k| > 27, take float().
     """
-    w = cells.view(np.uint64).reshape(-1, 3).T.copy()  # rows of words; cells stay
+    w = words.T.copy()  # rows of words; words stay
     neg = (w[0] & 0xFF) == ord("-")
     if neg.any():
         shift = neg.astype(np.uint64) << 3  # bits; a shift by 64 gives 0
@@ -532,8 +689,11 @@ def _parse_floats(cells: np.ndarray, out: np.ndarray) -> bool:
     bits = out.view(np.uint64)
     bits |= neg.astype(np.uint64) << 63
     midpoint = q.view(np.uint64)[::2] & 0x7FF == 0x400  # the significand's word
-    slow = np.flatnonzero(midpoint | (np.abs(k) > 27))
-    out[slow] = [float(cell) for cell in cells[slow]]
+    slow = midpoint | (np.abs(k) > 27)
+    if slow.any():  # their bytes, trailing NULs dropped
+        slow = np.flatnonzero(slow)
+        cells = words[slow].view("S24").reshape(-1)
+        out[slow] = [float(cell) for cell in cells.tolist()]
     return True
 
 
@@ -685,16 +845,16 @@ def _line_bytes(block: list[np.ndarray]) -> np.ndarray | None:
     return lines[lines != 0]
 
 
-def _add_ints(texts: list[str], values: dict[str, int], valid) -> bool:
+def _add_ints(texts: list[str], values: dict[str, int], top: int | None) -> bool:
     """Add int() of each new distinct text to values, which holds those of
     the earlier chunks; False at a text that is not an integer or whose
-    value valid refuses."""
+    value is below 0 or above top (unless top is None)."""
     for text in set(texts).difference(values):
         try:
             value = int(text)
         except ValueError:
             return False
-        if not valid(value):
+        if value < 0 or (top is not None and value > top):
             return False
         values[text] = value
     return True
@@ -709,13 +869,15 @@ def _parse_int(text: str, what: str) -> int:
 
 def _attribute_set(
     path: str,
-    attrs: dict[str, int],
-    records: int,
+    attrs: np.ndarray,
+    texts: dict[str, int],
     group_names: Sequence[str] | None,
     group_count: int | None = None,
 ) -> AttributeSet:
     """The given group names, or group0.. defaults.
 
+    attrs is the file's group ids, and texts the ints read from its
+    csv.reader cells, which hold any id too large for attrs' dtype.
     Refuses a file with no data rows, and given names too few for the ids.
     Without names, a given group_count (a model's) bounds the ids and sets
     the number of default names. Else the defaults run to the largest id k,
@@ -723,9 +885,10 @@ def _attribute_set(
     than it has records, and a stray large id would otherwise make about k
     empty default groups.
     """
-    if not attrs:
+    records = len(attrs)
+    if not records:
         raise ValidationError(f"{path!r} has a header but no data rows")
-    max_attr = max(attrs.values())
+    max_attr = max([int(attrs.max()), *texts.values()])
     if group_names is None and group_count is not None:
         if max_attr >= group_count:
             raise ValidationError(
@@ -786,6 +949,17 @@ def _check_dataset_row(row: list[str]) -> None:
         raise ValidationError("non-finite feature value")
 
 
+# id, attr (>= 0), label (0 or 1), finite features
+_DATASET = _Schema(
+    _dataset_width,
+    "duplicate sample id",
+    ((1, None, np.intp), (2, 1, np.int64)),
+    slice(3, None),
+    lambda x: np.isfinite(x).all(),
+    _check_dataset_row,
+)
+
+
 def read_dataset_csv(
     path: str,
     group_names: Sequence[str] | None = None,
@@ -800,46 +974,9 @@ def read_dataset_csv(
     the ids must be below it, and it names group0..group{count-1}. Sample
     ids must be unique; violations name the offending line.
     """
-    attrs: dict[str, int] = {}
-    labels: dict[str, int] = {}
-    attr_chunks, label_chunks, x_chunks = [], [], []
-
-    def keep(cells: list[str], width: int, plain: bool, add_ids) -> bool:
-        attr_text, label_text = cells[1::width], cells[2::width]
-        if not (
-            _add_ints(attr_text, attrs, lambda attr: attr >= 0)
-            and _add_ints(label_text, labels, lambda label: label in (0, 1))
-        ):
-            return False
-        table = np.array(cells, dtype=object).reshape(-1, width)
-        x = _writer_floats(table[:, 3:]) if plain else None
-        if x is None:
-            try:
-                x = table[:, 3:].astype(np.float64)
-            except ValueError:
-                return False
-        if not np.isfinite(x).all():
-            return False
-        add_ids()
-        attr_chunks.append(_int_column(attr_text, attrs, np.intp))
-        label_chunks.append(_int_column(label_text, labels, np.int64))
-        x_chunks.append(x)
-        return True
-
-    ids = _read_csv(
-        path, _dataset_width, "duplicate sample id", keep, _check_dataset_row
-    )
-    records = sum(map(len, ids))
-    attribute_set = _attribute_set(path, attrs, records, group_names, group_count)
-    x = np.concatenate(x_chunks)
-    del x_chunks
-    return Dataset(
-        attribute_set,
-        x,
-        join_chunks(label_chunks, np.int64),
-        join_chunks(attr_chunks, np.intp),
-        IdColumn.from_chunks(ids),
-    )
+    ids, x, (attrs, labels), (texts, _) = _read_csv(path, _DATASET)
+    attribute_set = _attribute_set(path, attrs, texts, group_names, group_count)
+    return Dataset(attribute_set, x, labels, attrs, IdColumn.from_chunks(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -878,46 +1015,23 @@ def _check_predictions_row(row: list[str]) -> None:
         raise ValidationError(f"record {sid!r}: label must be 0 or 1, got {label!r}")
 
 
+# id, score (in [0, 1]; NaN fails both tests), label (0 or 1), attr (>= 0)
+_PREDICTIONS = _Schema(
+    _predictions_width,
+    "duplicate id",
+    ((2, 1, np.int64), (3, None, np.intp)),
+    1,
+    lambda scores: ((scores >= 0.0) & (scores <= 1.0)).all(),
+    _check_predictions_row,
+)
+
+
 def read_predictions_csv(
     path: str, group_names: Sequence[str] | None = None
 ) -> tuple[Predictions, AttributeSet]:
-    labels: dict[str, int] = {}
-    attrs: dict[str, int] = {}
-    score_chunks, label_chunks, attr_chunks = [], [], []
-
-    def keep(cells: list[str], width: int, plain: bool, add_ids) -> bool:
-        score_text, label_text, attr_text = (cells[c::width] for c in (1, 2, 3))
-        if not (
-            _add_ints(label_text, labels, lambda label: label in (0, 1))
-            and _add_ints(attr_text, attrs, lambda attr: attr >= 0)
-        ):
-            return False
-        scores = _writer_floats(score_text) if plain else None
-        if scores is None:
-            try:
-                scores = np.array(score_text, dtype=object).astype(np.float64)
-            except ValueError:
-                return False
-        if not ((scores >= 0.0) & (scores <= 1.0)).all():  # NaN fails both
-            return False
-        add_ids()
-        score_chunks.append(scores)
-        label_chunks.append(_int_column(label_text, labels, np.int64))
-        attr_chunks.append(_int_column(attr_text, attrs, np.intp))
-        return True
-
-    ids = _read_csv(
-        path, _predictions_width, "duplicate id", keep, _check_predictions_row
-    )
-    records = sum(map(len, ids))
-    attribute_set = _attribute_set(path, attrs, records, group_names)
-    predictions = Predictions(
-        IdColumn.from_chunks(ids),
-        join_chunks(score_chunks, np.float64),
-        join_chunks(label_chunks, np.int64),
-        join_chunks(attr_chunks, np.intp),
-    )
-    return predictions, attribute_set
+    ids, scores, (labels, attrs), (_, texts) = _read_csv(path, _PREDICTIONS)
+    attribute_set = _attribute_set(path, attrs, texts, group_names)
+    return Predictions(IdColumn.from_chunks(ids), scores, labels, attrs), attribute_set
 
 
 # ---------------------------------------------------------------------------

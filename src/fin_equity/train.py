@@ -14,7 +14,8 @@ Each model keeps its seed's init and shuffle generators and its own m, and
 every stacked op gives it exactly its solo bits, so its checkpoint is the
 same whether it trains alone (`train` is the one-pair plan) or among any
 others. A non-finite loss or gradient raises in the first stack to meet
-one, at its earliest step, naming the first such model in plan order.
+one, at its earliest step, naming the first such model in plan order (by
+its seed, and by its m too when the plan holds more than one m).
 The loop checks once per run, not once per step. `_train_models` checks
 the feature width at entry (a Dataset checks its own rows), then calls the
 ops' kernels (`net._forward`, `net._cross_entropy`, `net._backward`,
@@ -201,14 +202,19 @@ def _train_models(
         )
     if eval_set.d != train_set.d:
         raise ValidationError("train and eval feature dimensions differ")
+    several = len({m for _, m in models}) > 1  # then errors name m too
     stacks = [models[i : i + STACK_MODELS] for i in range(0, len(models), STACK_MODELS)]
-    return [r for s in stacks for r in _train_stack(train_set, eval_set, config, s)]
+    return [
+        r for s in stacks for r in _train_stack(train_set, eval_set, config, s, several)
+    ]
 
 
 def _train_stack(
-    train_set: Dataset, eval_set: Dataset, config: TrainConfig, models
+    train_set: Dataset, eval_set: Dataset, config: TrainConfig, models, several: bool
 ) -> list[tuple[Checkpoint, RunHistory]]:
-    """Train the (seed, fin_momentum) pairs as one stack; one result per pair."""
+    """Train the (seed, fin_momentum) pairs as one stack; one result per pair.
+    Errors name a model by its seed, and by its m too if several."""
+    names = [f"seed {s} (m = {m})" if several else f"seed {s}" for s, m in models]
     stack, shuffle_rngs = [], []
     for seed, m in models:
         init_ss, shuffle_ss = np.random.SeedSequence(seed).spawn(2)
@@ -253,19 +259,19 @@ def _train_stack(
             if not np.isfinite(loss).all():
                 bad = int(np.flatnonzero(~np.isfinite(loss))[0])
                 raise TrainingDivergedError(
-                    f"non-finite loss for seed {models[bad][0]} at epoch {epoch}, "
+                    f"non-finite loss for {names[bad]} at epoch {epoch}, "
                     f"batch {start // config.batch_size}"
                 )
             _backward(model, saved, grad_logits, state.grad)
             if not np.isfinite(state.grad_flat).all():
-                seed, name = next(
-                    (seed, name)
-                    for i, (seed, _) in enumerate(models)
+                who, name = next(
+                    (who, name)
+                    for i, who in enumerate(names)
                     for name, g in state.grad.items()
                     if not np.isfinite(g[i]).all()
                 )
                 raise NonFiniteError(
-                    f"non-finite gradient in parameter block {name!r} for seed {seed}"
+                    f"non-finite gradient in parameter block {name!r} for {who}"
                 )
             _adamw_update(flat, state, config.optimizer, shrink)
             batch_losses.append(loss)

@@ -434,6 +434,26 @@ def test_diverged_training_is_exit_2(workdir, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["train.json"]
 
 
+def test_diverged_sweep_names_the_blend_value(workdir, tmp_path):
+    # a plan of several m names the first diverging model by its seed and m
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({**TRAIN_CONFIG, "optimizer": {"lr": 1e300}}))
+    r = run_cli(
+        "sweep-momentum",
+        "--config", str(config),
+        "--train", str(workdir / "train.csv"),
+        "--eval", str(workdir / "eval.csv"),
+        "--grid", "0:1:0.5",
+        "--seeds", "1,2",
+        "--out", str(tmp_path / "out" / "sweep.json"),
+    )
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.splitlines() == [
+        "error: non-finite loss for seed 1 (m = 0.0) at epoch 0, batch 1"
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.json"]
+
+
 def test_overflowing_synth_prints_one_error_line(tmp_path):
     groups = [{**SYNTH_CONFIG["groups"][0], "separation": 1e308, "offset": 1e308}]
     config = tmp_path / "synth.json"

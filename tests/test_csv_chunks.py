@@ -7,15 +7,17 @@ the whole file gives: a decode error or an oversized field anywhere before
 the first wrong-width row beats every check, ids are unique across chunks,
 blank rows count in later line numbers, and group ids are range-checked only
 after every row has passed. The row-by-row fuzz of test_csv_readers then
-runs again with chunks a few cells long and text blocks
-(`fileio.CHUNK_TEXT`) a few characters long, so that chunk edges, block
-edges and the switch from plain blocks to csv.reader fall between any two
-records. A second fuzz pins that the plain blocks split into the cells and
-record numbers csv.reader gives, and that only a line csv.reader reads
-otherwise ends them; CRLF files read as their LF twins.
+runs again with chunks a few cells long and byte blocks
+(`fileio.CHUNK_TEXT`) a few bytes long, so that chunk edges, block edges
+and the switch from the byte path to csv.reader fall between any two
+records. Files from the writers, with one dirty line of each kind at each
+position, read as the row-by-row readers read them, at every block size
+and with the float parser switched off too; clean ones never reach
+csv.reader, and CRLF files read as their LF twins.
 """
 
 import csv
+import itertools
 import os
 import subprocess
 import sys
@@ -28,9 +30,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_csv_readers import FORMATS, columns, dirty_files, outcome
+from test_float_cells import dataset as float_dataset
+from test_float_cells import predictions as float_predictions
 
-from fin_equity import ValidationError, cli, fileio
-from fin_equity.fileio import read_dataset_csv, write_dataset_csv
+from fin_equity import AttributeSet, Dataset, Predictions, ValidationError, cli, fileio
+from fin_equity.fileio import read_dataset_csv, write_dataset_csv, write_predictions_csv
 from fin_equity.synth import default_benchmark, generate
 
 ROWS = 60_000  # over three chunks of the default size in both formats
@@ -241,78 +245,122 @@ def test_tiny_blocks_match_the_row_by_row_readers(scratch, chunk_cells, chunk_te
     match_the_row_by_row_readers(scratch, case, chunk_cells, chunk_text)
 
 
-# cell text with no comma, quote, "\r", "\n" or NUL; str.splitlines breaks
-# lines at \x0b, \x0c, \x1c-\x1e, \x85 and \u2028-\u2029, but csv and io do not
-PLAIN_CELLS = st.text(
-    st.sampled_from(" a1.-é\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\U0001d7cf"), max_size=4
-)
-# one line that is not plain: csv.reader reads it and every line after it
-DIRT = {
-    "crlf": lambda line: line + "\r",
-    "lone cr": lambda line: line + "\r" + line,
-    "quoted": lambda line: '"a,\nb"' + line[line.index(","):],
-    "nul": lambda line: "\0" + line,
-    "wide": lambda line: line + ",x",
-    # 2 * width + 1 fields: the line's "\n" still falls on the stride
-    "wider by width + 1": lambda line: f"{line},{line},x",
-    "blank": lambda line: "\n" + line,
+# ---------------------------------------------------------------------------
+# the byte path: files from the writers with one dirty line at every
+# position, read in blocks of every size, with the float parser on and off
+
+
+def writer_lines(tmp_path, kind: str) -> list[bytes]:
+    """The lines of a small file from the writers, header first."""
+    rng = np.random.default_rng(5)
+    rows = 8
+    attrs, labels = np.arange(rows) % 3, np.arange(rows) % 2
+    path = str(tmp_path / f"writer_{kind}.csv")
+    if kind == "dataset":
+        x = rng.standard_normal((rows, 2)) * 10.0 ** rng.integers(-5, 5, (rows, 2))
+        ids = [f"s{i}" for i in range(rows)]
+        write_dataset_csv(Dataset(AttributeSet.default(3), x, labels, attrs, ids), path)
+    else:
+        ids = [f"p{i}" for i in range(rows)]
+        write_predictions_csv(Predictions(ids, rng.random(rows), labels, attrs), path)
+    with open(path, "rb") as f:
+        return f.read().splitlines(keepends=True)
+
+
+def with_cell(line: bytes, column: int, cell: bytes) -> bytes:
+    cells = line.rstrip(b"\n").split(b",")
+    cells[column] = cell
+    return b",".join(cells) + b"\n"
+
+
+# kind -> (attr, label, float) columns
+COLUMNS = {"dataset": (1, 2, 4), "predictions": (3, 2, 1)}
+# one line that the byte path refuses, or reads, as csv.reader would
+DIRTY = {
+    "quote": lambda line, c, other: b'"' + line.replace(b",", b'",', 1),
+    "crlf": lambda line, c, other: line[:-1] + b"\r\n",
+    "nul": lambda line, c, other: with_cell(line, 0, b"n\0l"),
+    "non-ascii id": lambda line, c, other: with_cell(line, 0, "é".encode()),
+    "invalid utf-8": lambda line, c, other: with_cell(line, 0, b"s\xff"),
+    "blank": lambda line, c, other: b"\n" + line,
+    "wide": lambda line, c, other: line[:-1] + b",0.5\n",
+    "narrow": lambda line, c, other: line[: line.rindex(b",")] + b"\n",
+    # as many cells as two rows, on two lines of the wrong widths
+    "wide, then narrow": lambda line, c, other: (
+        line[:-1] + b",0.5\n" + other[: other.rindex(b",")] + b"\n"
+    ),
+    "float form": lambda line, c, other: with_cell(line, c[2], b"0.5"),
+    "two-digit attr": lambda line, c, other: with_cell(line, c[0], b"10"),
+    "negative attr": lambda line, c, other: with_cell(line, c[0], b"-1"),
+    "label out of range": lambda line, c, other: with_cell(line, c[1], b"2"),
+    "duplicate id": lambda line, c, other: with_cell(line, 0, other.split(b",")[0]),
+    "inf": lambda line, c, other: with_cell(line, c[2], b"inf"),
+    "nan": lambda line, c, other: with_cell(line, c[2], b"nan"),
 }
 
 
-@st.composite
-def plain_files(draw):
-    """(width, text, dirty): a CSV of plain rows, perhaps with one dirty line,
-    with or without a final newline."""
-    width = draw(st.integers(2, 5))
-    rows = draw(st.lists(st.lists(PLAIN_CELLS, min_size=width, max_size=width), max_size=30))
-    lines = [",".join(r) for r in [[f"h{i}" for i in range(width)], *rows]]
-    dirt = draw(st.sampled_from([None, *DIRT])) if rows else None
-    if dirt is not None:
-        r = draw(st.integers(1, len(rows)))
-        lines[r] = DIRT[dirt](lines[r])
-    return width, "\n".join(lines) + draw(st.sampled_from(["", "\n"])), dirt is not None
+def reference_outcome(kind, path):
+    """The row-by-row reader's outcome; it leaves a decode error unnamed."""
+    try:
+        return outcome(FORMATS[kind][1], path, None)
+    except UnicodeDecodeError as exc:
+        return "error", f"{path!r} is not valid UTF-8 ({exc.reason})"
 
 
-@pytest.mark.parametrize("chunk_text", [1, 7, 64, fileio.CHUNK_TEXT])
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=plain_files())
-def test_plain_blocks_split_as_csv_reader_does(scratch, chunk_text, case):
-    width, text, dirty = case
-    path = scratch / "plain.csv"
-    path.write_text(text, encoding="utf-8", newline="")
-    with open(path, encoding="utf-8", newline="") as f:
-        records = list(csv.reader(f))  # the header is record 1
-    rows, lines, wrong = [], [], None
-    for line, r in enumerate(records[1:], 2):
-        if r and len(r) != width:
-            wrong = len(r)
-            break
-        if r:
-            rows += r
-            lines.append(line)
-    split, refused = fileio._plain_cells, []  # refused: blocks left to csv.reader
+@pytest.mark.parametrize("dirt", sorted(DIRTY))
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_a_dirty_line_anywhere_reads_as_the_row_by_row_readers(tmp_path, kind, dirt):
+    header, *lines = writer_lines(tmp_path, kind)
+    path = tmp_path / "dirty.csv"
+    for r in range(len(lines)):
+        other = lines[r - 1] if r else lines[1]
+        dirty = [*lines[:r], DIRTY[dirt](lines[r], COLUMNS[kind], other), *lines[r + 1 :]]
+        path.write_bytes(b"".join([header, *dirty]))
+        want = reference_outcome(kind, str(path))
+        for chunk_text, chunk_cells, fast in itertools.product(
+            [1, 7, 64, fileio.CHUNK_TEXT], [5, fileio.CHUNK_CELLS], [True, False]
+        ):
+            with (
+                mock.patch.object(fileio, "CHUNK_TEXT", chunk_text),
+                mock.patch.object(fileio, "CHUNK_CELLS", chunk_cells),
+                mock.patch.object(fileio, "FAST_FLOATS", fileio.FAST_FLOATS and fast),
+            ):
+                got = outcome(READERS[kind], str(path), None)
+            assert got == want, (r, chunk_text, chunk_cells, fast)
 
-    def plain_cells(block, width):
-        cells = split(block, width)
-        if cells is None:
-            refused.append(block)
-        return cells
 
-    got, numbers, wrongs = [], [], []
-    with (
-        mock.patch.object(fileio, "CHUNK_CELLS", 5),
-        mock.patch.object(fileio, "CHUNK_TEXT", chunk_text),
-        mock.patch.object(fileio, "_plain_cells", plain_cells),
-    ):
-        for cells, chunk in fileio._read_chunks(str(path), len):
-            got += cells
-            numbers += map(chunk.line_of, range(len(cells) // width))
-            wrongs.append(chunk.wrong)
-    assert got == rows
-    assert numbers == lines
-    assert wrongs.count(None) == len(wrongs) - (wrong is not None)
-    assert wrong is None or wrongs[-1] == wrong
-    assert bool(refused) == dirty
+def csv_reader_rows(rows: list):
+    """A stand-in for csv.reader that records every row it yields."""
+    reader = csv.reader
+
+    def spy(*args, **kwargs):
+        for row in reader(*args, **kwargs):
+            rows.append(row)
+            yield row
+
+    return mock.patch.object(csv, "reader", spy)
+
+
+@pytest.mark.skipif(not fileio.FAST_FLOATS, reason="no writer-form float parser here")
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_writer_files_take_the_byte_path(tmp_path, kind):
+    # only the header reaches csv.reader; a CRLF twin sends every row to it
+    path = tmp_path / "written.csv"
+    if kind == "dataset":
+        write_dataset_csv(float_dataset(20_000), str(path))
+    else:
+        write_predictions_csv(float_predictions(40_000), str(path))
+    rows: list = []
+    with csv_reader_rows(rows):
+        value = columns(READERS[kind](str(path)))
+    with open(path, encoding="utf-8") as f:
+        assert rows == [f.readline().rstrip("\n").split(",")]
+    twin = tmp_path / "crlf.csv"
+    twin.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    rows.clear()
+    with csv_reader_rows(rows):
+        assert columns(READERS[kind](str(twin))) == value
+    assert len(rows) == 1 + len(value[0])
 
 
 # ---------------------------------------------------------------------------
