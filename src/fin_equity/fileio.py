@@ -23,20 +23,22 @@ glibc's 128 KB mmap threshold (see the parser below). On a 2-vCPU x86-64 host,
 60,000 predictions take 50-85 ms against 250-270 ms one % and csv.writer
 row a record, and 60,000 x 20 features 0.45-0.6 s against 1.9-2.0 s.
 
-The CSV readers stream a file once, a block of CHUNK_TEXT bytes at a time,
-each run on to a line end. While a block is plain, the byte path converts
-it where it lies (_plain_columns; Langdale & Lemire, VLDB J. 2019): one
-scan finds every "," and "\\n", which give each cell's start and length;
-each float cell's 24 bytes are gathered as three words for the parser
-below, a one-digit int is its byte less "0", and the ids are sliced from
-the block's one decode. Plain means ASCII with no quote, "\\r" or NUL, and
-the header's width on every line; and every cell must be in the writers'
-form and pass its rule. The first block that is not, and the rest of the
-file, are decoded and go to csv.reader, and no later block goes back, so
-every error's text and line come from the row-by-row rules below. Both
-formats share this path, each by its _Schema. At 80 KB a block's
-temporaries stay below glibc's 128 KB mmap threshold; 4 KB blocks made the
-read four times slower, from numpy's cost per call. Plain blocks are
+The CSV readers check the header line first, then stream the data rows
+once, a block of CHUNK_TEXT bytes at a time, each run on to a line end.
+While a block is plain, the byte path converts it where it lies
+(_plain_columns; Langdale & Lemire, VLDB J. 2019): one scan finds every
+"," and "\\n", which give each cell's start and length; each float cell's
+24 bytes are gathered as three words for the parser below (or, in any
+other form, cast from S24), an int cell's first 8 as one word whose
+digits are summed as the parser's are, and the ids are sliced from the
+block's one decode. Plain means valid UTF-8 with no quote, "\\r" or NUL,
+and the header's width on every line; and every cell must be in a form
+the byte path reads and pass its rule. The first block that is not, and
+the rest of the file, are decoded and go to csv.reader, and no later
+block goes back, so every error's text and line come from the row-by-row
+rules below. Both formats share this path, each by its _Schema. At 80 KB a
+block's temporaries stay below glibc's 128 KB mmap threshold; 4 KB blocks
+made the read four times slower, from numpy's cost per call. Plain blocks are
 gathered into chunks of CHUNK_CELLS cells, whose float and int columns
 each get an anonymous memory map (_mapped). The blocks' temporaries come
 and go in malloc's heap, and kept columns among them fragmented it: with
@@ -61,7 +63,7 @@ The byte path reads float cells by _writer_floats, which takes only the
 writers' form with a two-digit exponent, -?D.DDDDDDDDDDDDDDDDe[+-]DD, and
 gives float()'s bits for it. The parser needs x87's 64-bit long double
 significand (see _parse_floats), so FAST_FLOATS gates it once, at import;
-without it the first block goes to csv.reader. It works on FLOAT_BLOCK
+without it every float cell takes the S24 cast. It works on FLOAT_BLOCK
 cells at a time, straight into the result: with a whole chunk of 30,000
 cells at once its temporaries reach 200-700 KB, past glibc's 128 KB mmap
 threshold, and freeing one raises that threshold, so later chunk arrays
@@ -355,14 +357,15 @@ def _read_chunks(path: str, schema: _Schema):
     Each chunk is (data, chunk), chunk being its _Chunk. While each block
     of CHUNK_TEXT bytes, run on to a line end, is plain, a chunk gathers
     the blocks' _plain_columns up to CHUNK_CELLS cells, and data is its
-    (ids, floats, *ints). The first block that is not, and the rest of the
-    file, are decoded for csv.reader, which reads CHUNK_CELLS / width
-    records a chunk; data is then the flat cells of a chunk's rows. (A
-    header holding a quote or "\\r" sends the whole file to csv.reader.)
-    Blank rows are skipped; reading stops at the first row of another
-    width, which ends the last chunk. A decode error or an oversized field
-    raises with its record's number, whatever the consumer did with the
-    chunks before it.
+    (ids, floats, *ints). From the start of the first block that is not,
+    csv.reader reads the file again (a pipe's block is decoded whole: held
+    in a StringIO, 4 bytes a character, it costs a failing read 0.4 MB),
+    CHUNK_CELLS / width records a chunk; data is then the flat cells of a
+    chunk's rows. The header line is decoded and checked first (one holding
+    a quote or "\\r" sends the whole file to csv.reader). Blank rows are
+    skipped; reading stops at the first row of another width, which ends
+    the last chunk. A decode error or an oversized field raises with its
+    record's number, whatever the consumer did with the chunks before it.
     """
     # no per-row counter: a record's number is line plus the rows and blank
     # rows of the chunk read before it
@@ -388,8 +391,12 @@ def _read_chunks(path: str, schema: _Schema):
                     yield full, _Chunk(width, line, [], None, True)
                     line += rows
                     ids, kept, rows = [], [], 0
-                if data is None:
-                    text = block.decode()
+                if data is None:  # csv.reader reads on from the block's start
+                    if f.seekable():  # not holding the block (see above)
+                        f.seek(-len(block), io.SEEK_CUR)
+                        text = ""
+                    else:  # a pipe
+                        text = block.decode()
                     break
                 if not kept:  # a chunk's floats and ints, CHUNK_CELLS cells
                     size = max(CHUNK_CELLS // width, len(data[0]))
@@ -442,38 +449,44 @@ _PAD = bytes(24)  # after a block, so that _cell_words reads 24 bytes at any cel
 
 def _plain_columns(block: bytes, width: int, schema: _Schema):
     """(ids, floats, *ints) of a block of lines, or None unless it is plain
-    and each of its cells is in the writers' form and passes its rule.
+    and each of its cells is in a form the byte path reads and passes its
+    rule.
 
-    Plain: ASCII with no quote, "\\r" or NUL, and width cells on each line,
-    so csv.reader would read a line as line.split(","); and no id past
-    csv's field limit. The writers' forms: an int is one digit, a float is
-    in _writer_floats's form. Ids are sliced from the block's text.
+    Plain: valid UTF-8 with no quote, "\\r" or NUL, and width cells on each
+    line, so csv.reader would read a line as line.split(","); and no id
+    past csv's field limit. The forms: an int is 1 to 8 ASCII digits (as
+    the writers give any int below 10**8); a float is in _writer_floats's
+    form, or else float() of its at most 24 ASCII bytes. Ids are sliced
+    from the block's text.
     """
-    if b'"' in block or b"\r" in block or b"\0" in block or not block.isascii():
+    if b'"' in block or b"\r" in block or b"\0" in block:
         return None
     if not block.endswith(b"\n"):  # the file's last line
         block += b"\n"
     data = block + _PAD
-    a = np.frombuffer(data, np.uint8)
-    bounds = _cell_bounds(a, width)  # and no id too long for csv.reader
+    bounds = _cell_bounds(np.frombuffer(data, np.uint8), width)
     if bounds is None or bounds[1][:, 0].max() > csv.field_size_limit():
         return None
     starts, lengths = bounds
     floats = schema.floats
-    x = _writer_floats(_cell_words(data, starts[:, floats], lengths[:, floats]))
+    x = _block_floats(data, starts[:, floats], lengths[:, floats])
     if x is None or not schema.valid(x):
         return None
-    firsts, ints = a[starts], []  # each cell's first byte
+    ints = []
     for column, top, dtype in schema.ints:
-        digits, n = firsts[:, column], lengths[:, column]
-        high = ord("0") + min(9, 9 if top is None else top)
-        if n.min() != 1 or n.max() != 1 or digits.min() < ord("0") or digits.max() > high:
+        values = _cell_ints(data, starts[:, column], lengths[:, column])
+        if values is None or (top is not None and values.max() > top):
             return None
-        ints.append(digits.astype(dtype))
-        ints[-1] -= ord("0")
-    text = block.decode()
-    ids = starts[:, 0].tolist()
-    ids = [text[s : s + n] for s, n in zip(ids, lengths[:, 0].tolist())]
+        ints.append(values.astype(dtype))
+    spans = zip(starts[:, 0].tolist(), lengths[:, 0].tolist())
+    if block.isascii():  # byte offsets are the text's offsets
+        text = block.decode()
+        ids = [text[s : s + n] for s, n in spans]
+    else:  # the checks above refused a byte past ASCII in any other cell
+        try:
+            ids = [block[s : s + n].decode() for s, n in spans]
+        except UnicodeDecodeError:
+            return None
     return ids, x, *ints
 
 
@@ -496,8 +509,11 @@ def _cell_bounds(a: np.ndarray, width: int):
     return starts.reshape(rows, width), (ends - starts).reshape(rows, width)
 
 
-# the bytes of a cell of n <= 24 bytes in its third word: a mask for each n
-_KEEP = np.array([(1 << 8 * max(n - 16, 0)) - 1 for n in range(25)], np.uint64)
+# the bytes of a cell of n <= 24 bytes in each of its three words
+_KEEP = np.array(
+    [[(1 << 8 * min(max(n - 8 * i, 0), 8)) - 1 for i in range(3)] for n in range(25)],
+    np.uint64,
+)
 
 
 def _cell_words(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -510,8 +526,46 @@ def _cell_words(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndar
     """
     at = np.ndarray((len(data) - 23,), "V24", data, strides=(1,))  # one a byte
     words = at[starts].view(np.uint64).reshape(*starts.shape, 3)
-    words[..., 2] &= _KEEP[np.minimum(lengths, 24)]
+    words[..., 2] &= _KEEP[np.minimum(lengths, 24), 2]
     return words
+
+
+def _block_floats(data: bytes, starts: np.ndarray, lengths: np.ndarray):
+    """float() of each float cell of a block, or None unless each is in the
+    writers' form or has 1 to 24 bytes that float() reads.
+
+    The writers' form takes the parser below. Else, or without it (FAST_FLOATS
+    off), the cells' bytes, masked to their lengths, are cast from S24:
+    numpy's bytes-to-float cast reads what float() reads of ASCII text, and
+    refuses a byte past ASCII, which csv.reader's str then decides.
+    """
+    words = _cell_words(data, starts, lengths)
+    x = _writer_floats(words)
+    if x is not None or lengths.max() > 24:
+        return x
+    words[..., :2] &= _KEEP[lengths, :2]
+    try:
+        return words.view("S24")[..., 0].astype(np.float64)
+    except ValueError:
+        return None
+
+
+def _cell_ints(data: bytes, starts: np.ndarray, lengths: np.ndarray):
+    """The value of each int cell, or None unless each is 1 to 8 ASCII
+    digits: its word, moved up so that its last digit is the highest byte,
+    read by _eight_digits."""
+    shortest, longest = lengths.min(), lengths.max()
+    if shortest < 1 or longest > 8:
+        return None
+    if longest == 1:  # one digit each, the common case
+        digits = np.frombuffer(data, np.uint8)[starts] - ord("0")
+        return None if digits.max() > 9 else digits
+    at = np.ndarray((len(data) - 7,), "V8", data, strides=(1,))
+    shift = (64 - 8 * lengths).astype(np.uint64)
+    w = (at[starts].view(np.uint64) ^ 0x30 * _ONES) << shift  # leading zeros
+    if ((w | (w + 6 * _ONES)) & 0xF0 * _ONES).any():  # a byte past 9
+        return None
+    return _eight_digits(w)
 
 
 def _read_csv(path: str, schema: _Schema):
@@ -623,8 +677,13 @@ def _writer_floats(cells) -> np.ndarray | None:
 
 
 def _text_words(texts: np.ndarray) -> np.ndarray | None:
-    """The _cell_words of str cells, or None if one holds a "," or "\\n"."""
-    data = ("\n".join(texts) + "\n").encode() + _PAD
+    """The _cell_words of str cells, or None if one holds a ",", "\\n" or
+    NUL (a NUL past a cell's text would be masked off, and float() refuses
+    it)."""
+    text = "\n".join(texts) + "\n"
+    if "\0" in text:
+        return None
+    data = text.encode() + _PAD
     bounds = _cell_bounds(np.frombuffer(data, np.uint8), 1)
     if bounds is None or len(bounds[0]) != len(texts):
         return None

@@ -12,8 +12,10 @@ runs again with chunks a few cells long and byte blocks
 and the switch from the byte path to csv.reader fall between any two
 records. Files from the writers, with one dirty line of each kind at each
 position, read as the row-by-row readers read them, at every block size
-and with the float parser switched off too; clean ones never reach
-csv.reader, and CRLF files read as their LF twins.
+and with the float parser switched off too; clean ones (12 groups,
+non-ASCII ids and short floats among them) never reach csv.reader, and
+CRLF files read as their LF twins. The header is checked before any data
+row is decoded.
 """
 
 import csv
@@ -21,6 +23,7 @@ import itertools
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -289,6 +292,11 @@ DIRTY = {
     "wide, then narrow": lambda line, c, other: (
         line[:-1] + b",0.5\n" + other[: other.rindex(b",")] + b"\n"
     ),
+    # a new id at the end of one line, the next line without its id: as
+    # many cells as two rows, each run of width cells a valid row
+    "id moved up a line": lambda line, c, other: (
+        line[:-1] + b",x9\n" + other.split(b",", 1)[1]
+    ),
     "float form": lambda line, c, other: with_cell(line, c[2], b"0.5"),
     "two-digit attr": lambda line, c, other: with_cell(line, c[0], b"10"),
     "negative attr": lambda line, c, other: with_cell(line, c[0], b"-1"),
@@ -341,26 +349,103 @@ def csv_reader_rows(rows: list):
     return mock.patch.object(csv, "reader", spy)
 
 
-@pytest.mark.skipif(not fileio.FAST_FLOATS, reason="no writer-form float parser here")
-@pytest.mark.parametrize("kind", sorted(READERS))
-def test_writer_files_take_the_byte_path(tmp_path, kind):
-    # only the header reaches csv.reader; a CRLF twin sends every row to it
-    path = tmp_path / "written.csv"
-    if kind == "dataset":
+def plain_file(path, kind: str, variant: str) -> None:
+    """A file every block of which the byte path reads: from the writers
+    (3 groups), from the writers with 12 groups and non-ASCII ids, or
+    written by hand with short floats."""
+    if variant == "writer" and kind == "dataset":
         write_dataset_csv(float_dataset(20_000), str(path))
-    else:
+    elif variant == "writer":
         write_predictions_csv(float_predictions(40_000), str(path))
+    elif variant == "12 groups" and kind == "dataset":
+        d = float_dataset(5_000)
+        ids = [f"é{i}" for i in range(len(d.x))]
+        attrs = np.arange(len(d.x)) % 12
+        write_dataset_csv(Dataset(AttributeSet.default(12), d.x, d.labels, attrs, ids), str(path))
+    elif variant == "12 groups":
+        p = float_predictions(5_000)
+        ids = [f"é{i}" for i in range(len(p.scores))]
+        attrs = np.arange(len(p.scores)) % 12
+        write_predictions_csv(Predictions(ids, p.scores, p.labels, attrs), str(path))
+    else:  # short floats, some with an exponent
+        rng = np.random.default_rng(9)
+        v = rng.random((5_000, 4)) * 10.0 ** rng.integers(-6, 3, (5_000, 4))
+        lines = [HEADERS[kind] + (",f1,f2,f3" if kind == "dataset" else "")]
+        for i, (a, b, c, e) in enumerate(v.tolist()):
+            if kind == "dataset":
+                lines.append(f"s{i},{i % 3},{i % 2},{a:.6g},{-b:.4g},{c:g},{e:.3e}")
+            else:
+                lines.append(f"s{i},{a / 200:.5g},{i % 2},{i % 3}")
+        path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("fast", [True, False])
+@pytest.mark.parametrize("variant", ["writer", "12 groups", "short floats"])
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_plain_files_take_the_byte_path(tmp_path, kind, variant, fast):
+    # only the header reaches csv.reader; a CRLF twin sends every row to it
+    path = tmp_path / "plain.csv"
+    plain_file(path, kind, variant)
+    want = reference_outcome(kind, str(path))
+    assert want[0] == "ok"
     rows: list = []
-    with csv_reader_rows(rows):
-        value = columns(READERS[kind](str(path)))
+    with (
+        mock.patch.object(fileio, "FAST_FLOATS", fileio.FAST_FLOATS and fast),
+        csv_reader_rows(rows),
+    ):
+        assert columns(READERS[kind](str(path))) == want[1]
     with open(path, encoding="utf-8") as f:
         assert rows == [f.readline().rstrip("\n").split(",")]
     twin = tmp_path / "crlf.csv"
     twin.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     rows.clear()
     with csv_reader_rows(rows):
-        assert columns(READERS[kind](str(twin))) == value
-    assert len(rows) == 1 + len(value[0])
+        assert columns(READERS[kind](str(twin))) == want[1]
+    assert len(rows) == 1 + len(want[1][0])
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_a_pipe_reads_as_its_file(tmp_path, kind):
+    # plain blocks, then CRLF lines: a pipe cannot seek back to csv.reader's start
+    path = tmp_path / "plain.csv"
+    plain_file(path, kind, "12 groups")
+    data = path.read_bytes()
+    half = len(data) // 2
+    path.write_bytes(data[:half] + data[half:].replace(b"\n", b"\r\n"))
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(path.read_bytes(),))
+    writer.start()
+    try:
+        got = columns(READERS[kind](str(pipe)))
+    finally:
+        writer.join()
+    assert got == columns(READERS[kind](str(path)))
+
+
+@pytest.mark.skipif(not fileio.FAST_FLOATS, reason="no writer-form float parser here")
+def test_a_nul_after_a_writer_float_cell_is_refused():
+    cell = "1.0000000000000000e+00"
+    assert fileio._writer_floats([cell]).tolist() == [1.0]
+    with pytest.raises(ValueError):
+        float(cell + "\0")
+    assert fileio._writer_floats([cell + "\0"]) is None
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_the_header_is_checked_before_any_row_is_decoded(tmp_path, kind, quoted):
+    # a wrong header is named even with an undecodable byte on line 2, but
+    # an undecodable byte in the header line is a decode error
+    header = HEADERS[kind].replace("label", "lbl")
+    if quoted:
+        header = ",".join(f'"{cell}"' for cell in header.split(","))
+    path = tmp_path / "header.csv"
+    path.write_bytes(header.encode() + b"\n" + row(kind, 0).encode() + UNDECODABLE + b"\n")
+    assert read_error(kind, str(path)).startswith("line 1: header")
+    path.write_bytes(header.encode() + UNDECODABLE + b"\n" + row(kind, 0).encode() + b"\n")
+    assert read_error(kind, str(path)) == f"{str(path)!r} is not valid UTF-8 (invalid start byte)"
 
 
 # ---------------------------------------------------------------------------
