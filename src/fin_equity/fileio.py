@@ -10,18 +10,19 @@ The CSV writers do not check finiteness again: a Dataset cannot hold a
 non-finite feature, nor Predictions a score outside [0, 1]. Both run
 _write_csv, which builds each block of lines as bytes (_line_bytes): every
 field at a fixed place in a uint8 matrix, NUL-padded, and one mask drops
-the NULs. Float cells come from _format_floats, the inverse of
-_writer_floats: FLOAT_CELL % v exactly, in whole-array steps with one x87
-long double multiply or divide (see _format_block), about 0.15 us a cell
-against 1.2-1.5 us for the %; without x87, FAST_FLOATS off, each takes the
-%. A block whose ids csv.writer would quote, or that holds an id that is
-not ASCII, holds a NUL or is longer than ID_BYTES, or an int of 10**8 or
-more, goes to csv.writer, as does every block of a file that quotes every
-field (see _write_csv). A block holds FLOAT_BLOCK // (floats + 3) records,
-so that its matrix and each temporary stay under about 100 KB, below
-glibc's 128 KB mmap threshold (see the parser below). On a 2-vCPU x86-64 host,
-60,000 predictions take 50-85 ms against 250-270 ms one % and csv.writer
-row a record, and 60,000 x 20 features 0.45-0.6 s against 1.9-2.0 s.
+the NULs. A block whose ids csv.writer would quote, or that holds an id
+that is not ASCII, holds a NUL or is longer than ID_BYTES, or an int of
+10**8 or more, goes to csv.writer, as does every block of a file that
+quotes every field (see _write_csv). Either way its float cells come from
+_format_floats, the inverse of _writer_floats: FLOAT_CELL % v exactly, in
+whole-array steps with one x87 long double multiply or divide (see
+_format_block), about 0.15 us a cell against 1.2-1.5 us for the %;
+without x87, FAST_FLOATS off, each takes the %. A block holds
+FLOAT_BLOCK // (floats + 3) records, so that its matrix and each
+temporary stay under about 100 KB, below glibc's 128 KB mmap threshold
+(see the parser below). On a 2-vCPU x86-64 host, 60,000 predictions
+take 50-85 ms against 250-270 ms one % and csv.writer row a record, and
+60,000 x 20 features 0.45-0.6 s against 1.9-2.0 s.
 
 The CSV readers check the header line first, then stream the data rows
 once, a block of CHUNK_TEXT bytes at a time, each run on to a line end.
@@ -33,18 +34,18 @@ other form, cast from S24), an int cell's first 8 as one word whose
 digits are summed as the parser's are, and the ids are sliced from the
 block's one decode. Plain means valid UTF-8 with no quote, "\\r" or NUL,
 and the header's width on every line; and every cell must be in a form
-the byte path reads and pass its rule. The first block that is not, and
-the rest of the file, are decoded and go to csv.reader, and no later
-block goes back, so every error's text and line come from the row-by-row
-rules below. Both formats share this path, each by its _Schema. At 80 KB a
-block's temporaries stay below glibc's 128 KB mmap threshold; 4 KB blocks
-made the read four times slower, from numpy's cost per call. Plain blocks are
-gathered into chunks of CHUNK_CELLS cells, whose float and int columns
-each get an anonymous memory map (_mapped). The blocks' temporaries come
-and go in malloc's heap, and kept columns among them fragmented it: with
-them there, score_eval's peak RSS read 84.4-87.6 MB over 12 checkout
-paths, against 80.9-89.2 MB before the byte path and 80.1-80.5 MB with
-the maps.
+the byte path reads and pass its rule. csv.reader reads the first block
+that is not, from its bytes, then the rest of the file, a pipe as a
+file; no later block goes back, so every error's text and line come from
+the row-by-row rules below. Both formats share this path, each by its
+_Schema. At 80 KB a block's temporaries stay below glibc's 128 KB mmap
+threshold; 4 KB blocks made the read four times slower, from numpy's cost
+per call. Plain blocks are gathered into chunks of CHUNK_CELLS cells,
+whose float and int columns each get an anonymous memory map (_mapped).
+The blocks' temporaries come and go in malloc's heap, and kept columns
+among them fragmented it: with them there, score_eval's peak RSS read
+84.4-87.6 MB over 12 checkout paths, against 80.9-89.2 MB before the byte
+path and 80.1-80.5 MB with the maps.
 
 csv.reader reads CHUNK_CELLS cells a chunk, and a chunk's columns decide
 first: each is converted whole (ints once per distinct text, floats by one
@@ -59,16 +60,16 @@ file raises, with the same line and text. The first failing chunk stops
 the conversion, but the same chunk stream is still read to its end, so a
 decode error or an oversized field anywhere after it still wins.
 
-The byte path reads float cells by _writer_floats, which takes only the
-writers' form with a two-digit exponent, -?D.DDDDDDDDDDDDDDDDe[+-]DD, and
-gives float()'s bits for it. The parser needs x87's 64-bit long double
-significand (see _parse_floats), so FAST_FLOATS gates it once, at import;
-without it every float cell takes the S24 cast. It works on FLOAT_BLOCK
-cells at a time, straight into the result: with a whole chunk of 30,000
-cells at once its temporaries reach 200-700 KB, past glibc's 128 KB mmap
-threshold, and freeing one raises that threshold, so later chunk arrays
-land in the heap and can fragment it (one such variant's peak RSS grew
-about 1 MB per evaluate).
+The byte path reads float cells from their words by _writer_floats,
+which takes only the writers' form with a two-digit exponent,
+-?D.DDDDDDDDDDDDDDDDe[+-]DD, and gives float()'s bits for it. The parser
+needs x87's 64-bit long double significand (see _parse_floats), so
+FAST_FLOATS gates it once, at import; without it every float cell takes
+the S24 cast. It works on FLOAT_BLOCK cells at a time, straight into the
+result: with a whole chunk of 30,000 cells at once its temporaries reach
+200-700 KB, past glibc's 128 KB mmap threshold, and freeing one raises
+that threshold, so later chunk arrays land in the heap and can fragment
+it (one such variant's peak RSS grew about 1 MB per evaluate).
 
 Duplicate ids are found from an int64 array of hash() of each id, not
 from a set of str, and only when the read ends: at the failing chunk, over
@@ -97,8 +98,7 @@ from .core import AttributeSet, Dataset, IdColumn, Predictions, join_chunks
 from .errors import ValidationError
 from .metrics import MetricReport, PredictionHistogram
 
-FLOAT_FMT = ".16e"  # 17 significant digits
-FLOAT_CELL = "%" + FLOAT_FMT  # the same, as a %-format
+FLOAT_CELL = "%.16e"  # 17 significant digits
 CHUNK_CELLS = 1 << 15  # CSV cells tokenized and checked at a time
 CHUNK_TEXT = 80 << 10  # CSV bytes read at a time; see the module docstring
 FLOAT_BLOCK = 4096  # float cells parsed or formatted at a time; see below
@@ -118,7 +118,7 @@ def format_float(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
         raise ValidationError(f"cannot serialize non-finite float {x!r}")
-    return format(x, FLOAT_FMT)
+    return FLOAT_CELL % x
 
 
 def dumps_canonical(obj) -> str:
@@ -253,7 +253,7 @@ def _write_csv(path: str, header: list[str], columns: list) -> None:
 def _csv_cells(column: np.ndarray) -> np.ndarray:
     """A block of a column as a (rows, cells) object array for csv.writer."""
     if column.dtype.kind == "f":
-        cells = [FLOAT_CELL % v for v in column.reshape(-1).tolist()]
+        cells = [cell.decode() for cell in _format_floats(column.reshape(-1)).tolist()]
         return np.array(cells, object).reshape(len(column), -1)
     return column.astype(object).reshape(len(column), 1)
 
@@ -261,10 +261,6 @@ def _csv_cells(column: np.ndarray) -> np.ndarray:
 def write_dataset_csv(dataset: Dataset, path: str) -> None:
     header = ["id", "attr", "label"] + [f"f{i}" for i in range(dataset.d)]
     _write_csv(path, header, [dataset.ids, dataset.attrs, dataset.labels, dataset.x])
-
-
-def _hashes(ids: list[str]) -> np.ndarray:
-    return np.fromiter(map(hash, ids), np.int64, len(ids))
 
 
 class _Schema(NamedTuple):
@@ -321,7 +317,7 @@ class _SeenIds:
 
     def add(self, ids: list[str], place: _Chunk) -> None:
         self.chunks.append(np.array(ids, StringDType()))
-        self.hashes.append(_hashes(ids))
+        self.hashes.append(np.fromiter(map(hash, ids), np.int64, len(ids)))
         self.places.append(place)
 
     def check(self) -> str | None:
@@ -357,12 +353,11 @@ def _read_chunks(path: str, schema: _Schema):
     Each chunk is (data, chunk), chunk being its _Chunk. While each block
     of CHUNK_TEXT bytes, run on to a line end, is plain, a chunk gathers
     the blocks' _plain_columns up to CHUNK_CELLS cells, and data is its
-    (ids, floats, *ints). From the start of the first block that is not,
-    csv.reader reads the file again (a pipe's block is decoded whole: held
-    in a StringIO, 4 bytes a character, it costs a failing read 0.4 MB),
-    CHUNK_CELLS / width records a chunk; data is then the flat cells of a
-    chunk's rows. The header line is decoded and checked first (one holding
-    a quote or "\\r" sends the whole file to csv.reader). Blank rows are
+    (ids, floats, *ints). csv.reader reads the first block that is not, as
+    bytes, and then the rest of the file (a pipe as a file), CHUNK_CELLS /
+    width records a chunk; data is then the flat cells of a chunk's rows.
+    The header line is decoded and checked first (one holding a quote or
+    "\\r" is csv.reader's first block instead). Blank rows are
     skipped; reading stops at the first row of another width, which ends
     the last chunk. A decode error or an oversized field raises with its
     record's number, whatever the consumer did with the chunks before it.
@@ -374,7 +369,8 @@ def _read_chunks(path: str, schema: _Schema):
     blanks: list[int] = []  # record numbers of the chunk's blank rows
     try:
         with open(path, "rb") as f:
-            text = f.readline().decode()
+            block = f.readline()  # csv.reader starts at the last block read
+            text = block.decode()
             if not text:
                 raise ValidationError(f"{path!r} is empty")
             plain = '"' not in text and "\r" not in text
@@ -391,12 +387,7 @@ def _read_chunks(path: str, schema: _Schema):
                     yield full, _Chunk(width, line, [], None, True)
                     line += rows
                     ids, kept, rows = [], [], 0
-                if data is None:  # csv.reader reads on from the block's start
-                    if f.seekable():  # not holding the block (see above)
-                        f.seek(-len(block), io.SEEK_CUR)
-                        text = ""
-                    else:  # a pipe
-                        text = block.decode()
+                if data is None:  # csv.reader reads on from this block
                     break
                 if not kept:  # a chunk's floats and ints, CHUNK_CELLS cells
                     size = max(CHUNK_CELLS // width, len(data[0]))
@@ -406,9 +397,10 @@ def _read_chunks(path: str, schema: _Schema):
                     column[rows : rows + len(part)] = part
                 rows += len(data[0])
                 del data
-            # that text and the rest of the file, row by row
+            # that block and the rest of the file, row by row
+            start = io.TextIOWrapper(io.BytesIO(block), encoding="utf-8", newline="")
             rest = io.TextIOWrapper(f, encoding="utf-8", newline="")
-            reader = csv.reader(chain(io.StringIO(text, newline=""), rest))
+            reader = csv.reader(chain(start, rest))
             if not plain:
                 line, width = 2, schema.header_width(next(reader))
             records = -(-CHUNK_CELLS // width)  # per chunk, blank ones too
@@ -652,42 +644,24 @@ def _first_bad_row(cells: list[str], width: int, check_row) -> tuple[int, str | 
     return rows, None
 
 
-def _writer_floats(cells) -> np.ndarray | None:
+def _writer_floats(words: np.ndarray) -> np.ndarray | None:
     """float() of every cell, or None unless each is in the form the
     writers give, -?D.DDDDDDDDDDDDDDDDe[+-]DD in ASCII.
 
-    cells is their (..., 3) words from _cell_words, or their text: a list
-    of str or a 2-D object array of them. The result has the cells' shape.
-    They are parsed FLOAT_BLOCK at a time straight into it, text encoded a
-    block at a time, so that no temporary is as large as a chunk (see the
-    module docstring).
+    words is the cells' (..., 3) words from _cell_words, and the result has
+    the cells' shape. They are parsed FLOAT_BLOCK at a time straight into
+    it, so that no temporary is as large as a chunk (see the module
+    docstring).
     """
     if not FAST_FLOATS:
         return None
-    words = isinstance(cells, np.ndarray) and cells.dtype == np.uint64
-    out = np.empty(cells.shape[:-1] if words else np.shape(cells))
-    flat = out.reshape(-1)
-    cells = cells.reshape(-1, 3) if words else np.asarray(cells, object).reshape(-1)
+    out = np.empty(words.shape[:-1])
+    flat, words = out.reshape(-1), words.reshape(-1, 3)
     for start in range(0, flat.size, FLOAT_BLOCK):
         end = start + FLOAT_BLOCK
-        block = cells[start:end] if words else _text_words(cells[start:end])
-        if block is None or not _parse_floats(block, flat[start:end]):
+        if not _parse_floats(words[start:end], flat[start:end]):
             return None
     return out
-
-
-def _text_words(texts: np.ndarray) -> np.ndarray | None:
-    """The _cell_words of str cells, or None if one holds a ",", "\\n" or
-    NUL (a NUL past a cell's text would be masked off, and float() refuses
-    it)."""
-    text = "\n".join(texts) + "\n"
-    if "\0" in text:
-        return None
-    data = text.encode() + _PAD
-    bounds = _cell_bounds(np.frombuffer(data, np.uint8), 1)
-    if bounds is None or len(bounds[0]) != len(texts):
-        return None
-    return _cell_words(data, *bounds).reshape(-1, 3)
 
 
 _ONES = 0x0101_0101_0101_0101  # one in each byte of a word

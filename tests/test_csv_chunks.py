@@ -24,7 +24,6 @@ import os
 import subprocess
 import sys
 import threading
-import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -35,6 +34,8 @@ from hypothesis import strategies as st
 from test_csv_readers import FORMATS, columns, dirty_files, outcome
 from test_float_cells import dataset as float_dataset
 from test_float_cells import predictions as float_predictions
+from test_float_cells import writer_floats
+from test_memory import traced
 
 from fin_equity import AttributeSet, Dataset, Predictions, ValidationError, cli, fileio
 from fin_equity.fileio import read_dataset_csv, write_dataset_csv, write_predictions_csv
@@ -404,33 +405,66 @@ def test_plain_files_take_the_byte_path(tmp_path, kind, variant, fast):
     assert len(rows) == 1 + len(want[1][0])
 
 
+def pipe_file(path, kind: str, case: str) -> str | None:
+    """Write the case's file; return the error its reads must give, if any.
+
+    The error cases are one refused block of about 32 KB: a quoted id on
+    line 2, then a row of 3 fields and an undecodable byte, in either order.
+    """
+    if case == "crlf half":  # plain blocks, then CRLF lines
+        plain_file(path, kind, "12 groups")
+        data = path.read_bytes()
+        half = len(data) // 2
+        path.write_bytes(data[:half] + data[half:].replace(b"\n", b"\r\n"))
+        return None
+    lines = [row(kind, i).encode() for i in range(2400)]
+    lines[0] = b'"s0"' + lines[0][2:]
+    bad_row, bad_byte = (10, -1) if case == "bad row, then bad byte" else (-1, 1200)
+    lines[bad_row] = lines[bad_row][: lines[bad_row].rindex(b",")]
+    lines[bad_byte] = UNDECODABLE + lines[bad_byte]
+    path.write_bytes(b"\n".join([HEADERS[kind].encode(), *lines]) + b"\n")
+    assert len(path.read_bytes()) < fileio.CHUNK_TEXT
+    if bad_row == 10:
+        return "line 12: expected 4 fields, got 3"
+    return f"{str(path)!r} is not valid UTF-8 (invalid start byte)"
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
-@pytest.mark.parametrize("kind", sorted(READERS))
-def test_a_pipe_reads_as_its_file(tmp_path, kind):
-    # plain blocks, then CRLF lines: a pipe cannot seek back to csv.reader's start
-    path = tmp_path / "plain.csv"
-    plain_file(path, kind, "12 groups")
-    data = path.read_bytes()
-    half = len(data) // 2
-    path.write_bytes(data[:half] + data[half:].replace(b"\n", b"\r\n"))
+@pytest.mark.parametrize(
+    "kind, case",
+    [
+        pytest.param(kind, case, id=kind if case == "crlf half" else f"{kind}-{case}")
+        for case in ("crlf half", "bad row, then bad byte", "bad byte, then bad row")
+        for kind in sorted(READERS)
+    ],
+)
+def test_a_pipe_reads_as_its_file(tmp_path, kind, case):
+    # csv.reader reads a pipe's refused block as it reads a file's
+    path = tmp_path / "file.csv"
+    error = pipe_file(path, kind, case)
     pipe = tmp_path / "pipe"
     os.mkfifo(pipe)
     writer = threading.Thread(target=pipe.write_bytes, args=(path.read_bytes(),))
     writer.start()
     try:
-        got = columns(READERS[kind](str(pipe)))
+        got = outcome(READERS[kind], str(pipe), None)
     finally:
         writer.join()
-    assert got == columns(READERS[kind](str(path)))
+    want = outcome(READERS[kind], str(path), None)
+    if error is None:
+        assert got[0] == "ok" and got == want
+    else:
+        assert want == ("error", error)
+        assert got == ("error", error.replace(str(path), str(pipe)))
 
 
 @pytest.mark.skipif(not fileio.FAST_FLOATS, reason="no writer-form float parser here")
 def test_a_nul_after_a_writer_float_cell_is_refused():
     cell = "1.0000000000000000e+00"
-    assert fileio._writer_floats([cell]).tolist() == [1.0]
+    assert writer_floats([cell]).tolist() == [1.0]
     with pytest.raises(ValueError):
         float(cell + "\0")
-    assert fileio._writer_floats([cell + "\0"]) is None
+    assert writer_floats([cell + "\0"]) is None
 
 
 @pytest.mark.parametrize("quoted", [False, True])
@@ -461,14 +495,7 @@ def test_dataset_read_peak_is_a_few_times_what_it_keeps(tmp_path):
     )
     path = str(tmp_path / "eval.csv")
     write_dataset_csv(generate(config)[1], path)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        dataset = read_dataset_csv(path)
-        kept, peak = (size - base for size in tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
+    dataset, kept, peak = traced(lambda: read_dataset_csv(path))  # with its columns
     assert len(dataset) == 20_000
     assert peak <= 4 * kept, (peak, kept)
 

@@ -48,8 +48,29 @@ def bits(values) -> list[int]:
     return np.asarray(values, np.float64).view(np.uint64).tolist()
 
 
+def cell_words(cells) -> np.ndarray | None:
+    """The (..., 3) words fileio._cell_words gives str cells (a list, or a
+    2-D object array), or None if one holds a ",", "\\n" or NUL: a NUL past
+    a cell's text would be masked off, and float() refuses it."""
+    cells = np.asarray(cells, object)
+    text = "\n".join(cells.reshape(-1)) + "\n"
+    if "\0" in text:
+        return None
+    data = text.encode() + fileio._PAD
+    bounds = fileio._cell_bounds(np.frombuffer(data, np.uint8), 1)
+    if bounds is None or len(bounds[0]) != cells.size:
+        return None
+    return fileio._cell_words(data, *bounds).reshape(*cells.shape, 3)
+
+
+def writer_floats(cells) -> np.ndarray | None:
+    """fileio._writer_floats of str cells, as the byte path would give them."""
+    words = cell_words(cells)
+    return None if words is None else fileio._writer_floats(words)
+
+
 def assert_reads_as_float(cells: list[str]) -> None:
-    got = fileio._writer_floats(cells)
+    got = writer_floats(cells)
     assert got is not None, cells
     assert bits(got) == bits([float(c) for c in cells]), fingerprint()
 
@@ -66,7 +87,7 @@ def test_written_doubles_read_as_float_does(values):
     if all(map(two_digit_exponent, cells)):
         assert_reads_as_float(cells)
     else:  # a three-digit exponent is not the form
-        assert fileio._writer_floats(cells) is None
+        assert writer_floats(cells) is None
     short = [c for c in cells if two_digit_exponent(c)]
     if short:
         assert_reads_as_float(short)
@@ -123,7 +144,7 @@ def test_exact_midpoints_round_to_even():
     cells = ["9.0071992547409930e+15", "9.0071992547409950e+15"]
     cells.append("-1.8014398509481985e+16")
     assert_reads_as_float(cells)
-    assert fileio._writer_floats(cells).tolist() == [2.0**53, 2.0**53 + 4, -(2.0**54)]
+    assert writer_floats(cells).tolist() == [2.0**53, 2.0**53 + 4, -(2.0**54)]
 
 
 @needs_x87
@@ -165,10 +186,10 @@ def test_cells_outside_the_exact_range_read_as_float_does():
     ],
 )
 def test_other_forms_are_refused(cell):
-    assert fileio._writer_floats([cell]) is None
-    assert fileio._writer_floats([VALID, cell, VALID]) is None
+    assert writer_floats([cell]) is None
+    assert writer_floats([VALID, cell, VALID]) is None
     table = np.array([[VALID] * 5, [VALID, VALID, cell, VALID, VALID]], dtype=object)
-    assert fileio._writer_floats(table) is None
+    assert writer_floats(table) is None
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +239,8 @@ def read_both(data: str, preds: str) -> tuple:
 def test_writer_files_take_the_fast_path(written):
     parse, results = fileio._writer_floats, []
 
-    def spy(texts):
-        results.append(parse(texts))
+    def spy(words):
+        results.append(parse(words))
         return results[-1]
 
     with mock.patch.object(fileio, "_writer_floats", spy):
@@ -280,6 +301,7 @@ FOREIGN_SCRIPT = textwrap.dedent(
     import numpy as np
     from numeric_fingerprint import fingerprint
     from fin_equity import fileio
+    from test_float_cells import writer_floats
 
     rng = np.random.default_rng(11)
     values = rng.standard_normal(20_000) * 10.0 ** rng.integers(-20, 40, 20_000)
@@ -287,7 +309,7 @@ FOREIGN_SCRIPT = textwrap.dedent(
     digits = rng.integers(0, 10, (20_000, 17)).tolist()
     cells += [f"{d[0]}.{''.join(map(str, d[1:]))}e{e:+03d}"
               for d, e in zip(digits, rng.integers(-40, 60, 20_000).tolist())]
-    got = fileio._writer_floats(cells)
+    got = writer_floats(cells)
     want = np.array([float(c) for c in cells])
     same = got is not None and np.array_equal(got.view(np.uint64), want.view(np.uint64))
     print(fingerprint())

@@ -21,9 +21,11 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from test_float_cells import cell_words
 
 from fin_equity import (
     AttributeSet,
@@ -43,13 +45,19 @@ SHARES = (0.3, 0.2, 0.15, 0.12, 0.1, 0.07, 0.04, 0.02)  # eight unequal groups
 
 
 def traced(call):
-    """(result, kept bytes, peak bytes) of call, over what was traced before it."""
+    """(result, kept bytes, peak bytes) of call, over what was traced before it.
+
+    The readers keep each chunk's columns in anonymous memory maps
+    (fileio._mapped), which tracemalloc does not see; here they are numpy
+    arrays, so that every read is measured with its columns.
+    """
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        result = call()
+        with mock.patch.object(fileio, "_mapped", np.empty):
+            result = call()
         kept, peak = (size - base for size in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
@@ -202,7 +210,8 @@ def test_float_parse_peak_is_a_few_blocks_not_a_chunk():
     table = np.array(
         [FLOAT_CELL % v for v in rng.standard_normal(rows * d).tolist()], dtype=object
     ).reshape(rows, d)
-    x, kept, peak = traced(lambda: fileio._writer_floats(table))
+    words = cell_words(table)  # as the byte path gives them; not traced
+    x, kept, peak = traced(lambda: fileio._writer_floats(words))
     assert x is not None and kept >= x.nbytes
     # 0.68 MB over the result in blocks of 4096 cells, 1.39 MB in blocks of
     # 8192 and 4.82 MB for the chunk at once
