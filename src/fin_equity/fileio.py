@@ -31,21 +31,22 @@ While a block is plain, the byte path converts it where it lies
 "," and "\\n", which give each cell's start and length; each float cell's
 24 bytes are gathered as three words for the parser below (or, in any
 other form, cast from S24), an int cell's first 8 as one word whose
-digits are summed as the parser's are, and the ids are sliced from the
-block's one decode. Plain means valid UTF-8 with no quote, "\\r" or NUL,
-and the header's width on every line; and every cell must be in a form
-the byte path reads and pass its rule. csv.reader reads the first block
-that is not, from its bytes, then the rest of the file, a pipe as a
-file; no later block goes back, so every error's text and line come from
-the row-by-row rules below. Both formats share this path, each by its
-_Schema. At 80 KB a block's temporaries stay below glibc's 128 KB mmap
-threshold; 4 KB blocks made the read four times slower, from numpy's cost
-per call. Plain blocks are gathered into chunks of CHUNK_CELLS cells,
-whose float and int columns each get an anonymous memory map (_mapped).
-The blocks' temporaries come and go in malloc's heap, and kept columns
-among them fragmented it: with them there, score_eval's peak RSS read
-84.4-87.6 MB over 12 checkout paths, against 80.9-89.2 MB before the byte
-path and 80.1-80.5 MB with the maps.
+digits are summed as the parser's are, and each id's bytes as NUL-padded
+words, cast to StringDType and mixed into its key (see below). Plain
+means valid UTF-8 with no quote, "\\r" or NUL, and the header's width on
+every line; and every cell must be in a form the byte path reads and
+pass its rule. csv.reader reads the first block that is not, from its
+bytes, then the rest of the file, a pipe as a file; no later block goes
+back, so every error's text and line come from the row-by-row rules
+below. Both formats share this path, each by its _Schema. At 80 KB a
+block's temporaries stay below glibc's 128 KB mmap threshold; 4 KB blocks
+made the read four times slower, from numpy's cost per call. Plain blocks
+are gathered into chunks of CHUNK_CELLS cells, whose float, int and key
+columns each get an anonymous memory map (_mapped); the StringDType id
+column cannot. The blocks' temporaries come and go in malloc's heap, and
+kept columns among them fragmented it: with them there, score_eval's peak
+RSS read 84.4-87.6 MB over 12 checkout paths, against 80.9-89.2 MB before
+the byte path and 80.1-80.5 MB with the maps.
 
 csv.reader reads CHUNK_CELLS cells a chunk, and a chunk's columns decide
 first: each is converted whole (ints once per distinct text, floats by one
@@ -71,17 +72,26 @@ result: with a whole chunk of 30,000 cells at once its temporaries reach
 that threshold, so later chunk arrays land in the heap and can fragment
 it (one such variant's peak RSS grew about 1 MB per evaluate).
 
-Duplicate ids are found from an int64 array of hash() of each id, not
-from a set of str, and only when the read ends: at the failing chunk, over
-the rows up to and including its failing row, or after the last chunk. One
-sort of the hashes finds the rows whose hash an earlier row has, and an
-exact comparison of the ids decides each. The earliest duplicate wins over
-the chunk's own error, as in a row loop, which checks a row's id first;
-the chunks before cost one hash per id and no search.
+Duplicate ids are found from an int64 key per id, not from a set of every
+id, and only when the read ends: at the failing chunk, over the rows up to
+and including its failing row, or after the last chunk. A key is computed
+in numpy from the id's UTF-8 bytes, its 8-byte words mixed with its byte
+length (_id_column), and both paths share that helper: a plain block
+gathers its ids' bytes where they lie, and a csv.reader chunk encodes its
+ids once (_text_ids). So an id first read on one path and repeated on the
+other has one key. One sort of the keys finds the rows whose key an
+earlier row has, and a set of those rows' ids as str decides each; so
+only ids whose keys collide are hashed, and PYTHONHASHSEED cannot change
+the row named. The earliest duplicate wins over the chunk's own error, as
+in a row loop, which checks a row's id first; the chunks before cost a few
+numpy calls a block and no search. On a 2-vCPU x86-64 host the 200,000
+7-byte ids of a predictions file take about 8 ms, against about 50 ms for
+a str and a hash() each.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -303,21 +313,24 @@ class _Chunk:
 
 
 class _SeenIds:
-    """The ids of the chunks read: their columns and hashes.
+    """The ids of the chunks read: their columns and duplicate keys.
 
-    Duplicates are looked for once, when the read ends (see check), so a
-    chunk that passes costs one hash() per id and no search.
+    Each chunk's ids come as a StringDType column and an int64 key per id,
+    computed in numpy from the id's UTF-8 bytes by _id_column on either
+    path, so an id has one key wherever it is read. Duplicates are looked
+    for once, when the read ends (see check), so a chunk that passes costs
+    no search, and only ids whose keys collide take a hash() of a str.
     """
 
     def __init__(self, what: str):
         self.what = what  # the error's name for a duplicate
         self.chunks: list[np.ndarray] = []  # StringDType columns, in order
-        self.hashes: list[np.ndarray] = []  # int64 hash() of each id
+        self.keys: list[np.ndarray] = []  # int64 key of each id
         self.places: list[_Chunk] = []  # each chunk's line numbers
 
-    def add(self, ids: list[str], place: _Chunk) -> None:
-        self.chunks.append(np.array(ids, StringDType()))
-        self.hashes.append(np.fromiter(map(hash, ids), np.int64, len(ids)))
+    def add(self, ids: np.ndarray, keys: np.ndarray, place: _Chunk) -> None:
+        self.chunks.append(ids)
+        self.keys.append(keys)
         self.places.append(place)
 
     def check(self) -> str | None:
@@ -325,25 +338,26 @@ class _SeenIds:
 
         Call it once, when the read ends: after the last chunk, or after a
         failing chunk's ids up to and including its failing row were added.
-        A row whose hash an earlier row has is a candidate, and an exact
-        comparison with those rows' ids decides it, so the row named does
-        not depend on how PYTHONHASHSEED salts the hashes.
+        A row whose key an earlier row has is a candidate, and a set of the
+        candidates' ids as str decides it, so the row named does not depend
+        on which ids share a key, and ids built to share one cost a set
+        lookup each, not a comparison with every earlier one.
         """
-        hashes = join_chunks(self.hashes, np.int64)
-        ranked = np.sort(hashes)
+        keys = join_chunks(self.keys, np.int64)
+        ranked = np.sort(keys)
         twice = ranked[1:][ranked[1:] == ranked[:-1]]
         if not twice.size:
             return None
+        rows = np.flatnonzero(np.isin(keys, twice))
         ends = np.cumsum([len(chunk) for chunk in self.chunks])
-        earlier: dict[int, list[str]] = {}  # candidates' ids by hash
-        for row in np.flatnonzero(np.isin(hashes, twice)).tolist():
-            c = int(np.searchsorted(ends, row, side="right"))
+        inside = np.searchsorted(ends, rows, side="right")  # each row's chunk
+        earlier: set[str] = set()  # the candidates' ids so far
+        for row, c in zip(rows.tolist(), inside.tolist()):
             i = row - int(ends[c]) + len(self.chunks[c])
             sid = self.chunks[c][i]
-            same = earlier.setdefault(int(hashes[row]), [])
-            if sid in same:
+            if sid in earlier:
                 return f"line {self.places[c].line_of(i)}: {self.what} {sid!r}"
-            same.append(sid)
+            earlier.add(sid)
         return None
 
 
@@ -353,9 +367,10 @@ def _read_chunks(path: str, schema: _Schema):
     Each chunk is (data, chunk), chunk being its _Chunk. While each block
     of CHUNK_TEXT bytes, run on to a line end, is plain, a chunk gathers
     the blocks' _plain_columns up to CHUNK_CELLS cells, and data is its
-    (ids, floats, *ints). csv.reader reads the first block that is not, as
-    bytes, and then the rest of the file (a pipe as a file), CHUNK_CELLS /
-    width records a chunk; data is then the flat cells of a chunk's rows.
+    (ids, keys, floats, *ints). csv.reader reads the first block that is
+    not, as bytes, and then the rest of the file (a pipe as a file),
+    CHUNK_CELLS / width records a chunk; data is then the flat cells of a
+    chunk's rows.
     The header line is decoded and checked first (one holding a quote or
     "\\r" is csv.reader's first block instead). Blank rows are
     skipped; reading stops at the first row of another width, which ends
@@ -376,24 +391,24 @@ def _read_chunks(path: str, schema: _Schema):
             plain = '"' not in text and "\r" not in text
             if plain:
                 line, width = 2, schema.header_width(next(csv.reader([text]), []))
-            ids, kept, rows = [], [], 0  # the byte path's chunk so far
+            kept, rows = [], 0  # the byte path's chunk so far
             while plain:  # byte blocks, up to the first that is not plain
                 block = f.read(CHUNK_TEXT)
                 if block and not block.endswith(b"\n"):
                     block += f.readline()
                 data = _plain_columns(block, width, schema) if block else None
                 if kept and (data is None or rows + len(data[0]) > len(kept[0])):
-                    full = ids, *(column[:rows] for column in kept)
+                    full = tuple(column[:rows] for column in kept)
                     yield full, _Chunk(width, line, [], None, True)
                     line += rows
-                    ids, kept, rows = [], [], 0
+                    kept, rows = [], 0
                 if data is None:  # csv.reader reads on from this block
                     break
-                if not kept:  # a chunk's floats and ints, CHUNK_CELLS cells
+                if not kept:  # a chunk's columns, CHUNK_CELLS cells
                     size = max(CHUNK_CELLS // width, len(data[0]))
-                    kept = [_mapped((size, *c.shape[1:]), c.dtype) for c in data[1:]]
-                ids += data[0]
-                for column, part in zip(kept, data[1:]):
+                    kept = [np.empty(size, StringDType())]  # a map cannot hold it
+                    kept += [_mapped((size, *c.shape[1:]), c.dtype) for c in data[1:]]
+                for column, part in zip(kept, data):
                     column[rows : rows + len(part)] = part
                 rows += len(data[0])
                 del data
@@ -440,18 +455,20 @@ _PAD = bytes(24)  # after a block, so that _cell_words reads 24 bytes at any cel
 
 
 def _plain_columns(block: bytes, width: int, schema: _Schema):
-    """(ids, floats, *ints) of a block of lines, or None unless it is plain
-    and each of its cells is in a form the byte path reads and passes its
-    rule.
+    """(ids, keys, floats, *ints) of a block of lines, or None unless it is
+    plain and each of its cells is in a form the byte path reads and passes
+    its rule.
 
     Plain: valid UTF-8 with no quote, "\\r" or NUL, and width cells on each
     line, so csv.reader would read a line as line.split(","); and no id
     past csv's field limit. The forms: an int is 1 to 8 ASCII digits (as
     the writers give any int below 10**8); a float is in _writer_floats's
-    form, or else float() of its at most 24 ASCII bytes. Ids are sliced
-    from the block's text.
+    form, or else float() of its at most 24 ASCII bytes. The ids and their
+    duplicate keys come from the block's bytes (_id_column).
     """
     if b'"' in block or b"\r" in block or b"\0" in block:
+        return None
+    if not block.isascii() and not _is_utf8(block):  # csv.reader raises it
         return None
     if not block.endswith(b"\n"):  # the file's last line
         block += b"\n"
@@ -470,16 +487,22 @@ def _plain_columns(block: bytes, width: int, schema: _Schema):
         if values is None or (top is not None and values.max() > top):
             return None
         ints.append(values.astype(dtype))
-    spans = zip(starts[:, 0].tolist(), lengths[:, 0].tolist())
-    if block.isascii():  # byte offsets are the text's offsets
-        text = block.decode()
-        ids = [text[s : s + n] for s, n in spans]
-    else:  # the checks above refused a byte past ASCII in any other cell
-        try:
-            ids = [block[s : s + n].decode() for s, n in spans]
-        except UnicodeDecodeError:
-            return None
-    return ids, x, *ints
+    return *_id_column(data, starts[:, 0], lengths[:, 0]), x, *ints
+
+
+def _is_utf8(block: bytes) -> bool:
+    """Whether block is valid UTF-8, which the ids' cast to StringDType does
+    not check. It is decoded 16 KB at a time: a str of a whole block that
+    holds one character past U+FFFF takes 4 bytes a character, past glibc's
+    128 KB mmap threshold, while a piece's stays under 64 KB."""
+    view, at = memoryview(block), 0
+    try:
+        while at < len(block):
+            piece = view[at : at + (16 << 10)]
+            at += codecs.utf_8_decode(piece, "strict", at + len(piece) == len(block))[1]
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 def _cell_bounds(a: np.ndarray, width: int):
@@ -560,6 +583,89 @@ def _cell_ints(data: bytes, starts: np.ndarray, lengths: np.ndarray):
     return _eight_digits(w)
 
 
+# odd multipliers that mix an id's words and its length into its key
+_WORD_MIX = np.uint64(0x9E37_79B9_7F4A_7C15)
+_LENGTH_MIX = np.uint64(0xC2B2_AE3D_27D4_EB4F)
+
+
+def _id_column(data: bytes, starts: np.ndarray, lengths: np.ndarray):
+    """(ids, keys): the ids whose UTF-8 bytes are data[start : start +
+    length], as a StringDType column, and an int64 duplicate key of each.
+    Each id must be valid UTF-8, for numpy's cast copies the bytes without
+    checking them; the column is exact unless an id holds a NUL.
+
+    A run of rows is gathered as a NUL-padded (rows, words) matrix of
+    little-endian words, words being its longest id's (_id_words), and the
+    matrix viewed as S bytes is cast to StringDType in one call. A run
+    whose matrix would pass FLOAT_BLOCK words is halved until it fits or is
+    one row, so a matrix of several ids and its temporaries stay under
+    32 KB, far below glibc's 128 KB mmap threshold, and an id of any length
+    takes no per-id loop.
+
+    The key is the sum over an id's words w_j of v ^ (v >> 29), v being
+    w_j * (2j + 1) * _WORD_MIX, plus its byte length * _LENGTH_MIX (all mod
+    2**64). Each step is a bijection of w_j, so two ids of one length that
+    differ in one word only never share a key; a NUL word adds 0, so the
+    key does not depend on the matrix width. Equal keys are only candidates
+    for _SeenIds.check, which compares the ids themselves.
+    """
+    column = np.empty(len(starts), StringDType())
+    keys = np.empty(len(starts), np.int64)
+    words = (lengths + 7) >> 3
+    runs = [(0, len(starts))]
+    while runs:
+        start, stop = runs.pop()
+        width = int(words[start:stop].max(initial=1))
+        if (stop - start) * width > FLOAT_BLOCK and stop - start > 1:
+            half = (start + stop) // 2
+            runs += [(start, half), (half, stop)]
+            continue
+        run = slice(start, stop)
+        matrix = _id_words(data, starts[run], lengths[run], width)
+        column[run] = matrix.view(f"S{8 * width}")[:, 0]
+        v = matrix * (np.arange(1, 2 * width, 2, dtype=np.uint64) * _WORD_MIX)
+        v ^= v >> 29
+        key = v.sum(axis=1, dtype=np.uint64)
+        key += lengths[run].astype(np.uint64) * _LENGTH_MIX
+        keys[run] = key.view(np.int64)
+    return column, keys
+
+
+def _id_words(data: bytes, starts: np.ndarray, lengths: np.ndarray, width: int):
+    """The bytes of each id as width little-endian words, shape (rows,
+    width), with the bytes past its length zeroed; 8 * width >= each length.
+
+    Each id's 8 * width bytes are one cell of a stride-1 V view, as in
+    _cell_words; where the last ones would run past data's end, a copy of
+    data padded with NULs is read instead.
+    """
+    size = 8 * width
+    end = int(starts.max(initial=0)) + size
+    if end > len(data):
+        data += bytes(end - len(data))
+    at = np.ndarray((len(data) - size + 1,), f"V{size}", data, strides=(1,))
+    words = at[starts].view(np.uint64).reshape(-1, width)
+    # _KEEP[n, 0] keeps a word's first n <= 8 bytes
+    words &= _KEEP[np.clip(lengths[:, None] - 8 * np.arange(width), 0, 8), 0]
+    return words
+
+
+def _text_ids(ids: list[str]):
+    """_id_column of a csv.reader chunk's ids, from one encode of them all,
+    so that each id gets the key its bytes get on the byte path."""
+    text = "".join(ids)
+    data = text.encode() + _PAD
+    ends = np.cumsum(np.fromiter(map(len, ids), np.int64, len(ids)))
+    if len(data) - len(_PAD) > len(text):  # character offsets to byte offsets
+        firsts = (np.frombuffer(data, np.uint8) & 0xC0) != 0x80
+        ends = np.flatnonzero(firsts)[ends]  # the first NUL of _PAD ends the last
+    lengths = np.diff(ends, prepend=0)
+    column, keys = _id_column(data, ends - lengths, lengths)
+    if "\0" in text:  # the cast ends an id at its trailing NULs
+        column = np.array(ids, StringDType())
+    return column, keys
+
+
 def _read_csv(path: str, schema: _Schema):
     """Read and check a CSV's rows: (its id column in chunks, its float
     column(s), its int columns, and per int column the int() of each
@@ -591,20 +697,20 @@ def _read_csv(path: str, schema: _Schema):
                     if chunk.wrong is None:
                         raise AssertionError(f"{path!r}: no row of a refused chunk fails")
                     error = f"expected {width} fields, got {chunk.wrong}"
-                seen.add(ids[: r + 1], chunk)
+                seen.add(*_text_ids(ids[: r + 1]), chunk)
                 error = seen.check() or f"line {chunk.line_of(r)}: {error}"
                 del cells, ids, data
                 for data, _ in chunks:  # read on: a later decode error still wins
                     del data
                 raise ValidationError(error)
-            data = ids, *data
+            data = *_text_ids(ids), *data
             del cells, ids  # free the chunk's cells before the next is read
-        ids, x, *columns = data
+        ids, keys, x, *columns = data
         floats.append(x)
-        seen.add(ids, chunk)
+        seen.add(ids, keys, chunk)
         for column, kept in zip(columns, ints):
             kept.append(column)
-        del data, ids, x, columns
+        del data, ids, keys, x, columns
     error = seen.check()
     if error is not None:
         raise ValidationError(error)

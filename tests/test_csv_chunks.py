@@ -15,7 +15,9 @@ position, read as the row-by-row readers read them, at every block size
 and with the float parser switched off too; clean ones (12 groups,
 non-ASCII ids and short floats among them) never reach csv.reader, and
 CRLF files read as their LF twins. The header is checked before any data
-row is decoded.
+row is decoded. An id first read on the byte path and repeated after a
+dirty line, where csv.reader reads it, is still named as a duplicate, and
+ids far longer than the writers' ID_BYTES stay on the byte path.
 """
 
 import csv
@@ -24,6 +26,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 from unittest import mock
 
@@ -510,6 +513,98 @@ def test_earlier_chunk_duplicate_beats_a_later_chunks_bad_label(tmp_path, kind):
     what = "duplicate sample id" if kind == "dataset" else "duplicate id"
     with mock.patch.object(fileio, "CHUNK_CELLS", 4 * 5):  # five rows a chunk
         assert read_error(kind, path) == f"line 14: {what} 's3'"
+
+
+# ids used twice: an id's key must not depend on which path read it
+TWICE = {
+    "ascii": "s10",
+    "non-ascii": "é-ü-10",
+    "long": "record-" + "x" * fileio.ID_BYTES + "-10",
+}
+DIRTY_LINE = {
+    "crlf": lambda line: line + "\r",
+    "quote": lambda line: '"' + line.replace(",", '",', 1),
+}
+
+
+def with_id(line: str, sid: str) -> str:
+    return sid + line[line.index(",") :]
+
+
+def read_duplicate(tmp_path, kind, rows, sid, first, repeat) -> list:
+    """Assert the read names the repeat as the row-by-row reader does, and
+    return the rows csv.reader gave."""
+    rows[first], rows[repeat] = with_id(rows[first], sid), with_id(rows[repeat], sid)
+    path = write_file(tmp_path, kind, rows)
+    read: list = []
+    with csv_reader_rows(read):
+        message = read_error(kind, path)
+    what = "duplicate sample id" if kind == "dataset" else "duplicate id"
+    assert message == f"line {repeat + 2}: {what} {sid!r}"
+    assert reference_outcome(kind, path) == ("error", message)
+    return read
+
+
+@pytest.mark.parametrize("dirt", sorted(DIRTY_LINE))
+@pytest.mark.parametrize("sid", sorted(TWICE))
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_a_duplicate_across_the_byte_path_and_csv_reader_is_found(
+    tmp_path, kind, sid, dirt
+):
+    # about 115 KB: the first use is in the first block, which is plain;
+    # the second block holds the dirty line, so csv.reader reads the repeat
+    rows = good_rows(kind)[:8_000]
+    rows[7_000] = DIRTY_LINE[dirt](rows[7_000])
+    read = read_duplicate(tmp_path, kind, rows, TWICE[sid], 10, 7_500)
+    assert [row[0] for row in read].count(TWICE[sid]) == 1  # the repeat only
+
+
+@pytest.mark.parametrize("sid", ["long", "non-ascii"])
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_a_duplicate_in_one_plain_block_is_found(tmp_path, kind, sid):
+    rows = good_rows(kind)[:3_000]
+    read = read_duplicate(tmp_path, kind, rows, TWICE[sid], 10, 2_000)
+    assert read == [HEADERS[kind].split(",")]  # the byte path read every row
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_long_ids_among_short_ones_take_the_byte_path(tmp_path, kind):
+    # ids of up to about 40,000 bytes, past FLOAT_BLOCK words, and one of
+    # about 60 bytes in the last short lines, whose words run past the
+    # block's end
+    rows = good_rows(kind)[:3_000]
+    for r, n in [(100, 5_000), (101, 40_000), (102, 9), (2_000, 300), (2_995, 60)]:
+        rows[r] = with_id(rows[r], f"{r}-" + "é" * (n // 2 - 3))
+    path = write_file(tmp_path, kind, rows)
+    want = reference_outcome(kind, path)
+    assert want[0] == "ok"
+    read: list = []
+    with csv_reader_rows(read):
+        assert outcome(READERS[kind], path, None) == want
+    assert read == [HEADERS[kind].split(",")]
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_ids_that_share_one_key_are_read_in_linear_time(tmp_path, kind):
+    # every id gets key 0, as ids built to collide would, so all 20,000 are
+    # candidates: a set reads them in under 0.1 s, a comparison of each with
+    # every earlier one took about 3 s on a 2-vCPU x86-64 host
+    rows = good_rows(kind)[:20_000]
+    rows[19_990] = with_id(rows[19_990], "s10")
+    path = write_file(tmp_path, kind, rows)
+    id_column = fileio._id_column
+
+    def one_key(data, starts, lengths):
+        column, keys = id_column(data, starts, lengths)
+        return column, np.zeros_like(keys)
+
+    with mock.patch.object(fileio, "_id_column", one_key):
+        start = time.perf_counter()
+        message = read_error(kind, path)
+        seconds = time.perf_counter() - start
+    what = "duplicate sample id" if kind == "dataset" else "duplicate id"
+    assert message == f"line 19992: {what} 's10'"
+    assert seconds < 1.0
 
 
 def test_duplicate_error_does_not_depend_on_the_hash_seed(tmp_path):
