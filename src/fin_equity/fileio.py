@@ -43,7 +43,7 @@ block's temporaries stay below glibc's 128 KB mmap threshold; 4 KB blocks
 made the read four times slower, from numpy's cost per call. Plain blocks
 are gathered into chunks of CHUNK_CELLS cells, whose float, int and key
 columns each get an anonymous memory map (_mapped); the StringDType id
-column cannot. The blocks' temporaries come and go in malloc's heap, and
+column cannot, and each block's ids are cast straight into it. The blocks' temporaries come and go in malloc's heap, and
 kept columns among them fragmented it: with them there, score_eval's peak
 RSS read 84.4-87.6 MB over 12 checkout paths, against 80.9-89.2 MB before
 the byte path and 80.1-80.5 MB with the maps.
@@ -397,21 +397,25 @@ def _read_chunks(path: str, schema: _Schema):
                 if block and not block.endswith(b"\n"):
                     block += f.readline()
                 data = _plain_columns(block, width, schema) if block else None
-                if kept and (data is None or rows + len(data[0]) > len(kept[0])):
+                if kept and (data is None or rows + len(data[1]) > len(kept[0])):
                     full = tuple(column[:rows] for column in kept)
                     yield full, _Chunk(width, line, [], None, True)
                     line += rows
                     kept, rows = [], 0
                 if data is None:  # csv.reader reads on from this block
                     break
+                ids, *columns = data
                 if not kept:  # a chunk's columns, CHUNK_CELLS cells
-                    size = max(CHUNK_CELLS // width, len(data[0]))
+                    size = max(CHUNK_CELLS // width, len(columns[0]))
                     kept = [np.empty(size, StringDType())]  # a map cannot hold it
-                    kept += [_mapped((size, *c.shape[1:]), c.dtype) for c in data[1:]]
-                for column, part in zip(kept, data):
-                    column[rows : rows + len(part)] = part
-                rows += len(data[0])
-                del data
+                    kept += [_mapped((size,), np.int64)]  # the ids' keys
+                    kept += [_mapped((size, *c.shape[1:]), c.dtype) for c in columns]
+                at = slice(rows, rows + len(columns[0]))
+                _id_column(*ids, kept[0][at], kept[1][at])
+                for column, part in zip(kept[2:], columns):
+                    column[at] = part
+                rows += len(columns[0])
+                del data, ids, columns
             # that block and the rest of the file, row by row
             start = io.TextIOWrapper(io.BytesIO(block), encoding="utf-8", newline="")
             rest = io.TextIOWrapper(f, encoding="utf-8", newline="")
@@ -455,16 +459,16 @@ _PAD = bytes(24)  # after a block, so that _cell_words reads 24 bytes at any cel
 
 
 def _plain_columns(block: bytes, width: int, schema: _Schema):
-    """(ids, keys, floats, *ints) of a block of lines, or None unless it is
-    plain and each of its cells is in a form the byte path reads and passes
-    its rule.
+    """(ids, floats, *ints) of a block of lines, or None unless it is plain
+    and each of its cells is in a form the byte path reads and passes its
+    rule. ids is where the ids lie, (data, starts, lengths) for _id_column,
+    which casts them straight into the chunk's column.
 
     Plain: valid UTF-8 with no quote, "\\r" or NUL, and width cells on each
     line, so csv.reader would read a line as line.split(","); and no id
     past csv's field limit. The forms: an int is 1 to 8 ASCII digits (as
     the writers give any int below 10**8); a float is in _writer_floats's
-    form, or else float() of its at most 24 ASCII bytes. The ids and their
-    duplicate keys come from the block's bytes (_id_column).
+    form, or else float() of its at most 24 ASCII bytes.
     """
     if b'"' in block or b"\r" in block or b"\0" in block:
         return None
@@ -487,7 +491,10 @@ def _plain_columns(block: bytes, width: int, schema: _Schema):
         if values is None or (top is not None and values.max() > top):
             return None
         ints.append(values.astype(dtype))
-    return *_id_column(data, starts[:, 0], lengths[:, 0]), x, *ints
+    # copies, so that the block's bounds are freed before the chunk's columns
+    # are made: kept until the cast, they raised audit_report's peak RSS by
+    # 0.6-0.8 MB at some checkout paths
+    return (data, starts[:, 0].copy(), lengths[:, 0].copy()), x, *ints
 
 
 def _is_utf8(block: bytes) -> bool:
@@ -588,11 +595,11 @@ _WORD_MIX = np.uint64(0x9E37_79B9_7F4A_7C15)
 _LENGTH_MIX = np.uint64(0xC2B2_AE3D_27D4_EB4F)
 
 
-def _id_column(data: bytes, starts: np.ndarray, lengths: np.ndarray):
-    """(ids, keys): the ids whose UTF-8 bytes are data[start : start +
-    length], as a StringDType column, and an int64 duplicate key of each.
-    Each id must be valid UTF-8, for numpy's cast copies the bytes without
-    checking them; the column is exact unless an id holds a NUL.
+def _id_column(data: bytes, starts: np.ndarray, lengths: np.ndarray, column, keys):
+    """Cast the ids whose UTF-8 bytes are data[start : start + length] into
+    column, a StringDType array, and put an int64 duplicate key of each in
+    keys. Each id must be valid UTF-8, for numpy's cast copies the bytes
+    without checking them; the column is exact unless an id holds a NUL.
 
     A run of rows is gathered as a NUL-padded (rows, words) matrix of
     little-endian words, words being its longest id's (_id_words), and the
@@ -609,8 +616,6 @@ def _id_column(data: bytes, starts: np.ndarray, lengths: np.ndarray):
     key does not depend on the matrix width. Equal keys are only candidates
     for _SeenIds.check, which compares the ids themselves.
     """
-    column = np.empty(len(starts), StringDType())
-    keys = np.empty(len(starts), np.int64)
     words = (lengths + 7) >> 3
     runs = [(0, len(starts))]
     while runs:
@@ -628,7 +633,6 @@ def _id_column(data: bytes, starts: np.ndarray, lengths: np.ndarray):
         key = v.sum(axis=1, dtype=np.uint64)
         key += lengths[run].astype(np.uint64) * _LENGTH_MIX
         keys[run] = key.view(np.int64)
-    return column, keys
 
 
 def _id_words(data: bytes, starts: np.ndarray, lengths: np.ndarray, width: int):
@@ -660,7 +664,9 @@ def _text_ids(ids: list[str]):
         firsts = (np.frombuffer(data, np.uint8) & 0xC0) != 0x80
         ends = np.flatnonzero(firsts)[ends]  # the first NUL of _PAD ends the last
     lengths = np.diff(ends, prepend=0)
-    column, keys = _id_column(data, ends - lengths, lengths)
+    column = np.empty(len(ids), StringDType())
+    keys = np.empty(len(ids), np.int64)
+    _id_column(data, ends - lengths, lengths, column, keys)
     if "\0" in text:  # the cast ends an id at its trailing NULs
         column = np.array(ids, StringDType())
     return column, keys

@@ -14,7 +14,13 @@ rate gaps with fewer than two eligible groups) are flagged, never imputed.
 An audit counts its records once, into a (group, label, decision) table
 (group_counts). Accuracy, the demographic-parity gap and the
 equalized-odds gap are ratios of those exact integer counts; only AUC
-reads each group's scores.
+reads each group's scores. Every AUC, auc()'s and each group's in
+full_report, comes from one helper (_rank_sums): a sort of one uint64 key
+per record, its score's bits above its label, gives each positive's
+midrank as an exact integer, so a group's AUC has the same bits whether
+it is computed alone or with the others. The records are split into
+groups by one stable radix argsort, not a scan per group. A histogram bin
+is floor(score * bins), corrected once against each edge of its bin.
 """
 
 from __future__ import annotations
@@ -62,21 +68,88 @@ def accuracy(decisions, labels) -> float:
     return float(np.mean(decisions == labels))
 
 
-def _positive_rank_sum(scores: np.ndarray, pos: np.ndarray) -> float:
-    """Sum of the positives' 1-based midranks, with no per-record rank array.
+def _rank_sums(scores: np.ndarray, pos: np.ndarray, attrs=None, group_count: int = 1):
+    """For each group, the sum over its positives of below + upto: its
+    scores < v and <= v, v being the positive's score. That is twice the
+    positives' 1-based midranks less one each, an exact integer. With
+    attrs None all records are one group.
 
-    With below and upto counting the scores < v and <= v, a score v takes
-    the ranks below + 1 .. upto, so its midrank is (below + upto + 1) / 2:
-    two binary searches in the sorted scores, for each positive. Twice the
-    sum is an exact integer, so the result is the same double as any exact
-    sum of the midranks.
+    A record's key is its score's float64 bits moved up one, its label in
+    bit 0. The move drops the sign bit, so -0.0 keys as 0.0 and a negative
+    score as its magnitude; keys of scores >= 0 sort like (score, label).
+    The records are split once, by a stable argsort of their part: the
+    group, and the sign when a score is negative, in the smallest unsigned
+    dtype, so a radix sort. Each part's keys are sorted in place
+    (_sorted_rank_sum); a negative part is sorted on |score|, so its places
+    run backwards and are mirrored.
     """
-    ordered = np.sort(scores)
-    wanted = scores[pos]
-    wanted.sort()  # sorted needles keep the searches cache-friendly
-    twice = np.searchsorted(ordered, wanted, side="left")
-    twice += np.searchsorted(ordered, wanted, side="right")
-    return 0.5 * float(twice.sum() + wanted.size)
+    negative = bool(scores.size) and scores.min() < 0.0
+    part = None if attrs is None else attrs.astype(np.min_scalar_type(2 * group_count))
+    if negative:  # a group's negative scores come first; -0.0 is not one
+        upper = scores >= 0.0
+        part = upper.view(np.uint8) if part is None else 2 * part + upper
+    if part is None:
+        keys = scores.view(np.uint64) << 1
+        keys |= pos
+        sizes = [keys.size]
+    else:
+        order = np.argsort(part, kind="stable")
+        keys = scores[order].view(np.uint64)
+        keys <<= 1
+        keys |= pos[order]
+        del order
+        sizes = np.bincount(part, minlength=group_count * (1 + negative)).tolist()
+    sums, start = [], 0
+    for size in sizes:
+        sums.append(_sorted_rank_sum(keys[start : start + size]))
+        start += size
+    if not negative:
+        return [total for total, _ in sums]
+    # a part of m negative scores puts real place m - 1 - j at its sorted
+    # place j, and its group's other scores are at places m + j
+    return [
+        2 * m * (low + high) + above - below
+        for (below, low), (above, high), m in zip(sums[::2], sums[1::2], sizes[::2])
+    ]
+
+
+def _sorted_rank_sum(keys: np.ndarray) -> tuple[int, int]:
+    """Sort one part's keys in place, then shift their labels out:
+    (the sum over its positives of below + upto, within the part; its
+    positives).
+
+    A positive alone at sorted place i adds i + (i + 1). A run of equal
+    scores over places [a, b) holds its z negatives, then its h positives
+    at places b - h .. b - 1; each of those adds a + b, in all h * z less
+    than 2i + 1 summed over their places. Only the tied runs are found
+    and summed (np.add.reduceat), so no array per run is as long as the
+    part.
+    """
+    keys.sort()
+    labels = keys.astype(np.uint8)  # the low byte
+    labels &= 1
+    places = np.flatnonzero(labels)
+    total = 2 * int(places.sum()) + places.size
+    keys >>= 1  # the scores' bits alone, so ties compare with no temporary
+    tied = np.zeros(keys.size + 1, bool)  # tied[i]: places i - 1 and i tie
+    np.equal(keys[1:], keys[:-1], out=tied[1:-1])
+    edges = np.flatnonzero(tied[1:] != tied[:-1])  # each run's a, then b - 1
+    if edges.size:
+        edges[1::2] += 1
+        lengths = edges[1::2] - edges[::2]
+        cut = edges[:-1] if edges[-1] == keys.size else edges  # reduceat's last runs on
+        h = np.add.reduceat(labels, cut, dtype=np.int64)[::2]
+        total -= int(np.dot(h, lengths - h))
+    return total, places.size
+
+
+def _auc(rank_sum: int, n_pos: int, n_neg: int) -> float:
+    """AUC from a group's _rank_sums entry and its class counts."""
+    if n_pos == 0 or n_neg == 0:
+        raise UndefinedMetricError(
+            f"auc undefined: needs both classes, got {n_pos} positive / {n_neg} negative"
+        )
+    return (0.5 * float(rank_sum + n_pos) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def auc(scores, labels) -> float:
@@ -88,8 +161,7 @@ def auc(scores, labels) -> float:
     (wins + ties/2) / (P * N) with the same floating-point value, because
     rank sums are exact sums of half-integers (Hanley & McNeil 1982). Scores
     may be any finite reals, since only their order counts (a discriminant
-    need not be a probability), and labels must be 0 or 1; float64 input is
-    used without a copy.
+    need not be a probability), and labels must be 0 or 1.
     """
     scores, labels = _check_paired(scores, labels, "scores", "labels")
     scores = scores.astype(np.float64, copy=False)
@@ -100,12 +172,8 @@ def auc(scores, labels) -> float:
     n_neg = int(np.count_nonzero(labels == 0))
     if n_pos + n_neg != labels.size:
         raise ValidationError("labels must be 0 or 1")
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError(
-            f"auc undefined: needs both classes, got {n_pos} positive / {n_neg} negative"
-        )
-    rank_sum = _positive_rank_sum(scores, pos)
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    (rank_sum,) = _rank_sums(scores, pos)
+    return _auc(rank_sum, n_pos, n_neg)
 
 
 def group_counts(decisions, labels, attrs, group_count: int) -> np.ndarray:
@@ -246,10 +314,12 @@ def full_report(
     """Compute overall, per-group, discrepancy, and equity-scaled metrics.
 
     Group sizes, accuracies and both rate gaps come from one group_counts
-    table; only each group's AUC reads that group's records. Partial
-    failures (a single-class group, a degenerate gap) are recorded as flags
-    and None values; they never abort the rest of the report. A group id
-    outside the attribute set is an error naming its record.
+    table, which also gives each AUC its class counts. The overall AUC
+    sorts all records' keys once; the groups' split the records once by
+    group and sort each group's keys (_rank_sums). Partial failures (a
+    single-class group, a degenerate gap) are recorded as flags and None
+    values; they never abort the rest of the report. A group id outside
+    the attribute set is an error naming its record.
     """
     if not len(predictions):
         raise UndefinedMetricError("cannot build a report from zero records")
@@ -263,8 +333,13 @@ def full_report(
             f"{int(attrs[pos])} out of range for {group_count} groups"
         )
     counts = group_counts(decisions, labels, attrs, group_count)
+    del decisions
     sizes = counts.sum(axis=(1, 2)).tolist()
     correct = (counts[:, 0, 0] + counts[:, 1, 1]).tolist()
+    negatives, positives = counts.sum(axis=2).T.tolist()
+    positive = labels == 1
+    (rank_sum,) = _rank_sums(scores, positive)
+    rank_sums = _rank_sums(scores, positive, attrs, group_count)
 
     flags: list[str] = []
 
@@ -278,7 +353,9 @@ def full_report(
 
     overall: dict[str, float | None] = {
         "accuracy": sum(correct) / len(predictions),
-        "auc": defined("overall auc undefined", auc, scores, labels),
+        "auc": defined(
+            "overall auc undefined", _auc, rank_sum, sum(positives), sum(negatives)
+        ),
     }
     per_group: dict[int, dict[str, float | None]] = {}
     for gid in range(group_count):
@@ -286,11 +363,10 @@ def full_report(
             per_group[gid] = {"accuracy": None, "auc": None}
             flags.append(f"group {gid} empty: accuracy and auc undefined")
             continue
-        ix = np.flatnonzero(attrs == gid)
         note = f"auc undefined for group {gid}"
         per_group[gid] = {
             "accuracy": correct[gid] / sizes[gid],
-            "auc": defined(note, auc, scores[ix], labels[ix]),
+            "auc": defined(note, _auc, rank_sums[gid], positives[gid], negatives[gid]),
         }
 
     delta: dict[str, float | None] = {}
@@ -345,13 +421,21 @@ def prediction_histogram(
 ) -> PredictionHistogram:
     """Count each score bin's records by label and decision (group_counts).
 
-    With bins = 1 its one row holds the counts of the whole set.
+    A score's bin is the last whose lower edge it reaches, as a binary
+    search of the edges gives it. floor(score * bins) is at most one bin
+    off that, for the product and each edge k / bins are within an ulp of
+    their exact values, far less than a bin; so one check against each of
+    its bin's edges corrects it. With bins = 1 its one row holds the
+    counts of the whole set.
     """
     check_bins(bins)
     scores = predictions.scores
     decisions = decide(scores, threshold)
     edges = np.arange(bins + 1) / bins
-    bin_ids = np.searchsorted(edges, scores, side="right") - 1
+    bin_ids = (scores * bins).astype(np.int32)  # truncation floors a score >= 0
+    np.minimum(bin_ids, bins - 1, out=bin_ids)
+    bin_ids -= edges[bin_ids] > scores
+    bin_ids += edges[1:][bin_ids] <= scores
     np.minimum(bin_ids, bins - 1, out=bin_ids)  # a score of 1.0 stays in the last bin
     counts = group_counts(decisions, predictions.labels, bin_ids, bins)
     return PredictionHistogram(bins=bins, edges=edges, counts=counts)

@@ -833,6 +833,55 @@ def test_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     assert digests == PINNED_REPORT_SHA256
 
 
+def _audit_file(path, n=20_000, seed=30):
+    """An audit-shaped predictions file: n records in 8 groups of 30% down
+    to 2%, group 6 all negative, 5% of scores rounded to 2 decimals. The
+    scores take no transcendental function, so their bits do not depend
+    on numpy's kernels."""
+    rng = np.random.default_rng(seed)
+    shares = (0.30, 0.20, 0.15, 0.12, 0.09, 0.07, 0.05, 0.02)
+    prevalence = np.array([0.50, 0.40, 0.60, 0.30, 0.55, 0.45, 0.0, 0.35])
+    attrs = np.repeat(np.arange(8), [round(s * n) for s in shares])
+    labels = (rng.random(n) < prevalence[attrs]).astype(np.int64)
+    separation = np.linspace(0.1, 0.7, 8)[attrs]
+    scores = (rng.random(n) + separation * labels) / (1.0 + separation)
+    rounded = rng.random(n) < 0.05
+    scores[rounded] = np.round(scores[rounded], 2)
+    order = rng.permutation(n)
+    ids = tuple(f"p{i:05d}" for i in range(n))
+    preds = Predictions(ids, scores[order], labels[order], attrs[order])
+    write_predictions_csv(preds, str(path))
+
+
+# SHA-256 of the report JSON and the histogram CSV of `report --hist-out
+# --bins 20` on _audit_file(): every per-group AUC and every bin count at
+# the audit's shape (ties, a single-class group) is held to its bytes.
+PINNED_AUDIT_SHA256 = (
+    "2b906540299223f7df105b92e9d4d86073d704cead6d62ba1ded2f91e0189235",
+    "45d2bb033d3c4d8c6cc73ed25580ef556dc8b5a5f8bf1372b414fec53e92969d",
+)
+
+
+def test_audit_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    _audit_file(tmp_path / "preds.csv")
+    monkeypatch.chdir(tmp_path)
+    code = run([
+        "report",
+        "--predictions", "preds.csv",
+        "--out", "report.json",
+        "--hist-out", "hist.csv",
+        "--bins", "20",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "auc undefined for group 6" in out
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("report.json", "hist.csv")
+    )
+    assert digests == PINNED_AUDIT_SHA256
+
+
 def test_an_undefined_group_metric_stays_undefined_across_seeds(tmp_path, capsys):
     # group 1's one eval row is a negative, so its AUC is undefined in every seed
     groups = [

@@ -20,6 +20,7 @@ from fin_equity import (
     metric_report_to_dict,
     prediction_histogram,
 )
+from fin_equity.metrics import MAX_BINS, _rank_sums
 from reference_fixtures import (
     RECON_DEODDS,
     RECON_DPD,
@@ -99,14 +100,22 @@ def test_auc_matches_pair_counting_oracle():
         assert auc(scores, labels) == pairs_auc(scores, labels)
 
 
-# a few values drawn again and again give long tie runs, -0.0 beside 0.0
-TIE_POOL = (0.0, -0.0, 1.0, 0.5, 0.25, 1 / 3, 0.7, 5e-324, np.nextafter(1.0, 0.0))
+# a few values drawn again and again give long tie runs: -0.0 beside 0.0,
+# runs of the smallest subnormals either side of them, so that ties meet
+# at zero from both signs, and runs of large magnitudes of either sign
+TIE_POOL = (
+    0.0, -0.0, 1.0, 0.5, 0.25, 1 / 3, 0.7, 5e-324, np.nextafter(1.0, 0.0),
+    -5e-324, -0.5, -1.0, 2.0, 1e300, -1e300,
+)
 
 
 @st.composite
 def scored_labels(draw):
     n = draw(st.integers(2, 80))
-    value = st.one_of(st.sampled_from(TIE_POOL), st.floats(0.0, 1.0))
+    # any finite score: bounded so that pairs_auc's differences stay finite
+    value = st.one_of(
+        st.sampled_from(TIE_POOL), st.floats(0.0, 1.0), st.floats(-1e307, 1e307)
+    )
     scores = draw(st.lists(value, min_size=n, max_size=n))
     if draw(st.booleans()):  # one class nearly absent
         base = draw(st.integers(0, 1))
@@ -127,6 +136,20 @@ def test_rank_auc_is_pair_counting_and_the_midrank_form_bit_for_bit(case):
     value = auc(scores, labels)
     assert value == pairs_auc(scores, labels)
     assert value == midranks_auc(scores, labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=scored_labels(), data=st.data())
+def test_rank_sums_of_groups_split_at_once_equal_each_group_alone(case, data):
+    # the grouped split, with negative scores also split by sign, against
+    # one call per group, which the test above holds to the oracles
+    scores, labels = case
+    group_count = data.draw(st.integers(1, 4))
+    group = st.integers(0, group_count - 1)
+    attrs = np.array(data.draw(st.lists(group, min_size=len(scores), max_size=len(scores))))
+    pos = labels == 1
+    alone = [_rank_sums(scores[attrs == g], pos[attrs == g])[0] for g in range(group_count)]
+    assert _rank_sums(scores, pos, attrs, group_count) == alone
 
 
 def test_confusion_counts():
@@ -406,10 +429,15 @@ HISTOGRAM_CELLS = {"tp": (1, 1), "fp": (0, 1), "tn": (0, 0), "fn": (1, 0)}
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), bins=st.integers(1, 50))
+@given(data=st.data(), bins=st.one_of(st.integers(1, 50), st.integers(1, MAX_BINS)))
 def test_histogram_tally_equals_one_add_at_per_kind(data, bins):
     on_edge = st.integers(0, bins).map(lambda k: k / bins)
-    value = st.one_of(on_edge, st.sampled_from((0.0, -0.0, 1.0)), st.floats(0.0, 1.0))
+    # an ulp either side of an edge, where floor(score * bins) may miss the
+    # bin by one: the histogram is exact only if it never misses by more
+    toward = st.sampled_from((0.0, 1.0))
+    near_edge = st.tuples(on_edge, toward).map(lambda e: float(np.nextafter(*e)))
+    fixed = st.sampled_from((0.0, -0.0, 1.0))
+    value = st.one_of(on_edge, near_edge, fixed, st.floats(0.0, 1.0))
     scores = data.draw(st.lists(value, max_size=60))
     n = len(scores)
     labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
