@@ -15,10 +15,9 @@ that is not ASCII, holds a NUL or is longer than ID_BYTES, or an int of
 10**8 or more, goes to csv.writer, as does every block of a file that
 quotes every field (see _write_csv). Either way its float cells come from
 _format_floats, the inverse of _writer_floats: FLOAT_CELL % v exactly, in
-whole-array steps with one x87 long double multiply or divide (see
-_format_block), about 0.15 us a cell against 1.2-1.5 us for the %;
-without x87, FAST_FLOATS off, each takes the %. A block holds
-FLOAT_BLOCK // (floats + 3) records, so that its matrix and each
+whole-array 64-bit integer steps that numpy takes alike on every host (see
+_format_block), about 0.1 us a cell against 1.2-1.5 us for the %. A block
+holds FLOAT_BLOCK // (floats + 3) records, so that its matrix and each
 temporary stay under about 100 KB, below glibc's 128 KB mmap threshold
 (see the parser below). On a 2-vCPU x86-64 host, 60,000 predictions
 take 50-85 ms against 250-270 ms one % and csv.writer row a record, and
@@ -63,14 +62,14 @@ decode error or an oversized field anywhere after it still wins.
 
 The byte path reads float cells from their words by _writer_floats,
 which takes only the writers' form with a two-digit exponent,
--?D.DDDDDDDDDDDDDDDDe[+-]DD, and gives float()'s bits for it. The parser
-needs x87's 64-bit long double significand (see _parse_floats), so
-FAST_FLOATS gates it once, at import; without it every float cell takes
-the S24 cast. It works on FLOAT_BLOCK cells at a time, straight into the
-result: with a whole chunk of 30,000 cells at once its temporaries reach
-200-700 KB, past glibc's 128 KB mmap threshold, and freeing one raises
-that threshold, so later chunk arrays land in the heap and can fragment
-it (one such variant's peak RSS grew about 1 MB per evaluate).
+-?D.DDDDDDDDDDDDDDDDe[+-]DD, and gives float()'s bits for it from the same
+64-bit integer product as the formatter's, the same on every host (see
+_parse_floats); any other cell takes the S24 cast. It works on
+FLOAT_BLOCK cells at a time, straight into the result: with a whole chunk
+of 30,000 cells at once its temporaries reach 200-700 KB, past glibc's
+128 KB mmap threshold, and freeing one raises that threshold, so later
+chunk arrays land in the heap and can fragment it (one such variant's peak
+RSS grew about 1 MB per evaluate).
 
 Duplicate ids are found from an int64 key per id, not from a set of every
 id, and only when the read ends: at the failing chunk, over the rows up to
@@ -97,7 +96,6 @@ import io
 import json
 import math
 import mmap
-import sys
 from itertools import chain, islice
 from typing import Callable, NamedTuple, Sequence
 
@@ -112,16 +110,6 @@ FLOAT_CELL = "%.16e"  # 17 significant digits
 CHUNK_CELLS = 1 << 15  # CSV cells tokenized and checked at a time
 CHUNK_TEXT = 80 << 10  # CSV bytes read at a time; see the module docstring
 FLOAT_BLOCK = 4096  # float cells parsed or formatted at a time; see below
-# The writer-form parser's exact rounding needs x87's 64-bit significand,
-# stored in 16 bytes (see _parse_floats); elsewhere float cells take the astype.
-FAST_FLOATS = (
-    np.finfo(np.longdouble).nmant == 63
-    and np.dtype(np.longdouble).itemsize == 16
-    and sys.byteorder == "little"
-)
-# 10**k for k <= 27, exact in a 64-bit significand (5**27 < 2**63)
-_POW10 = np.array([5**k for k in range(28)], np.uint64).astype(np.longdouble)
-_POW10 *= 2.0 ** np.arange(28)
 
 
 def format_float(x: float) -> str:
@@ -556,10 +544,10 @@ def _block_floats(data: bytes, starts: np.ndarray, lengths: np.ndarray):
     """float() of each float cell of a block, or None unless each is in the
     writers' form or has 1 to 24 bytes that float() reads.
 
-    The writers' form takes the parser below. Else, or without it (FAST_FLOATS
-    off), the cells' bytes, masked to their lengths, are cast from S24:
-    numpy's bytes-to-float cast reads what float() reads of ASCII text, and
-    refuses a byte past ASCII, which csv.reader's str then decides.
+    The writers' form takes the parser below. Else the cells' bytes, masked
+    to their lengths, are cast from S24: numpy's bytes-to-float cast reads
+    what float() reads of ASCII text, and refuses a byte past ASCII, which
+    csv.reader's str then decides.
     """
     words = _cell_words(data, starts, lengths)
     x = _writer_floats(words)
@@ -763,10 +751,8 @@ def _writer_floats(words: np.ndarray) -> np.ndarray | None:
     words is the cells' (..., 3) words from _cell_words, and the result has
     the cells' shape. They are parsed FLOAT_BLOCK at a time straight into
     it, so that no temporary is as large as a chunk (see the module
-    docstring).
+    docstring), by integer steps that give the same bits on every host.
     """
-    if not FAST_FLOATS:
-        return None
     out = np.empty(words.shape[:-1])
     flat, words = out.reshape(-1), words.reshape(-1, 3)
     for start in range(0, flat.size, FLOAT_BLOCK):
@@ -785,15 +771,27 @@ _FIXED = np.array([0xFF00, 0, 0x00FF_0000_00FF_0000], np.uint64)
 _DIGITS = np.array([0x0101_0101_0101_0001, _ONES, 0x0101_0000_0101], np.uint64)
 
 
-def _scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """a * 10**k in long double, rounded once where |k| <= 27: each value's
-    other step, if any, is by 10**0 = 1."""
-    q = a.astype(np.longdouble)
-    if k.min() < 0:
-        q /= _POW10[np.clip(-k, 0, 27)]
-    if k.max() > 0:
-        q *= _POW10[np.clip(k, 0, 27)]
-    return q
+def _powers_of_five(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """T and g with 5**k = (T + f) * 2**g, 2**63 <= T < 2**64 and 0 <= f < 1,
+    at k + top for each |k| <= top, from Python ints: T is 5**k's first 64
+    bits, truncated, so f = 0 only for 0 <= k <= 27."""
+    powers, exponents = [], []
+    for k in range(-top, top + 1):
+        p = 5 ** abs(k)
+        g = p.bit_length() - 64 if k >= 0 else -63 - p.bit_length()
+        powers.append(p << 64 >> g + 64 if k >= 0 else (1 << -g) // p)
+        exponents.append(g)
+    return np.array(powers, np.uint64), np.array(exponents)
+
+
+_POW5, _POW5_EXP = _powers_of_five(115)  # k = exponent - 16, or 16 - decade
+
+
+def _high(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of each product a * b of uint64s, from 32-bit halves."""
+    a0, a1, b0, b1 = a & 0xFFFF_FFFF, a >> 32, b & 0xFFFF_FFFF, b >> 32
+    mid = a1 * b0 + (a0 * b0 >> 32)
+    return a1 * b1 + (mid >> 32) + (a0 * b1 + (mid & 0xFFFF_FFFF) >> 32)
 
 
 def _parse_floats(words: np.ndarray, out: np.ndarray) -> bool:
@@ -802,15 +800,16 @@ def _parse_floats(words: np.ndarray, out: np.ndarray) -> bool:
 
     words is (n, 3), each cell's three little-endian words (_cell_words),
     its first character in the lowest byte; a negative one is moved a byte
-    down. Its 17 digits are read eight
-    at a time (Lemire, "Number Parsing at a Gigabyte per Second", SPE 2021)
-    into M < 10**17 < 2**57, and its value is M * 10**k, k = exponent - 16.
-    For |k| <= 27, M and 10**|k| are exact in x87's 64-bit significand, so
-    one multiply or divide gives q, the value rounded to 64 bits. Every
-    midpoint between adjacent doubles lies on that 64-bit grid, so none
-    lies strictly between the value and q, and q rounded to a double is
-    float()'s result unless q is such a midpoint (its 11 bits below a
-    double's are 0x400). Those cells, and those with |k| > 27, take float().
+    down. Its 17 digits are read eight at a time (Lemire, "Number Parsing
+    at a Gigabyte per Second", SPE 2021) into M < 10**17, and its value is
+    M * 10**k = M * 5**k * 2**k, k = exponent - 16, as in Eisel and Lemire's
+    algorithm with a 64-bit power (Mushtak & Lemire, SPE 2023). M, shifted
+    up to w, 2**63 <= w < 2**64, times 5**k = (T + f) * 2**g (_POW5) lies
+    in [hi, hi + 2) * 2**64, hi = _high(w, T). hi's first 53 bits, rounded
+    half up, are the double's significand unless its 11 bits below, with hi
+    shifted up to 64 bits (which doubles the bound), lie at a half or up to
+    two below it: only those cells, never written from a double, take
+    float(). M = 0 gives a signed 0.
     """
     w = words.T.copy()  # rows of words; words stay
     neg = (w[0] & 0xFF) == ord("-")
@@ -827,16 +826,23 @@ def _parse_floats(words: np.ndarray, out: np.ndarray) -> bool:
     w[0] = (w[0] & 0xFFFF_FFFF_FFFF_0000) | (w[0] & 0xFF) << 8  # 0, d0, d1..d6
     eights = _eight_digits(w[:2])
     m = eights[0] * 10**10 + eights[1] * 100 + (w[2] & 0xFF) * 10 + (w[2] >> 8 & 0xFF)
-    e = ((w[2] >> 32 & 0xFF) * 10 + (w[2] >> 40 & 0xFF)).astype(np.int64)
-    k = np.where(sign, -e, e) - 16
-    q = _scaled(m, k)
-    out[...] = q
-    bits = out.view(np.uint64)
+    e = (w[2] >> 32 & 0xFF) * 10 + (w[2] >> 40 & 0xFF)
+    i = (e * (1 - (sign >> 1 & 2))).view(np.int64) + 99  # k + 115; sign >> 1 & 2 is 2 for "-"
+    n = m.astype(np.float64).view(np.uint64) >> 52  # 1023 + M's binary exponent, or one more
+    m <<= 1086 - n  # a shift by 64 or more gives 0
+    up = (m >> 63) ^ 1  # M's float was rounded up to a power of two
+    m <<= up
+    hi = _high(m, _POW5[i])
+    low = (hi >> 63) ^ 1
+    hi <<= low  # 2**63 <= hi: the double's 53 bits, then 11
+    near = (hi & 0x7FF) - 1022 <= 2  # at a half, or up to two below it
+    significand = (hi >> 10) + 1 >> 1
+    exponent = (_POW5_EXP[i] + i).view(np.uint64) + n - up - low - 52  # k = i - 115
+    bits = out.view(np.uint64)  # a significand of 2**53 carries into the exponent
+    bits[...] = np.where(m, exponent << 52, 0) + significand
     bits |= neg.astype(np.uint64) << 63
-    midpoint = q.view(np.uint64)[::2] & 0x7FF == 0x400  # the significand's word
-    slow = midpoint | (np.abs(k) > 27)
-    if slow.any():  # their bytes, trailing NULs dropped
-        slow = np.flatnonzero(slow)
+    if near.any():  # their bytes, trailing NULs dropped
+        slow = np.flatnonzero(near)
         cells = words[slow].view("S24").reshape(-1)
         out[slow] = [float(cell) for cell in cells.tolist()]
     return True
@@ -863,18 +869,12 @@ _EXPONENT = np.array(
 
 
 def _format_floats(values: np.ndarray) -> np.ndarray:
-    """FLOAT_CELL % v of each finite float64 v, as S24 cells.
-
-    The cells are made FLOAT_BLOCK at a time (see the module docstring).
-    Without x87's long double each takes the % (see _format_block).
-    """
+    """FLOAT_CELL % v of each finite float64 v, as S24 cells, made
+    FLOAT_BLOCK at a time (see the module docstring) by _format_block."""
     cells = np.empty(len(values), "S24")
     for start in range(0, len(values), FLOAT_BLOCK):
-        block = values[start : start + FLOAT_BLOCK]
-        if FAST_FLOATS:
-            _format_block(block, cells[start : start + FLOAT_BLOCK])
-        else:
-            cells[start : start + FLOAT_BLOCK] = [FLOAT_CELL % v for v in block.tolist()]
+        end = start + FLOAT_BLOCK
+        _format_block(values[start:end], cells[start:end])
     return cells
 
 
@@ -883,33 +883,34 @@ def _format_block(values: np.ndarray, out: np.ndarray) -> None:
 
     For v = ±a, a normal, let E be its decade and k = 16 - E. Its 17 digits
     are M = a * 10**k rounded to an integer (Steele & White, "How to Print
-    Floating-Point Numbers Accurately", PLDI 1990). For |k| <= 27, a and
-    10**|k| are exact in x87's 64-bit significand, so one multiply or
-    divide gives q, the exact product rounded once; q < 2**57, so q is
-    within 2**-8 of it. Unless q's fraction is within 2**-8 of 1/2, q
-    rounds to M as the product does. Those cells (exact ties among them)
-    and |k| > 27 (zero, subnormals and three-digit exponents too) take the
-    %. E comes from _DECADE, one more where q >= 10**17. M < 10**17: no
-    double with |k| <= 27 lies within half a unit of the 17th digit below
-    a power of ten, so none is written 1.0000000000000000e+(E + 1).
+    Floating-Point Numbers Accurately", PLDI 1990), from the parser's
+    product: a's significand, shifted up to w, times 5**k = (T + f) * 2**g
+    (_POW5) lies in [hi, hi + 2) * 2**64, hi = _high(w, T), so a * 10**k
+    lies in [hi, hi + 2) / 2**s, s (6 to 9) from a's and 10**k's binary
+    exponents. E is _DECADE's, or one more where hi >> s >= 10**17, and
+    then hi // 10 takes hi's place. M is hi / 2**s rounded half up. Only
+    these take the %: a cell whose hi has its low s bits at a half or one
+    below (exact ties among them), or whose M rounds up to 10**17, and
+    zero, subnormals and three-digit exponents.
 
     A cell is three little-endian words, its first character in the lowest
     byte: the first digit, ".", then M's other 16 digits, eight a word half
     (_ascii8), then _EXPONENT's; a negative cell is moved a byte up behind
     a "-".
     """
-    a = np.abs(values)
-    k = 16 - _DECADE[a.view(np.uint64) >> 52]
-    q = _scaled(a, k)
-    with np.errstate(invalid="ignore"):  # q past 2**64, where |k| > 27
-        m = q.astype(np.uint64)
-    low = np.flatnonzero(m >= 10**17)  # the decade is one more
-    if low.size:
-        k[low] -= 1
-        q[low] = _scaled(a[low], k[low])
-        m[low] = q[low].astype(np.uint64)
-    half = q - m - 0.5  # exact
-    m += half > 0
+    a = np.abs(values).view(np.uint64)
+    binade = a >> 52
+    e = _DECADE[binade]
+    k = np.clip(16 - e, -115, 115)
+    hi = _high(a << 11 | 2**63, _POW5[k + 115])
+    shift = (1022 - _POW5_EXP[k + 115] - k).view(np.uint64) - binade
+    big = hi >> shift >= 10**17  # the decade is one more
+    hi[big] //= 10
+    mask = (1 << shift) - 1
+    m = (hi >> shift - 1) + 1 >> 1  # rounded half up
+    near = (hi & mask) - (mask >> 1) <= 1  # at a half, or one below it
+    slow = np.flatnonzero(near | (m >= 10**17) | (e < -99) | (e + big > 99))
+    e += big
     first = m // 10**16
     rest = m - first * 10**16
     high = rest // 10**8
@@ -917,12 +918,11 @@ def _format_block(values: np.ndarray, out: np.ndarray) -> None:
     w = out.view(np.uint64).reshape(-1, 3)
     w[:, 0] = digits[0] << 16 | 0x2E30 | first  # the first digit and "."
     w[:, 1] = digits[0] >> 48 | digits[1] << 16
-    w[:, 2] = digits[1] >> 48 | _EXPONENT[np.clip(16 - k, -99, 99) + 99]
+    w[:, 2] = digits[1] >> 48 | _EXPONENT[np.clip(e, -99, 99) + 99]
     cells = out.view(np.uint8).reshape(-1, 24)
     neg = np.flatnonzero(np.signbit(values))
     cells[neg, 1:] = cells[neg, :23]
     cells[neg, 0] = ord("-")
-    slow = np.flatnonzero((np.abs(half) <= 2.0**-8) | (np.abs(k) > 27))
     out[slow] = [FLOAT_CELL % v for v in values[slow].tolist()]
 
 

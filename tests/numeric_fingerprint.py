@@ -1,11 +1,10 @@
 """The numeric environment a process runs on, for test failure messages.
 
 fingerprint() names what decides floating-point bits here: numpy's version
-and the dispatch targets it uses on this CPU, the long double's significand
-width (63 bits on x87, where the CSV readers' exact float parser runs), and
-the core OpenBLAS picked at run time. It reads them from numpy and, through
-ctypes, from the OpenBLAS library that numpy ships; it adds no dependency.
-Run it as a script to print the fingerprint.
+and the dispatch targets it uses on this CPU, and the core OpenBLAS picked
+at run time. It reads them from numpy and, through ctypes, from the
+OpenBLAS library that numpy ships; it adds no dependency. Run it as a
+script to print the fingerprint.
 """
 
 import ctypes
@@ -37,10 +36,7 @@ def openblas_core() -> str:
 
 def fingerprint() -> str:
     dispatch = "+".join(active_dispatch_targets()) or "none"
-    return (
-        f"numpy {np.__version__}, dispatch {dispatch}, longdouble nmant "
-        f"{np.finfo(np.longdouble).nmant}, OpenBLAS core {openblas_core()}"
-    )
+    return f"numpy {np.__version__}, dispatch {dispatch}, OpenBLAS core {openblas_core()}"
 
 
 if __name__ == "__main__":

@@ -329,16 +329,15 @@ def test_a_dirty_line_anywhere_reads_as_the_row_by_row_readers(tmp_path, kind, d
         dirty = [*lines[:r], DIRTY[dirt](lines[r], COLUMNS[kind], other), *lines[r + 1 :]]
         path.write_bytes(b"".join([header, *dirty]))
         want = reference_outcome(kind, str(path))
-        for chunk_text, chunk_cells, fast in itertools.product(
-            [1, 7, 64, fileio.CHUNK_TEXT], [5, fileio.CHUNK_CELLS], [True, False]
+        for chunk_text, chunk_cells in itertools.product(
+            [1, 7, 64, fileio.CHUNK_TEXT], [5, fileio.CHUNK_CELLS]
         ):
             with (
                 mock.patch.object(fileio, "CHUNK_TEXT", chunk_text),
                 mock.patch.object(fileio, "CHUNK_CELLS", chunk_cells),
-                mock.patch.object(fileio, "FAST_FLOATS", fileio.FAST_FLOATS and fast),
             ):
                 got = outcome(READERS[kind], str(path), None)
-            assert got == want, (r, chunk_text, chunk_cells, fast)
+            assert got == want, (r, chunk_text, chunk_cells)
 
 
 def csv_reader_rows(rows: list):
@@ -383,20 +382,16 @@ def plain_file(path, kind: str, variant: str) -> None:
         path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("fast", [True, False])
 @pytest.mark.parametrize("variant", ["writer", "12 groups", "short floats"])
 @pytest.mark.parametrize("kind", sorted(READERS))
-def test_plain_files_take_the_byte_path(tmp_path, kind, variant, fast):
+def test_plain_files_take_the_byte_path(tmp_path, kind, variant):
     # only the header reaches csv.reader; a CRLF twin sends every row to it
     path = tmp_path / "plain.csv"
     plain_file(path, kind, variant)
     want = reference_outcome(kind, str(path))
     assert want[0] == "ok"
     rows: list = []
-    with (
-        mock.patch.object(fileio, "FAST_FLOATS", fileio.FAST_FLOATS and fast),
-        csv_reader_rows(rows),
-    ):
+    with csv_reader_rows(rows):
         assert columns(READERS[kind](str(path))) == want[1]
     with open(path, encoding="utf-8") as f:
         assert rows == [f.readline().rstrip("\n").split(",")]
@@ -461,7 +456,6 @@ def test_a_pipe_reads_as_its_file(tmp_path, kind, case):
         assert got == ("error", error.replace(str(path), str(pipe)))
 
 
-@pytest.mark.skipif(not fileio.FAST_FLOATS, reason="no writer-form float parser here")
 def test_a_nul_after_a_writer_float_cell_is_refused():
     cell = "1.0000000000000000e+00"
     assert writer_floats([cell]).tolist() == [1.0]

@@ -4,10 +4,12 @@
 double with a two-digit exponent, -?D.DDDDDDDDDDDDDDDDe[+-]DD, and must give
 the bits float() gives. Any other cell makes it return None, and the chunk
 then takes the object-to-float64 astype, so a file reads the same either
-way. The properties below compare it with float() bitwise; the reader tests
-pin that writer-form files take it on a host whose long double has a
-64-bit significand, and that they read the same bits with it switched off
-or under numpy's AVX2 paths.
+way. The parser's arithmetic is 64-bit integer steps, the same on every
+host: the properties below compare it with float() bitwise, check its table
+of powers of five against Python ints, and pin that a double written in any
+two-digit decade reads back without float(). The reader tests pin that
+writer-form files take it, and that it keeps its bits under numpy's AVX2
+paths.
 """
 
 import math
@@ -34,12 +36,6 @@ from fin_equity.fileio import (
     write_predictions_csv,
 )
 
-X87 = (  # x86-64's long double
-    np.finfo(np.longdouble).nmant == 63
-    and np.dtype(np.longdouble).itemsize == 16
-    and sys.byteorder == "little"
-)
-needs_x87 = pytest.mark.skipif(not X87, reason="the fast path needs x87 long doubles")
 VALID = "1.0000000000000000e+00"
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -79,7 +75,6 @@ def two_digit_exponent(cell: str) -> bool:
     return cell[-4] == "e"
 
 
-@needs_x87
 @settings(max_examples=300, deadline=None)
 @given(st.lists(finite, min_size=1, max_size=40))
 def test_written_doubles_read_as_float_does(values):
@@ -101,7 +96,6 @@ seventeen_digit_cells = st.builds(
 )
 
 
-@needs_x87
 @settings(max_examples=300, deadline=None)
 @given(st.lists(seventeen_digit_cells, min_size=1, max_size=40))
 def test_any_seventeen_digit_cell_reads_as_float_does(cells):
@@ -130,7 +124,6 @@ def midpoint_cells(draw):
     return [sign + c for c in cells if two_digit_exponent(c)]
 
 
-@needs_x87
 @settings(max_examples=300, deadline=None)
 @given(midpoint_cells())
 def test_cells_at_and_next_to_midpoints_read_as_float_does(cells):
@@ -138,7 +131,6 @@ def test_cells_at_and_next_to_midpoints_read_as_float_does(cells):
         assert_reads_as_float(cells)
 
 
-@needs_x87
 def test_exact_midpoints_round_to_even():
     # 2**53 + 1 lies halfway between 2**53 and 2**53 + 2
     cells = ["9.0071992547409930e+15", "9.0071992547409950e+15"]
@@ -147,13 +139,52 @@ def test_exact_midpoints_round_to_even():
     assert writer_floats(cells).tolist() == [2.0**53, 2.0**53 + 4, -(2.0**54)]
 
 
-@needs_x87
+def no_float_call():
+    """fileio's float(), wrapped, so that a test can count its calls."""
+    return mock.patch.object(fileio, "float", wraps=float, create=True)
+
+
 def test_cells_outside_the_exact_range_read_as_float_does():
-    # |exponent - 16| > 27 takes float(); zero has any exponent
+    # 5**k is exact in the table only for 0 <= k = exponent - 16 <= 27; these
+    # cells, at both ends of the two-digit exponents, read through truncated
+    # powers, and zero has any exponent. 1e-14 and 1e98, the doubles just
+    # below those powers, are written 1.0000000000000000e-14 and e+98. None
+    # takes float().
     cells = ["1.2345678901234567e-12", "9.9999999999999999e+99"]
     cells += ["-4.9406564584124654e-99", "0.0000000000000000e+00"]
     cells += ["-0.0000000000000000e+00", "0.0000000000000000e-99"]
-    assert_reads_as_float(cells)
+    cells += [FLOAT_CELL % x for x in (1e-14, 1e98, -1e-14, -1e98)]
+    assert cells[-4:-2] == ["1.0000000000000000e-14", "1.0000000000000000e+98"]
+    with no_float_call() as wrapped:
+        assert_reads_as_float(cells)
+    assert wrapped.call_count == 0
+
+
+def test_the_table_holds_each_power_of_five_truncated_to_64_bits():
+    # 5**k = (T + f) * 2**g with 0 <= f < 1: T is floor(5**k / 2**g)
+    ks = range(-115, 116)
+    assert len(fileio._POW5) == len(fileio._POW5_EXP) == len(ks) == 231
+    for k, t, g in zip(ks, fileio._POW5.tolist(), fileio._POW5_EXP.tolist()):
+        assert 2**63 <= t < 2**64, k
+        num, den = 5 ** max(k, 0) << max(-g, 0), 5 ** max(-k, 0) << max(g, 0)
+        assert t * den <= num < (t + 1) * den, k
+
+
+def test_doubles_next_to_every_two_digit_power_of_ten_read_back_without_float():
+    # a written double lies far from any midpoint, so none takes float()
+    values = []
+    for e in range(-99, 99):
+        below = above = float(f"1e{e}")
+        values.append(below)
+        for _ in range(3):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            values += [below, above]
+    cells = [FLOAT_CELL % v for v in values + [-v for v in values]]
+    cells = [c for c in cells if two_digit_exponent(c)]
+    assert len(cells) > 2500
+    with no_float_call() as wrapped:
+        assert_reads_as_float(cells)
+    assert wrapped.call_count == 0
 
 
 @pytest.mark.parametrize(
@@ -235,7 +266,6 @@ def read_both(data: str, preds: str) -> tuple:
     return columns(read_dataset_csv(data)), columns(read_predictions_csv(preds))
 
 
-@needs_x87
 def test_writer_files_take_the_fast_path(written):
     parse, results = fileio._writer_floats, []
 
@@ -248,14 +278,6 @@ def test_writer_files_take_the_fast_path(written):
     # 20,000 x 5 features and 40,000 scores: at least three chunks each
     assert len(results) >= 6
     assert all(r is not None for r in results), fingerprint()
-
-
-def test_the_gate_switched_off_reads_the_same_bits(written):
-    fast = read_both(*written)
-    with mock.patch.object(fileio, "FAST_FLOATS", False):
-        with mock.patch.object(fileio, "_parse_floats", side_effect=AssertionError):
-            slow = read_both(*written)
-    assert fast == slow, fingerprint()
 
 
 MIXED = ["0.5", "1", " 0.25 ", "1e-3", "0_0.5", "-0.0", "7.0000000000000000E-01"]
@@ -318,7 +340,6 @@ FOREIGN_SCRIPT = textwrap.dedent(
 )
 
 
-@needs_x87
 def test_the_parser_keeps_its_bits_under_numpys_avx2_paths():
     tests = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, **FOREIGN_KERNELS)

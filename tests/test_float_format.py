@@ -1,15 +1,16 @@
 """The CSV writers' float formatter and the byte blocks they build.
 
 `fileio._format_floats` turns finite doubles into S24 cells, which must
-hold exactly the bytes FLOAT_CELL % v gives. The properties below compare
-them bitwise: any double, any bit pattern, exact decimal ties, doubles next
-to powers of ten, and the values that take the % (zero, subnormals,
-three-digit exponents, |k| > 27). The writers build each block of lines as
-bytes, and hand a block to csv.writer when an id would be quoted, holds a
-NUL, is not ASCII or is long, or an int is large; the tests pin that the
-stock writers' blocks take the byte path on a host whose long double has a
-64-bit significand, and that the bytes are the same with it switched off,
-under numpy's AVX2 paths, and for files that mix both kinds of block.
+hold exactly the bytes FLOAT_CELL % v gives. Its arithmetic is 64-bit
+integer steps, the same on every host. The properties below compare it
+bitwise: any double, any bit pattern, exact decimal ties, doubles next to
+powers of ten, those whose 17 digits round up to the next decade, and the
+values that take the % (zero, subnormals, three-digit exponents). The
+writers build each block of lines as bytes, and hand a block to csv.writer
+when an id would be quoted, holds a NUL, is not ASCII or is long, or an int
+is large; the tests pin that the stock writers' blocks take the byte path,
+and that the bytes are the same under numpy's AVX2 paths and for files that
+mix both kinds of block.
 """
 
 import math
@@ -31,7 +32,7 @@ from test_csv_writers import (
     reference_write_predictions_csv,
     written,
 )
-from test_float_cells import FOREIGN_KERNELS, needs_x87
+from test_float_cells import FOREIGN_KERNELS
 
 from fin_equity import AttributeSet, Dataset, Predictions, ValidationError, fileio
 from fin_equity.fileio import (
@@ -101,25 +102,32 @@ def test_doubles_next_to_powers_of_ten_format_as_percent_does():
     assert_formats_as_percent(values + [-v for v in values])
 
 
-def test_no_double_of_the_fast_decades_rounds_up_to_the_next():
-    # 1.0000000000000000e+(E + 1) for a double below 10**(E + 1) happens,
-    # but only outside the decades whose |16 - E| <= 27, which take the %
+def test_doubles_that_round_up_to_the_next_decade_format_as_percent_does():
+    # 1.0000000000000000e+(E + 1) for a double below 10**(E + 1): its 17
+    # digits round up to 10**17, and it takes the %
     cells = [(v, (FLOAT_CELL % v).split("e")) for v in powers_of_ten()]
-    decades = [  # the decade of each such double
-        int(exponent) - 1
+    rounded_up = [
+        (v, int(exponent) - 1)  # the double and its decade
         for v, (digits, exponent) in cells
         if digits == "1.0000000000000000" and Decimal(v) < Decimal(10) ** int(exponent)
     ]
+    decades = [e for _, e in rounded_up]
     assert -15 in decades and 97 in decades  # 1e-14 and 1e98: k = 31 and -81
-    assert all(abs(16 - e) > 27 for e in decades), decades
+    values = [v for v, _ in rounded_up]
+    assert_formats_as_percent(values + [-v for v in values])
 
 
 def test_values_that_take_the_percent_format_as_it_does():
+    # zero, subnormals and three-digit exponents take the %
     values = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308]
     values += [1e-100, 1.7976931348623157e308, 1e100, 1.5e-300]
-    # |k| = 27 is the last exact power: decades -11 and 43 are fast, -12 and 44 not
+    # 5**k is exact in 64 bits up to k = 27 (decade -11), and truncated from
+    # k = 28 (decade -12) and below k = 0 (decade 17 and up)
     values += [1e-11, 9.999999999999999e-12, 1e-12, 9.99999999999999e43, 1e44]
     values += [1.0, 0.5, 2.0**53 + 2, 9.999999999999999e16, 1 - 2.0**-53]
+    # the doubles just below 10**-14 and 10**98, written 1.0000000000000000e-14
+    # and e+98
+    values += [1e-14, 1e98]
     assert_formats_as_percent(values + [-v for v in values])
 
 
@@ -162,7 +170,6 @@ def write_both(tmp_path) -> tuple[bytes, bytes]:
     )
 
 
-@needs_x87
 def test_stock_writer_blocks_take_the_fast_path(tmp_path):
     lines, results = fileio._line_bytes, []
 
@@ -179,15 +186,6 @@ def test_stock_writer_blocks_take_the_fast_path(tmp_path):
     assert len(results) == 14
     assert all(r is not None for r in results), fingerprint()
     assert fmt.call_count == 14
-
-
-def test_the_gate_switched_off_writes_the_same_bytes(tmp_path):
-    fast = write_both(tmp_path)
-    with (
-        mock.patch.object(fileio, "FAST_FLOATS", False),
-        mock.patch.object(fileio, "_format_block", side_effect=AssertionError),
-    ):
-        assert write_both(tmp_path) == fast
 
 
 @pytest.mark.parametrize(
@@ -254,7 +252,6 @@ FOREIGN_SCRIPT = textwrap.dedent(
 )
 
 
-@needs_x87
 def test_the_formatter_keeps_its_bytes_under_numpys_avx2_paths():
     tests = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, **FOREIGN_KERNELS)

@@ -203,7 +203,6 @@ def test_predictions_write_peak_is_under_its_scores(tmp_path):
     assert peak <= 1.0 * predictions.scores.nbytes, (peak, predictions.scores.nbytes)
 
 
-@pytest.mark.skipif(not fileio.FAST_FLOATS, reason="no writer-form float parser here")
 def test_float_parse_peak_is_a_few_blocks_not_a_chunk():
     rng = np.random.default_rng(2)
     rows, d = 1424, 20  # one dataset chunk of CHUNK_CELLS cells at d = 20

@@ -801,7 +801,7 @@ def test_every_typed_config_field_refuses_a_string():
 # taken on; another OpenBLAS core or numpy's AVX2 paths give other bits.
 PINNED_ON = (
     "numpy 2.4.6, dispatch X86_V3+X86_V4+AVX512_ICL+AVX512_SPR, "
-    "longdouble nmant 63, OpenBLAS core SkylakeX"
+    "OpenBLAS core SkylakeX"
 )
 
 
