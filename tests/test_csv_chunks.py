@@ -382,16 +382,23 @@ def plain_file(path, kind: str, variant: str) -> None:
         path.write_text("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("fast", [True, False])
 @pytest.mark.parametrize("variant", ["writer", "12 groups", "short floats"])
 @pytest.mark.parametrize("kind", sorted(READERS))
-def test_plain_files_take_the_byte_path(tmp_path, kind, variant):
-    # only the header reaches csv.reader; a CRLF twin sends every row to it
+def test_plain_files_take_the_byte_path(tmp_path, kind, variant, fast):
+    # only the header reaches csv.reader; a CRLF twin sends every row to it.
+    # Without the writer-form parser (fast False) every float cell of the
+    # byte path takes the S24 cast, which must read the same values.
     path = tmp_path / "plain.csv"
     plain_file(path, kind, variant)
     want = reference_outcome(kind, str(path))
     assert want[0] == "ok"
     rows: list = []
-    with csv_reader_rows(rows):
+    writer_floats = fileio._writer_floats if fast else lambda words: None
+    with (
+        mock.patch.object(fileio, "_writer_floats", writer_floats),
+        csv_reader_rows(rows),
+    ):
         assert columns(READERS[kind](str(path))) == want[1]
     with open(path, encoding="utf-8") as f:
         assert rows == [f.readline().rstrip("\n").split(",")]
