@@ -47,18 +47,15 @@ kept columns among them fragmented it: with them there, score_eval's peak
 RSS read 84.4-87.6 MB over 12 checkout paths, against 80.9-89.2 MB before
 the byte path and 80.1-80.5 MB with the maps.
 
-csv.reader reads CHUNK_CELLS cells a chunk, and a chunk's columns decide
-first: each is converted whole (ints once per distinct text, floats by one
-object-to-float64 astype) and checked whole. A chunk whose every row
-passes is kept as a StringDType id column and int and float columns, as a
-plain block is, so at most one chunk's cells are alive at a time; each
-column is joined from its chunks once the file is read. A chunk that the
-columns refuse, or that ends at a row of the wrong width, then goes to a
-loop over its rows in the order of a row-by-row reader, which names the
-first rule broken. So every error is the one such a reader of the whole
-file raises, with the same line and text. The first failing chunk stops
-the conversion, but the same chunk stream is still read to its end, so a
-decode error or an oversized field anywhere after it still wins.
+csv.reader reads CHUNK_CELLS cells a chunk, whose cells take the same
+parsers, FLOAT_BLOCK at a time (_text_columns), so one function decides how
+any cell becomes a number and when it is refused (_cell_values). A slice
+they refuse goes to a loop over its rows in a row-by-row reader's order,
+which gives each row's values or names the first rule broken, with the
+line and text such a reader of the whole file gives. A chunk is kept as a
+plain one is, so at most one chunk's cells are alive at a time. The first
+failing chunk stops the conversion, but the chunk stream is still read to
+its end, so a decode error or an oversized field after it still wins.
 
 The byte path reads float cells from their words by _writer_floats,
 which takes only the writers' form with a two-digit exponent,
@@ -77,7 +74,7 @@ and including its failing row, or after the last chunk. A key is computed
 in numpy from the id's UTF-8 bytes, its 8-byte words mixed with its byte
 length (_id_column), and both paths share that helper: a plain block
 gathers its ids' bytes where they lie, and a csv.reader chunk encodes its
-ids once (_text_ids). So an id first read on one path and repeated on the
+cells (_cell_bytes). So an id first read on one path and repeated on the
 other has one key. One sort of the keys finds the rows whose key an
 earlier row has, and a set of those rows' ids as str decides each; so
 only ids whose keys collide are hashed, and PYTHONHASHSEED cannot change
@@ -271,7 +268,7 @@ class _Schema(NamedTuple):
     ints: tuple[tuple[int, int | None, type], ...]
     floats: int | slice
     valid: Callable[[np.ndarray], bool]
-    check_row: Callable[[list[str]], None]  # raises a row's first broken rule
+    check_row: Callable[[list[str]], tuple]  # a row's values; raises at a broken rule
 
 
 class _Chunk:
@@ -358,12 +355,12 @@ def _read_chunks(path: str, schema: _Schema):
     (ids, keys, floats, *ints). csv.reader reads the first block that is
     not, as bytes, and then the rest of the file (a pipe as a file),
     CHUNK_CELLS / width records a chunk; data is then the flat cells of a
-    chunk's rows.
-    The header line is decoded and checked first (one holding a quote or
-    "\\r" is csv.reader's first block instead). Blank rows are
-    skipped; reading stops at the first row of another width, which ends
-    the last chunk. A decode error or an oversized field raises with its
-    record's number, whatever the consumer did with the chunks before it.
+    chunk's rows, for _text_columns. The header line is decoded and checked
+    first (one holding a quote or "\\r" is csv.reader's first block
+    instead). Blank rows are skipped; reading stops at the first row of
+    another width, which ends the last chunk. A decode error or an
+    oversized field raises with its record's number, whatever the consumer
+    did with the chunks before it.
     """
     # no per-row counter: a record's number is line plus the rows and blank
     # rows of the chunk read before it
@@ -448,15 +445,13 @@ _PAD = bytes(24)  # after a block, so that _cell_words reads 24 bytes at any cel
 
 def _plain_columns(block: bytes, width: int, schema: _Schema):
     """(ids, floats, *ints) of a block of lines, or None unless it is plain
-    and each of its cells is in a form the byte path reads and passes its
-    rule. ids is where the ids lie, (data, starts, lengths) for _id_column,
-    which casts them straight into the chunk's column.
+    and _cell_values reads its cells. ids is where the ids lie, (data,
+    starts, lengths) for _id_column, which casts them straight into the
+    chunk's column.
 
     Plain: valid UTF-8 with no quote, "\\r" or NUL, and width cells on each
     line, so csv.reader would read a line as line.split(","); and no id
-    past csv's field limit. The forms: an int is 1 to 8 ASCII digits (as
-    the writers give any int below 10**8); a float is in _writer_floats's
-    form, or else float() of its at most 24 ASCII bytes.
+    past csv's field limit.
     """
     if b'"' in block or b"\r" in block or b"\0" in block:
         return None
@@ -469,6 +464,22 @@ def _plain_columns(block: bytes, width: int, schema: _Schema):
     if bounds is None or bounds[1][:, 0].max() > csv.field_size_limit():
         return None
     starts, lengths = bounds
+    values = _cell_values(data, starts, lengths, schema)
+    if values is None:
+        return None
+    # copies, so that the block's bounds are freed before the chunk's columns
+    # are made: kept until the cast, they raised audit_report's peak RSS by
+    # 0.6-0.8 MB at some checkout paths
+    return (data, starts[:, 0].copy(), lengths[:, 0].copy()), *values
+
+
+def _cell_values(data: bytes, starts: np.ndarray, lengths: np.ndarray, schema: _Schema):
+    """(floats, *ints) of the (rows, width) cells data[start : start +
+    length], or None unless each is in a form the byte path reads and
+    passes its rule: an int of 1 to 8 ASCII digits (as the writers give any
+    int below 10**8), a float in _writer_floats's form or else float() of
+    its at most 24 ASCII bytes. No cell may hold a NUL, which the S24 cast
+    drops; data holds 24 bytes from each start."""
     floats = schema.floats
     x = _block_floats(data, starts[:, floats], lengths[:, floats])
     if x is None or not schema.valid(x):
@@ -479,10 +490,7 @@ def _plain_columns(block: bytes, width: int, schema: _Schema):
         if values is None or (top is not None and values.max() > top):
             return None
         ints.append(values.astype(dtype))
-    # copies, so that the block's bounds are freed before the chunk's columns
-    # are made: kept until the cast, they raised audit_report's peak RSS by
-    # 0.6-0.8 MB at some checkout paths
-    return (data, starts[:, 0].copy(), lengths[:, 0].copy()), x, *ints
+    return x, *ints
 
 
 def _is_utf8(block: bytes) -> bool:
@@ -642,63 +650,45 @@ def _id_words(data: bytes, starts: np.ndarray, lengths: np.ndarray, width: int):
     return words
 
 
-def _text_ids(ids: list[str]):
-    """_id_column of a csv.reader chunk's ids, from one encode of them all,
-    so that each id gets the key its bytes get on the byte path."""
-    text = "".join(ids)
+def _cell_bytes(cells: list[str]):
+    """(data, starts, lengths) of cells from one encode of them all: a cell's
+    UTF-8 bytes are data[start : start + length], and _PAD ends data."""
+    text = "".join(cells)
     data = text.encode() + _PAD
-    ends = np.cumsum(np.fromiter(map(len, ids), np.int64, len(ids)))
+    ends = np.cumsum(np.fromiter(map(len, cells), np.int64, len(cells)))
     if len(data) - len(_PAD) > len(text):  # character offsets to byte offsets
         firsts = (np.frombuffer(data, np.uint8) & 0xC0) != 0x80
         ends = np.flatnonzero(firsts)[ends]  # the first NUL of _PAD ends the last
     lengths = np.diff(ends, prepend=0)
-    column = np.empty(len(ids), StringDType())
-    keys = np.empty(len(ids), np.int64)
-    _id_column(data, ends - lengths, lengths, column, keys)
-    if "\0" in text:  # the cast ends an id at its trailing NULs
-        column = np.array(ids, StringDType())
-    return column, keys
+    return data, ends - lengths, lengths
 
 
 def _read_csv(path: str, schema: _Schema):
     """Read and check a CSV's rows: (its id column in chunks, its float
-    column(s), its int columns, and per int column the int() of each
-    distinct text that csv.reader gave).
+    column(s), its int columns, and per int column the largest value too
+    large for its dtype, stored there as 0, or 0 if none is).
 
-    A byte path chunk has passed every rule. A csv.reader chunk is
-    converted column by column (_cell_columns). The first it refuses, or
-    that ends at a row of another width, goes to a loop over its rows:
-    check_row raises the ValidationError of the first rule a row breaks, in
-    a row-by-row reader's order. A duplicate id up to and including that
-    row wins, as a row's id is checked first. No later chunk is converted,
-    but the rest of the file is still read, so that a decode error or an
-    oversized field in it wins; then the read's error is raised.
+    A csv.reader chunk is converted by _text_columns. At its first error, a
+    duplicate id up to and including the failing row wins, as a row's id is
+    checked first. No later chunk is converted, but the rest of the file is
+    still read, so that a decode error or an oversized field in it wins;
+    then the read's error is raised.
     """
     seen = _SeenIds(schema.what)
-    values: list[dict[str, int]] = [{} for _ in schema.ints]
+    huge = [0 for _ in schema.ints]
     floats: list[np.ndarray] = []
     ints: list[list[np.ndarray]] = [[] for _ in schema.ints]
     chunks = _read_chunks(path, schema)
     for data, chunk in chunks:
         if not chunk.plain:
-            cells, width = data, chunk.width
-            ids = cells[::width]
-            if chunk.wrong is None:
-                data = _cell_columns(cells, width, schema, values)
-            if chunk.wrong is not None or data is None:
-                r, error = _first_bad_row(cells, width, schema.check_row)
-                if error is None:
-                    if chunk.wrong is None:
-                        raise AssertionError(f"{path!r}: no row of a refused chunk fails")
-                    error = f"expected {width} fields, got {chunk.wrong}"
-                seen.add(*_text_ids(ids[: r + 1]), chunk)
-                error = seen.check() or f"line {chunk.line_of(r)}: {error}"
-                del cells, ids, data
+            data, error = _text_columns(data, chunk, schema, huge)
+            if error is not None:
+                seen.add(*data, chunk)
+                error = seen.check() or error
+                del data
                 for data, _ in chunks:  # read on: a later decode error still wins
                     del data
                 raise ValidationError(error)
-            data = *_text_ids(ids), *data
-            del cells, ids  # free the chunk's cells before the next is read
         ids, keys, x, *columns = data
         floats.append(x)
         seen.add(ids, keys, chunk)
@@ -708,40 +698,73 @@ def _read_csv(path: str, schema: _Schema):
     error = seen.check()
     if error is not None:
         raise ValidationError(error)
-    dtypes = [dtype for _, _, dtype in schema.ints]
-    ints = [join_chunks(kept, dtype) for kept, dtype in zip(ints, dtypes)]
-    return seen.chunks, join_chunks(floats, np.float64), ints, values
+    ints = [join_chunks(kept, dtype) for kept, (_, _, dtype) in zip(ints, schema.ints)]
+    return seen.chunks, join_chunks(floats, np.float64), ints, huge
 
 
-def _cell_columns(cells: list[str], width: int, schema: _Schema, values):
-    """(floats, *ints) of a csv.reader chunk, or None unless every row
-    passes: ints are read once per distinct text (values holds each int
-    column's, from the chunks before), floats by one object-to-float64
-    astype."""
-    texts = [cells[column::width] for column, _, _ in schema.ints]
-    for text, known, (_, top, _) in zip(texts, values, schema.ints):
-        if not _add_ints(text, known, top):
-            return None
-    table = np.array(cells, dtype=object).reshape(-1, width)
-    try:
-        x = table[:, schema.floats].astype(np.float64)
-    except ValueError:
-        return None
-    if not schema.valid(x):
-        return None
-    dtypes = [dtype for _, _, dtype in schema.ints]
-    return x, *[_int_column(*args) for args in zip(texts, values, dtypes)]
+def _text_columns(cells: list[str], chunk: _Chunk, schema: _Schema, huge: list[int]):
+    """((ids, keys, floats, *ints), None) of a csv.reader chunk's flat
+    cells; or, at the first row that breaks a rule or the wrong-width row
+    after them, ((ids, keys) up to and including it, its error).
+
+    Each slice of whole rows, FLOAT_BLOCK cells, is encoded once
+    (_cell_bytes) for _id_column and _cell_values; one these refuse, or
+    that holds a NUL, goes to _first_bad_row and _row_columns instead.
+    """
+    width, wrong = chunk.width, chunk.wrong
+    rows, step = len(cells) // width, max(1, FLOAT_BLOCK // width)
+    ids, keys = np.empty(rows, StringDType()), np.empty(rows, np.int64)
+    # the error and its row: a wrong-width row comes after the chunk's rows
+    error = None if wrong is None else f"expected {width} fields, got {wrong}"
+    parts = []
+    for start in range(0, rows, step):
+        part = cells[start * width : (start + step) * width]
+        data, starts, lengths = _cell_bytes(part)
+        starts, lengths = starts.reshape(-1, width), lengths.reshape(-1, width)
+        at = slice(start, start + len(starts))
+        _id_column(data, starts[:, 0], lengths[:, 0], ids[at], keys[at])
+        nul = data.index(0) < len(data) - len(_PAD)
+        if nul:  # the cast ends an id at its trailing NULs
+            ids[at] = part[::width]
+        values = None if nul else _cell_values(data, starts, lengths, schema)
+        if values is None:
+            parsed, bad = _first_bad_row(part, width, schema.check_row)
+            if bad is not None:
+                rows, error = start + len(parsed), bad
+                break
+            values = _row_columns(parsed, schema, huge)
+        parts.append(values)
+    if error is not None:
+        return (ids[: rows + 1], keys[: rows + 1]), f"line {chunk.line_of(rows)}: {error}"
+    return (ids, keys, *map(np.concatenate, zip(*parts))), None
 
 
-def _first_bad_row(cells: list[str], width: int, check_row) -> tuple[int, str | None]:
-    """The first row that check_row refuses and its error, else (rows, None)."""
-    rows = len(cells) // width
-    for r in range(rows):
+def _first_bad_row(cells: list[str], width: int, check_row) -> tuple[list, str | None]:
+    """check_row's values of each row up to the first it refuses, and that
+    row's error, or None if it refuses none."""
+    parsed = []
+    for r in range(len(cells) // width):
         try:
-            check_row(cells[r * width : (r + 1) * width])
+            parsed.append(check_row(cells[r * width : (r + 1) * width]))
         except ValidationError as exc:
-            return r, str(exc)
-    return rows, None
+            return parsed, str(exc)
+    return parsed, None
+
+
+def _row_columns(parsed: list, schema: _Schema, huge: list[int]):
+    """(floats, *ints) of check_row's values of each row. An int too large
+    for its column's dtype (a huge attr, which _attribute_set refuses) is
+    stored as 0, and the largest such is kept in huge."""
+    x, *columns = zip(*parsed)
+    ints = []
+    for i, (values, (_, _, dtype)) in enumerate(zip(columns, schema.ints)):
+        try:
+            ints.append(np.array(values, dtype))
+        except OverflowError:
+            top = np.iinfo(dtype).max
+            huge[i] = max(huge[i], *values)
+            ints.append(np.array([v if v <= top else 0 for v in values], dtype))
+    return np.array(x, np.float64), *ints
 
 
 def _writer_floats(words: np.ndarray) -> np.ndarray | None:
@@ -990,21 +1013,6 @@ def _line_bytes(block: list[np.ndarray]) -> np.ndarray | None:
     return lines[lines != 0]
 
 
-def _add_ints(texts: list[str], values: dict[str, int], top: int | None) -> bool:
-    """Add int() of each new distinct text to values, which holds those of
-    the earlier chunks; False at a text that is not an integer or whose
-    value is below 0 or above top (unless top is None)."""
-    for text in set(texts).difference(values):
-        try:
-            value = int(text)
-        except ValueError:
-            return False
-        if value < 0 or (top is not None and value > top):
-            return False
-        values[text] = value
-    return True
-
-
 def _parse_int(text: str, what: str) -> int:
     try:
         return int(text)
@@ -1015,25 +1023,24 @@ def _parse_int(text: str, what: str) -> int:
 def _attribute_set(
     path: str,
     attrs: np.ndarray,
-    texts: dict[str, int],
+    huge: int,
     group_names: Sequence[str] | None,
     group_count: int | None = None,
 ) -> AttributeSet:
     """The given group names, or group0.. defaults.
 
-    attrs is the file's group ids, and texts the ints read from its
-    csv.reader cells, which hold any id too large for attrs' dtype.
-    Refuses a file with no data rows, and given names too few for the ids.
-    Without names, a given group_count (a model's) bounds the ids and sets
-    the number of default names. Else the defaults run to the largest id k,
-    which must be below the record count: a file cannot show more groups
-    than it has records, and a stray large id would otherwise make about k
-    empty default groups.
+    attrs is the file's group ids, and huge the largest id too large for
+    their dtype (or 0). Refuses a file with no data rows, and given names
+    too few for the ids. Without names, a given group_count (a model's)
+    bounds the ids and sets the number of default names. Else the defaults
+    run to the largest id k, which must be below the record count: a file
+    cannot show more groups than it has records, and a stray large id would
+    otherwise make about k empty default groups.
     """
     records = len(attrs)
     if not records:
         raise ValidationError(f"{path!r} has a header but no data rows")
-    max_attr = max([int(attrs.max()), *texts.values()])
+    max_attr = max(int(attrs.max()), huge)
     if group_names is None and group_count is not None:
         if max_attr >= group_count:
             raise ValidationError(
@@ -1057,16 +1064,6 @@ def _attribute_set(
     return attribute_set
 
 
-def _int_column(texts: list[str], values: dict[str, int], dtype) -> np.ndarray:
-    """The value of each text, in order, as an array."""
-    try:
-        return np.fromiter(map(values.__getitem__, texts), dtype, len(texts))
-    except OverflowError:
-        # a group id past any dtype: _attribute_set refuses the file, unless
-        # a later chunk fails first, so these values are never used
-        return np.zeros(len(texts), dtype)
-
-
 def _dataset_width(header: list[str]) -> int:
     if len(header) < 4 or header[:3] != ["id", "attr", "label"]:
         raise ValidationError(
@@ -1078,8 +1075,8 @@ def _dataset_width(header: list[str]) -> int:
     return d + 3
 
 
-def _check_dataset_row(row: list[str]) -> None:
-    """Raise the error of the first rule a dataset row breaks, if any."""
+def _check_dataset_row(row: list[str]) -> tuple[list[float], int, int]:
+    """(features, attr, label) of a dataset row; raises its first broken rule."""
     attr = _parse_int(row[1], "attr")
     if attr < 0:
         raise ValidationError(f"attr must be >= 0, got {attr}")
@@ -1092,6 +1089,7 @@ def _check_dataset_row(row: list[str]) -> None:
         raise ValidationError(f"bad feature value ({exc})") from None
     if not all(map(math.isfinite, x)):
         raise ValidationError("non-finite feature value")
+    return x, attr, label
 
 
 # id, attr (>= 0), label (0 or 1), finite features
@@ -1119,8 +1117,8 @@ def read_dataset_csv(
     the ids must be below it, and it names group0..group{count-1}. Sample
     ids must be unique; violations name the offending line.
     """
-    ids, x, (attrs, labels), (texts, _) = _read_csv(path, _DATASET)
-    attribute_set = _attribute_set(path, attrs, texts, group_names, group_count)
+    ids, x, (attrs, labels), (huge, _) = _read_csv(path, _DATASET)
+    attribute_set = _attribute_set(path, attrs, huge, group_names, group_count)
     return Dataset(attribute_set, x, labels, attrs, IdColumn.from_chunks(ids))
 
 
@@ -1141,8 +1139,8 @@ def _predictions_width(header: list[str]) -> int:
     return 4
 
 
-def _check_predictions_row(row: list[str]) -> None:
-    """Raise the error of the first rule a predictions row breaks, if any."""
+def _check_predictions_row(row: list[str]) -> tuple[float, int, int]:
+    """(score, label, attr) of a predictions row; raises its first broken rule."""
     sid, score_text, label_text, attr_text = row
     try:
         score = float(score_text)
@@ -1158,6 +1156,7 @@ def _check_predictions_row(row: list[str]) -> None:
         )
     if label not in (0, 1):
         raise ValidationError(f"record {sid!r}: label must be 0 or 1, got {label!r}")
+    return score, label, attr
 
 
 # id, score (in [0, 1]; NaN fails both tests), label (0 or 1), attr (>= 0)
@@ -1174,8 +1173,8 @@ _PREDICTIONS = _Schema(
 def read_predictions_csv(
     path: str, group_names: Sequence[str] | None = None
 ) -> tuple[Predictions, AttributeSet]:
-    ids, scores, (labels, attrs), (_, texts) = _read_csv(path, _PREDICTIONS)
-    attribute_set = _attribute_set(path, attrs, texts, group_names)
+    ids, scores, (labels, attrs), (_, huge) = _read_csv(path, _PREDICTIONS)
+    attribute_set = _attribute_set(path, attrs, huge, group_names)
     return Predictions(IdColumn.from_chunks(ids), scores, labels, attrs), attribute_set
 
 

@@ -14,10 +14,11 @@ records. Files from the writers, with one dirty line of each kind at each
 position, read as the row-by-row readers read them, at every block size
 and with the float parser switched off too; clean ones (12 groups,
 non-ASCII ids and short floats among them) never reach csv.reader, and
-CRLF files read as their LF twins. The header is checked before any data
-row is decoded. An id first read on the byte path and repeated after a
-dirty line, where csv.reader reads it, is still named as a duplicate, and
-ids far longer than the writers' ID_BYTES stay on the byte path.
+CRLF files read as their LF twins, their writer-form float cells through
+the byte path's parser. The header is checked before any data row is
+decoded. An id first read on the byte path and repeated after a dirty
+line, where csv.reader reads it, is still named as a duplicate, and ids
+far longer than the writers' ID_BYTES stay on the byte path.
 """
 
 import csv
@@ -386,9 +387,10 @@ def plain_file(path, kind: str, variant: str) -> None:
 @pytest.mark.parametrize("variant", ["writer", "12 groups", "short floats"])
 @pytest.mark.parametrize("kind", sorted(READERS))
 def test_plain_files_take_the_byte_path(tmp_path, kind, variant, fast):
-    # only the header reaches csv.reader; a CRLF twin sends every row to it.
-    # Without the writer-form parser (fast False) every float cell of the
-    # byte path takes the S24 cast, which must read the same values.
+    # only the header reaches csv.reader; a CRLF twin sends every row to it,
+    # and its cells on to the byte path's parsers. Without the writer-form
+    # parser (fast False) every float cell of the byte path takes the S24
+    # cast, which must read the same values.
     path = tmp_path / "plain.csv"
     plain_file(path, kind, variant)
     want = reference_outcome(kind, str(path))
@@ -405,9 +407,19 @@ def test_plain_files_take_the_byte_path(tmp_path, kind, variant, fast):
     twin = tmp_path / "crlf.csv"
     twin.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     rows.clear()
-    with csv_reader_rows(rows):
+    parsed: list = []  # the float cells of each call to the writer-form parser
+    parse = fileio._writer_floats
+
+    def counted(words):
+        parsed.append(words.size // 3)
+        return parse(words)
+
+    with csv_reader_rows(rows), mock.patch.object(fileio, "_writer_floats", counted):
         assert columns(READERS[kind](str(twin))) == want[1]
     assert len(rows) == 1 + len(want[1][0])
+    if variant == "writer":
+        _, shape, _ = want[1][2][0]  # the float column(s)
+        assert sum(parsed) == np.prod(shape)
 
 
 def pipe_file(path, kind: str, case: str) -> str | None:

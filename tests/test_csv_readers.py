@@ -192,12 +192,15 @@ def outcome(read, path, group_names):
 # fuzz: corrupt small valid files, compare with the reference readers
 
 # cells a corruption may put anywhere: numbers int() or float() read in
-# unusual ways, non-numbers, non-finite values, quoting and embedded newlines
+# unusual ways, non-numbers, non-finite values, quoting and embedded newlines,
+# and numbers with whitespace that int() and float() read through (csv.writer
+# quotes those with a line end), as the S24 cast of a csv.reader cell must
 TOKENS = (
     "", " ", "x", "0", "1", "2", "-1", "-0", "+1", "01", " 1", "1 ", "1_0",
     "١", "٢٣", "\U0001d7cf", " 1", "0.5", "1.0", "1.5",
     "-0.5", "0.0", "1e-400", "nan", "NaN", "-nan", "inf", "-inf", "Infinity",
     "1e999", "0x1p3", "1e", "1,5", '"', "a\nb", "s0", "s1", "é",
+    "0.5\n", "1\r", "\t1", "\x0b0.5", "1\r\n", "\n0.25",
 )
 HUGE = "9" * 25  # fits no int64; as an attr it is only used with group names
 FORMATS = {

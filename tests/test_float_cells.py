@@ -2,9 +2,9 @@
 
 `fileio._writer_floats` reads cells in exactly the form FLOAT_CELL gives a
 double with a two-digit exponent, -?D.DDDDDDDDDDDDDDDDe[+-]DD, and must give
-the bits float() gives. Any other cell makes it return None, and the chunk
-then takes the object-to-float64 astype, so a file reads the same either
-way. The parser's arithmetic is 64-bit integer steps, the same on every
+the bits float() gives. Any other cell makes it return None, and the cells
+then take the S24 cast, or float() in the row loop where that cast refuses
+one, so a file reads the same either way. The parser's arithmetic is 64-bit integer steps, the same on every
 host: the properties below compare it with float() bitwise, check its table
 of powers of five against Python ints, and pin that a double written in any
 two-digit decade reads back without float(). The reader tests pin that
@@ -224,7 +224,7 @@ def test_other_forms_are_refused(cell):
 
 
 # ---------------------------------------------------------------------------
-# the readers: the fast path is taken, and reads as the astype does
+# the readers: the fast path is taken, and reads as float() does
 
 
 def dataset(rows: int, d: int = 5) -> Dataset:
