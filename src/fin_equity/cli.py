@@ -37,7 +37,7 @@ from .fileio import (
     write_predictions_csv,
     write_pretty_json,
 )
-from .metrics import check_bins, full_report, prediction_histogram
+from .metrics import _audit, check_bins
 from .norms import NormKind
 from .synth import default_benchmark, generate, synth_config_from_dict
 from .train import (
@@ -257,11 +257,11 @@ def _cmd_report(args) -> int:
     predictions, attribute_set = read_predictions_csv(
         args.predictions, group_names=names
     )
-    report = full_report(predictions, attribute_set, threshold=args.threshold)
-    hist = prediction_histogram(predictions, threshold=args.threshold, bins=args.bins)
+    bins = args.bins if args.hist_out else None  # a histogram only to write
+    report, hist = _audit(predictions, attribute_set, args.threshold, bins)
     write_pretty_json(metric_report_to_dict(report), args.out)
     print(f"wrote report to {args.out}")
-    if args.hist_out:
+    if hist is not None:
         write_histogram_csv(hist, args.hist_out)
         print(f"wrote {hist.bins}-bin histogram to {args.hist_out}")
     _print_report(report, attribute_set.names, percent=args.percent)

@@ -28,10 +28,11 @@ once, a block of CHUNK_TEXT bytes at a time, each run on to a line end.
 While a block is plain, the byte path converts it where it lies
 (_plain_columns; Langdale & Lemire, VLDB J. 2019): one scan finds every
 "," and "\\n", which give each cell's start and length; each float cell's
-24 bytes are gathered as three words for the parser below (or, in any
-other form, cast from S24), an int cell's first 8 as one word whose
-digits are summed as the parser's are, and each id's bytes as NUL-padded
-words, cast to StringDType and mixed into its key (see below). Plain
+24 bytes (a negative one's from after its "-") are gathered as three
+words for the parser below (or, in any other form, cast from S24), an int
+cell's first 8 as one word whose digits are summed as the parser's are,
+and each id's bytes as NUL-padded words, cast to StringDType and mixed
+into its key (see below). Plain
 means valid UTF-8 with no quote, "\\r" or NUL, and the header's width on
 every line; and every cell must be in a form the byte path reads and
 pass its rule. csv.reader reads the first block that is not, from its
@@ -42,10 +43,37 @@ block's temporaries stay below glibc's 128 KB mmap threshold; 4 KB blocks
 made the read four times slower, from numpy's cost per call. Plain blocks
 are gathered into chunks of CHUNK_CELLS cells, whose float, int and key
 columns each get an anonymous memory map (_mapped); the StringDType id
-column cannot, and each block's ids are cast straight into it. The blocks' temporaries come and go in malloc's heap, and
-kept columns among them fragmented it: with them there, score_eval's peak
+column cannot, and each block's ids are cast straight into it. The
+blocks' temporaries come and go in malloc's heap, and kept columns among
+them fragmented it: with them there, score_eval's peak
 RSS read 84.4-87.6 MB over 12 checkout paths, against 80.9-89.2 MB before
 the byte path and 80.1-80.5 MB with the maps.
+
+A regular file with 2 * PART_BYTES data bytes or more is read in parts
+when this process may run on 2 CPUs or more (os.sched_getaffinity): its
+data rows are cut at line ends into min(CPUs, bytes // PART_BYTES) parts
+of about equal bytes, and a forked worker converts each part after the
+first with the same block loop while this process converts the first
+(_byte_path). Threads do not help: numpy's calls on an 80 KB block are
+short, and the GIL is held between them. A worker imports nothing, calls
+no BLAS, touches no stdio and ends in os._exit; it writes its float and
+int columns, its ids' bytes and their lengths into a memfd, which this
+process maps once the worker has exited, casting the ids by _id_column.
+A worker stops at its first block that is not plain, and a part counts
+only while every block before it is plain, for a quote before a cut could
+open a field that the cut splits (Ge et al., "Speculative Distributed CSV
+Data Parsing for Big Data Analytics", SIGMOD 2019). At the first block
+that is not plain, in this process's part or where a worker stopped, the
+workers left are killed and csv.reader reads on from that block, as in
+one pass; a worker that fails, or a fork that raises, leaves its part
+and the rest to this process. So every value, error text and record
+number is the one-pass read's. A pipe, one CPU or a smaller file is read
+in one pass. On a 2-vCPU x86-64 host, in a phase where the two vCPUs ran
+two processes at full speed, a dataset file of 1 MB read in 7.2-8.9 ms in
+one pass and 7.6-11.4 ms in two parts, 2 MB in 13.8-15.2 and 11.3-14.5 ms,
+4 MB in 26.8-30.0 and 19.7-26.3 ms, and 6 MB in 41.8-44.4 and
+26.5-40.1 ms; where the vCPUs acted as one, two parts took 6-8 ms longer
+at every size. So a part has at least 2 MB.
 
 csv.reader reads CHUNK_CELLS cells a chunk, whose cells take the same
 parsers, FLOAT_BLOCK at a time (_text_columns), so one function decides how
@@ -88,11 +116,16 @@ a str and a hash() each.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
+import gc
 import io
 import json
 import math
 import mmap
+import os
+import signal
+import stat
 from itertools import chain, islice
 from typing import Callable, NamedTuple, Sequence
 
@@ -106,6 +139,7 @@ from .metrics import MetricReport, PredictionHistogram
 FLOAT_CELL = "%.16e"  # 17 significant digits
 CHUNK_CELLS = 1 << 15  # CSV cells tokenized and checked at a time
 CHUNK_TEXT = 80 << 10  # CSV bytes read at a time; see the module docstring
+PART_BYTES = 2 << 20  # least data bytes of a part a worker process reads; see below
 FLOAT_BLOCK = 4096  # float cells parsed or formatted at a time; see below
 
 
@@ -351,8 +385,9 @@ def _read_chunks(path: str, schema: _Schema):
 
     Each chunk is (data, chunk), chunk being its _Chunk. While each block
     of CHUNK_TEXT bytes, run on to a line end, is plain, a chunk gathers
-    the blocks' _plain_columns up to CHUNK_CELLS cells, and data is its
-    (ids, keys, floats, *ints). csv.reader reads the first block that is
+    the blocks' _plain_columns up to CHUNK_CELLS cells, or is a worker's
+    part of a long file (_byte_path), and data is its (ids, keys, floats,
+    *ints). csv.reader reads the first block that is
     not, as bytes, and then the rest of the file (a pipe as a file),
     CHUNK_CELLS / width records a chunk; data is then the flat cells of a
     chunk's rows, for _text_columns. The header line is decoded and checked
@@ -376,31 +411,7 @@ def _read_chunks(path: str, schema: _Schema):
             plain = '"' not in text and "\r" not in text
             if plain:
                 line, width = 2, schema.header_width(next(csv.reader([text]), []))
-            kept, rows = [], 0  # the byte path's chunk so far
-            while plain:  # byte blocks, up to the first that is not plain
-                block = f.read(CHUNK_TEXT)
-                if block and not block.endswith(b"\n"):
-                    block += f.readline()
-                data = _plain_columns(block, width, schema) if block else None
-                if kept and (data is None or rows + len(data[1]) > len(kept[0])):
-                    full = tuple(column[:rows] for column in kept)
-                    yield full, _Chunk(width, line, [], None, True)
-                    line += rows
-                    kept, rows = [], 0
-                if data is None:  # csv.reader reads on from this block
-                    break
-                ids, *columns = data
-                if not kept:  # a chunk's columns, CHUNK_CELLS cells
-                    size = max(CHUNK_CELLS // width, len(columns[0]))
-                    kept = [np.empty(size, StringDType())]  # a map cannot hold it
-                    kept += [_mapped((size,), np.int64)]  # the ids' keys
-                    kept += [_mapped((size, *c.shape[1:]), c.dtype) for c in columns]
-                at = slice(rows, rows + len(columns[0]))
-                _id_column(*ids, kept[0][at], kept[1][at])
-                for column, part in zip(kept[2:], columns):
-                    column[at] = part
-                rows += len(columns[0])
-                del data, ids, columns
+                line, block = yield from _byte_path(f, path, width, schema)
             # that block and the rest of the file, row by row
             start = io.TextIOWrapper(io.BytesIO(block), encoding="utf-8", newline="")
             rest = io.TextIOWrapper(f, encoding="utf-8", newline="")
@@ -430,6 +441,218 @@ def _read_chunks(path: str, schema: _Schema):
     except csv.Error as exc:
         line += len(cells) // width + len(blanks)  # the record being read
         raise ValidationError(f"{path!r} line {line}: {exc}") from exc
+
+
+def _byte_path(f, path: str, width: int, schema: _Schema):
+    """Yield the chunks of f's plain blocks from its position on; return
+    (line, block): the record number after them, and the first block that
+    is not plain (or b"") with f just past it, where csv.reader reads on.
+
+    Each part after the first (_parts) goes to a forked worker
+    (_write_part), which converts its plain blocks while this process
+    converts the first part; then each worker's rows follow in file order
+    (_read_part). A part counts only while every block before it is
+    plain: at the first block that is not, in this process's part or
+    where a worker stopped, the workers left are killed and csv.reader
+    reads on from that block. A worker that fails, or a fork that raises,
+    leaves the rest to this process. Every worker is reaped before this
+    returns, raises or is closed.
+    """
+    workers: list[tuple[int, int, int]] = []  # (pid, memfd, start) of each part
+    try:
+        try:
+            for part in _parts(f):
+                workers.append(_fork_part(f, path, *part, width, schema))
+        except OSError:  # read every part here
+            _stop(workers)
+        end = workers[0][2] if workers else None
+        line, block = yield from _plain_chunks(f, end, width, schema, 2)
+        while workers and not block:  # every block so far was plain
+            pid, fd, start = workers[0]
+            status = _reap(pid)
+            workers.pop(0)
+            try:
+                done = _read_part(fd, width, schema) if status == 0 else None
+            finally:
+                os.close(fd)
+            if done is None:  # the worker failed: its part and on, here
+                _stop(workers)
+                f.seek(start)
+                line, block = yield from _plain_chunks(f, None, width, schema, line)
+                break
+            rows, stop, data = done
+            if rows:
+                yield data, _Chunk(width, line, [], None, True)
+                line += rows
+            f.seek(stop)
+            if workers and workers[0][2] != stop:  # its block at stop is not plain
+                break
+        return line, block
+    finally:
+        _stop(workers)
+
+
+def _plain_chunks(f, end: int | None, width: int, schema: _Schema, line: int):
+    """Yield the chunks of f's plain blocks from its position up to byte end
+    (None: to the end of the file), line being the first's record number;
+    return (line, block) as _byte_path does."""
+    kept, rows = [], 0  # the chunk so far
+    for block, data in _plain_blocks(f, end, width, schema):
+        if kept and (data is None or rows + len(data[1]) > len(kept[0])):
+            full = tuple(column[:rows] for column in kept)
+            yield full, _Chunk(width, line, [], None, True)
+            line += rows
+            kept, rows = [], 0
+        if data is None:
+            return line, block
+        ids, *columns = data
+        if not kept:  # a chunk's columns, CHUNK_CELLS cells
+            size = max(CHUNK_CELLS // width, len(columns[0]))
+            kept = [np.empty(size, StringDType())]  # a map cannot hold it
+            kept += [_mapped((size,), np.int64)]  # the ids' keys
+            kept += [_mapped((size, *c.shape[1:]), c.dtype) for c in columns]
+        at = slice(rows, rows + len(columns[0]))
+        _id_column(*ids, kept[0][at], kept[1][at])
+        for column, part in zip(kept[2:], columns):
+            column[at] = part
+        rows += len(columns[0])
+        del data, ids, columns
+
+
+def _plain_blocks(f, end: int | None, width: int, schema: _Schema):
+    """(block, _plain_columns of it) for each block of CHUNK_TEXT bytes of f,
+    run on to a line end, from its position up to byte end (None: to the
+    end of the file); the last is the first block that is not plain, or
+    b"" past the end, with None."""
+    while True:
+        size = CHUNK_TEXT if end is None else max(min(CHUNK_TEXT, end - f.tell()), 0)
+        block = f.read(size)
+        if block and not block.endswith(b"\n"):
+            block += f.readline()  # a part ends at a line end, so not past end
+        data = _plain_columns(block, width, schema) if block else None
+        yield block, data
+        if data is None:
+            return
+
+
+def _parts(f) -> list[tuple[int, int | None]]:
+    """(start, end) of each part of f's data after the first, the last's
+    end None: f cut at line ends into min(CPUs, bytes // PART_BYTES) parts
+    of about its bytes from its position on. Empty unless f is a regular
+    file with 2 * PART_BYTES of them and this process may use 2 CPUs."""
+    info = os.fstat(f.fileno())
+    if not stat.S_ISREG(info.st_mode) or not hasattr(os, "memfd_create"):
+        return []
+    if not hasattr(os, "sched_getaffinity"):  # no CPU set to read: one pass
+        return []
+    at, size = f.tell(), info.st_size
+    count = min(len(os.sched_getaffinity(0)), (size - at) // PART_BYTES)
+    cuts: list[int] = []
+    for k in range(1, count):
+        f.seek(at + k * (size - at) // count)
+        f.readline()  # on to a line end
+        if f.tell() < size and (not cuts or f.tell() > cuts[-1]):
+            cuts.append(f.tell())
+    f.seek(at)
+    return list(zip(cuts, [*cuts[1:], None]))
+
+
+def _fork_part(f, path: str, start: int, end: int | None, width: int, schema: _Schema):
+    """(pid, memfd, start) of a forked worker that writes the columns of the
+    plain blocks of f's bytes from start up to end into the memfd.
+
+    A fork, not a spawned interpreter: importing numpy afresh would cost
+    more than the part saves. The fork copies only this thread, and BLAS's
+    idle threads are safe to lose because the worker calls no BLAS; it
+    takes no lock that another thread may hold, as stdio's or an import's.
+    """
+    identity = os.fstat(f.fileno())[1:3]  # (st_ino, st_dev)
+    fd = os.memfd_create("fin-equity-part", os.MFD_CLOEXEC)
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(fd)
+        raise
+    if pid == 0:  # the worker: no import, BLAS or stdio, and no return
+        code = 1
+        try:
+            gc.disable()  # the parent's garbage is the parent's to collect
+            code = _write_part(fd, path, identity, start, end, width, schema)
+        finally:
+            os._exit(code)
+    return pid, fd, start
+
+
+def _write_part(
+    out: int, path: str, identity: tuple, start: int, end: int | None, width: int, schema
+) -> int:
+    """Write into the file out the columns of the plain blocks of path's
+    bytes from start up to end, and return 0; or 1 if path no longer names
+    the file of identity. Three int64s come first, the rows, the offset
+    past the last plain block and the ids' bytes; then the float
+    column(s), each int column, the ids' lengths (int64) and their bytes
+    end to end."""
+    with open(path, "rb") as f:  # a file offset of its own, not the reader's
+        if os.fstat(f.fileno())[1:3] != identity:
+            return 1
+        f.seek(start)
+        pieces = []
+        for block, data in _plain_blocks(f, end, width, schema):
+            if data is not None:
+                (text, starts, lengths), *columns = data
+                pieces.append([*columns, lengths, _gathered(text, starts, lengths)])
+        stop = f.tell() - len(block)
+    rows = sum(len(piece[0]) for piece in pieces)
+    head = np.array([rows, stop, sum(len(piece[-1]) for piece in pieces)], np.int64)
+    for array in [head, *chain.from_iterable(zip(*pieces))]:  # column by column
+        view = memoryview(array).cast("B")
+        while view:
+            view = view[os.write(out, view) :]
+    return 0
+
+
+def _gathered(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The bytes data[start : start + length] of each cell, end to end."""
+    ends = np.cumsum(lengths)
+    index = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+    return np.frombuffer(data, np.uint8)[index]
+
+
+def _read_part(fd: int, width: int, schema: _Schema):
+    """(rows, stop, (ids, keys, floats, *ints)) from a worker's memfd
+    (_write_part): its columns in place, its ids cast by _id_column."""
+    mapped = mmap.mmap(fd, os.fstat(fd).st_size, access=mmap.ACCESS_READ)
+    rows, stop, size = np.frombuffer(mapped, np.int64, 3).tolist()
+    floats = np.empty((0, width))[:, schema.floats].shape[1:]
+    columns, at = [], 24
+    for dtype, shape in [(np.float64, floats), *((d, ()) for *_, d in schema.ints)]:
+        columns.append(np.frombuffer(mapped, dtype, rows * math.prod(shape), at))
+        columns[-1] = columns[-1].reshape(rows, *shape)
+        at += columns[-1].nbytes
+    lengths = np.frombuffer(mapped, np.int64, rows, at)
+    ids, keys = np.empty(rows, StringDType()), _mapped((rows,), np.int64)
+    data = mapped[at + lengths.nbytes : at + lengths.nbytes + size]
+    _id_column(data, np.cumsum(lengths) - lengths, lengths, ids, keys)
+    return rows, stop, (ids, keys, *columns)
+
+
+def _stop(workers: list[tuple[int, int, int]]) -> None:
+    """Kill and reap the workers, close their memfds and empty the list."""
+    for pid, fd, _ in workers:
+        with contextlib.suppress(ProcessLookupError):  # reaped elsewhere
+            os.kill(pid, signal.SIGKILL)
+        _reap(pid)
+        os.close(fd)
+    workers.clear()
+
+
+def _reap(pid: int) -> int:
+    """Wait for the child pid; its wait status, or -1 if it was reaped
+    elsewhere (as where SIGCHLD is ignored)."""
+    try:
+        return os.waitpid(pid, 0)[1]
+    except ChildProcessError:
+        return -1
 
 
 def _mapped(shape: tuple, dtype) -> np.ndarray:
@@ -535,6 +758,17 @@ _KEEP = np.array(
 
 
 def _cell_words(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """_words of each cell for _writer_floats; a cell that starts with "-"
+    is read from its next byte, and byte 23, past the NUL that ends a cell
+    of the writers' form, is 1 for it and 0 for any other. (An empty cell
+    may lie just before a "-", as in _cell_bytes' data.)"""
+    neg = (np.frombuffer(data, np.uint8)[starts] == ord("-")) & (lengths > 0)
+    words = _words(data, starts + neg, lengths - neg)
+    words.view(np.uint8)[..., 23] = neg
+    return words
+
+
+def _words(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The 24 bytes from each start as three little-endian words, shape
     (*starts.shape, 3), with the third word's bytes past the length 0.
 
@@ -557,10 +791,10 @@ def _block_floats(data: bytes, starts: np.ndarray, lengths: np.ndarray):
     what float() reads of ASCII text, and refuses a byte past ASCII, which
     csv.reader's str then decides.
     """
-    words = _cell_words(data, starts, lengths)
-    x = _writer_floats(words)
+    x = _writer_floats(_cell_words(data, starts, lengths))
     if x is not None or lengths.max() > 24:
         return x
+    words = _words(data, starts, lengths)
     words[..., :2] &= _KEEP[lengths, :2]
     try:
         return words.view("S24")[..., 0].astype(np.float64)
@@ -822,9 +1056,10 @@ def _parse_floats(words: np.ndarray, out: np.ndarray) -> bool:
     writers' form.
 
     words is (n, 3), each cell's three little-endian words (_cell_words),
-    its first character in the lowest byte; a negative one is moved a byte
-    down. Its 17 digits are read eight at a time (Lemire, "Number Parsing
-    at a Gigabyte per Second", SPE 2021) into M < 10**17, and its value is
+    its first character in the lowest byte; a negative one's are read after
+    its "-", and its byte 23 is 1. Its 17 digits are read eight at a time
+    (Lemire, "Number Parsing at a Gigabyte per Second", SPE 2021) into
+    M < 10**17, and its value is
     M * 10**k = M * 5**k * 2**k, k = exponent - 16, as in Eisel and Lemire's
     algorithm with a 64-bit power (Mushtak & Lemire, SPE 2023). M, shifted
     up to w, 2**63 <= w < 2**64, times 5**k = (T + f) * 2**g (_POW5) lies
@@ -835,11 +1070,6 @@ def _parse_floats(words: np.ndarray, out: np.ndarray) -> bool:
     float(). M = 0 gives a signed 0.
     """
     w = words.T.copy()  # rows of words; words stay
-    neg = (w[0] & 0xFF) == ord("-")
-    if neg.any():
-        shift = neg.astype(np.uint64) << 3  # bits; a shift by 64 gives 0
-        w[:2] = (w[:2] >> shift) | (w[1:] << (64 - shift))
-        w[2] >>= shift
     w ^= _FORM[:, None]  # a digit's byte now holds its value
     high = 0xF0 * _DIGITS[:, None]  # set unless a digit's byte is in 0-9
     bad = (w & (_FIXED[:, None] | high)) | ((w + 6 * _DIGITS[:, None]) & high)
@@ -863,11 +1093,13 @@ def _parse_floats(words: np.ndarray, out: np.ndarray) -> bool:
     exponent = (_POW5_EXP[i] + i).view(np.uint64) + n - up - low - 52  # k = i - 115
     bits = out.view(np.uint64)  # a significand of 2**53 carries into the exponent
     bits[...] = np.where(m, exponent << 52, 0) + significand
-    bits |= neg.astype(np.uint64) << 63
-    if near.any():  # their bytes, trailing NULs dropped
+    bits |= w[2] >> 56 << 63  # the sign, from byte 23
+    if near.any():  # their bytes, trailing NULs dropped, and their signs
         slow = np.flatnonzero(near)
-        cells = words[slow].view("S24").reshape(-1)
-        out[slow] = [float(cell) for cell in cells.tolist()]
+        cells = words[slow]
+        cells[:, 2] &= 0x00FF_FFFF_FFFF_FFFF
+        values = [float(cell) for cell in cells.view("S24").reshape(-1).tolist()]
+        out[slow] = np.copysign(values, out[slow])
     return True
 
 

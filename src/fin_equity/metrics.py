@@ -321,6 +321,18 @@ def full_report(
     values; they never abort the rest of the report. A group id outside
     the attribute set is an error naming its record.
     """
+    return _audit(predictions, attribute_set, threshold, None)[0]
+
+
+def _audit(
+    predictions: Predictions,
+    attribute_set: AttributeSet,
+    threshold: float,
+    bins: int | None,
+) -> tuple[MetricReport, PredictionHistogram | None]:
+    """full_report, and prediction_histogram of bins bins unless bins is
+    None, from one decide(scores); the decisions are freed before the AUCs'
+    sorts, as full_report alone frees them."""
     if not len(predictions):
         raise UndefinedMetricError("cannot build a report from zero records")
     scores, labels, attrs = predictions.scores, predictions.labels, predictions.attrs
@@ -333,6 +345,7 @@ def full_report(
             f"{int(attrs[pos])} out of range for {group_count} groups"
         )
     counts = group_counts(decisions, labels, attrs, group_count)
+    hist = None if bins is None else _histogram(scores, labels, decisions, bins)
     del decisions
     sizes = counts.sum(axis=(1, 2)).tolist()
     correct = (counts[:, 0, 0] + counts[:, 1, 1]).tolist()
@@ -379,7 +392,7 @@ def full_report(
     dpd_value = defined("dpd undefined", dpd, counts)
     deodds_value = defined("deodds undefined", deodds, counts)
 
-    return MetricReport(
+    report = MetricReport(
         threshold=float(threshold),
         overall=overall,
         per_group=per_group,
@@ -390,6 +403,7 @@ def full_report(
         group_sizes=dict(enumerate(sizes)),
         undefined=tuple(flags),
     )
+    return report, hist
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,13 +443,17 @@ def prediction_histogram(
     counts of the whole set.
     """
     check_bins(bins)
-    scores = predictions.scores
-    decisions = decide(scores, threshold)
+    decisions = decide(predictions.scores, threshold)
+    return _histogram(predictions.scores, predictions.labels, decisions, bins)
+
+
+def _histogram(scores, labels, decisions, bins: int) -> PredictionHistogram:
+    """prediction_histogram of scores already decided."""
     edges = np.arange(bins + 1) / bins
     bin_ids = (scores * bins).astype(np.int32)  # truncation floors a score >= 0
     np.minimum(bin_ids, bins - 1, out=bin_ids)
     bin_ids -= edges[bin_ids] > scores
     bin_ids += edges[1:][bin_ids] <= scores
     np.minimum(bin_ids, bins - 1, out=bin_ids)  # a score of 1.0 stays in the last bin
-    counts = group_counts(decisions, predictions.labels, bin_ids, bins)
+    counts = group_counts(decisions, labels, bin_ids, bins)
     return PredictionHistogram(bins=bins, edges=edges, counts=counts)

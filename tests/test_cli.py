@@ -23,6 +23,7 @@ from fin_equity import (
     write_dataset_csv,
     write_predictions_csv,
 )
+from fin_equity import metrics
 from fin_equity.cli import _fmt, run
 from fin_equity.metrics import es_over_groups
 from reference_fixtures import reconciliation_records
@@ -831,6 +832,25 @@ def test_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
         )
     )
     assert digests == PINNED_REPORT_SHA256
+
+
+def test_report_without_hist_out_bins_nothing(tmp_path, monkeypatch, capsys):
+    # the histogram is made only to be written; the report's bytes stay
+    write_predictions_csv(_audit_predictions(), str(tmp_path / "preds.csv"))
+    names = [f"g{i}" for i in range(9)]
+    (tmp_path / "groups.json").write_text(json.dumps({"groups": names}))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(metrics, "_histogram", None)  # a call would raise
+    code = run([
+        "report",
+        "--predictions", "preds.csv",
+        "--groups", "groups.json",
+        "--out", "report.json",
+    ])
+    assert code == 0
+    report = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert report == PINNED_REPORT_SHA256[0]
+    assert "histogram" not in capsys.readouterr().out
 
 
 def _audit_file(path, n=20_000, seed=30):

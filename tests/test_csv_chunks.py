@@ -19,11 +19,19 @@ the byte path's parser. The header is checked before any data row is
 decoded. An id first read on the byte path and repeated after a dirty
 line, where csv.reader reads it, is still named as a duplicate, and ids
 far longer than the writers' ID_BYTES stay on the byte path.
+
+A split read, whose later part a forked worker converts, must read as one
+pass does: the fuzz and the error-precedence tests run again with the split
+forced on (a tiny `fileio.PART_BYTES` on 2 CPUs), with a dirty line in
+either part, a pipe (never split), a fork that raises, a worker that fails
+or is killed, and a consumer that abandons the read.
 """
 
+import contextlib
 import csv
 import itertools
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -483,6 +491,19 @@ def test_a_nul_after_a_writer_float_cell_is_refused():
     assert writer_floats([cell + "\0"]) is None
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_an_empty_float_cell_before_a_negative_one_is_refused(tmp_path, end):
+    # csv.reader's cells (a CRLF file's) are joined without separators, so
+    # the empty cell starts at the next cell's "-"
+    path = tmp_path / "empty.csv"
+    rows = ["id,attr,label,f0,f1", "s0,0,0,,-1.0000000000000000e+00"]
+    path.write_bytes(end.join([*rows, ""]).encode())
+    error = "bad feature value (could not convert string to float: '')"
+    want = ("error", f"line 2: {error}")
+    assert reference_outcome("dataset", str(path)) == want
+    assert outcome(READERS["dataset"], str(path), None) == want
+
+
 @pytest.mark.parametrize("quoted", [False, True])
 @pytest.mark.parametrize("kind", sorted(READERS))
 def test_the_header_is_checked_before_any_row_is_decoded(tmp_path, kind, quoted):
@@ -643,3 +664,159 @@ def test_duplicate_error_does_not_depend_on_the_hash_seed(tmp_path):
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1] == b"line 45002: duplicate id 's40000'\n"
+
+
+# ---------------------------------------------------------------------------
+# split reads: a forked worker converts the later part of a long plain file
+
+
+@contextlib.contextmanager
+def split_reads(chunk_text: int = fileio.CHUNK_TEXT):
+    """Split a regular file's read in two past 6 blocks of chunk_text bytes:
+    PART_BYTES is 3 blocks and this process may use 2 CPUs, so one worker
+    is forked. Yields the list of the parts' starts, one per fork."""
+    forked: list[int] = []
+    fork_part = fileio._fork_part
+
+    def spy(f, path, start, *args):
+        forked.append(start)
+        return fork_part(f, path, start, *args)
+
+    with (
+        mock.patch.object(fileio, "CHUNK_TEXT", chunk_text),
+        mock.patch.object(fileio, "PART_BYTES", 3 * chunk_text),
+        mock.patch.object(os, "sched_getaffinity", return_value={0, 1}),
+        mock.patch.object(fileio, "_fork_part", spy),
+    ):
+        yield forked
+
+
+@pytest.mark.parametrize("chunk_text", [1, 7])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=dirty_files())
+def test_split_reads_match_the_row_by_row_readers(scratch, chunk_text, case):
+    with split_reads(chunk_text):
+        match_the_row_by_row_readers(scratch, case, 3, chunk_text)
+
+
+# each on files of 60,000 rows, about 1 MB, which a split read cuts near
+# row 30,000: an error or blank row in the first part, one in each part, and
+# a duplicate id whose copies fall in different parts
+ERROR_PRECEDENCE = [
+    test_late_undecodable_byte_beats_an_early_bad_label,
+    test_late_oversized_field_beats_an_early_bad_label,
+    test_decode_error_after_a_wrong_width_row_does_not_count,
+    test_duplicate_id_far_from_its_first_use_is_named_at_the_later_line,
+    test_blank_rows_shift_a_later_error_line,
+    test_huge_attr_with_one_group_name_is_out_of_range,
+    test_multi_chunk_file_reads_every_row,
+]
+
+
+@pytest.mark.parametrize(
+    "check", ERROR_PRECEDENCE, ids=lambda check: check.__name__.removeprefix("test_")
+)
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_a_split_read_keeps_the_error_precedence(tmp_path, kind, check):
+    with split_reads() as forked:
+        check(tmp_path, kind)
+    assert forked
+
+
+def dirty_line(line: str, dirt: str) -> bytes:
+    if dirt == "wide":
+        return (line + ",0.5\n").encode()
+    if dirt == "invalid utf-8":
+        return UNDECODABLE + line.encode() + b"\n"
+    return (DIRTY_LINE[dirt](line) + "\n").encode()
+
+
+@pytest.mark.parametrize("part", ["first", "later"])
+@pytest.mark.parametrize("dirt", ["crlf", "quote", "invalid utf-8", "wide"])
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_a_dirty_line_in_either_part_reads_as_in_process(tmp_path, kind, dirt, part):
+    # 12,000 rows in 4 KB blocks: the cut falls near row 6,000; a later
+    # bad label shows that csv.reader reads on from the dirty line's block
+    rows = good_rows(kind)[:12_000]
+    rows[11_000] = row(kind, 11_000, label="7")
+    at = 3_000 if part == "first" else 9_000
+    lines = [(line + "\n").encode() for line in [HEADERS[kind], *rows]]
+    lines[at + 1] = dirty_line(rows[at], dirt)
+    path = tmp_path / "dirty.csv"
+    path.write_bytes(b"".join(lines))
+    with mock.patch.object(fileio, "CHUNK_TEXT", 4096):
+        want = outcome(READERS[kind], str(path), None)
+    with split_reads(4096) as forked:
+        assert outcome(READERS[kind], str(path), None) == want
+    assert want[0] == "error" and forked
+    assert len(b"".join(lines[:3_002])) < forked[0] < len(b"".join(lines[:9_001]))
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_a_clean_split_read_reads_every_row(tmp_path, kind):
+    path = tmp_path / "plain.csv"
+    plain_file(path, kind, "12 groups")
+    want = outcome(READERS[kind], str(path), None)
+    rows: list = []
+    with split_reads(4096) as forked, csv_reader_rows(rows):
+        assert outcome(READERS[kind], str(path), None) == want
+    assert want[0] == "ok" and forked
+    with open(path, encoding="utf-8") as f:  # both parts took the byte path
+        assert rows == [f.readline().rstrip("\n").split(",")]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+def test_a_pipe_is_read_in_process(tmp_path):
+    path = tmp_path / "file.csv"
+    plain_file(path, "predictions", "12 groups")
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(path.read_bytes(),))
+    with split_reads(4096) as forked:
+        writer.start()
+        try:
+            got = outcome(READERS["predictions"], str(pipe), None)
+        finally:
+            writer.join()
+    assert got == outcome(READERS["predictions"], str(path), None)
+    assert not forked
+
+
+def exits_1(*args):
+    return 1
+
+
+def killed(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        mock.patch.object(os, "fork", side_effect=OSError("no fork")),
+        mock.patch.object(fileio, "_write_part", exits_1),
+        mock.patch.object(fileio, "_write_part", killed),
+    ],
+    ids=["fork raises", "worker fails", "worker killed"],
+)
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_a_read_whose_worker_cannot_run_reads_in_process(tmp_path, kind, fault):
+    rows = good_rows(kind)[:12_000]
+    rows[9_000] = row(kind, 9_000, attr="-1")  # in the part the worker lost
+    path = write_file(tmp_path, kind, rows)
+    want = outcome(READERS[kind], path, None)
+    assert want == ("error", "line 9002: attr must be >= 0, got -1")
+    with split_reads(4096) as forked, fault:
+        assert outcome(READERS[kind], path, None) == want
+    assert forked
+
+
+def test_an_abandoned_split_read_reaps_its_worker(tmp_path):
+    path = write_file(tmp_path, "predictions", good_rows("predictions")[:12_000])
+    with split_reads(4096) as forked:
+        chunks = fileio._read_chunks(path, fileio._PREDICTIONS)
+        next(chunks)
+        assert forked
+        chunks.close()
+    with pytest.raises(ChildProcessError):  # no child left, running or not
+        os.waitpid(-1, os.WNOHANG)

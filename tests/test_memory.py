@@ -17,6 +17,7 @@ not traced memory, so tracemalloc does not see it.
 
 import csv
 import gc
+import os
 import subprocess
 import sys
 import textwrap
@@ -49,14 +50,19 @@ def traced(call):
 
     The readers keep each chunk's columns in anonymous memory maps
     (fileio._mapped), which tracemalloc does not see; here they are numpy
-    arrays, so that every read is measured with its columns.
+    arrays, so that every read is measured with its columns. Nor does it
+    see a forked worker's allocations, so no read here is split into parts
+    (fileio.PART_BYTES).
     """
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        with mock.patch.object(fileio, "_mapped", np.empty):
+        with (
+            mock.patch.object(fileio, "_mapped", np.empty),
+            mock.patch.object(fileio, "PART_BYTES", 1 << 62),
+        ):
             result = call()
         kept, peak = (size - base for size in tracemalloc.get_traced_memory())
     finally:
@@ -221,8 +227,11 @@ RSS_SCRIPT = textwrap.dedent(
     """
     import resource, sys
     import numpy as np
-    from fin_equity import AttributeSet, Dataset
+    from fin_equity import AttributeSet, Dataset, fileio
     from fin_equity.fileio import read_dataset_csv, write_dataset_csv
+
+    if sys.argv[2] == "in-process":  # the file is past 2 * PART_BYTES
+        fileio.PART_BYTES = 1 << 62
 
     rng = np.random.default_rng(3)
     rows = 20_000
@@ -238,21 +247,47 @@ RSS_SCRIPT = textwrap.dedent(
         read_dataset_csv(sys.argv[1])
         if read in (3, 12):
             print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
     """
 )
 
 
-def test_repeated_dataset_reads_do_not_grow_peak_rss(tmp_path):
+def peak_rss_of_reads(path, mode: str) -> tuple[int, int, int]:
+    """Peak RSS in KB (on Linux) of a fresh process after its 3rd and 12th
+    read of a 20,000 x 20 dataset, and its children's."""
     proc = subprocess.run(
-        [sys.executable, "-c", RSS_SCRIPT, str(tmp_path / "data.csv")],
+        [sys.executable, "-c", RSS_SCRIPT, str(path), mode],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    third, twelfth = map(int, proc.stdout.split())  # KB on Linux
+    third, twelfth, children = map(int, proc.stdout.split())
+    return third, twelfth, children
+
+
+@pytest.fixture(scope="module")
+def in_process_rss(tmp_path_factory):
+    """peak_rss_of_reads in one pass, run once for the tests below."""
+    return peak_rss_of_reads(tmp_path_factory.mktemp("rss") / "data.csv", "in-process")
+
+
+def test_repeated_dataset_reads_do_not_grow_peak_rss(in_process_rss):
+    third, twelfth, children = in_process_rss
+    assert children == 0
     # 24-44 KB before the float parser, 4-32 KB with it (6 runs each), and
     # 63 MB for a parser that kept a 512 KB buffer per call. (With each
     # read's dataset kept alive during the next, growth moved by up to
     # 3 MB from one batch of runs to the next, before and after.)
     assert twelfth - third <= 1024, (third, twelfth)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="1 CPU: no split")
+def test_split_dataset_reads_keep_the_in_process_peak_rss(tmp_path, in_process_rss):
+    # the parent maps each worker's columns (fileio._read_part) where an
+    # in-process read would have mapped its own chunks
+    alone = in_process_rss[1]
+    third, twelfth, children = peak_rss_of_reads(tmp_path / "data.csv", "split")
+    assert children > 0  # a worker ran
+    assert twelfth - third <= 1024, (third, twelfth)
+    assert twelfth <= alone + 1024, (twelfth, alone)
