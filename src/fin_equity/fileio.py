@@ -49,31 +49,37 @@ them fragmented it: with them there, score_eval's peak
 RSS read 84.4-87.6 MB over 12 checkout paths, against 80.9-89.2 MB before
 the byte path and 80.1-80.5 MB with the maps.
 
-A regular file with 2 * PART_BYTES data bytes or more is read in parts
+A regular file with 2 * PART_BYTES data bytes or more is read in two parts
 when this process may run on 2 CPUs or more (os.sched_getaffinity): its
-data rows are cut at line ends into min(CPUs, bytes // PART_BYTES) parts
-of about equal bytes, and a forked worker converts each part after the
-first with the same block loop while this process converts the first
-(_byte_path). Threads do not help: numpy's calls on an 80 KB block are
-short, and the GIL is held between them. A worker imports nothing, calls
-no BLAS, touches no stdio and ends in os._exit; it writes its float and
-int columns, its ids' bytes and their lengths into a memfd, which this
-process maps once the worker has exited, casting the ids by _id_column.
-A worker stops at its first block that is not plain, and a part counts
-only while every block before it is plain, for a quote before a cut could
-open a field that the cut splits (Ge et al., "Speculative Distributed CSV
-Data Parsing for Big Data Analytics", SIGMOD 2019). At the first block
-that is not plain, in this process's part or where a worker stopped, the
-workers left are killed and csv.reader reads on from that block, as in
-one pass; a worker that fails, or a fork that raises, leaves its part
-and the rest to this process. So every value, error text and record
-number is the one-pass read's. A pipe, one CPU or a smaller file is read
-in one pass. On a 2-vCPU x86-64 host, in a phase where the two vCPUs ran
-two processes at full speed, a dataset file of 1 MB read in 7.2-8.9 ms in
-one pass and 7.6-11.4 ms in two parts, 2 MB in 13.8-15.2 and 11.3-14.5 ms,
-4 MB in 26.8-30.0 and 19.7-26.3 ms, and 6 MB in 41.8-44.4 and
-26.5-40.1 ms; where the vCPUs acted as one, two parts took 6-8 ms longer
-at every size. So a part has at least 2 MB.
+data rows are cut at the line end after the middle (_cut), and a forked
+worker converts the second part with the same block loop while this
+process converts the first (_byte_path). Threads do not help: numpy's
+calls on an 80 KB block are short, and the GIL is held between them. A
+worker imports nothing, calls no BLAS, touches no stdio and ends in
+os._exit. It gathers its chunks as this process does and writes each, its
+float and int columns, its ids' lengths and their bytes, into a memfd
+once gathered (_write_part). Once the worker has exited, this process
+copies each chunk's columns into maps of their own and casts its ids, as
+for its own chunks, freeing the memfd's pages behind it (_read_part); so
+join_chunks frees a worker's chunk once copied, and the split read peaks
+where a one-pass read does. A worker stops at its first block that is
+not plain, and its part counts only while every block before it is
+plain, for a quote before the cut could open a field that the cut splits
+(Ge et al., "Speculative Distributed CSV Data Parsing for Big Data
+Analytics", SIGMOD 2019). At the first block that is not plain, in this
+process's part or where the worker stopped, the worker is killed and
+csv.reader reads on from that block, as in one pass; a worker that fails,
+or a fork that raises, leaves its part to this process. So every value,
+error text and record number is the one-pass read's. A pipe, one CPU or
+a smaller file is read in one pass, and so is every file from Python
+3.12 on, where os.fork() warns in a process with threads (_CAN_SPLIT).
+More parts than two, one worker each, were never measured. On a 2-vCPU
+x86-64 host, in a phase where the two vCPUs ran two processes at full
+speed, a dataset file of 1 MB read in 7.2-8.9 ms in one pass and
+7.6-11.4 ms in two parts, 2 MB in 13.8-15.2 and 11.3-14.5 ms, 4 MB in
+26.8-30.0 and 19.7-26.3 ms, and 6 MB in 41.8-44.4 and 26.5-40.1 ms; where
+the vCPUs acted as one, two parts took 6-8 ms longer at every size. So a
+part has at least 2 MB.
 
 csv.reader reads CHUNK_CELLS cells a chunk, whose cells take the same
 parsers, FLOAT_BLOCK at a time (_text_columns), so one function decides how
@@ -126,6 +132,7 @@ import mmap
 import os
 import signal
 import stat
+import sys
 from itertools import chain, islice
 from typing import Callable, NamedTuple, Sequence
 
@@ -139,7 +146,7 @@ from .metrics import MetricReport, PredictionHistogram
 FLOAT_CELL = "%.16e"  # 17 significant digits
 CHUNK_CELLS = 1 << 15  # CSV cells tokenized and checked at a time
 CHUNK_TEXT = 80 << 10  # CSV bytes read at a time; see the module docstring
-PART_BYTES = 2 << 20  # least data bytes of a part a worker process reads; see below
+PART_BYTES = 2 << 20  # least data bytes of either part of a split read; see below
 FLOAT_BLOCK = 4096  # float cells parsed or formatted at a time; see below
 
 
@@ -385,12 +392,12 @@ def _read_chunks(path: str, schema: _Schema):
 
     Each chunk is (data, chunk), chunk being its _Chunk. While each block
     of CHUNK_TEXT bytes, run on to a line end, is plain, a chunk gathers
-    the blocks' _plain_columns up to CHUNK_CELLS cells, or is a worker's
-    part of a long file (_byte_path), and data is its (ids, keys, floats,
-    *ints). csv.reader reads the first block that is
-    not, as bytes, and then the rest of the file (a pipe as a file),
-    CHUNK_CELLS / width records a chunk; data is then the flat cells of a
-    chunk's rows, for _text_columns. The header line is decoded and checked
+    the blocks' _plain_columns up to CHUNK_CELLS cells, in this process or
+    in a worker that reads the second part of a long file (_byte_path), and
+    data is its (ids, keys, floats, *ints). csv.reader reads the first
+    block that is not, as bytes, and then the rest of the file (a pipe as
+    a file), CHUNK_CELLS / width records a chunk; data is then the flat
+    cells of a chunk's rows, for _text_columns. The header line is decoded and checked
     first (one holding a quote or "\\r" is csv.reader's first block
     instead). Blank rows are skipped; reading stops at the first row of
     another width, which ends the last chunk. A decode error or an
@@ -448,48 +455,39 @@ def _byte_path(f, path: str, width: int, schema: _Schema):
     (line, block): the record number after them, and the first block that
     is not plain (or b"") with f just past it, where csv.reader reads on.
 
-    Each part after the first (_parts) goes to a forked worker
+    The data's second half (from _cut) goes to a forked worker
     (_write_part), which converts its plain blocks while this process
-    converts the first part; then each worker's rows follow in file order
-    (_read_part). A part counts only while every block before it is
-    plain: at the first block that is not, in this process's part or
-    where a worker stopped, the workers left are killed and csv.reader
+    converts the first half; then the worker's chunks follow (_read_part).
+    The second half counts only while every block of the first is plain:
+    at the first block that is not, the worker is killed and csv.reader
     reads on from that block. A worker that fails, or a fork that raises,
-    leaves the rest to this process. Every worker is reaped before this
-    returns, raises or is closed.
+    leaves the second half to this process. The worker is reaped before
+    this returns, raises or is closed.
     """
-    workers: list[tuple[int, int, int]] = []  # (pid, memfd, start) of each part
+    pid = fd = None  # the worker's, until it is reaped and its memfd closed
+    cut = _cut(f)
     try:
-        try:
-            for part in _parts(f):
-                workers.append(_fork_part(f, path, *part, width, schema))
-        except OSError:  # read every part here
-            _stop(workers)
-        end = workers[0][2] if workers else None
+        if cut is not None:
+            with contextlib.suppress(OSError):  # no worker: all of it here
+                pid, fd = _fork_part(f, path, cut, width, schema)
+        end = None if pid is None else cut
         line, block = yield from _plain_chunks(f, end, width, schema, 2)
-        while workers and not block:  # every block so far was plain
-            pid, fd, start = workers[0]
-            status = _reap(pid)
-            workers.pop(0)
-            try:
-                done = _read_part(fd, width, schema) if status == 0 else None
-            finally:
-                os.close(fd)
-            if done is None:  # the worker failed: its part and on, here
-                _stop(workers)
-                f.seek(start)
-                line, block = yield from _plain_chunks(f, None, width, schema, line)
-                break
-            rows, stop, data = done
-            if rows:
-                yield data, _Chunk(width, line, [], None, True)
-                line += rows
-            f.seek(stop)
-            if workers and workers[0][2] != stop:  # its block at stop is not plain
-                break
-        return line, block
+        if pid is None or block:  # no worker, or a block before its part is not plain
+            return line, block
+        status, pid = _reap(pid), None
+        if status != 0:  # the worker failed: its part, here
+            f.seek(cut)
+            return (yield from _plain_chunks(f, None, width, schema, line))
+        line, stop = yield from _read_part(fd, width, schema, line)
+        f.seek(stop)  # past the worker's last plain block
+        return line, b""
     finally:
-        _stop(workers)
+        if pid is not None:
+            with contextlib.suppress(ProcessLookupError):  # reaped elsewhere
+                os.kill(pid, signal.SIGKILL)
+            _reap(pid)
+        if fd is not None:
+            os.close(fd)
 
 
 def _plain_chunks(f, end: int | None, width: int, schema: _Schema, line: int):
@@ -535,31 +533,37 @@ def _plain_blocks(f, end: int | None, width: int, schema: _Schema):
             return
 
 
-def _parts(f) -> list[tuple[int, int | None]]:
-    """(start, end) of each part of f's data after the first, the last's
-    end None: f cut at line ends into min(CPUs, bytes // PART_BYTES) parts
-    of about its bytes from its position on. Empty unless f is a regular
+# From Python 3.12 on, os.fork() warns of deadlocks in the child of a process
+# with threads, as numpy's BLAS pool starts on 2 CPUs or more; there a file
+# is read in one pass, so that no reader warns in its caller's process.
+_CAN_SPLIT = (
+    sys.version_info < (3, 12)
+    and hasattr(os, "memfd_create")
+    and hasattr(os, "sched_getaffinity")
+    and hasattr(mmap, "MADV_REMOVE")
+)
+
+
+def _cut(f) -> int | None:
+    """Where a worker's part of f's data starts: the line end after the
+    middle of its bytes from its position on. None unless f is a regular
     file with 2 * PART_BYTES of them and this process may use 2 CPUs."""
     info = os.fstat(f.fileno())
-    if not stat.S_ISREG(info.st_mode) or not hasattr(os, "memfd_create"):
-        return []
-    if not hasattr(os, "sched_getaffinity"):  # no CPU set to read: one pass
-        return []
+    if not _CAN_SPLIT or not stat.S_ISREG(info.st_mode):
+        return None
     at, size = f.tell(), info.st_size
-    count = min(len(os.sched_getaffinity(0)), (size - at) // PART_BYTES)
-    cuts: list[int] = []
-    for k in range(1, count):
-        f.seek(at + k * (size - at) // count)
-        f.readline()  # on to a line end
-        if f.tell() < size and (not cuts or f.tell() > cuts[-1]):
-            cuts.append(f.tell())
+    if size - at < 2 * PART_BYTES or len(os.sched_getaffinity(0)) < 2:
+        return None
+    f.seek(at + (size - at) // 2)
+    f.readline()  # on to a line end
+    cut = f.tell()
     f.seek(at)
-    return list(zip(cuts, [*cuts[1:], None]))
+    return cut if cut < size else None
 
 
-def _fork_part(f, path: str, start: int, end: int | None, width: int, schema: _Schema):
-    """(pid, memfd, start) of a forked worker that writes the columns of the
-    plain blocks of f's bytes from start up to end into the memfd.
+def _fork_part(f, path: str, start: int, width: int, schema: _Schema):
+    """(pid, memfd) of a forked worker that writes the columns of the plain
+    blocks of f's bytes from start on into the memfd.
 
     A fork, not a spawned interpreter: importing numpy afresh would cost
     more than the part saves. The fork copies only this thread, and BLAS's
@@ -577,38 +581,56 @@ def _fork_part(f, path: str, start: int, end: int | None, width: int, schema: _S
         code = 1
         try:
             gc.disable()  # the parent's garbage is the parent's to collect
-            code = _write_part(fd, path, identity, start, end, width, schema)
+            code = _write_part(fd, path, identity, start, width, schema)
         finally:
             os._exit(code)
-    return pid, fd, start
+    return pid, fd
 
 
-def _write_part(
-    out: int, path: str, identity: tuple, start: int, end: int | None, width: int, schema
-) -> int:
+def _write_part(out: int, path: str, identity: tuple, start: int, width: int, schema) -> int:
     """Write into the file out the columns of the plain blocks of path's
-    bytes from start up to end, and return 0; or 1 if path no longer names
-    the file of identity. Three int64s come first, the rows, the offset
-    past the last plain block and the ids' bytes; then the float
+    bytes from start on, and return 0; or 1 if path no longer names the
+    file of identity.
+
+    The rows go in sections, each as many as an in-process chunk gathers
+    and written once gathered, so the worker holds one section at a time.
+    A section is two int64s, its rows and its ids' bytes, then the float
     column(s), each int column, the ids' lengths (int64) and their bytes
-    end to end."""
+    end to end, NUL-padded to 8 bytes. Two int64s end the file: 0 and the
+    offset past the last plain block.
+    """
     with open(path, "rb") as f:  # a file offset of its own, not the reader's
         if os.fstat(f.fileno())[1:3] != identity:
             return 1
         f.seek(start)
-        pieces = []
-        for block, data in _plain_blocks(f, end, width, schema):
+        pieces, rows = [], 0  # the section so far
+        for block, data in _plain_blocks(f, None, width, schema):
+            if pieces and (data is None or rows + len(data[1]) > CHUNK_CELLS // width):
+                _write_section(out, rows, pieces)
+                pieces, rows = [], 0
             if data is not None:
                 (text, starts, lengths), *columns = data
                 pieces.append([*columns, lengths, _gathered(text, starts, lengths)])
-        stop = f.tell() - len(block)
-    rows = sum(len(piece[0]) for piece in pieces)
-    head = np.array([rows, stop, sum(len(piece[-1]) for piece in pieces)], np.int64)
-    for array in [head, *chain.from_iterable(zip(*pieces))]:  # column by column
+                rows += len(lengths)
+        _write_arrays(out, [np.array([0, f.tell() - len(block)], np.int64)])
+    return 0
+
+
+def _write_section(out: int, rows: int, pieces: list[list[np.ndarray]]) -> None:
+    """Write one section of _write_part's file: pieces holds each block's
+    columns, the ids' bytes last."""
+    size = sum(len(piece[-1]) for piece in pieces)
+    head = np.array([rows, size], np.int64)
+    pad = np.zeros(-size % 8, np.uint8)
+    _write_arrays(out, [head, *chain.from_iterable(zip(*pieces)), pad])
+
+
+def _write_arrays(out: int, arrays: list[np.ndarray]) -> None:
+    """Write the arrays' bytes to the file out, one after another."""
+    for array in arrays:
         view = memoryview(array).cast("B")
         while view:
             view = view[os.write(out, view) :]
-    return 0
 
 
 def _gathered(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -618,32 +640,42 @@ def _gathered(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarra
     return np.frombuffer(data, np.uint8)[index]
 
 
-def _read_part(fd: int, width: int, schema: _Schema):
-    """(rows, stop, (ids, keys, floats, *ints)) from a worker's memfd
-    (_write_part): its columns in place, its ids cast by _id_column."""
-    mapped = mmap.mmap(fd, os.fstat(fd).st_size, access=mmap.ACCESS_READ)
-    rows, stop, size = np.frombuffer(mapped, np.int64, 3).tolist()
+def _read_part(fd: int, width: int, schema: _Schema, line: int):
+    """Yield a chunk for each section of a worker's memfd (_write_part),
+    line being the first's record number; return (line, stop): the record
+    number after them and the offset past the worker's last plain block.
+
+    Each column is copied into a map of its own (_mapped) and its ids are
+    cast by _id_column, as an in-process chunk's are; then the section's
+    pages are freed in the memfd, so the part costs one section beyond
+    its chunks, and join_chunks frees each chunk once it is copied.
+    """
+    part = mmap.mmap(fd, os.fstat(fd).st_size)
     floats = np.empty((0, width))[:, schema.floats].shape[1:]
-    columns, at = [], 24
-    for dtype, shape in [(np.float64, floats), *((d, ()) for *_, d in schema.ints)]:
-        columns.append(np.frombuffer(mapped, dtype, rows * math.prod(shape), at))
-        columns[-1] = columns[-1].reshape(rows, *shape)
-        at += columns[-1].nbytes
-    lengths = np.frombuffer(mapped, np.int64, rows, at)
-    ids, keys = np.empty(rows, StringDType()), _mapped((rows,), np.int64)
-    data = mapped[at + lengths.nbytes : at + lengths.nbytes + size]
-    _id_column(data, np.cumsum(lengths) - lengths, lengths, ids, keys)
-    return rows, stop, (ids, keys, *columns)
-
-
-def _stop(workers: list[tuple[int, int, int]]) -> None:
-    """Kill and reap the workers, close their memfds and empty the list."""
-    for pid, fd, _ in workers:
-        with contextlib.suppress(ProcessLookupError):  # reaped elsewhere
-            os.kill(pid, signal.SIGKILL)
-        _reap(pid)
-        os.close(fd)
-    workers.clear()
+    shapes = [(np.float64, floats), *((dtype, ()) for *_, dtype in schema.ints)]
+    at = freed = 0
+    while True:
+        rows, size = np.frombuffer(part, np.int64, 2, at).tolist()
+        at += 16
+        if not rows:
+            return line, size  # the end's two int64s
+        columns = []
+        for dtype, shape in shapes:
+            column = _mapped((rows, *shape), dtype)
+            column[...] = np.frombuffer(part, dtype, column.size, at).reshape(column.shape)
+            columns.append(column)
+            at += column.nbytes
+        ids, keys = np.empty(rows, StringDType()), _mapped((rows,), np.int64)
+        lengths = np.frombuffer(part, np.int64, rows, at)
+        at += lengths.nbytes
+        _id_column(part[at : at + size], np.cumsum(lengths) - lengths, lengths, ids, keys)
+        at += size + -size % 8
+        if at - freed >= mmap.PAGESIZE:  # the section's whole pages
+            end = at - at % mmap.PAGESIZE
+            part.madvise(mmap.MADV_REMOVE, freed, end - freed)
+            freed = end
+        yield (ids, keys, *columns), _Chunk(width, line, [], None, True)
+        line += rows
 
 
 def _reap(pid: int) -> int:

@@ -669,12 +669,16 @@ def test_duplicate_error_does_not_depend_on_the_hash_seed(tmp_path):
 # ---------------------------------------------------------------------------
 # split reads: a forked worker converts the later part of a long plain file
 
+needs_split = pytest.mark.skipif(
+    not fileio._CAN_SPLIT, reason="no read is split with this Python or OS"
+)
+
 
 @contextlib.contextmanager
 def split_reads(chunk_text: int = fileio.CHUNK_TEXT):
     """Split a regular file's read in two past 6 blocks of chunk_text bytes:
-    PART_BYTES is 3 blocks and this process may use 2 CPUs, so one worker
-    is forked. Yields the list of the parts' starts, one per fork."""
+    PART_BYTES is 3 blocks and this process may use 2 CPUs. Yields the list
+    of the worker's part's start, empty unless one was forked."""
     forked: list[int] = []
     fork_part = fileio._fork_part
 
@@ -691,6 +695,7 @@ def split_reads(chunk_text: int = fileio.CHUNK_TEXT):
         yield forked
 
 
+@needs_split
 @pytest.mark.parametrize("chunk_text", [1, 7])
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=dirty_files())
@@ -713,6 +718,7 @@ ERROR_PRECEDENCE = [
 ]
 
 
+@needs_split
 @pytest.mark.parametrize(
     "check", ERROR_PRECEDENCE, ids=lambda check: check.__name__.removeprefix("test_")
 )
@@ -731,6 +737,7 @@ def dirty_line(line: str, dirt: str) -> bytes:
     return (DIRTY_LINE[dirt](line) + "\n").encode()
 
 
+@needs_split
 @pytest.mark.parametrize("part", ["first", "later"])
 @pytest.mark.parametrize("dirt", ["crlf", "quote", "invalid utf-8", "wide"])
 @pytest.mark.parametrize("kind", sorted(READERS))
@@ -752,6 +759,7 @@ def test_a_dirty_line_in_either_part_reads_as_in_process(tmp_path, kind, dirt, p
     assert len(b"".join(lines[:3_002])) < forked[0] < len(b"".join(lines[:9_001]))
 
 
+@needs_split
 @pytest.mark.parametrize("kind", sorted(READERS))
 def test_a_clean_split_read_reads_every_row(tmp_path, kind):
     path = tmp_path / "plain.csv"
@@ -763,6 +771,25 @@ def test_a_clean_split_read_reads_every_row(tmp_path, kind):
     assert want[0] == "ok" and forked
     with open(path, encoding="utf-8") as f:  # both parts took the byte path
         assert rows == [f.readline().rstrip("\n").split(",")]
+
+
+@needs_split
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_a_workers_part_comes_back_in_chunks_of_the_in_process_size(tmp_path, kind):
+    # join_chunks frees each chunk once it is copied, so a part that came
+    # back whole would stay until the last column is joined
+    path = tmp_path / "plain.csv"
+    plain_file(path, kind, "12 groups")
+    schema = fileio._DATASET if kind == "dataset" else fileio._PREDICTIONS
+    with split_reads(4096) as forked, mock.patch.object(fileio, "CHUNK_CELLS", 1 << 10):
+        chunks = [(len(data[0]), chunk) for data, chunk in fileio._read_chunks(str(path), schema)]
+    assert forked and all(chunk.plain for _, chunk in chunks)
+    assert max(rows for rows, _ in chunks) <= (1 << 10) // chunks[0][1].width
+    line = 2
+    for rows, chunk in chunks:
+        assert chunk.line == line
+        line += rows
+    assert line == 2 + 5_000
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
@@ -790,6 +817,7 @@ def killed(*args):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+@needs_split
 @pytest.mark.parametrize(
     "fault",
     [
@@ -811,6 +839,7 @@ def test_a_read_whose_worker_cannot_run_reads_in_process(tmp_path, kind, fault):
     assert forked
 
 
+@needs_split
 def test_an_abandoned_split_read_reaps_its_worker(tmp_path):
     path = write_file(tmp_path, "predictions", good_rows("predictions")[:12_000])
     with split_reads(4096) as forked:

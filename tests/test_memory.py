@@ -10,9 +10,10 @@ earlier size fails the pin. The write's pin instead bounds the block of
 rows it formats at a time, which earlier code did not have, and the float
 parser's pin the block of cells it parses at a time.
 
-One pin reads peak RSS instead, in a subprocess: memory that repeated
+Some pins read peak RSS instead, in a subprocess: memory that repeated
 reads leave behind, such as heap holes that grow from read to read, is
-not traced memory, so tracemalloc does not see it.
+not traced memory, so tracemalloc does not see it; nor does it see the
+columns a split read's worker hands back.
 """
 
 import csv
@@ -223,7 +224,18 @@ def test_float_parse_peak_is_a_few_blocks_not_a_chunk():
     assert peak - x.nbytes <= 1 << 20, (peak, x.nbytes)
 
 
-RSS_SCRIPT = textwrap.dedent(
+# A process's own peak RSS in KB. Its ru_maxrss would also count the peak
+# of the process it was started from, before the exec: under pytest, the
+# test process's, above any peak measured here.
+PEAK_RSS = textwrap.dedent(
+    """
+    def peak_rss():
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status if line[:6] == "VmHWM:")
+    """
+)
+
+RSS_SCRIPT = PEAK_RSS + textwrap.dedent(
     """
     import resource, sys
     import numpy as np
@@ -246,15 +258,15 @@ RSS_SCRIPT = textwrap.dedent(
     for read in range(1, 13):
         read_dataset_csv(sys.argv[1])
         if read in (3, 12):
-            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            print(peak_rss())
     print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
     """
 )
 
 
 def peak_rss_of_reads(path, mode: str) -> tuple[int, int, int]:
-    """Peak RSS in KB (on Linux) of a fresh process after its 3rd and 12th
-    read of a 20,000 x 20 dataset, and its children's."""
+    """Peak RSS in KB of a fresh process after its 3rd and 12th read of a
+    20,000 x 20 dataset, and its children's ru_maxrss."""
     proc = subprocess.run(
         [sys.executable, "-c", RSS_SCRIPT, str(path), mode],
         capture_output=True,
@@ -272,22 +284,78 @@ def in_process_rss(tmp_path_factory):
     return peak_rss_of_reads(tmp_path_factory.mktemp("rss") / "data.csv", "in-process")
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no VmHWM here")
 def test_repeated_dataset_reads_do_not_grow_peak_rss(in_process_rss):
     third, twelfth, children = in_process_rss
     assert children == 0
     # 24-44 KB before the float parser, 4-32 KB with it (6 runs each), and
-    # 63 MB for a parser that kept a 512 KB buffer per call. (With each
+    # 63 MB for a parser that kept a 512 KB buffer per call, all read by a
+    # process started from a shell; 128 KB by VmHWM (6 runs). (With each
     # read's dataset kept alive during the next, growth moved by up to
     # 3 MB from one batch of runs to the next, before and after.)
     assert twelfth - third <= 1024, (third, twelfth)
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="1 CPU: no split")
+# short-circuits where sched_getaffinity is missing; fileio._CAN_SPLIT
+# implies Linux, and so /proc/self/status
+SPLIT = fileio._CAN_SPLIT and len(os.sched_getaffinity(0)) >= 2
+
+
+@pytest.mark.skipif(not SPLIT, reason="no read is split here")
 def test_split_dataset_reads_keep_the_in_process_peak_rss(tmp_path, in_process_rss):
-    # the parent maps each worker's columns (fileio._read_part) where an
-    # in-process read would have mapped its own chunks
+    # the parent copies each of the worker's chunks (fileio._read_part) where an
+    # in-process read would have made its own
     alone = in_process_rss[1]
     third, twelfth, children = peak_rss_of_reads(tmp_path / "data.csv", "split")
     assert children > 0  # a worker ran
     assert twelfth - third <= 1024, (third, twelfth)
     assert twelfth <= alone + 1024, (twelfth, alone)
+
+
+JOIN_RSS_SCRIPT = PEAK_RSS + textwrap.dedent(
+    """
+    import resource, sys
+    from fin_equity import fileio
+
+    if sys.argv[2] == "in-process":
+        fileio.PART_BYTES = 1 << 62
+    for _ in range(2):
+        fileio._read_csv(sys.argv[1], fileio._DATASET)
+    print(peak_rss())
+    print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+    """
+)
+
+
+@pytest.mark.skipif(not SPLIT, reason="no read is split here")
+def test_a_split_read_of_a_long_file_keeps_the_in_process_peak_rss(tmp_path):
+    # 100,000 x 20 rows, 48 MB. A read peaks as join_chunks copies the
+    # chunks into the columns, freeing each chunk once copied. A worker's
+    # part handed back whole stayed mapped until the last column was
+    # joined: 61.2 MB against 53.4 MB in one pass. In chunks, a split read
+    # peaks 0.2-0.5 MB over the one-pass 53.2-53.5 MB (5 runs each of a
+    # file of this shape).
+    rng = np.random.default_rng(5)
+    rows = 100_000
+    dataset = Dataset(
+        AttributeSet.default(3),
+        rng.standard_normal((rows, 20)),
+        rng.integers(0, 2, rows),
+        rng.integers(0, 3, rows),
+        [f"s{i:06d}" for i in range(rows)],
+    )
+    path = str(tmp_path / "long.csv")
+    write_dataset_csv(dataset, path)
+    del dataset
+    peaks = {}
+    for mode in ("in-process", "split"):
+        proc = subprocess.run(
+            [sys.executable, "-c", JOIN_RSS_SCRIPT, path, mode],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks[mode] = tuple(map(int, proc.stdout.split()))
+    assert peaks["split"][1] > 0  # a worker ran
+    assert peaks["split"][0] <= peaks["in-process"][0] + 2048, peaks
