@@ -92,11 +92,11 @@ class IdColumn(Sequence):
         self._column = column
 
     @classmethod
-    def from_chunks(cls, chunks: list[np.ndarray]) -> "IdColumn":
-        """One column, without a copy, from StringDType chunks it empties."""
+    def _of(cls, column: np.ndarray) -> "IdColumn":
+        """A flat StringDType column itself, made read-only, not a copy."""
         ids = cls.__new__(cls)
-        ids._column = join_chunks(chunks, StringDType())
-        ids._column.flags.writeable = False
+        column.flags.writeable = False
+        ids._column = column
         return ids
 
     def __len__(self) -> int:
@@ -122,23 +122,6 @@ class IdColumn(Sequence):
 
     def __repr__(self) -> str:
         return f"IdColumn({list(self)!r})"
-
-
-def join_chunks(chunks: list[np.ndarray], dtype) -> np.ndarray:
-    """One column, or table, from consecutive chunks, which it empties.
-
-    Each chunk is freed once copied, so the column costs one chunk more
-    than itself, not twice itself.
-    """
-    rows = sum(map(len, chunks))
-    out = np.empty((rows, *chunks[0].shape[1:]) if chunks else rows, dtype)
-    chunks.reverse()
-    end = 0
-    while chunks:
-        chunk = chunks.pop()
-        out[end : end + len(chunk)] = chunk
-        end += len(chunk)
-    return out
 
 
 def _column(values, n: int, what: str, dtype) -> np.ndarray:

@@ -26,68 +26,66 @@ take 50-85 ms against 250-270 ms one % and csv.writer row a record, and
 The CSV readers check the header line first, then stream the data rows
 once, a block of CHUNK_TEXT bytes at a time, each run on to a line end.
 While a block is plain, the byte path converts it where it lies
-(_plain_columns; Langdale & Lemire, VLDB J. 2019): one scan finds every
-"," and "\\n", which give each cell's start and length; each float cell's
-24 bytes (a negative one's from after its "-") are gathered as three
-words for the parser below (or, in any other form, cast from S24), an int
-cell's first 8 as one word whose digits are summed as the parser's are,
-and each id's bytes as NUL-padded words, cast to StringDType and mixed
-into its key (see below). Plain
-means valid UTF-8 with no quote, "\\r" or NUL, and the header's width on
-every line; and every cell must be in a form the byte path reads and
-pass its rule. csv.reader reads the first block that is not, from its
-bytes, then the rest of the file, a pipe as a file; no later block goes
-back, so every error's text and line come from the row-by-row rules
+(_plain_columns; Langdale & Lemire, VLDB J. 2019): one scan finds every ","
+and "\\n", which give each cell's start and length; each float cell's 24
+bytes (a negative one's from after its "-") are gathered as three words for
+the parser below (or, in any other form, cast from S24), an int cell's
+first 8 as one word whose digits are summed as the parser's are, and each
+id's bytes as NUL-padded words, cast to StringDType and mixed into its key
+(see below). Plain means valid UTF-8 with no quote, "\\r" or NUL, and the
+header's width on every line; and every cell must be in a form the byte
+path reads and pass its rule. csv.reader reads the first block that is not,
+from its bytes, then the rest of the file, a pipe as a file; no later block
+goes back, so every error's text and line come from the row-by-row rules
 below. Both formats share this path, each by its _Schema. At 80 KB a
 block's temporaries stay below glibc's 128 KB mmap threshold; 4 KB blocks
-made the read four times slower, from numpy's cost per call. Plain blocks
-are gathered into chunks of CHUNK_CELLS cells, whose float, int and key
-columns each get an anonymous memory map (_mapped); the StringDType id
-column cannot, and each block's ids are cast straight into it. The
-blocks' temporaries come and go in malloc's heap, and kept columns among
-them fragmented it: with them there, score_eval's peak
-RSS read 84.4-87.6 MB over 12 checkout paths, against 80.9-89.2 MB before
-the byte path and 80.1-80.5 MB with the maps.
+made the read four times slower, from numpy's cost per call. Each block
+writes its rows at their row into the read's columns (_Columns), one
+allocation each (as in Apache Arrow's columnar format), for as many rows as
+the file's "\\n" bytes after the header plus 1 (_line_ends: about 2 ms for
+7 MB and 8 ms for 29 MB on a 2-vCPU x86-64 host); a pipe's double as they
+fill. The float, int and key columns lie in anonymous memory maps
+(_mapped); the StringDType id column cannot. The blocks' temporaries come
+and go in malloc's heap, and kept columns among them fragmented it: with
+them there, score_eval's peak RSS read 84.4-87.6 MB over 12 checkout paths,
+against 80.9-89.2 MB before the byte path and 80.1-80.5 MB with the maps.
 
 A regular file with 2 * PART_BYTES data bytes or more is read in two parts
 when this process may run on 2 CPUs or more (os.sched_getaffinity): its
 data rows are cut at the line end after the middle (_cut), and a forked
-worker converts the second part with the same block loop while this
-process converts the first (_byte_path). Threads do not help: numpy's
-calls on an 80 KB block are short, and the GIL is held between them. A
-worker imports nothing, calls no BLAS, touches no stdio and ends in
-os._exit. It gathers its chunks as this process does and writes each, its
-float and int columns, its ids' lengths and their bytes, into a memfd
-once gathered (_write_part). Once the worker has exited, this process
-copies each chunk's columns into maps of their own and casts its ids, as
-for its own chunks, freeing the memfd's pages behind it (_read_part); so
-join_chunks frees a worker's chunk once copied, and the split read peaks
-where a one-pass read does. A worker stops at its first block that is
-not plain, and its part counts only while every block before it is
-plain, for a quote before the cut could open a field that the cut splits
-(Ge et al., "Speculative Distributed CSV Data Parsing for Big Data
-Analytics", SIGMOD 2019). At the first block that is not plain, in this
-process's part or where the worker stopped, the worker is killed and
-csv.reader reads on from that block, as in one pass; a worker that fails,
-or a fork that raises, leaves its part to this process. So every value,
-error text and record number is the one-pass read's. A pipe, one CPU or
-a smaller file is read in one pass, and so is every file from Python
-3.12 on, where os.fork() warns in a process with threads (_CAN_SPLIT).
-More parts than two, one worker each, were never measured. On a 2-vCPU
-x86-64 host, in a phase where the two vCPUs ran two processes at full
-speed, a dataset file of 1 MB read in 7.2-8.9 ms in one pass and
-7.6-11.4 ms in two parts, 2 MB in 13.8-15.2 and 11.3-14.5 ms, 4 MB in
-26.8-30.0 and 19.7-26.3 ms, and 6 MB in 41.8-44.4 and 26.5-40.1 ms; where
-the vCPUs acted as one, two parts took 6-8 ms longer at every size. So a
-part has at least 2 MB.
+worker converts the second part with the same block loop while this process
+converts the first (_byte_path). Threads do not help: numpy's calls on an
+80 KB block are short, and the GIL is held between them. A worker imports
+nothing, calls no BLAS, touches no stdio and ends in os._exit. It writes
+its rows' floats, ints and id keys into the columns' shared maps from row
+n1 on, n1 being the "\\n" bytes before the cut, and hands back only its
+ids' bytes (_write_part), which this process casts into the id column once
+it has exited (_Part.take): nothing is copied. A worker stops at its first
+block that is not plain or would pass the columns, and its part counts only
+while every block before it is plain, for a quote before the cut could open
+a field that the cut splits (Ge et al., "Speculative Distributed CSV Data
+Parsing for Big Data Analytics", SIGMOD 2019); then this process's part has
+n1 rows. Else the worker is killed before this process writes a row at or
+past n1, and csv.reader reads on from the first block that is not plain, as
+in one pass, or from where the worker stopped; a worker that fails, or a
+fork that raises, leaves its part to this process. So every value, error
+text and record number is the one-pass read's. A pipe, one CPU or a smaller
+file is read in one pass, and so is every file from Python 3.12 on, where
+os.fork() warns in a process with threads (_CAN_SPLIT). More parts than
+two, one worker each, were never measured. On a 2-vCPU x86-64 host, in a
+phase where the two vCPUs ran two processes at full speed, a dataset file
+of 1 MB read in 7.2-8.9 ms in one pass and 7.6-11.4 ms in two parts, 2 MB
+in 13.8-15.2 and 11.3-14.5 ms, 4 MB in 26.8-30.0 and 19.7-26.3 ms, and 6 MB
+in 41.8-44.4 and 26.5-40.1 ms; where the vCPUs acted as one, two parts took
+6-8 ms longer at every size. So a part has at least 2 MB.
 
 csv.reader reads CHUNK_CELLS cells a chunk, whose cells take the same
 parsers, FLOAT_BLOCK at a time (_text_columns), so one function decides how
 any cell becomes a number and when it is refused (_cell_values). A slice
 they refuse goes to a loop over its rows in a row-by-row reader's order,
-which gives each row's values or names the first rule broken, with the
-line and text such a reader of the whole file gives. A chunk is kept as a
-plain one is, so at most one chunk's cells are alive at a time. The first
+which gives each row's values or names the first rule broken, with the line
+and text such a reader of the whole file gives. A chunk's rows go into the
+columns, so at most one chunk's cells are alive at a time. The first
 failing chunk stops the conversion, but the chunk stream is still read to
 its end, so a decode error or an oversized field after it still wins.
 
@@ -108,15 +106,15 @@ and including its failing row, or after the last chunk. A key is computed
 in numpy from the id's UTF-8 bytes, its 8-byte words mixed with its byte
 length (_id_column), and both paths share that helper: a plain block
 gathers its ids' bytes where they lie, and a csv.reader chunk encodes its
-cells (_cell_bytes). So an id first read on one path and repeated on the
-other has one key. One sort of the keys finds the rows whose key an
-earlier row has, and a set of those rows' ids as str decides each; so
-only ids whose keys collide are hashed, and PYTHONHASHSEED cannot change
-the row named. The earliest duplicate wins over the chunk's own error, as
-in a row loop, which checks a row's id first; the chunks before cost a few
-numpy calls a block and no search. On a 2-vCPU x86-64 host the 200,000
-7-byte ids of a predictions file take about 8 ms, against about 50 ms for
-a str and a hash() each.
+cells joined by NULs (_cell_bytes). So an id first read on one path and
+repeated on the other has one key. One sort of the keys finds the rows
+whose key an earlier row has, and a set of those rows' ids as str decides
+each; so only ids whose keys collide are hashed, and PYTHONHASHSEED cannot
+change the row named. The earliest duplicate wins over the chunk's own
+error, as in a row loop, which checks a row's id first; the chunks before
+cost a few numpy calls a block and no search. On a 2-vCPU x86-64 host the
+200,000 7-byte ids of a predictions file take about 8 ms, against about 50
+ms for a str and a hash() each.
 """
 
 from __future__ import annotations
@@ -139,7 +137,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from numpy.dtypes import StringDType
 
-from .core import AttributeSet, Dataset, IdColumn, Predictions, join_chunks
+from .core import AttributeSet, Dataset, IdColumn, Predictions
 from .errors import ValidationError
 from .metrics import MetricReport, PredictionHistogram
 
@@ -313,20 +311,19 @@ class _Schema(NamedTuple):
 
 
 class _Chunk:
-    """Where a chunk's rows sit in the file, and a wrong-width row after them.
+    """Where a chunk's rows sit in the file and in the columns, and a
+    wrong-width row after them.
 
     Messages name a row by its record number, the header being line 1 and
     blank rows counted.
     """
 
-    def __init__(
-        self, width: int, line: int, blanks: list[int], wrong: int | None, plain: bool
-    ):
+    def __init__(self, width: int, line: int, row: int, blanks: list, wrong: int | None):
         self.width = width  # cells per row
         self.line = line  # record number of row 0, were no record blank
+        self.row = row  # the columns' row that row 0 is written to
         self.blanks = blanks  # record numbers of the blank rows among them
         self.wrong = wrong  # the width of a row after them that ends the read
-        self.plain = plain  # from the byte path, so every row passed
 
     def line_of(self, i: int) -> int:
         """The record number of row i."""
@@ -338,71 +335,99 @@ class _Chunk:
         return line
 
 
-class _SeenIds:
-    """The ids of the chunks read: their columns and duplicate keys.
+class _Columns:
+    """A read's columns, which each block writes its rows into at their row
+    offset, as in Apache Arrow's columnar layout: the ids (StringDType),
+    their duplicate keys (_duplicate), the float column(s) and each int
+    column. All but the ids lie in anonymous maps (_mapped), shared with a
+    forked worker, which writes its rows into them itself.
 
-    Each chunk's ids come as a StringDType column and an int64 key per id,
-    computed in numpy from the id's UTF-8 bytes by _id_column on either
-    path, so an id has one key wherever it is read. Duplicates are looked
-    for once, when the read ends (see check), so a chunk that passes costs
-    no search, and only ids whose keys collide take a hash() of a str.
+    bound is the rows the file can hold (_line_ends), and the first plain
+    block allocates them all. csv.reader's rows, which may stop at a first
+    error, allocate their first slice's, then the bound. A read past the
+    bound, as a pipe's, doubles the capacity whenever it fills.
     """
 
-    def __init__(self, what: str):
-        self.what = what  # the error's name for a duplicate
-        self.chunks: list[np.ndarray] = []  # StringDType columns, in order
-        self.keys: list[np.ndarray] = []  # int64 key of each id
-        self.places: list[_Chunk] = []  # each chunk's line numbers
+    def __init__(self, schema: _Schema, width: int, bound: int):
+        floats = np.empty((0, width))[:, schema.floats].shape[1:]
+        shapes = [((), np.int64), (floats, np.float64)]
+        shapes += [((), dtype) for *_, dtype in schema.ints]
+        self.schema, self.width, self.bound = schema, width, bound
+        self.rows = 0  # rows written, from row 0 on
+        self.ids = np.empty(0, StringDType())  # a map cannot hold it
+        self.numbers = [_mapped((0, *shape), dtype) for shape, dtype in shapes]
 
-    def add(self, ids: np.ndarray, keys: np.ndarray, place: _Chunk) -> None:
-        self.chunks.append(ids)
-        self.keys.append(keys)
-        self.places.append(place)
+    @property
+    def keys(self) -> np.ndarray:
+        return self.numbers[0]
 
-    def check(self) -> str | None:
-        """The error naming the earliest row whose id an earlier row has.
+    def reserve(self, rows: int) -> None:
+        """Make room for rows rows, copying the rows written."""
+        capacity = len(self.ids)
+        if rows <= capacity:
+            return
+        if capacity and rows <= self.bound:
+            capacity = self.bound
+        else:
+            capacity = max(rows, 2 * capacity)
+        ids, self.ids = self.ids, np.empty(capacity, StringDType())
+        self.ids[: self.rows] = ids[: self.rows]
+        for i, column in enumerate(self.numbers):
+            self.numbers[i] = _mapped((capacity, *column.shape[1:]), column.dtype)
+            self.numbers[i][: self.rows] = column[: self.rows]
 
-        Call it once, when the read ends: after the last chunk, or after a
-        failing chunk's ids up to and including its failing row were added.
-        A row whose key an earlier row has is a candidate, and a set of the
-        candidates' ids as str decides it, so the row named does not depend
-        on which ids share a key, and ids built to share one cost a set
-        lookup each, not a comparison with every earlier one.
-        """
-        keys = join_chunks(self.keys, np.int64)
-        ranked = np.sort(keys)
-        twice = ranked[1:][ranked[1:] == ranked[:-1]]
-        if not twice.size:
-            return None
-        rows = np.flatnonzero(np.isin(keys, twice))
-        ends = np.cumsum([len(chunk) for chunk in self.chunks])
-        inside = np.searchsorted(ends, rows, side="right")  # each row's chunk
-        earlier: set[str] = set()  # the candidates' ids so far
-        for row, c in zip(rows.tolist(), inside.tolist()):
-            i = row - int(ends[c]) + len(self.chunks[c])
-            sid = self.chunks[c][i]
-            if sid in earlier:
-                return f"line {self.places[c].line_of(i)}: {self.what} {sid!r}"
-            earlier.add(sid)
+    def write(self, at: slice, values) -> None:
+        """Write the float and int columns of rows at."""
+        for column, value in zip(self.numbers[1:], values):
+            column[at] = value
+
+
+def _duplicate(out: _Columns, chunks: list[_Chunk]) -> str | None:
+    """The error naming the earliest of out's rows whose id an earlier row
+    has, or None; chunks, the read's so far, give its line.
+
+    It runs once, when the read ends: after the last chunk, or once a
+    failing chunk's rows up to and including the failing one are counted.
+    Each id's int64 key comes from its UTF-8 bytes (_id_column) on either
+    path. A row whose key an earlier row has is a candidate, and a set of
+    the candidates' ids as str decides it, so the row named does not depend
+    on which ids share a key, and ids built to share one cost a set lookup
+    each, not a comparison with every earlier one.
+    """
+    keys = out.keys[: out.rows]
+    ranked = np.sort(keys)
+    twice = ranked[1:][ranked[1:] == ranked[:-1]]
+    if not twice.size:
         return None
+    rows = np.flatnonzero(np.isin(keys, twice))
+    inside = np.searchsorted([chunk.row for chunk in chunks], rows, side="right") - 1
+    earlier: set[str] = set()  # the candidates' ids so far
+    for row, c in zip(rows.tolist(), inside.tolist()):
+        sid = out.ids[row]
+        if sid in earlier:
+            chunk = chunks[c]
+            return f"line {chunk.line_of(row - chunk.row)}: {out.schema.what} {sid!r}"
+        earlier.add(sid)
+    return None
 
 
 def _read_chunks(path: str, schema: _Schema):
     """Stream a CSV once, yielding its data rows a chunk at a time.
 
-    Each chunk is (data, chunk), chunk being its _Chunk. While each block
-    of CHUNK_TEXT bytes, run on to a line end, is plain, a chunk gathers
-    the blocks' _plain_columns up to CHUNK_CELLS cells, in this process or
-    in a worker that reads the second part of a long file (_byte_path), and
-    data is its (ids, keys, floats, *ints). csv.reader reads the first
-    block that is not, as bytes, and then the rest of the file (a pipe as
-    a file), CHUNK_CELLS / width records a chunk; data is then the flat
-    cells of a chunk's rows, for _text_columns. The header line is decoded and checked
-    first (one holding a quote or "\\r" is csv.reader's first block
-    instead). Blank rows are skipped; reading stops at the first row of
-    another width, which ends the last chunk. A decode error or an
-    oversized field raises with its record's number, whatever the consumer
-    did with the chunks before it.
+    Each chunk is (data, chunk), chunk being its _Chunk. The header line is
+    decoded and checked first (one holding a quote or "\\r" is csv.reader's
+    first block instead). While each block of CHUNK_TEXT bytes, run on to a
+    line end, is plain, _byte_path writes its rows into the read's columns
+    (_Columns, sized by _line_ends), in this process or in a worker that
+    reads the second part of a long file; the first chunk is those rows,
+    none if no block is plain, and its data the columns. csv.reader reads
+    the first block that is not, as bytes, and then the rest of the file (a
+    pipe as a file), CHUNK_CELLS / width records a chunk, whose data is its
+    rows' flat cells, for the consumer to write into the columns from
+    chunk.row on (_text_columns). Blank rows are skipped; reading stops at
+    the first row of another width, which ends the last chunk. A decode
+    error or an oversized field raises with its record's number, whatever
+    the consumer did with the chunks before it.
     """
     # no per-row counter: a record's number is line plus the rows and blank
     # rows of the chunk read before it
@@ -416,15 +441,21 @@ def _read_chunks(path: str, schema: _Schema):
             if not text:
                 raise ValidationError(f"{path!r} is empty")
             plain = '"' not in text and "\r" not in text
+            cut = _cut(f) if plain else None  # where a worker's part starts
+            n1, bound = _line_ends(f, cut)
             if plain:
                 line, width = 2, schema.header_width(next(csv.reader([text]), []))
-                line, block = yield from _byte_path(f, path, width, schema)
+                out = _Columns(schema, width, bound)
+                block = _byte_path(f, path, out, cut, n1)
             # that block and the rest of the file, row by row
             start = io.TextIOWrapper(io.BytesIO(block), encoding="utf-8", newline="")
             rest = io.TextIOWrapper(f, encoding="utf-8", newline="")
             reader = csv.reader(chain(start, rest))
             if not plain:
                 line, width = 2, schema.header_width(next(reader))
+                out = _Columns(schema, width, bound)
+            yield out, _Chunk(width, line, 0, [], None)
+            line += out.rows
             records = -(-CHUNK_CELLS // width)  # per chunk, blank ones too
             while True:
                 read, wrong = len(cells) // width + len(blanks), None
@@ -438,7 +469,7 @@ def _read_chunks(path: str, schema: _Schema):
                         blanks.append(line + len(cells) // width + len(blanks))
                 end = len(cells) // width + len(blanks) - read < records
                 if cells or wrong is not None:
-                    yield cells, _Chunk(width, line, blanks, wrong, False)
+                    yield cells, _Chunk(width, line, out.rows, blanks, wrong)
                     line += len(cells) // width + len(blanks)
                     cells, blanks = [], []
                 if end:
@@ -450,98 +481,105 @@ def _read_chunks(path: str, schema: _Schema):
         raise ValidationError(f"{path!r} line {line}: {exc}") from exc
 
 
-def _byte_path(f, path: str, width: int, schema: _Schema):
-    """Yield the chunks of f's plain blocks from its position on; return
-    (line, block): the record number after them, and the first block that
-    is not plain (or b"") with f just past it, where csv.reader reads on.
+def _line_ends(f, cut: int | None) -> tuple[int, int]:
+    """(n1, bound) of a read of f from its position on: n1 the "\\n" bytes
+    before cut (0 if cut is None), and bound all of them plus 1, which
+    bounds the records unless a lone "\\r" ends some; (0, 0) for a pipe.
 
-    The data's second half (from _cut) goes to a forked worker
-    (_write_part), which converts its plain blocks while this process
-    converts the first half; then the worker's chunks follow (_read_part).
-    The second half counts only while every block of the first is plain:
-    at the first block that is not, the worker is killed and csv.reader
-    reads on from that block. A worker that fails, or a fork that raises,
-    leaves the second half to this process. The worker is reaped before
+    They are counted in slices of CHUNK_TEXT bytes read by os.pread, which
+    leaves f's offset alone; a read-only map of f took as long, and one
+    truncated meanwhile would raise SIGBUS.
+    """
+    info = os.fstat(f.fileno())
+    if not stat.S_ISREG(info.st_mode):
+        return 0, 0
+    at = f.tell()
+    bounds = [at, at if cut is None else cut, info.st_size]
+    counts = [0, 0]
+    for part, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        for offset in range(start, stop, CHUNK_TEXT):
+            data = os.pread(f.fileno(), min(CHUNK_TEXT, stop - offset), offset)
+            counts[part] += int(np.count_nonzero(np.frombuffer(data, np.uint8) == 10))
+    return counts[0], sum(counts) + 1
+
+
+def _byte_path(f, path: str, out: _Columns, cut: int | None, n1: int) -> bytes:
+    """Write the rows of f's plain blocks from its position on into out;
+    return the first block that is not plain (or b""), with f just past
+    it, where csv.reader reads on.
+
+    From cut on (None: no split), a forked worker (_write_part) writes the
+    rows of the data's second part into out from row n1 on, n1 being the
+    "\\n" bytes before the cut, while this process writes the first part's;
+    then it casts the worker's ids (_Part.take). The second part counts
+    only if every block of the first is plain and they hold n1 rows: else
+    the worker is killed and reaped before this process writes any row at
+    or past n1, and csv.reader reads on from the first block that is not
+    plain or would pass n1. A worker that fails, or a fork that raises,
+    leaves the second part to this process. The worker is reaped before
     this returns, raises or is closed.
     """
-    pid = fd = None  # the worker's, until it is reaped and its memfd closed
-    cut = _cut(f)
+    pid = None  # the worker's, until it is reaped
     try:
         if cut is not None:
+            out.reserve(out.bound)  # before the fork, so that the maps are shared
             with contextlib.suppress(OSError):  # no worker: all of it here
-                pid, fd = _fork_part(f, path, cut, width, schema)
-        end = None if pid is None else cut
-        line, block = yield from _plain_chunks(f, end, width, schema, 2)
-        if pid is None or block:  # no worker, or a block before its part is not plain
-            return line, block
+                pid, part = _fork_part(f, path, cut, out, n1)
+        if pid is None:
+            return _plain_rows(f, None, out, None)
+        block = _plain_rows(f, cut, out, n1)
+        if block or out.rows != n1:  # once finally has killed the worker
+            return block
         status, pid = _reap(pid), None
-        if status != 0:  # the worker failed: its part, here
-            f.seek(cut)
-            return (yield from _plain_chunks(f, None, width, schema, line))
-        line, stop = yield from _read_part(fd, width, schema, line)
-        f.seek(stop)  # past the worker's last plain block
-        return line, b""
+        if status == 0:  # the worker's rows follow these
+            f.seek(part.take(out))
+            return b""
+        f.seek(cut)  # the second part, here
+        return _plain_rows(f, None, out, None)
     finally:
         if pid is not None:
             with contextlib.suppress(ProcessLookupError):  # reaped elsewhere
                 os.kill(pid, signal.SIGKILL)
             _reap(pid)
-        if fd is not None:
-            os.close(fd)
 
 
-def _plain_chunks(f, end: int | None, width: int, schema: _Schema, line: int):
-    """Yield the chunks of f's plain blocks from its position up to byte end
-    (None: to the end of the file), line being the first's record number;
-    return (line, block) as _byte_path does."""
-    kept, rows = [], 0  # the chunk so far
-    for block, data in _plain_blocks(f, end, width, schema):
-        if kept and (data is None or rows + len(data[1]) > len(kept[0])):
-            full = tuple(column[:rows] for column in kept)
-            yield full, _Chunk(width, line, [], None, True)
-            line += rows
-            kept, rows = [], 0
-        if data is None:
-            return line, block
-        ids, *columns = data
-        if not kept:  # a chunk's columns, CHUNK_CELLS cells
-            size = max(CHUNK_CELLS // width, len(columns[0]))
-            kept = [np.empty(size, StringDType())]  # a map cannot hold it
-            kept += [_mapped((size,), np.int64)]  # the ids' keys
-            kept += [_mapped((size, *c.shape[1:]), c.dtype) for c in columns]
-        at = slice(rows, rows + len(columns[0]))
-        _id_column(*ids, kept[0][at], kept[1][at])
-        for column, part in zip(kept[2:], columns):
-            column[at] = part
-        rows += len(columns[0])
-        del data, ids, columns
+def _plain_rows(f, end: int | None, out: _Columns, limit: int | None, part=None) -> bytes:
+    """Write the rows of f's plain blocks of CHUNK_TEXT bytes, each run on
+    to a line end, from its position up to byte end (None: to the end of
+    the file) into out from out.rows on; return the first block that is not
+    plain, or whose rows would pass row limit (None: out grows instead), or
+    b"" past end.
 
-
-def _plain_blocks(f, end: int | None, width: int, schema: _Schema):
-    """(block, _plain_columns of it) for each block of CHUNK_TEXT bytes of f,
-    run on to a line end, from its position up to byte end (None: to the
-    end of the file); the last is the first block that is not plain, or
-    b"" past the end, with None."""
+    Each block's ids are cast into out.ids, or, in a worker, handed back
+    in part (_Part), for a worker's ids column is its own.
+    """
     while True:
         size = CHUNK_TEXT if end is None else max(min(CHUNK_TEXT, end - f.tell()), 0)
         block = f.read(size)
         if block and not block.endswith(b"\n"):
             block += f.readline()  # a part ends at a line end, so not past end
-        data = _plain_columns(block, width, schema) if block else None
-        yield block, data
+        data = _plain_columns(block, out.width, out.schema) if block else None
         if data is None:
-            return
+            return block
+        (text, starts, lengths), *values = data
+        rows = out.rows + len(starts)
+        if limit is not None and rows > limit:
+            return block
+        out.reserve(max(rows, out.bound))
+        at = slice(out.rows, rows)
+        ids = out.ids[at] if part is None else None
+        _id_column(text, starts, lengths, ids, out.keys[at])
+        if part is not None:
+            part.add(text, starts, lengths)
+        out.write(at, values)
+        out.rows = rows
+        del data, text, starts, lengths, values, ids  # before the next block's
 
 
 # From Python 3.12 on, os.fork() warns of deadlocks in the child of a process
 # with threads, as numpy's BLAS pool starts on 2 CPUs or more; there a file
 # is read in one pass, so that no reader warns in its caller's process.
-_CAN_SPLIT = (
-    sys.version_info < (3, 12)
-    and hasattr(os, "memfd_create")
-    and hasattr(os, "sched_getaffinity")
-    and hasattr(mmap, "MADV_REMOVE")
-)
+_CAN_SPLIT = sys.version_info < (3, 12) and hasattr(os, "sched_getaffinity")
 
 
 def _cut(f) -> int | None:
@@ -561,76 +599,75 @@ def _cut(f) -> int | None:
     return cut if cut < size else None
 
 
-def _fork_part(f, path: str, start: int, width: int, schema: _Schema):
-    """(pid, memfd) of a forked worker that writes the columns of the plain
-    blocks of f's bytes from start on into the memfd.
+class _Part:
+    """What a worker hands back besides the rows it writes into the
+    columns, in maps made before the fork and so shared: head holds its
+    rows' count and the offset past its last plain block, then each row's
+    id length, and text their bytes end to end (no more than the part's)."""
+
+    def __init__(self, rows: int, size: int):
+        self.head = _mapped((2 + rows,), np.int64)
+        self.text = _mapped((size,), np.uint8)
+        self.rows = self.size = 0  # written so far, in the worker
+
+    def add(self, data: bytes, starts: np.ndarray, lengths: np.ndarray) -> None:
+        """In the worker: hand back the ids data[start : start + length]."""
+        ids = _gathered(data, starts, lengths)
+        self.text[self.size : self.size + len(ids)] = ids
+        self.head[2 + self.rows : 2 + self.rows + len(lengths)] = lengths
+        self.rows += len(lengths)
+        self.size += len(ids)
+
+    def take(self, out: _Columns) -> int:
+        """Once the worker has exited 0: cast its ids into out.ids from
+        out.rows on, where its rows start, and count them in; return the
+        offset past its last plain block."""
+        rows, stop = self.head[:2].tolist()
+        lengths = self.head[2 : 2 + rows]
+        at = slice(out.rows, out.rows + rows)
+        _id_column(self.text, np.cumsum(lengths) - lengths, lengths, out.ids[at], None)
+        out.rows += rows
+        return stop
+
+
+def _fork_part(f, path: str, start: int, out: _Columns, row: int):
+    """(pid, part) of a forked worker that writes the rows of the plain
+    blocks of f's bytes from start on into out from row on, handing back
+    the rest in part (_Part).
 
     A fork, not a spawned interpreter: importing numpy afresh would cost
     more than the part saves. The fork copies only this thread, and BLAS's
     idle threads are safe to lose because the worker calls no BLAS; it
     takes no lock that another thread may hold, as stdio's or an import's.
     """
-    identity = os.fstat(f.fileno())[1:3]  # (st_ino, st_dev)
-    fd = os.memfd_create("fin-equity-part", os.MFD_CLOEXEC)
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(fd)
-        raise
+    info = os.fstat(f.fileno())
+    part = _Part(len(out.ids) - row, info.st_size - start)
+    pid = os.fork()
     if pid == 0:  # the worker: no import, BLAS or stdio, and no return
         code = 1
         try:
             gc.disable()  # the parent's garbage is the parent's to collect
-            code = _write_part(fd, path, identity, start, width, schema)
+            out.rows = row
+            code = _write_part(out, part, path, (info.st_ino, info.st_dev), start)
         finally:
             os._exit(code)
-    return pid, fd
+    return pid, part
 
 
-def _write_part(out: int, path: str, identity: tuple, start: int, width: int, schema) -> int:
-    """Write into the file out the columns of the plain blocks of path's
-    bytes from start on, and return 0; or 1 if path no longer names the
-    file of identity.
-
-    The rows go in sections, each as many as an in-process chunk gathers
-    and written once gathered, so the worker holds one section at a time.
-    A section is two int64s, its rows and its ids' bytes, then the float
-    column(s), each int column, the ids' lengths (int64) and their bytes
-    end to end, NUL-padded to 8 bytes. Two int64s end the file: 0 and the
-    offset past the last plain block.
+def _write_part(out: _Columns, part: _Part, path: str, identity: tuple, start: int) -> int:
+    """In a worker: write the rows of the plain blocks of path's bytes from
+    start on into out's shared maps from out.rows on, up to the first block
+    that is not plain or would pass out's capacity (a column grown here
+    would not be shared), and hand back their count, end and ids in part;
+    return 0, or 1 if path no longer names the file of identity.
     """
     with open(path, "rb") as f:  # a file offset of its own, not the reader's
         if os.fstat(f.fileno())[1:3] != identity:
             return 1
         f.seek(start)
-        pieces, rows = [], 0  # the section so far
-        for block, data in _plain_blocks(f, None, width, schema):
-            if pieces and (data is None or rows + len(data[1]) > CHUNK_CELLS // width):
-                _write_section(out, rows, pieces)
-                pieces, rows = [], 0
-            if data is not None:
-                (text, starts, lengths), *columns = data
-                pieces.append([*columns, lengths, _gathered(text, starts, lengths)])
-                rows += len(lengths)
-        _write_arrays(out, [np.array([0, f.tell() - len(block)], np.int64)])
+        block = _plain_rows(f, None, out, len(out.ids), part)
+        part.head[:2] = part.rows, f.tell() - len(block)
     return 0
-
-
-def _write_section(out: int, rows: int, pieces: list[list[np.ndarray]]) -> None:
-    """Write one section of _write_part's file: pieces holds each block's
-    columns, the ids' bytes last."""
-    size = sum(len(piece[-1]) for piece in pieces)
-    head = np.array([rows, size], np.int64)
-    pad = np.zeros(-size % 8, np.uint8)
-    _write_arrays(out, [head, *chain.from_iterable(zip(*pieces)), pad])
-
-
-def _write_arrays(out: int, arrays: list[np.ndarray]) -> None:
-    """Write the arrays' bytes to the file out, one after another."""
-    for array in arrays:
-        view = memoryview(array).cast("B")
-        while view:
-            view = view[os.write(out, view) :]
 
 
 def _gathered(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -638,44 +675,6 @@ def _gathered(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarra
     ends = np.cumsum(lengths)
     index = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
     return np.frombuffer(data, np.uint8)[index]
-
-
-def _read_part(fd: int, width: int, schema: _Schema, line: int):
-    """Yield a chunk for each section of a worker's memfd (_write_part),
-    line being the first's record number; return (line, stop): the record
-    number after them and the offset past the worker's last plain block.
-
-    Each column is copied into a map of its own (_mapped) and its ids are
-    cast by _id_column, as an in-process chunk's are; then the section's
-    pages are freed in the memfd, so the part costs one section beyond
-    its chunks, and join_chunks frees each chunk once it is copied.
-    """
-    part = mmap.mmap(fd, os.fstat(fd).st_size)
-    floats = np.empty((0, width))[:, schema.floats].shape[1:]
-    shapes = [(np.float64, floats), *((dtype, ()) for *_, dtype in schema.ints)]
-    at = freed = 0
-    while True:
-        rows, size = np.frombuffer(part, np.int64, 2, at).tolist()
-        at += 16
-        if not rows:
-            return line, size  # the end's two int64s
-        columns = []
-        for dtype, shape in shapes:
-            column = _mapped((rows, *shape), dtype)
-            column[...] = np.frombuffer(part, dtype, column.size, at).reshape(column.shape)
-            columns.append(column)
-            at += column.nbytes
-        ids, keys = np.empty(rows, StringDType()), _mapped((rows,), np.int64)
-        lengths = np.frombuffer(part, np.int64, rows, at)
-        at += lengths.nbytes
-        _id_column(part[at : at + size], np.cumsum(lengths) - lengths, lengths, ids, keys)
-        at += size + -size % 8
-        if at - freed >= mmap.PAGESIZE:  # the section's whole pages
-            end = at - at % mmap.PAGESIZE
-            part.madvise(mmap.MADV_REMOVE, freed, end - freed)
-            freed = end
-        yield (ids, keys, *columns), _Chunk(width, line, [], None, True)
-        line += rows
 
 
 def _reap(pid: int) -> int:
@@ -689,7 +688,8 @@ def _reap(pid: int) -> int:
 
 def _mapped(shape: tuple, dtype) -> np.ndarray:
     """np.empty(shape, dtype) in an anonymous memory map of its own, out of
-    malloc's heap (see the module docstring)."""
+    malloc's heap (see the module docstring). The map is shared, so a
+    child forked after it is made writes into this process's pages."""
     size = math.prod(shape)
     mapped = mmap.mmap(-1, max(size * np.dtype(dtype).itemsize, 1))
     return np.frombuffer(mapped, dtype, size).reshape(shape)
@@ -792,9 +792,9 @@ _KEEP = np.array(
 def _cell_words(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """_words of each cell for _writer_floats; a cell that starts with "-"
     is read from its next byte, and byte 23, past the NUL that ends a cell
-    of the writers' form, is 1 for it and 0 for any other. (An empty cell
-    may lie just before a "-", as in _cell_bytes' data.)"""
-    neg = (np.frombuffer(data, np.uint8)[starts] == ord("-")) & (lengths > 0)
+    of the writers' form, is 1 for it and 0 for any other. (An empty
+    cell's first byte is the separator after it.)"""
+    neg = np.frombuffer(data, np.uint8)[starts] == ord("-")
     words = _words(data, starts + neg, lengths - neg)
     words.view(np.uint8)[..., 23] = neg
     return words
@@ -805,8 +805,9 @@ def _words(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     (*starts.shape, 3), with the third word's bytes past the length 0.
 
     So a cell of 16 to 24 bytes gets the words of its S24 form. A shorter
-    one keeps a separator ("," or "\\n") in its first two, and none of those
-    is in the writers' form anywhere. data holds 24 bytes from each start.
+    one keeps a separator ("," or "\\n", or in _cell_bytes' data a NUL) in
+    its first two, and none of those is in the writers' form anywhere.
+    data holds 24 bytes from each start.
     """
     at = np.ndarray((len(data) - 23,), "V24", data, strides=(1,))  # one a byte
     words = at[starts].view(np.uint64).reshape(*starts.shape, 3)
@@ -857,11 +858,12 @@ _WORD_MIX = np.uint64(0x9E37_79B9_7F4A_7C15)
 _LENGTH_MIX = np.uint64(0xC2B2_AE3D_27D4_EB4F)
 
 
-def _id_column(data: bytes, starts: np.ndarray, lengths: np.ndarray, column, keys):
+def _id_column(data, starts: np.ndarray, lengths: np.ndarray, column, keys):
     """Cast the ids whose UTF-8 bytes are data[start : start + length] into
     column, a StringDType array, and put an int64 duplicate key of each in
-    keys. Each id must be valid UTF-8, for numpy's cast copies the bytes
-    without checking them; the column is exact unless an id holds a NUL.
+    keys; either may be None, for none. Each id must be valid UTF-8, for
+    numpy's cast copies the bytes without checking them; the column is
+    exact unless an id holds a NUL.
 
     A run of rows is gathered as a NUL-padded (rows, words) matrix of
     little-endian words, words being its longest id's (_id_words), and the
@@ -876,7 +878,7 @@ def _id_column(data: bytes, starts: np.ndarray, lengths: np.ndarray, column, key
     2**64). Each step is a bijection of w_j, so two ids of one length that
     differ in one word only never share a key; a NUL word adds 0, so the
     key does not depend on the matrix width. Equal keys are only candidates
-    for _SeenIds.check, which compares the ids themselves.
+    for _duplicate, which compares the ids themselves.
     """
     words = (lengths + 7) >> 3
     runs = [(0, len(starts))]
@@ -889,7 +891,10 @@ def _id_column(data: bytes, starts: np.ndarray, lengths: np.ndarray, column, key
             continue
         run = slice(start, stop)
         matrix = _id_words(data, starts[run], lengths[run], width)
-        column[run] = matrix.view(f"S{8 * width}")[:, 0]
+        if column is not None:
+            column[run] = matrix.view(f"S{8 * width}")[:, 0]
+        if keys is None:
+            continue
         v = matrix * (np.arange(1, 2 * width, 2, dtype=np.uint64) * _WORD_MIX)
         v ^= v >> 29
         key = v.sum(axis=1, dtype=np.uint64)
@@ -903,12 +908,15 @@ def _id_words(data: bytes, starts: np.ndarray, lengths: np.ndarray, width: int):
 
     Each id's 8 * width bytes are one cell of a stride-1 V view, as in
     _cell_words; where the last ones would run past data's end, a copy of
-    data padded with NULs is read instead.
+    data from the first id on, padded with NULs, is read instead. data is
+    bytes or a uint8 array.
     """
     size = 8 * width
     end = int(starts.max(initial=0)) + size
     if end > len(data):
-        data += bytes(end - len(data))
+        first = int(starts.min(initial=0))
+        data = bytes(memoryview(data)[first:]) + bytes(end - len(data))
+        starts = starts - first
     at = np.ndarray((len(data) - size + 1,), f"V{size}", data, strides=(1,))
     words = at[starts].view(np.uint64).reshape(-1, width)
     # _KEEP[n, 0] keeps a word's first n <= 8 bytes
@@ -917,8 +925,21 @@ def _id_words(data: bytes, starts: np.ndarray, lengths: np.ndarray, width: int):
 
 
 def _cell_bytes(cells: list[str]):
-    """(data, starts, lengths) of cells from one encode of them all: a cell's
-    UTF-8 bytes are data[start : start + length], and _PAD ends data."""
+    """(data, starts, lengths, nul) of cells from one encode of them all: a
+    cell's UTF-8 bytes are data[start : start + length], _PAD ends data,
+    and nul tells whether a cell holds a NUL.
+
+    The cells are joined with NULs, whose places are the cells' ends in
+    bytes. Where a cell holds a NUL itself, they are joined bare instead,
+    and their lengths in characters give the ends.
+    """
+    data = "\0".join(cells).encode() + _PAD
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == 0)[: len(cells)]
+    if ends[-1] == len(data) - len(_PAD):  # the NULs are the separators only
+        starts = np.empty_like(ends)
+        starts[0] = 0
+        starts[1:] = ends[:-1] + 1
+        return data, starts, ends - starts, False
     text = "".join(cells)
     data = text.encode() + _PAD
     ends = np.cumsum(np.fromiter(map(len, cells), np.int64, len(cells)))
@@ -926,83 +947,76 @@ def _cell_bytes(cells: list[str]):
         firsts = (np.frombuffer(data, np.uint8) & 0xC0) != 0x80
         ends = np.flatnonzero(firsts)[ends]  # the first NUL of _PAD ends the last
     lengths = np.diff(ends, prepend=0)
-    return data, ends - lengths, lengths
+    return data, ends - lengths, lengths, True
 
 
 def _read_csv(path: str, schema: _Schema):
-    """Read and check a CSV's rows: (its id column in chunks, its float
-    column(s), its int columns, and per int column the largest value too
-    large for its dtype, stored there as 0, or 0 if none is).
+    """Read and check a CSV's rows: (its ids, its float column(s), its int
+    columns, and per int column the largest value too large for its dtype,
+    stored there as 0, or 0 if none is).
 
-    A csv.reader chunk is converted by _text_columns. At its first error, a
-    duplicate id up to and including the failing row wins, as a row's id is
-    checked first. No later chunk is converted, but the rest of the file is
-    still read, so that a decode error or an oversized field in it wins;
-    then the read's error is raised.
+    Every row is written at its row into columns made for the file
+    (_Columns): the plain blocks' by _read_chunks, a csv.reader chunk's by
+    _text_columns. At a chunk's first error, a duplicate id up to and
+    including the failing row wins, as a row's id is checked first. No
+    later chunk is converted, but the rest of the file is still read, so
+    that a decode error or an oversized field in it wins; then the read's
+    error is raised.
     """
-    seen = _SeenIds(schema.what)
     huge = [0 for _ in schema.ints]
-    floats: list[np.ndarray] = []
-    ints: list[list[np.ndarray]] = [[] for _ in schema.ints]
-    chunks = _read_chunks(path, schema)
-    for data, chunk in chunks:
-        if not chunk.plain:
-            data, error = _text_columns(data, chunk, schema, huge)
-            if error is not None:
-                seen.add(*data, chunk)
-                error = seen.check() or error
-                del data
-                for data, _ in chunks:  # read on: a later decode error still wins
-                    del data
-                raise ValidationError(error)
-        ids, keys, x, *columns = data
-        floats.append(x)
-        seen.add(ids, keys, chunk)
-        for column, kept in zip(columns, ints):
-            kept.append(column)
-        del data, ids, keys, x, columns
-    error = seen.check()
+    read = _read_chunks(path, schema)
+    out, chunk = next(read)  # the plain rows, in the columns
+    chunks = [chunk]
+    for cells, chunk in read:
+        chunks.append(chunk)
+        error = _text_columns(cells, chunk, out, huge)
+        del cells  # before the next chunk is read
+        if error is not None:
+            error = _duplicate(out, chunks) or error
+            for cells, _ in read:  # read on: a later decode error still wins
+                del cells
+            raise ValidationError(error)
+    error = _duplicate(out, chunks)
     if error is not None:
         raise ValidationError(error)
-    ints = [join_chunks(kept, dtype) for kept, (_, _, dtype) in zip(ints, schema.ints)]
-    return seen.chunks, join_chunks(floats, np.float64), ints, huge
+    ids, _, x, *ints = (column[: out.rows] for column in (out.ids, *out.numbers))
+    return ids, x, ints, huge
 
 
-def _text_columns(cells: list[str], chunk: _Chunk, schema: _Schema, huge: list[int]):
-    """((ids, keys, floats, *ints), None) of a csv.reader chunk's flat
-    cells; or, at the first row that breaks a rule or the wrong-width row
-    after them, ((ids, keys) up to and including it, its error).
+def _text_columns(cells: list[str], chunk: _Chunk, out: _Columns, huge: list[int]):
+    """Write a csv.reader chunk's flat cells into out from chunk.row on and
+    count them in; or, at the first row that breaks a rule or the
+    wrong-width row after them, return its error, with the rows up to and
+    including it counted, their ids and keys written.
 
     Each slice of whole rows, FLOAT_BLOCK cells, is encoded once
     (_cell_bytes) for _id_column and _cell_values; one these refuse, or
     that holds a NUL, goes to _first_bad_row and _row_columns instead.
     """
-    width, wrong = chunk.width, chunk.wrong
+    width, schema = chunk.width, out.schema
     rows, step = len(cells) // width, max(1, FLOAT_BLOCK // width)
-    ids, keys = np.empty(rows, StringDType()), np.empty(rows, np.int64)
-    # the error and its row: a wrong-width row comes after the chunk's rows
-    error = None if wrong is None else f"expected {width} fields, got {wrong}"
-    parts = []
     for start in range(0, rows, step):
         part = cells[start * width : (start + step) * width]
-        data, starts, lengths = _cell_bytes(part)
+        data, starts, lengths, nul = _cell_bytes(part)
         starts, lengths = starts.reshape(-1, width), lengths.reshape(-1, width)
-        at = slice(start, start + len(starts))
-        _id_column(data, starts[:, 0], lengths[:, 0], ids[at], keys[at])
-        nul = data.index(0) < len(data) - len(_PAD)
+        at = slice(chunk.row + start, chunk.row + start + len(starts))
+        out.reserve(at.stop)
+        _id_column(data, starts[:, 0], lengths[:, 0], out.ids[at], out.keys[at])
         if nul:  # the cast ends an id at its trailing NULs
-            ids[at] = part[::width]
+            out.ids[at] = part[::width]
         values = None if nul else _cell_values(data, starts, lengths, schema)
         if values is None:
             parsed, bad = _first_bad_row(part, width, schema.check_row)
             if bad is not None:
-                rows, error = start + len(parsed), bad
-                break
+                out.rows = at.start + len(parsed) + 1
+                return f"line {chunk.line_of(start + len(parsed))}: {bad}"
             values = _row_columns(parsed, schema, huge)
-        parts.append(values)
-    if error is not None:
-        return (ids[: rows + 1], keys[: rows + 1]), f"line {chunk.line_of(rows)}: {error}"
-    return (ids, keys, *map(np.concatenate, zip(*parts))), None
+        out.write(at, values)
+        out.rows = at.stop
+    if chunk.wrong is None:
+        return None
+    # a wrong-width row comes after the chunk's rows
+    return f"line {chunk.line_of(rows)}: expected {width} fields, got {chunk.wrong}"
 
 
 def _first_bad_row(cells: list[str], width: int, check_row) -> tuple[list, str | None]:
@@ -1383,7 +1397,7 @@ def read_dataset_csv(
     """
     ids, x, (attrs, labels), (huge, _) = _read_csv(path, _DATASET)
     attribute_set = _attribute_set(path, attrs, huge, group_names, group_count)
-    return Dataset(attribute_set, x, labels, attrs, IdColumn.from_chunks(ids))
+    return Dataset(attribute_set, x, labels, attrs, IdColumn._of(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -1439,7 +1453,7 @@ def read_predictions_csv(
 ) -> tuple[Predictions, AttributeSet]:
     ids, scores, (labels, attrs), (_, huge) = _read_csv(path, _PREDICTIONS)
     attribute_set = _attribute_set(path, attrs, huge, group_names)
-    return Predictions(IdColumn.from_chunks(ids), scores, labels, attrs), attribute_set
+    return Predictions(IdColumn._of(ids), scores, labels, attrs), attribute_set
 
 
 # ---------------------------------------------------------------------------

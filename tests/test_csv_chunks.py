@@ -24,7 +24,17 @@ A split read, whose later part a forked worker converts, must read as one
 pass does: the fuzz and the error-precedence tests run again with the split
 forced on (a tiny `fileio.PART_BYTES` on 2 CPUs), with a dirty line in
 either part, a pipe (never split), a fork that raises, a worker that fails
-or is killed, and a consumer that abandons the read.
+or is killed, and a consumer that abandons the read. The worker's rows land
+after the reader's in the shared columns, and rows it wrote before it died
+or was killed never reach a result; the reader writes no row at or past
+the worker's first while the worker lives.
+
+The columns are sized from the file's line ends (`fileio._line_ends`):
+files of every form (CRLF, lone "\r" line ends, a quoted id holding a line
+end, blank rows, no final newline, a header only) read as the row-by-row
+readers do, with each column as long as their rows, from a file, split in
+two or through a FIFO, whose columns double as they fill; and a read whose
+count falls short, as of rows appended once counted, still reads every row.
 """
 
 import contextlib
@@ -775,21 +785,162 @@ def test_a_clean_split_read_reads_every_row(tmp_path, kind):
 
 @needs_split
 @pytest.mark.parametrize("kind", sorted(READERS))
-def test_a_workers_part_comes_back_in_chunks_of_the_in_process_size(tmp_path, kind):
-    # join_chunks frees each chunk once it is copied, so a part that came
-    # back whole would stay until the last column is joined
+def test_a_workers_rows_land_after_the_readers_and_number_on_from_them(tmp_path, kind):
+    # the worker writes its rows from row n1 on, n1 being the "\n" bytes
+    # of the data before its part, and a duplicate id among them is named
+    # at the record number that follows the reader's rows
     path = tmp_path / "plain.csv"
     plain_file(path, kind, "12 groups")
-    schema = fileio._DATASET if kind == "dataset" else fileio._PREDICTIONS
-    with split_reads(4096) as forked, mock.patch.object(fileio, "CHUNK_CELLS", 1 << 10):
-        chunks = [(len(data[0]), chunk) for data, chunk in fileio._read_chunks(str(path), schema)]
-    assert forked and all(chunk.plain for _, chunk in chunks)
-    assert max(rows for rows, _ in chunks) <= (1 << 10) // chunks[0][1].width
-    line = 2
-    for rows, chunk in chunks:
-        assert chunk.line == line
-        line += rows
-    assert line == 2 + 5_000
+    header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    took = []
+    take = fileio._Part.take
+
+    def spy(part, out):
+        took.append((out.rows, int(part.head[0])))
+        return take(part, out)
+
+    def split_read(path):
+        with split_reads(4096) as forked, mock.patch.object(fileio._Part, "take", spy):
+            got = outcome(READERS[kind], str(path), None)
+        data = path.read_bytes()
+        return got, data[len(header.encode()) : forked[0]].count(b"\n")
+
+    got, before_cut = split_read(path)
+    assert got == outcome(READERS[kind], str(path), None) and got[0] == "ok"
+    [(n1, rows)] = took
+    assert n1 == before_cut and 0 < n1 < len(lines) == n1 + rows
+    assert got[1][0] == tuple(line.split(",")[0] for line in lines)
+    for first in (10, n1 + 5):  # the first use in either part
+        took.clear()
+        repeat = n1 + 100
+        dirty = list(lines)
+        dirty[repeat] = with_id(dirty[repeat], lines[first].split(",")[0])
+        path.write_text(header + "".join(dirty), encoding="utf-8")
+        got, _ = split_read(path)
+        assert took and took[0][0] == n1
+        assert got == outcome(READERS[kind], str(path), None)
+        assert got[1].startswith(f"line {repeat + 2}: ")
+
+
+# the forms a file's records may take, each of which the columns' bound
+# ("\n" bytes plus 1) must hold or the read must grow past
+FORMS = ("crlf", "lone cr", "quoted id with a line end", "blanks", "no final newline")
+
+
+@st.composite
+def formed_files(draw):
+    """(kind, text) of a small valid file in some of FORMS, or of its
+    header only."""
+    kind = draw(st.sampled_from(sorted(READERS)))
+    n = draw(st.integers(0, 40))
+    forms = draw(st.sets(st.sampled_from(FORMS)))
+    rows = [row(kind, i) for i in range(n)]
+    if "quoted id with a line end" in forms and rows:
+        r = draw(st.integers(0, n - 1))
+        rows[r] = with_id(rows[r], f'"s{r}\nx"')
+    if "blanks" in forms:
+        for _ in range(draw(st.integers(1, 3))):
+            rows.insert(draw(st.integers(0, len(rows))), "")
+    end = "\r\n" if "crlf" in forms else "\r" if "lone cr" in forms else "\n"
+    text = end.join([HEADERS[kind], *rows])
+    if "no final newline" not in forms:
+        text += end
+    return kind, text
+
+
+def read_as_row_by_row(kind, path, reads=str):
+    """Assert that the reader's read of reads(path) equals the row-by-row
+    read of path, each of its columns as long as that read's."""
+    want = outcome(FORMATS[kind][1], str(path), None)
+    if want[0] == "error":  # it names the path read
+        want = ("error", want[1].replace(str(path), reads(path)))
+    assert outcome(READERS[kind], reads(path), None) == want
+    if want[0] == "ok" and reads is str:
+        schema = fileio._DATASET if kind == "dataset" else fileio._PREDICTIONS
+        ids, x, ints, _ = fileio._read_csv(str(path), schema)
+        rows = len(want[1][0])
+        assert [len(ids), len(x), *map(len, ints)] == [rows] * (2 + len(ints))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+@pytest.mark.parametrize("chunk_text", [7, fileio.CHUNK_TEXT])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=formed_files())
+def test_every_form_reads_as_the_row_by_row_readers(tmp_path_factory, chunk_text, case):
+    # the file, the file split in two and a FIFO of it, which starts its
+    # columns empty and doubles them as they fill
+    kind, text = case
+    scratch = tmp_path_factory.mktemp("forms")
+    path, pipe = scratch / f"{kind}.csv", scratch / "pipe"
+    path.write_text(text, encoding="utf-8", newline="")
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(path.read_bytes(),))
+    with mock.patch.object(fileio, "CHUNK_TEXT", chunk_text):
+        read_as_row_by_row(kind, path)
+        with split_reads(chunk_text):
+            read_as_row_by_row(kind, path)
+        writer.start()
+        try:
+            read_as_row_by_row(kind, path, lambda path: str(pipe))
+        finally:
+            writer.join()
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_csv_reader_cells_with_a_nul_or_past_ascii_keep_their_bounds(tmp_path, kind):
+    # _cell_bytes joins a slice's cells with NULs, whose places bound them;
+    # a slice one of whose cells holds a NUL is joined bare instead
+    rows = [row(kind, i) for i in range(3_000)]
+    rows[0] = with_id(rows[0], '"s0"')  # csv.reader reads every row
+    rows[1_500] = with_id(rows[1_500], "é\0x")
+    rows[1_501] = with_id(rows[1_501], "s\0")
+    rows[2_500] = with_id(rows[2_500], "\U0001d7cfé")
+    path = write_file(tmp_path, kind, rows)
+    got = outcome(READERS[kind], path, None)
+    assert got[0] == "ok" and got == outcome(FORMATS[kind][1], path, None)
+    assert got[1][0][1_500 : 1_502] == ("é\0x", "s\0")
+
+
+def counted(change):
+    """A stand-in for fileio._line_ends that returns change(f, n1, bound)
+    of its count of f."""
+    line_ends = fileio._line_ends
+    return mock.patch.object(fileio, "_line_ends", lambda f, cut: change(f, *line_ends(f, cut)))
+
+
+def appending(f, n1, bound):
+    """The count of f, after which 4,000 rows more are appended to it."""
+    kind = "dataset" if f.name.endswith("dataset.csv") else "predictions"
+    with open(f.name, "a", encoding="utf-8") as more:
+        more.writelines(row(kind, i) + "\n" for i in range(12_000, 16_000))
+    return n1, bound
+
+
+COUNTS = {
+    "rows appended after the count": appending,
+    "no room past n1": lambda f, n1, bound: (n1, n1 + 1),
+    "n1 one short": lambda f, n1, bound: (n1 - 1, bound),
+    "n1 one over": lambda f, n1, bound: (n1 + 1, bound),
+}
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one pass", "split"])
+@pytest.mark.parametrize("count", sorted(COUNTS))
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_a_read_past_its_count_reads_every_row(tmp_path, kind, count, split):
+    # 12,000 rows, or 4,000 more appended once counted: each is read,
+    # whether the reader grows its columns, the worker stops at their end
+    # or its rows would not follow the reader's
+    if split and not fileio._CAN_SPLIT:
+        pytest.skip("no read is split with this Python or OS")
+    path = write_file(tmp_path, kind, good_rows(kind)[:12_000])
+    rows = 16_000 if count == "rows appended after the count" else 12_000
+    reads = split_reads(4096) if split else contextlib.nullcontext([])
+    with reads as forked, counted(COUNTS[count]):
+        got = outcome(READERS[kind], path, None)
+    assert bool(forked) == split
+    assert got == outcome(FORMATS[kind][1], path, None) and got[0] == "ok"
+    assert len(got[1][0]) == rows
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
@@ -849,3 +1000,115 @@ def test_an_abandoned_split_read_reaps_its_worker(tmp_path):
         chunks.close()
     with pytest.raises(ChildProcessError):  # no child left, running or not
         os.waitpid(-1, os.WNOHANG)
+
+
+def workers_rows_then(end):
+    """A stand-in for fileio._write_part that writes rows which the file
+    does not hold into the shared columns, then calls end with a function
+    that writes them again."""
+
+    def write_part(out, part, path, identity, start):
+        def write():
+            at = slice(out.rows, min(out.rows + 3_000, len(out.ids)))
+            for column in out.numbers:
+                column[at] = 7  # ints out of range, and keys all alike
+            out.numbers[1][at] = np.nan
+
+        write()
+        return end(write)
+
+    return write_part
+
+
+def still_writing(write):
+    """Never returns: writes the rows again and again until killed."""
+    while True:
+        write()
+
+
+# how the worker ends, and what stops the reader's part: nothing, a CRLF
+# line in either part, or n1 counted one short, so that its rows would pass
+# n1; a worker still writing must be killed by the reader's stop
+DEAD_WORKERS = [
+    (end, stop)
+    for end in (killed, exits_1, still_writing)
+    for stop in (None, "crlf at 3,000", "crlf at 9,000", "n1 one short")
+    if end is not still_writing or stop in ("crlf at 3,000", "n1 one short")
+]
+
+
+@needs_split
+@pytest.mark.parametrize(
+    "end, stop", DEAD_WORKERS, ids=[f"{end.__name__}-{stop}" for end, stop in DEAD_WORKERS]
+)
+@pytest.mark.parametrize("bad", [False, True], ids=["clean", "bad attr"])
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_a_dead_workers_rows_never_leak(tmp_path, kind, bad, end, stop):
+    # the worker writes rows that the file does not hold, then ends; every
+    # value, error and record number is the one-pass read's, a clean file's
+    # or one with a bad attr in the worker's part
+    rows = good_rows(kind)[:12_000]
+    if bad:
+        rows[10_000] = row(kind, 10_000, attr="-1")
+    lines = [(line + "\n").encode() for line in [HEADERS[kind], *rows]]
+    counting = contextlib.nullcontext()
+    if stop == "n1 one short":
+        counting = counted(COUNTS["n1 one short"])
+    elif stop is not None:
+        at = int(stop.removeprefix("crlf at ").replace(",", ""))
+        lines[at + 1] = dirty_line(rows[at], "crlf")
+    path = tmp_path / "dead.csv"
+    path.write_bytes(b"".join(lines))
+    want = outcome(READERS[kind], str(path), None)
+    assert want[0] == ("error" if bad else "ok")
+    with (
+        split_reads(4096) as forked,
+        counting,
+        mock.patch.object(fileio, "_write_part", workers_rows_then(end)),
+    ):
+        assert outcome(READERS[kind], str(path), None) == want
+    assert forked
+
+
+@needs_split
+@pytest.mark.parametrize(
+    "stop", [None, "crlf at 3,000", "crlf at 9,000", "n1 one short", "n1 one over"]
+)
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_no_row_at_or_past_n1_is_written_while_the_worker_lives(tmp_path, kind, stop):
+    # the reader writes a row at or past n1 only once the worker is reaped
+    rows = good_rows(kind)[:12_000]
+    lines = [(line + "\n").encode() for line in [HEADERS[kind], *rows]]
+    counting = contextlib.nullcontext()
+    if stop is not None and stop.startswith("n1"):
+        counting = counted(COUNTS[stop])
+    elif stop is not None:
+        at = int(stop.removeprefix("crlf at ").replace(",", ""))
+        lines[at + 1] = dirty_line(rows[at], "crlf")
+    path = tmp_path / "order.csv"
+    path.write_bytes(b"".join(lines))
+    workers, written = [], []  # (pid, n1) of each; rows written past n1
+    fork_part, write = fileio._fork_part, fileio._Columns.write
+
+    def forked(f, path, start, out, row):
+        pid, part = fork_part(f, path, start, out, row)
+        workers.append((pid, row))  # in the reader only: the worker has forked
+        return pid, part
+
+    def checked(out, at, values):
+        for pid, n1 in workers:
+            if at.stop > n1:
+                with pytest.raises(ChildProcessError):  # reaped
+                    os.waitpid(pid, os.WNOHANG)
+                written.append(at)
+        write(out, at, values)
+
+    want = outcome(READERS[kind], str(path), None)
+    with (
+        split_reads(4096),
+        counting,
+        mock.patch.object(fileio, "_fork_part", forked),
+        mock.patch.object(fileio._Columns, "write", checked),
+    ):
+        assert outcome(READERS[kind], str(path), None) == want
+    assert workers and bool(written) == (stop is not None)  # else the worker's rows
