@@ -722,9 +722,9 @@ def _plain_columns(block: bytes, width: int, schema: _Schema):
     values = _cell_values(data, starts, lengths, schema)
     if values is None:
         return None
-    # copies, so that the block's bounds are freed before the chunk's columns
-    # are made: kept until the cast, they raised audit_report's peak RSS by
-    # 0.6-0.8 MB at some checkout paths
+    # copies, so that the block's bounds are freed before its rows are
+    # written: kept until the cast, they raised audit_report's peak RSS by
+    # 0.6-0.8 MB at some checkout paths, where each chunk made its columns
     return (data, starts[:, 0].copy(), lengths[:, 0].copy()), *values
 
 
